@@ -1,7 +1,7 @@
 """Structure-preserving exterior calculus on triangulated manifolds with
 boundary: Whitney metrics, harmonic field bases, Hodge-Morrey-Friedrichs
 splittings, Stokes-Dirac port systems with exact power balance, and a
-conservative midpoint integrator."""
+conservative midpoint time stepper."""
 
 from .errors import (
     AmbiguousKernel,
@@ -15,7 +15,6 @@ from .errors import (
     InvalidDegrees,
     NonOrientable,
     NotInHarmonicComplement,
-    NotWellCentered,
     OverflowInExactArithmetic,
     SolverFailure,
     UnsupportedResolution,
@@ -34,7 +33,6 @@ from .mesh import (
 from .generators import SHAPES, gen_mesh
 from .metric import (
     Cochain,
-    HodgeStar,
     Metric,
     codifferential,
     codifferential_constrained,
@@ -42,7 +40,6 @@ from .metric import (
     exterior_derivative,
     green_defect,
     green_defect_constrained,
-    hodge_star,
     inner_product,
     norm,
     random_cochain,
@@ -70,9 +67,7 @@ from .stokesdirac import (
     efforts,
     extended_power_balance,
     flows,
-    gradient_check,
     hamiltonian,
-    hamiltonian_gradient,
     harmonic_flow_identity,
     integrability_check,
     power_balance,

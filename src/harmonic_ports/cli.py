@@ -26,7 +26,6 @@ from .errors import (
     FactorizationFailure,
     HarmonicPortsError,
     InvalidDegrees,
-    NotWellCentered,
     OverflowInExactArithmetic,
     SolverFailure,
     UnsupportedResolution,
@@ -63,7 +62,6 @@ NUMERICAL_ERRORS = (
     AmbiguousKernel,
     OverflowInExactArithmetic,
     SolverFailure,
-    NotWellCentered,
 )
 USAGE_ERRORS = (
     DegreeMismatch,

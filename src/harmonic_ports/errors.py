@@ -3,7 +3,8 @@
 Every error below derives from :class:`HarmonicPortsError` so callers can
 catch the whole family with one clause.  The CLI maps these onto process
 exit codes: validation and identity failures exit 1, numerical failures
-(:class:`FactorizationFailure`, :class:`AmbiguousKernel`) exit 2, and
+(:class:`FactorizationFailure`, :class:`AmbiguousKernel`,
+:class:`OverflowInExactArithmetic`, :class:`SolverFailure`) exit 2, and
 I/O or usage problems exit 3.
 """
 
@@ -46,11 +47,6 @@ class DegreeMismatch(HarmonicPortsError):
 
 class ComplexMismatch(HarmonicPortsError):
     """Operands live on different simplicial complexes."""
-
-
-class NotWellCentered(HarmonicPortsError):
-    """A circumcentric-dual operation was requested on a mesh with
-    circumcenters outside their simplices."""
 
 
 class AmbiguousKernel(HarmonicPortsError):

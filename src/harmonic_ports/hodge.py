@@ -114,22 +114,23 @@ def harmonic_basis(metric: Metric, k: int, condition: str = "neumann") -> Harmon
     n = metric.complex.dimension
     if not 0 <= k <= n:
         raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
-    key = ("harmonic", k, condition)
-    if key in metric._extra:
-        return metric._extra[key]
+    return metric.cached(
+        ("harmonic", k, condition), lambda: _build_harmonic_basis(metric, k, condition)
+    )
 
+
+def _build_harmonic_basis(metric: Metric, k: int, condition: str) -> HarmonicBasis:
+    n = metric.complex.dimension
     if condition == "neumann":
         idx = np.arange(metric.complex.num_simplices(k))
     else:
         idx = metric.interior_indices(k)
     nk = len(idx)
     if nk == 0:
-        basis = HarmonicBasis(
+        return HarmonicBasis(
             metric, k, condition,
             np.zeros((metric.complex.num_simplices(k), 0)), 0.0, math.inf,
         )
-        metric._extra[key] = basis
-        return basis
 
     M = metric.mass(k)[np.ix_(idx, idx)]
     A = np.zeros((nk, nk))
@@ -139,12 +140,11 @@ def harmonic_basis(metric: Metric, k: int, condition: str = "neumann") -> Harmon
     if k > 0:
         if condition == "neumann":
             B = metric.d_matrix(k - 1).T @ metric.mass(k)
-            A += B.T @ sla.cho_solve(metric.mass_cholesky(k - 1), B)
+            A += B.T @ sla.cho_solve((metric.mass_cholesky(k - 1), True), B)
         else:
             low = metric.interior_indices(k - 1)
-            if len(low):
-                C = (metric.mass(k) @ metric.d_matrix(k - 1))[np.ix_(idx, low)]
-                A += C @ sla.cho_solve(metric.interior_mass_cholesky(k - 1), C.T)
+            C = (metric.mass(k) @ metric.d_matrix(k - 1))[np.ix_(idx, low)]
+            A += C @ sla.cho_solve((metric.interior_mass_cholesky(k - 1), True), C.T)
     try:
         evals, evecs = sla.eigh(A, M)
     except sla.LinAlgError as exc:
@@ -153,7 +153,7 @@ def harmonic_basis(metric: Metric, k: int, condition: str = "neumann") -> Harmon
     m = _split_kernel(evals)
     vectors = np.zeros((metric.complex.num_simplices(k), m))
     vectors[idx, :] = evecs[:, :m]
-    basis = HarmonicBasis(
+    return HarmonicBasis(
         metric,
         k,
         condition,
@@ -161,8 +161,6 @@ def harmonic_basis(metric: Metric, k: int, condition: str = "neumann") -> Harmon
         float(evals[m - 1]) if m else 0.0,
         float(evals[m]) if m < len(evals) else math.inf,
     )
-    metric._extra[key] = basis
-    return basis
 
 
 def harmonic_projection(basis: HarmonicBasis, c: Cochain):
@@ -202,16 +200,6 @@ class HMFDecomposition:
         return self.lambda_T + self.delta_gamma
 
 
-def _chol_lower(metric: Metric, k: int) -> np.ndarray:
-    key = ("chol_lower", k)
-    if key not in metric._extra:
-        try:
-            metric._extra[key] = np.linalg.cholesky(metric.mass(k))
-        except np.linalg.LinAlgError as exc:
-            raise FactorizationFailure(f"mass Cholesky at degree {k}") from exc
-    return metric._extra[key]
-
-
 def _pinv_applier(A: np.ndarray):
     """Least-squares solver x -> argmin |A x - rhs| from a thin SVD."""
     if A.shape[1] == 0:
@@ -229,32 +217,32 @@ def _pinv_applier(A: np.ndarray):
 
 def _exact_range_solver(metric: Metric, k: int):
     """Cached whitened least-squares machinery for im(d on zero-trace)."""
-    key = ("exact_solver", k)
-    if key not in metric._extra:
-        L = _chol_lower(metric, k)
+
+    def build():
         if k == 0:
             W = np.zeros((metric.complex.num_simplices(0), 0))
         else:
-            low = metric.interior_indices(k - 1)
-            W = metric.d_matrix(k - 1)[:, low]
-        metric._extra[key] = (W, _pinv_applier(L.T @ W))
-    return metric._extra[key]
+            W = metric.d_matrix(k - 1)[:, metric.interior_indices(k - 1)]
+        return W, _pinv_applier(metric.mass_cholesky(k).T @ W)
+
+    return metric.cached(("exact_solver", k), build)
 
 
 def _coexact_range_solver(metric: Metric, k: int):
     """Cached whitened least-squares machinery for im(delta)."""
-    key = ("coexact_solver", k)
-    if key not in metric._extra:
+
+    def build():
         n = metric.complex.dimension
-        L = _chol_lower(metric, k)
         if k == n:
             B = np.zeros((metric.complex.num_simplices(n), 0))
         else:
+            L = metric.mass_cholesky(k)
             B = sla.solve_triangular(
                 L, metric.d_matrix(k).T @ metric.mass(k + 1), lower=True
             )
-        metric._extra[key] = (L, B, _pinv_applier(B))
-    return metric._extra[key]
+        return B, _pinv_applier(B)
+
+    return metric.cached(("coexact_solver", k), build)
 
 
 def hodge_morrey_friedrichs(metric: Metric, omega: Cochain) -> HMFDecomposition:
@@ -268,13 +256,13 @@ def hodge_morrey_friedrichs(metric: Metric, omega: Cochain) -> HMFDecomposition:
     _check_metric(metric, omega)
     k = omega.degree
     N = metric.complex.num_simplices(k)
-    L = _chol_lower(metric, k)
+    L = metric.mass_cholesky(k)
     white = L.T @ omega.values
 
     W, solve_e = _exact_range_solver(metric, k)
     d_alpha = Cochain(omega.complex, k, W @ solve_e(white) if W.shape[1] else np.zeros(N))
 
-    _, B, solve_c = _coexact_range_solver(metric, k)
+    B, solve_c = _coexact_range_solver(metric, k)
     if B.shape[1]:
         z = solve_c(white)
         delta_beta = Cochain(
@@ -303,7 +291,7 @@ def potential_for_exact(
     k = c.degree
     if k == 0:
         raise DegreeOutOfRange("0-cochains have no potential one degree down")
-    L = _chol_lower(metric, k)
+    L = metric.mass_cholesky(k)
     n_low = metric.complex.num_simplices(k - 1)
     if zero_trace:
         low = metric.interior_indices(k - 1)

@@ -45,7 +45,6 @@ __all__ = [
     "euler_characteristic",
     "integer_matrix_rank",
     "permutation_sign",
-    "face_incidence_sign",
 ]
 
 # Exact elimination is refused beyond this many (rows * cols) cells.
@@ -62,28 +61,6 @@ def permutation_sign(seq: Sequence[int]) -> int:
             if seq[i] > seq[j]:
                 inversions += 1
     return -1 if inversions % 2 else 1
-
-
-def face_incidence_sign(face: tuple, simplex: tuple) -> int:
-    """Incidence sign of ``face`` in ``simplex`` (both sorted tuples).
-
-    Returns (-1)**i where i is the position of the vertex of ``simplex``
-    missing from ``face``, or 0 if ``face`` is not a facet of ``simplex``.
-    """
-    if len(face) + 1 != len(simplex):
-        return 0
-    missing = -1
-    j = 0
-    for i, v in enumerate(simplex):
-        if j < len(face) and face[j] == v:
-            j += 1
-        elif missing < 0:
-            missing = i
-        else:
-            return 0
-    if j != len(face) or missing < 0:
-        return 0
-    return -1 if missing % 2 else 1
 
 
 class SimplicialComplex:
@@ -234,7 +211,7 @@ class BoundaryComplex(SimplicialComplex):
             raise DegreeOutOfRange(f"degree {k} outside 0..{self.dimension}")
         tr = self.inclusion[k].T.tocsr()
         if k == self.dimension:
-            tr = sp.diags(self.orientation.astype(np.int64)) @ tr
+            tr = sp.diags(self.orientation, dtype=np.int64) @ tr
         return tr.tocsr()
 
     def parent_indices(self, k: int) -> np.ndarray:
@@ -400,7 +377,12 @@ def validate_manifold(complex: SimplicialComplex) -> dict:
     ``kind`` tag and a human-readable ``detail``).
     """
     n = complex.dimension
-    findings = []
+    used = {v for t in complex.simplices[n] for v in t}
+    findings = [
+        {"kind": "isolated_vertex", "detail": f"vertex {v} lies in no top simplex"}
+        for v in range(complex.num_simplices(0))
+        if v not in used
+    ]
 
     cofaces = defaultdict(list)
     for t_idx, t in enumerate(complex.simplices[n]):
@@ -451,7 +433,8 @@ def validate_manifold(complex: SimplicialComplex) -> dict:
         _check_volume_links(complex, findings)
 
     manifold = not any(
-        f["kind"] in ("face_with_excess_cofaces", "bad_link") for f in findings
+        f["kind"] in ("isolated_vertex", "face_with_excess_cofaces", "bad_link")
+        for f in findings
     )
     return {
         "manifold": manifold,
@@ -623,38 +606,21 @@ def integer_matrix_rank(matrix) -> int:
     return rank
 
 
-def _svd_rank(matrix) -> int:
-    dense = np.asarray(
-        matrix.todense() if sp.issparse(matrix) else matrix, dtype=float
-    )
-    if min(dense.shape) == 0 or not np.any(dense):
-        return 0
-    svals = np.linalg.svd(dense, compute_uv=False)
-    return int(np.sum(svals > 1e-10 * svals[0]))
+def betti_numbers(complex: SimplicialComplex) -> list[int]:
+    """Betti numbers b_0..b_n from exact integer ranks of the boundary
+    matrices.
 
-
-def betti_numbers(complex: SimplicialComplex, method: str = "exact") -> list[int]:
-    """Betti numbers b_0..b_n from boundary matrix ranks.
-
-    Args:
-        complex: The complex.
-        method: "exact" for integer elimination (raises
-            OverflowInExactArithmetic beyond its work budget) or "svd"
-            for a floating rank with a 1e-10 relative threshold.
+    Raises:
+        OverflowInExactArithmetic: The elimination exceeds its work budget.
 
     The ranks do not depend on the orientation fold, since it only scales
     columns by +-1.
     """
     n = complex.dimension
-    if method == "exact":
-        rank = integer_matrix_rank
-    elif method == "svd":
-        rank = _svd_rank
-    else:
-        raise ValueError(f"unknown method {method!r}")
     ranks = [0] * (n + 2)
     for k in range(1, n + 1):
-        ranks[k] = rank(complex.boundary[k]) if complex.num_simplices(k) else 0
+        if complex.num_simplices(k):
+            ranks[k] = integer_matrix_rank(complex.boundary[k])
     betti = [
         complex.num_simplices(k) - ranks[k] - ranks[k + 1] for k in range(n + 1)
     ]

@@ -23,7 +23,6 @@ from .errors import (
     DegreeMismatch,
     DegreeOutOfRange,
     FactorizationFailure,
-    NotWellCentered,
 )
 from .mesh import BoundaryComplex, SimplicialComplex, extract_boundary
 
@@ -42,8 +41,6 @@ __all__ = [
     "green_defect",
     "green_defect_constrained",
     "stokes_check",
-    "hodge_star",
-    "HodgeStar",
 ]
 
 
@@ -117,7 +114,13 @@ def random_cochain(complex: SimplicialComplex, degree: int, rng) -> Cochain:
 
 
 class Metric:
-    """Per-complex cache of Whitney masses, wedges, and factorizations.
+    """Whitney masses, wedges and all operators derived from them.
+
+    Element frames are built eagerly.  Everything else, here and in the
+    layers above (harmonic bases, HMF solvers, Stokes-Dirac operators,
+    midpoint factors), is built on first request through `cached` and kept
+    in one memo keyed by a tuple naming the quantity, e.g. ("mass", k).
+    Each mass matrix has one lower Cholesky factor, for solves and whitening.
 
     Args:
         complex: The oriented complex to equip.
@@ -131,14 +134,13 @@ class Metric:
         self.complex = complex
         self.boundary_complex: BoundaryComplex = extract_boundary(complex)
         self._build_frames()
-        self._mass: dict = {}
-        self._cho: dict = {}
-        self._wedge: dict = {}
-        self._interior_cho: dict = {}
-        self._d_dense: dict = {}
-        self._boundary_metric = None
-        self._dual_volumes: dict = {}
-        self._extra: dict = {}  # scratch cache for higher layers
+        self._memo: dict = {}
+
+    def cached(self, key: tuple, build):
+        """The value stored under key, built by build() on first request."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # -- element frames ---------------------------------------------------
 
@@ -170,9 +172,7 @@ class Metric:
         """Whitney mass matrix at degree k (dense, symmetric positive)."""
         if not 0 <= k <= self.complex.dimension:
             raise DegreeOutOfRange(f"degree {k} outside 0..{self.complex.dimension}")
-        if k not in self._mass:
-            self._mass[k] = self._assemble_mass(k)
-        return self._mass[k]
+        return self.cached(("mass", k), lambda: self._assemble_mass(k))
 
     def _assemble_mass(self, k: int) -> np.ndarray:
         cx = self.complex
@@ -212,9 +212,7 @@ class Metric:
         n = self.complex.dimension
         if a + b != n or a < 0 or b < 0:
             raise DegreeMismatch(f"wedge degrees ({a}, {b}) must sum to {n}")
-        if (a, b) not in self._wedge:
-            self._wedge[(a, b)] = self._assemble_wedge(a, b)
-        return self._wedge[(a, b)]
+        return self.cached(("wedge", a, b), lambda: self._assemble_wedge(a, b))
 
     def _assemble_wedge(self, a: int, b: int) -> np.ndarray:
         cx = self.complex
@@ -250,21 +248,18 @@ class Metric:
                     P[gia[si], gib[ti]] += val
         return P
 
-    def mass_cholesky(self, k: int):
-        if k not in self._cho:
-            try:
-                self._cho[k] = sla.cho_factor(self.mass(k))
-            except sla.LinAlgError as exc:
-                raise FactorizationFailure(f"mass matrix at degree {k}") from exc
-        return self._cho[k]
+    def mass_cholesky(self, k: int) -> np.ndarray:
+        """Lower Cholesky factor L of mass(k), L L^T = M_k: solve with
+        cho_solve((L, True), rhs), whiten with L^T."""
+        return self.cached(
+            ("mass_cholesky", k),
+            lambda: _lower_cholesky(self.mass(k), f"mass matrix at degree {k}"),
+        )
 
     def d_matrix(self, k: int) -> np.ndarray:
         """Dense float coboundary from degree k to k+1."""
-        if k not in self._d_dense:
-            self._d_dense[k] = np.asarray(
-                self.complex.exterior_derivative_matrix(k).todense(), dtype=float
-            )
-        return self._d_dense[k]
+        d = self.complex.exterior_derivative_matrix
+        return self.cached(("d", k), lambda: d(k).toarray().astype(float))
 
     # -- boundary bookkeeping ----------------------------------------------
 
@@ -279,20 +274,36 @@ class Metric:
         mask[self.boundary_indices(k)] = False
         return np.flatnonzero(mask)
 
-    def interior_mass_cholesky(self, k: int):
-        if k not in self._interior_cho:
+    def interior_mass_cholesky(self, k: int) -> np.ndarray:
+        """Lower Cholesky factor of the interior block of mass(k), rows and
+        columns in interior_indices(k) order; mass_cholesky(k) itself when
+        no k-simplex lies on the boundary."""
+
+        def build():
             idx = self.interior_indices(k)
-            if len(idx) == 0:
-                self._interior_cho[k] = None
-            else:
-                sub = self.mass(k)[np.ix_(idx, idx)]
-                try:
-                    self._interior_cho[k] = sla.cho_factor(sub)
-                except sla.LinAlgError as exc:
-                    raise FactorizationFailure(
-                        f"interior mass at degree {k}"
-                    ) from exc
-        return self._interior_cho[k]
+            if len(idx) == self.complex.num_simplices(k):
+                return self.mass_cholesky(k)
+            return _lower_cholesky(
+                self.mass(k)[np.ix_(idx, idx)], f"interior mass at degree {k}"
+            )
+
+        return self.cached(("interior_mass_cholesky", k), build)
+
+    def deltac_matrix(self, k: int) -> np.ndarray:
+        """Constrained codifferential from degree k to k-1, as a dense matrix.
+
+        The interior rows solve the interior mass block against d^T M_k;
+        boundary rows are exactly zero.
+        """
+
+        def build():
+            out = self.d_matrix(k - 1).T @ self.mass(k)
+            idx = self.interior_indices(k - 1)
+            out[idx] = sla.cho_solve((self.interior_mass_cholesky(k - 1), True), out[idx])
+            out[self.boundary_indices(k - 1)] = 0.0
+            return out
+
+        return self.cached(("deltac", k), build)
 
     def trace_matrix(self, k: int) -> np.ndarray:
         return np.asarray(
@@ -303,9 +314,14 @@ class Metric:
         """Metric on the boundary complex, or None when it is empty."""
         if self.boundary_complex.num_simplices(0) == 0:
             return None
-        if self._boundary_metric is None:
-            self._boundary_metric = Metric(self.boundary_complex)
-        return self._boundary_metric
+        return self.cached(("boundary_metric",), lambda: Metric(self.boundary_complex))
+
+
+def _lower_cholesky(matrix: np.ndarray, what: str) -> np.ndarray:
+    try:
+        return sla.cholesky(matrix, lower=True)
+    except sla.LinAlgError as exc:
+        raise FactorizationFailure(what) from exc
 
 
 # -- first-order operations ------------------------------------------------
@@ -332,7 +348,7 @@ def codifferential(metric: Metric, c: Cochain) -> Cochain:
     if k == 0:
         raise DegreeOutOfRange("codifferential of a 0-cochain")
     rhs = metric.d_matrix(k - 1).T @ (metric.mass(k) @ c.values)
-    vals = sla.cho_solve(metric.mass_cholesky(k - 1), rhs)
+    vals = sla.cho_solve((metric.mass_cholesky(k - 1), True), rhs)
     return Cochain(c.complex, k - 1, vals)
 
 
@@ -346,12 +362,7 @@ def codifferential_constrained(metric: Metric, c: Cochain) -> Cochain:
     k = c.degree
     if k == 0:
         raise DegreeOutOfRange("codifferential of a 0-cochain")
-    idx = metric.interior_indices(k - 1)
-    vals = np.zeros(metric.complex.num_simplices(k - 1))
-    if len(idx):
-        rhs = (metric.d_matrix(k - 1).T @ (metric.mass(k) @ c.values))[idx]
-        vals[idx] = sla.cho_solve(metric.interior_mass_cholesky(k - 1), rhs)
-    return Cochain(c.complex, k - 1, vals)
+    return Cochain(c.complex, k - 1, metric.deltac_matrix(k) @ c.values)
 
 
 def inner_product(metric: Metric, a: Cochain, b: Cochain) -> float:
@@ -434,117 +445,3 @@ def stokes_check(metric: Metric, c: Cochain) -> dict:
             for parent, j in zip(inc.row, inc.col)
         )
     return {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs}
-
-
-# -- Hodge star -------------------------------------------------------------
-
-
-class HodgeStar:
-    """Star of a cochain, available in two strengths.
-
-    As a functional it pairs any k-cochain eta with <<c, eta>>, which is
-    the integral of c wedge (star eta) and needs no dual mesh.  On
-    well-centered meshes a concrete value array on circumcentric dual
-    cells is available through as_dual_values().
-    """
-
-    def __init__(self, metric: Metric, c: Cochain):
-        self.metric = metric
-        self.cochain = c
-
-    def __call__(self, eta: Cochain) -> float:
-        return inner_product(self.metric, self.cochain, eta)
-
-    def as_dual_values(self) -> np.ndarray:
-        """Diagonal star: value / primal volume * dual volume per simplex.
-
-        Raises:
-            NotWellCentered: Some simplex does not contain its circumcenter.
-        """
-        k = self.cochain.degree
-        primal = _primal_volumes(self.metric.complex, k)
-        dual = _dual_volume_table(self.metric, k)
-        return self.cochain.values * dual / primal
-
-
-def hodge_star(metric: Metric, c: Cochain) -> HodgeStar:
-    _check_metric(metric, c)
-    return HodgeStar(metric, c)
-
-
-def _circumcenter(pts: np.ndarray) -> np.ndarray:
-    """Circumcenter of a simplex given its vertex coordinates (m+1, d)."""
-    e = pts[1:] - pts[0]
-    if len(e) == 0:
-        return pts[0].astype(float)
-    g = 2.0 * (e @ e.T)
-    rhs = np.einsum("ij,ij->i", e, e)
-    y = np.linalg.solve(g, rhs)
-    return pts[0] + e.T @ y
-
-
-def _primal_volumes(cx: SimplicialComplex, k: int) -> np.ndarray:
-    if k == 0:
-        return np.ones(cx.num_simplices(0))
-    out = np.zeros(cx.num_simplices(k))
-    for i, s in enumerate(cx.simplices[k]):
-        e = cx.vertices[list(s[1:])] - cx.vertices[s[0]]
-        gram = e @ e.T
-        out[i] = math.sqrt(max(np.linalg.det(gram), 0.0)) / math.factorial(k)
-    return out
-
-
-def _dual_volume_table(metric: Metric, k: int) -> np.ndarray:
-    """Circumcentric dual volumes of all k-simplices.
-
-    Sums, over all descending flags from top elements down to each
-    k-simplex, the volume of the simplex spanned by the circumcenters
-    along the flag.  Requires every simplex of degree >= 1 to contain its
-    circumcenter strictly, so all pieces are positive.
-    """
-    if k in metric._dual_volumes:
-        return metric._dual_volumes[k]
-    cx = metric.complex
-    n = cx.dimension
-    _assert_well_centered(cx)
-    if k == n:
-        out = np.ones(cx.num_simplices(n))
-        metric._dual_volumes[k] = out
-        return out
-    out = np.zeros(cx.num_simplices(k))
-
-    def descend(simplex, centers):
-        deg = len(simplex) - 2
-        for i in range(len(simplex)):
-            face = simplex[:i] + simplex[i + 1 :]
-            ctr = _circumcenter(cx.vertices[list(face)])
-            chain = centers + [ctr]
-            if deg == k:
-                e = np.array([c - ctr for c in centers])
-                gram = e @ e.T
-                piece = math.sqrt(max(np.linalg.det(gram), 0.0)) / math.factorial(
-                    n - k
-                )
-                out[cx.index[k][face]] += piece
-            else:
-                descend(face, chain)
-
-    for top in cx.simplices[n]:
-        descend(top, [_circumcenter(cx.vertices[list(top)])])
-    metric._dual_volumes[k] = out
-    return out
-
-
-def _assert_well_centered(cx: SimplicialComplex):
-    for deg in range(1, cx.dimension + 1):
-        for s in cx.simplices[deg]:
-            pts = cx.vertices[list(s)]
-            ctr = _circumcenter(pts)
-            # barycentric coordinates of the circumcenter
-            e = (pts[1:] - pts[0]).T
-            y, *_ = np.linalg.lstsq(e, ctr - pts[0], rcond=None)
-            coords = np.concatenate([[1.0 - y.sum()], y])
-            if coords.min() <= 1e-12:
-                raise NotWellCentered(
-                    f"simplex {s} does not contain its circumcenter"
-                )

@@ -1,8 +1,8 @@
 """Time integration of the Stokes-Dirac dynamics d(alpha)/dt = flow.
 
 The dynamics are linear, x' = A x on the stacked state x = (alpha_p,
-alpha_q), with A the cross-coupled flow operator.  The only integrator is
-the implicit midpoint rule, whose step is a Cayley transform of A; it
+alpha_q), with A the cross-coupled flow operator.  The one scheme is the
+implicit midpoint rule, whose step is a Cayley transform of A; it
 conserves every quadratic invariant with skew generator, so the energy
 drift on closed meshes and the drift of the harmonic coefficients
 measure rounding, not scheme error.  Flows are exact cochains, hence
@@ -43,7 +43,6 @@ class SimulationConfig:
 
     dt: float = 0.01
     steps: int = 1000
-    integrator: str = "implicit_midpoint"
     init: str = "random"
     seed: int = 0
     stride: int = 0
@@ -53,8 +52,6 @@ class SimulationConfig:
             raise ValueError("dt must be positive")
         if self.steps < 1:
             raise ValueError("steps must be a positive integer")
-        if self.integrator != "implicit_midpoint":
-            raise ValueError(f"unknown integrator {self.integrator!r}")
         if self.stride < 0:
             raise ValueError("stride must be nonnegative (0 disables snapshots)")
 
@@ -133,16 +130,17 @@ def _block_generator(metric: Metric, p: int, q: int) -> np.ndarray:
 
 def _midpoint_factors(metric: Metric, p: int, q: int, dt: float):
     """(I - dt/2 A) LU factors and (I + dt/2 A), assembled once per dt."""
-    key = ("midpoint", p, q, float(dt))
-    if key not in metric._extra:
+
+    def build():
         A = _block_generator(metric, p, q)
         eye = np.eye(A.shape[0])
         try:
             lu = sla.lu_factor(eye - 0.5 * dt * A)
         except sla.LinAlgError as exc:
             raise FactorizationFailure("midpoint operator is singular") from exc
-        metric._extra[key] = (lu, eye + 0.5 * dt * A)
-    return metric._extra[key]
+        return lu, eye + 0.5 * dt * A
+
+    return metric.cached(("midpoint", p, q, float(dt)), build)
 
 
 def step_implicit_midpoint(sys: StokesDiracSystem, dt: float) -> StokesDiracSystem:

@@ -27,7 +27,6 @@ from .errors import (
     SolverFailure,
 )
 from .hodge import (
-    _chol_lower,
     _exact_range_solver,
     harmonic_basis,
     harmonic_projection,
@@ -51,7 +50,6 @@ __all__ = [
     "StokesDiracSystem",
     "system_operators",
     "hamiltonian",
-    "hamiltonian_gradient",
     "efforts",
     "flows",
     "boundary_port",
@@ -60,7 +58,6 @@ __all__ = [
     "ExtendedPowerBalance",
     "extended_power_balance",
     "harmonic_flow_identity",
-    "gradient_check",
     "IntegrabilityReport",
     "integrability_check",
 ]
@@ -93,40 +90,29 @@ class StokesDiracSystem:
         return StokesDiracSystem(self.metric, self.p, self.q, alpha_p, alpha_q)
 
 
-def _deltac_matrix(metric: Metric, k: int) -> np.ndarray:
-    """Dense matrix of the constrained codifferential at degree k."""
-    key = ("deltac", k)
-    if key not in metric._extra:
-        cx = metric.complex
-        out = np.zeros((cx.num_simplices(k - 1), cx.num_simplices(k)))
-        idx = metric.interior_indices(k - 1)
-        if len(idx):
-            rhs = (metric.d_matrix(k - 1).T @ metric.mass(k))[idx, :]
-            out[idx, :] = sla.cho_solve(metric.interior_mass_cholesky(k - 1), rhs)
-        metric._extra[key] = out
-    return metric._extra[key]
-
-
 def system_operators(metric: Metric, p: int, q: int) -> dict:
     """Cached state-to-effort and state-to-flow matrices for one pair."""
+    validate_degree_pair(metric.complex.dimension, p, q)
+    return metric.cached(("sd_ops", p, q), lambda: _build_system_operators(metric, p, q))
+
+
+def _build_system_operators(metric: Metric, p: int, q: int) -> dict:
     n = metric.complex.dimension
-    validate_degree_pair(n, p, q)
-    key = ("sd_ops", p, q)
-    if key in metric._extra:
-        return metric._extra[key]
     sigma = -1 if (p * q + 1) % 2 else 1
     tau = -1 if (q * (n - q)) % 2 else 1
     W = metric.wedge(p - 1, q)
     effort_q = tau * sla.cho_solve(
-        metric.mass_cholesky(p - 1), W @ metric.d_matrix(q - 1)
-    ) @ _deltac_matrix(metric, q)
+        (metric.mass_cholesky(p - 1), True), W @ metric.d_matrix(q - 1)
+    ) @ metric.deltac_matrix(q)
     effort_p = (
         -sigma
         * tau
-        * sla.cho_solve(metric.mass_cholesky(q - 1), metric.d_matrix(q - 1).T @ W.T)
-        @ _deltac_matrix(metric, p)
+        * sla.cho_solve(
+            (metric.mass_cholesky(q - 1), True), metric.d_matrix(q - 1).T @ W.T
+        )
+        @ metric.deltac_matrix(p)
     )
-    ops = {
+    return {
         "sigma": sigma,
         "tau": tau,
         "effort_q": effort_q,  # alpha_q -> e_q at degree p-1
@@ -134,8 +120,6 @@ def system_operators(metric: Metric, p: int, q: int) -> dict:
         "flow_p": sigma * (metric.d_matrix(p - 1) @ effort_q),  # alpha_q -> f_p
         "flow_q": metric.d_matrix(q - 1) @ effort_p,  # alpha_p -> f_q
     }
-    metric._extra[key] = ops
-    return ops
 
 
 def hamiltonian(sys: StokesDiracSystem) -> float:
@@ -143,12 +127,6 @@ def hamiltonian(sys: StokesDiracSystem) -> float:
         inner_product(sys.metric, sys.alpha_p, sys.alpha_p)
         + inner_product(sys.metric, sys.alpha_q, sys.alpha_q)
     )
-
-
-def hamiltonian_gradient(sys: StokesDiracSystem):
-    """Gradient of H in the M-metric: the identity representation, so a
-    harmonic state is represented by itself."""
-    return sys.alpha_p.copy(), sys.alpha_q.copy()
 
 
 def efforts(sys: StokesDiracSystem):
@@ -332,24 +310,6 @@ def harmonic_flow_identity(sys: StokesDiracSystem) -> list[dict]:
     return rows
 
 
-def gradient_check(sys: StokesDiracSystem, rng, trials: int = 5, eps: float = 1e-5):
-    """Worst relative error of central finite differences of H against
-    the M-pairing with the Hamiltonian gradient."""
-    m = sys.metric
-    gp, gq = hamiltonian_gradient(sys)
-    worst = 0.0
-    for _ in range(trials):
-        vp = Cochain(m.complex, sys.p, rng.standard_normal(len(sys.alpha_p.values)))
-        vq = Cochain(m.complex, sys.q, rng.standard_normal(len(sys.alpha_q.values)))
-        predicted = inner_product(m, gp, vp) + inner_product(m, gq, vq)
-        plus = sys.with_state(sys.alpha_p + eps * vp, sys.alpha_q + eps * vq)
-        minus = sys.with_state(sys.alpha_p - eps * vp, sys.alpha_q - eps * vq)
-        fd = (hamiltonian(plus) - hamiltonian(minus)) / (2.0 * eps)
-        ref = max(abs(predicted), abs(fd), 1e-30)
-        worst = max(worst, abs(predicted - fd) / ref)
-    return worst
-
-
 # -- integrability ------------------------------------------------------------
 
 
@@ -433,10 +393,9 @@ def integrability_check(
     if not solvable:
         return report
 
-    L = _chol_lower(metric, k)
     _, solver = _exact_range_solver(metric, k)
     g = f.values - d_ext.values
-    u = solver(L.T @ g)
+    u = solver(metric.mass_cholesky(k).T @ g)
     e_vals = ext.values.copy()
     idx = metric.interior_indices(k - 1)
     e_vals[idx] += u

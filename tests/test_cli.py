@@ -69,6 +69,22 @@ def test_analyze_flags_non_orientable_input(tmp_path, capsys):
     assert any(f["kind"] == "non_orientable" for f in findings)
 
 
+def test_analyze_flags_isolated_vertex(tmp_path, capsys):
+    # a vertex in no top simplex is a validation finding, not a numerical failure
+    path = tmp_path / "disk.json"
+    write_mesh(gen_mesh("disk", 2), path)
+    obj = json.loads(path.read_text())
+    obj["vertices"].append([5.0, 5.0])
+    path.write_text(json.dumps(obj))
+    code, rep = _run(capsys, ["analyze", str(path)])
+    assert code == 1
+    assert rep["passed"] is False
+    assert rep["validation"]["manifold"] is False
+    assert rep["harmonic_dimensions"] is None
+    findings = rep["validation"]["findings"]
+    assert any(f["kind"] == "isolated_vertex" for f in findings)
+
+
 def test_analyze_rejects_degenerate_geometry(tmp_path, capsys):
     # a numerically flat triangle defeats the frame factorization
     obj = {

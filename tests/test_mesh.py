@@ -18,7 +18,7 @@ from harmonic_ports import (
     validate_manifold,
 )
 from harmonic_ports import mesh as mesh_mod
-from harmonic_ports.mesh import face_incidence_sign, permutation_sign
+from harmonic_ports.mesh import permutation_sign
 
 from conftest import CLOSED, SMALL, complex_for
 
@@ -48,15 +48,6 @@ def test_permutation_sign():
     assert permutation_sign((1, 0, 2)) == -1
     assert permutation_sign((2, 0, 1)) == 1
     assert permutation_sign((5,)) == 1
-
-
-def test_face_incidence_sign():
-    # Sign is (-1)**position of the missing vertex.
-    assert face_incidence_sign((1, 2), (0, 1, 2)) == 1
-    assert face_incidence_sign((0, 2), (0, 1, 2)) == -1
-    assert face_incidence_sign((0, 1), (0, 1, 2)) == 1
-    assert face_incidence_sign((0, 3), (0, 1, 2)) == 0
-    assert face_incidence_sign((0,), (0, 1, 2)) == 0
 
 
 def test_build_complex_enumerates_and_sorts_faces():
@@ -188,13 +179,7 @@ def test_boundary_trace_matrix_shape_and_signs():
 def test_betti_numbers(shape):
     cx = complex_for(shape, SMALL[shape])
     assert betti_numbers(cx) == BETTI[shape]
-    assert betti_numbers(cx, method="svd") == BETTI[shape]
     assert euler_characteristic(cx) == EULER[shape]
-
-
-def test_betti_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        betti_numbers(complex_for("disk", 2), method="lu")
 
 
 def test_integer_matrix_rank():

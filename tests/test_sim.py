@@ -31,8 +31,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(steps=0)
     with pytest.raises(ValueError):
-        SimulationConfig(integrator="euler")
-    with pytest.raises(ValueError):
         SimulationConfig(stride=-1)
 
 
