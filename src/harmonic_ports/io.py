@@ -4,7 +4,8 @@ Mesh files hold top simplices only; the reader canonicalizes ordering
 and re-infers orientation, so writing and re-reading a complex is
 byte-stable.  All writers emit sorted-key, two-space-indented JSON with
 a trailing newline and refuse non-finite numbers; the readers reject
-NaN/Infinity tokens as malformed input.
+NaN/Infinity tokens and numbers that overflow to infinity as malformed
+input.
 """
 
 from __future__ import annotations
@@ -36,13 +37,17 @@ __all__ = [
 ]
 
 
-def _reject_constant(name: str):
-    raise ValueError(f"non-finite number {name!r} is not permitted")
+def _finite_float(text: str) -> float:
+    """JSON number or NaN/Infinity token, refused unless finite."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite number {text!r} is not permitted")
+    return value
 
 
 def load_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_reject_constant)
+        return json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
 
 
 def dumps_report(obj) -> str:

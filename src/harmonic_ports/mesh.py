@@ -305,17 +305,14 @@ def build_complex(
 
 
 def _orient_by_volume(sorted_tops, verts, strict):
-    signs = np.ones(len(sorted_tops), dtype=np.int64)
-    for i, t in enumerate(sorted_tops):
-        edges = verts[list(t[1:])] - verts[t[0]]
-        det = float(np.linalg.det(edges))
-        scale = max(np.abs(edges).max(), 1.0) ** len(t[1:])
-        if abs(det) <= 1e-12 * scale:
-            if strict:
-                raise NonOrientable(f"degenerate element {t}")
-            continue
-        signs[i] = 1 if det > 0 else -1
-    return signs
+    tops = np.array(sorted_tops, dtype=np.int64)
+    edges = verts[tops[:, 1:]] - verts[tops[:, :1]]  # (T, n, n)
+    det = np.linalg.det(edges)
+    scale = np.abs(edges).max(axis=(1, 2)) ** (tops.shape[1] - 1)
+    degenerate = np.abs(det) <= 1e-12 * scale
+    if strict and degenerate.any():
+        raise NonOrientable(f"degenerate element {sorted_tops[np.argmax(degenerate)]}")
+    return np.where((det > 0) | degenerate, 1, -1)  # degenerate elements keep +1
 
 
 def _orient_by_propagation(sorted_tops, n):

@@ -1,12 +1,13 @@
 """Whitney-form metric structure on a simplicial complex.
 
-Mass matrices and wedge pairings are assembled element by element from
-lowest-order Whitney forms, evaluated in an orthonormal tangent frame per
-element so surfaces embedded in higher-dimensional space work the same
-way as flat meshes.  On top of the masses sit the first-order operators:
-exterior derivative, the two codifferentials (plain adjoint and the
-zero-trace constrained one), tangential traces, Green defects, and the
-exact discrete Stokes identity.
+One stacked QR of all element edge vectors gives every element's signed
+volume and barycentric gradients in an orthonormal tangent frame, so
+embedded surfaces work the same way as flat meshes.  Mass matrices and
+wedge pairings of lowest-order Whitney forms then come from one pairing
+kernel over all elements at once.  On top of the masses sit the
+first-order operators: exterior derivative, the two codifferentials
+(plain adjoint and the zero-trace constrained one), tangential traces,
+Green defects, and the exact discrete Stokes identity.
 """
 
 from __future__ import annotations
@@ -116,10 +117,14 @@ def random_cochain(complex: SimplicialComplex, degree: int, rng) -> Cochain:
 class Metric:
     """Whitney masses, wedges and all operators derived from them.
 
-    Element frames are built eagerly.  Everything else, here and in the
-    layers above (harmonic bases, HMF solvers, Stokes-Dirac operators,
-    midpoint factors), is built on first request through `cached` and kept
-    in one memo keyed by a tuple naming the quantity, e.g. ("mass", k).
+    Element frames (signed volumes and barycentric gradients of all
+    elements, from one stacked QR) are built eagerly.  Mass and wedge
+    matrices share one pairing kernel that evaluates every local entry of
+    every element at once and scatters it into a dense array.  Everything
+    else, here and in the layers above (harmonic bases, HMF solvers,
+    Stokes-Dirac operators, midpoint factors), is built on first request
+    through `cached` and kept in one memo keyed by a tuple naming the
+    quantity, e.g. ("mass", k).
     Each mass matrix has one lower Cholesky factor, for solves and whitening.
 
     Args:
@@ -147,61 +152,37 @@ class Metric:
     def _build_frames(self):
         cx = self.complex
         n = cx.dimension
-        verts = cx.vertices
-        vols_signed, grads_list, gram_list = [], [], []
-        for top in cx.simplices[n]:
-            edges = (verts[list(top[1:])] - verts[top[0]]).T  # (d, n)
-            q, r = np.linalg.qr(edges)
-            det = float(np.prod(np.diag(r)))
-            scale = max(float(np.abs(edges).max()), 1.0) ** n
-            if abs(det) <= 1e-13 * scale:
-                raise FactorizationFailure(f"degenerate element {top}")
-            vols_signed.append(det / math.factorial(n))
-            rinv = sla.solve_triangular(r, np.eye(n))
-            grads = np.vstack([-rinv.sum(axis=0), rinv])  # rows: grad lambda_i
-            grads_list.append(grads)
-            gram_list.append(grads @ grads.T)
-        self._vols_signed = np.array(vols_signed)
-        self._vols_abs = np.abs(self._vols_signed)
-        self._grads = grads_list
-        self._gram = gram_list
+        tops = np.array(cx.simplices[n], dtype=np.int64)
+        edges = cx.vertices[tops[:, 1:]] - cx.vertices[tops[:, :1]]  # (T, n, d)
+        r = np.linalg.qr(edges.transpose(0, 2, 1), mode="r")  # (T, n, n)
+        det = np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1)
+        scale = np.abs(edges).max(axis=(1, 2)) ** n
+        bad = np.flatnonzero(np.abs(det) <= 1e-13 * scale)
+        if bad.size:
+            raise FactorizationFailure(f"degenerate element {cx.simplices[n][bad[0]]}")
+        rinv = np.linalg.inv(r)  # row i: frame gradient of lambda_(i+1)
+        self._tops = tops
+        self._vols_signed = det / math.factorial(n)
+        self._gradients = np.concatenate([-rinv.sum(1, keepdims=True), rinv], axis=1)
 
     # -- assembled matrices -----------------------------------------------
 
     def mass(self, k: int) -> np.ndarray:
         """Whitney mass matrix at degree k (dense, symmetric positive)."""
-        if not 0 <= k <= self.complex.dimension:
-            raise DegreeOutOfRange(f"degree {k} outside 0..{self.complex.dimension}")
-        return self.cached(("mass", k), lambda: self._assemble_mass(k))
+        n = self.complex.dimension
+        if not 0 <= k <= n:
+            raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
 
-    def _assemble_mass(self, k: int) -> np.ndarray:
-        cx = self.complex
-        n = cx.dimension
-        M = np.zeros((cx.num_simplices(k), cx.num_simplices(k)))
-        denom = (n + 1) * (n + 2)
-        kfac2 = float(math.factorial(k)) ** 2
-        loc = list(itertools.combinations(range(n + 1), k + 1))
-        removals = {
-            s: [(list(s[:a] + s[a + 1 :]), -1 if a % 2 else 1, s[a]) for a in range(k + 1)]
-            for s in loc
-        }
-        for t_idx, top in enumerate(cx.simplices[n]):
-            V = self._vols_abs[t_idx]
-            G = self._gram[t_idx]
-            gidx = [cx.index[k][tuple(top[i] for i in s)] for s in loc]
-            for si in range(len(loc)):
-                for ti in range(si, len(loc)):
-                    acc = 0.0
-                    for rs, sa, va in removals[loc[si]]:
-                        for rt, sb, vb in removals[loc[ti]]:
-                            w = 2.0 if va == vb else 1.0
-                            d = float(np.linalg.det(G[np.ix_(rs, rt)])) if k else 1.0
-                            acc += sa * sb * w * d
-                    val = kfac2 * V / denom * acc
-                    M[gidx[si], gidx[ti]] += val
-                    if ti != si:
-                        M[gidx[ti], gidx[si]] += val
-        return M
+        def build():
+            # K(S, T) = <dlambda_S, dlambda_T> = det of the Gram sub-block
+            sub = _subsets(n + 1, k)
+            gram = self._gradients @ self._gradients.transpose(0, 2, 1)
+            K = np.linalg.det(gram[:, sub[:, None, :, None], sub[None, :, None, :]])
+            vols = np.abs(self._vols_signed)
+            scale = math.factorial(k) ** 2 / ((n + 1) * (n + 2)) * vols
+            return self._pair(k, k, K, scale, symmetric=True)
+
+        return self.cached(("mass", k), build)
 
     def wedge(self, a: int, b: int) -> np.ndarray:
         """Pairing matrix P[s, t] = integral of w_s^(a) wedge w_t^(b).
@@ -212,41 +193,52 @@ class Metric:
         n = self.complex.dimension
         if a + b != n or a < 0 or b < 0:
             raise DegreeMismatch(f"wedge degrees ({a}, {b}) must sum to {n}")
-        return self.cached(("wedge", a, b), lambda: self._assemble_wedge(a, b))
 
-    def _assemble_wedge(self, a: int, b: int) -> np.ndarray:
-        cx = self.complex
-        n = cx.dimension
-        P = np.zeros((cx.num_simplices(a), cx.num_simplices(b)))
-        denom = (n + 1) * (n + 2)
-        fac = float(math.factorial(a) * math.factorial(b))
-        loc_a = list(itertools.combinations(range(n + 1), a + 1))
-        loc_b = list(itertools.combinations(range(n + 1), b + 1))
-        rem = lambda s: [
-            (list(s[:i] + s[i + 1 :]), -1 if i % 2 else 1, s[i]) for i in range(len(s))
-        ]
-        rem_a = {s: rem(s) for s in loc_a}
-        rem_b = {s: rem(s) for s in loc_b}
-        for t_idx, top in enumerate(cx.simplices[n]):
-            vs = self._vols_signed[t_idx]
-            o = int(cx.orientation[t_idx])
-            grads = self._grads[t_idx]
-            gia = [cx.index[a][tuple(top[i] for i in s)] for s in loc_a]
-            gib = [cx.index[b][tuple(top[i] for i in s)] for s in loc_b]
-            for si, s in enumerate(loc_a):
-                for ti, t in enumerate(loc_b):
-                    acc = 0.0
-                    for rs, sgn_i, vi in rem_a[s]:
-                        for rt, sgn_j, vj in rem_b[t]:
-                            rows = grads[rs + rt]
-                            det = float(np.linalg.det(rows))
-                            w = 2.0 if vi == vj else 1.0
-                            acc += sgn_i * sgn_j * w * det
-                    val = o * fac * vs / denom * acc
-                    if a == n or b == n:
-                        val *= o  # oriented top-degree basis
-                    P[gia[si], gib[ti]] += val
-        return P
+        def build():
+            # K(S, T) = dlambda_S ^ dlambda_T / frame volume form = det of
+            # the stacked gradient rows S + T
+            sa, sb = _subsets(n + 1, a), _subsets(n + 1, b)
+            rows = np.array([s + t for s in sa.tolist() for t in sb.tolist()])
+            K = np.linalg.det(self._gradients[:, rows.reshape(len(sa), len(sb), n)])
+            o = self.complex.orientation
+            vols = o * self._vols_signed
+            scale = math.factorial(a) * math.factorial(b) / ((n + 1) * (n + 2)) * vols
+            if n in (a, b):
+                scale = scale * o  # oriented top-degree basis
+            return self._pair(a, b, K, scale)
+
+        return self.cached(("wedge", a, b), build)
+
+    def _pair(self, p, q, K, scale, symmetric=False) -> np.ndarray:
+        """Dense (N_p, N_q) sum over elements of, per local p-face s and q-face t,
+        scale * sum_ij (-1)^(i+j) (1 + [s_i = t_j]) K(s minus s_i, t minus t_j).
+
+        K is (T, C(n+1, p), C(n+1, q)), removal sub-tuples in combinations
+        order.  symmetric averages each local block with its transpose.
+        """
+        n = self.complex.dimension
+        faces_p = list(itertools.combinations(range(n + 1), p + 1))
+        faces_q = list(itertools.combinations(range(n + 1), q + 1))
+        pos_p = {s: i for i, s in enumerate(itertools.combinations(range(n + 1), p))}
+        pos_q = {t: j for j, t in enumerate(itertools.combinations(range(n + 1), q))}
+        coef = np.zeros((len(pos_p), len(pos_q), len(faces_p), len(faces_q)))
+        for (si, s), (ti, t) in itertools.product(enumerate(faces_p), enumerate(faces_q)):
+            for i, j in itertools.product(range(p + 1), range(q + 1)):
+                rs, rt = pos_p[s[:i] + s[i + 1 :]], pos_q[t[:j] + t[j + 1 :]]
+                coef[rs, rt, si, ti] += (-1) ** (i + j) * (1 + (s[i] == t[j]))
+        local = scale[:, None, None] * np.einsum("eab,abst->est", K, coef)
+        if symmetric:
+            local = (local + local.transpose(0, 2, 1)) / 2
+        out = np.zeros((self.complex.num_simplices(p), self.complex.num_simplices(q)))
+        np.add.at(out, (self._faces(p)[:, :, None], self._faces(q)[:, None, :]), local)
+        return out
+
+    def _faces(self, k: int) -> np.ndarray:
+        """(T, C(n+1, k+1)) positions of every element's k-faces, local
+        faces in itertools.combinations order."""
+        local = _subsets(self.complex.dimension + 1, k + 1)
+        table = np.array(self.complex.simplices[k], dtype=np.int64)
+        return np.searchsorted(_records(table), _records(self._tops[:, local]))
 
     def mass_cholesky(self, k: int) -> np.ndarray:
         """Lower Cholesky factor L of mass(k), L L^T = M_k: solve with
@@ -305,16 +297,22 @@ class Metric:
 
         return self.cached(("deltac", k), build)
 
-    def trace_matrix(self, k: int) -> np.ndarray:
-        return np.asarray(
-            self.boundary_complex.trace_matrix(k).todense(), dtype=float
-        )
-
     def boundary_metric(self):
         """Metric on the boundary complex, or None when it is empty."""
         if self.boundary_complex.num_simplices(0) == 0:
             return None
         return self.cached(("boundary_metric",), lambda: Metric(self.boundary_complex))
+
+
+def _subsets(m: int, r: int) -> np.ndarray:
+    """(C(m, r), r) array of the r-subsets of range(m) in combinations order."""
+    return np.array(list(itertools.combinations(range(m), r)), dtype=np.int64)
+
+
+def _records(rows: np.ndarray) -> np.ndarray:
+    """Integer rows viewed as records, which compare lexicographically."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view([("", rows.dtype)] * rows.shape[-1])[..., 0]
 
 
 def _lower_cholesky(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -381,16 +379,15 @@ def tangential_trace(metric: Metric, c: Cochain) -> Cochain:
     _check_metric(metric, c)
     if c.degree >= metric.complex.dimension:
         raise DegreeOutOfRange("no trace at the top degree")
-    return Cochain(
-        metric.boundary_complex, c.degree, metric.trace_matrix(c.degree) @ c.values
-    )
+    trace = metric.boundary_complex.trace_matrix(c.degree)
+    return Cochain(metric.boundary_complex, c.degree, trace @ c.values)
 
 
 def extend_by_zero(metric: Metric, psi: Cochain) -> Cochain:
     """Parent cochain with boundary values psi and zeros in the interior."""
     if not same_complex(psi.complex, metric.boundary_complex):
         raise ComplexMismatch("cochain does not live on the boundary complex")
-    vals = metric.trace_matrix(psi.degree).T @ psi.values
+    vals = metric.boundary_complex.trace_matrix(psi.degree).T @ psi.values
     return Cochain(metric.complex, psi.degree, vals)
 
 

@@ -99,6 +99,23 @@ def test_analyze_rejects_degenerate_geometry(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_finite_numbers_in_input_files_exit_3(tmp_path, capsys):
+    # 1e309 overflows to inf when parsed; readers reject it as malformed
+    flat = {"dimension": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+            "simplices": [[0, 1, 2]]}
+    bad_mesh = tmp_path / "bad_mesh.json"
+    bad_mesh.write_text(json.dumps(flat).replace("1.0", "1e309", 1))
+    cx = gen_mesh("torus", 4)
+    coch = {"degree": 1, "values": [0.5] * cx.num_simplices(1), "ordering": "canonical"}
+    bad_cochain = tmp_path / "bad_cochain.json"
+    bad_cochain.write_text(json.dumps(coch).replace("0.5", "1e309", 1))
+    for argv in (["analyze", str(bad_mesh)],
+                 ["decompose", _write_torus(tmp_path), str(bad_cochain)]):
+        code = main(argv)
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+
+
 def test_decompose_cochain_round_trip(tmp_path, capsys):
     mesh = _write_torus(tmp_path)
     cx = gen_mesh("torus", 4)

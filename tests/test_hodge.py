@@ -5,9 +5,11 @@ from harmonic_ports import (
     AmbiguousKernel,
     DegreeOutOfRange,
     InvalidDegrees,
+    Metric,
     NotInHarmonicComplement,
     WrongDimension,
     betti_numbers,
+    build_complex,
     cohomology_report,
     decompose_vector_field_3d,
     exterior_derivative,
@@ -23,7 +25,7 @@ from harmonic_ports import (
 )
 from harmonic_ports.hodge import _split_kernel
 
-from conftest import CLOSED, SMALL, metric_for
+from conftest import ACCEPTANCE, CLOSED, SMALL, complex_for, metric_for
 
 
 @pytest.mark.parametrize("shape", sorted(SMALL))
@@ -34,6 +36,18 @@ def test_harmonic_dimensions_match_topology(shape):
     for k in range(n + 1):
         assert harmonic_basis(m, k, "neumann").dim == betti[k]
         assert harmonic_basis(m, k, "dirichlet").dim == betti[n - k]
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e8])
+@pytest.mark.parametrize("shape", ["disk", "ball"])
+def test_uniformly_scaled_mesh_builds_with_the_same_harmonic_dimensions(shape, scale):
+    # degeneracy tests compare each element's volume with its own size
+    base = complex_for(shape, ACCEPTANCE[shape])
+    n = base.dimension
+    m = Metric(build_complex(base.simplices[n], base.vertices * scale))
+    betti = betti_numbers(m.complex)
+    assert [harmonic_basis(m, k, "neumann").dim for k in range(n + 1)] == betti
+    assert [harmonic_basis(m, k, "dirichlet").dim for k in range(n + 1)] == betti[::-1]
 
 
 def test_harmonic_basis_is_orthonormal_and_cached():

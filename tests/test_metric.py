@@ -130,8 +130,8 @@ def test_wedge_stokes_identity(shape):
         if bm is None:
             rhs = 0.0
         else:
-            tx = m.trace_matrix(a) @ x.values
-            ty = m.trace_matrix(b) @ y.values
+            tx = m.boundary_complex.trace_matrix(a) @ x.values
+            ty = m.boundary_complex.trace_matrix(b) @ y.values
             rhs = tx @ bm.wedge(a, b) @ ty
         scale = max(np.abs(lhs), np.abs(rhs), 1.0)
         assert abs(lhs - rhs) <= 1e-13 * scale
@@ -227,8 +227,9 @@ def test_trace_of_extension_is_identity():
 def test_trace_commutes_with_derivative():
     m = metric_for("annulus", 2)
     bm = m.boundary_metric()
-    lhs = m.trace_matrix(1) @ m.d_matrix(0)
-    rhs = bm.d_matrix(0) @ m.trace_matrix(0)
+    trace = m.boundary_complex.trace_matrix
+    lhs = trace(1) @ m.d_matrix(0)
+    rhs = bm.d_matrix(0) @ trace(0)
     assert np.array_equal(lhs, rhs)
 
 

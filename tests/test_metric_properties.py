@@ -1,0 +1,88 @@
+"""Invariance of the Whitney mass and wedge matrices under rigid motion,
+uniform scaling and vertex relabelling, on the SMALL meshes."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from harmonic_ports import Metric, build_complex
+from harmonic_ports.mesh import permutation_sign
+
+from conftest import SMALL, metric_for
+
+SHAPES = st.sampled_from(sorted(SMALL))
+SEEDS = st.integers(0, 2**32 - 1)
+PROPERTY = settings(max_examples=12, deadline=None, database=None)
+TOL = 1e-12
+
+
+def _rel(got, expect):
+    return np.abs(got - expect).max() / np.abs(expect).max()
+
+
+def _rotation(rng, d):
+    """Uniformly random proper rotation of R^d."""
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+def _moved(metric, vertices):
+    """The same oriented complex on new vertex coordinates."""
+    cx = metric.complex
+    tops = cx.simplices[cx.dimension]
+    return Metric(build_complex(tops, vertices, orientation=cx.orientation))
+
+
+@PROPERTY
+@given(shape=SHAPES, seed=SEEDS, embed=st.booleans())
+def test_rigid_motion_leaves_masses_and_wedges_unchanged(shape, seed, embed):
+    # embed: first place the mesh in one dimension more (the flat disk in
+    # R^3, the ball in R^4), then move it there
+    base = metric_for(shape, SMALL[shape])
+    n = base.complex.dimension
+    verts = base.complex.vertices
+    if embed:
+        verts = np.hstack([verts, np.zeros((len(verts), 1))])
+    rng = np.random.default_rng(seed)
+    d = verts.shape[1]
+    moved = _moved(base, verts @ _rotation(rng, d).T + rng.uniform(-10, 10, d))
+    for k in range(n + 1):
+        assert _rel(moved.mass(k), base.mass(k)) <= TOL
+        assert _rel(moved.wedge(k, n - k), base.wedge(k, n - k)) <= TOL
+
+
+@PROPERTY
+@given(shape=SHAPES, exponent=st.floats(-8.0, 8.0))
+def test_uniform_scaling_scales_masses_and_keeps_wedges(shape, exponent):
+    # a Whitney k-form scales as s^-k and the volume as s^n
+    base = metric_for(shape, SMALL[shape])
+    n = base.complex.dimension
+    s = 10.0**exponent
+    scaled = _moved(base, base.complex.vertices * s)
+    for k in range(n + 1):
+        assert _rel(scaled.mass(k), s ** (n - 2 * k) * base.mass(k)) <= TOL
+        assert _rel(scaled.wedge(k, n - k), base.wedge(k, n - k)) <= TOL
+
+
+@PROPERTY
+@given(shape=SHAPES, seed=SEEDS)
+def test_vertex_relabelling_permutes_masses(shape, seed):
+    # each relabelled simplex is re-sorted, which flips its Whitney form
+    # by the sign of the sorting permutation
+    base = metric_for(shape, SMALL[shape])
+    cx = base.complex
+    n = cx.dimension
+    perm = np.random.default_rng(seed).permutation(cx.num_simplices(0))
+    verts = np.empty_like(cx.vertices)
+    verts[perm] = cx.vertices
+    tops = [tuple(int(perm[v]) for v in t) for t in cx.simplices[n]]
+    relabelled = Metric(build_complex(tops, verts))
+    for k in range(n):
+        P = np.zeros((cx.num_simplices(k), cx.num_simplices(k)))
+        for i, s in enumerate(cx.simplices[k]):
+            image = [int(perm[v]) for v in s]
+            P[relabelled.complex.index[k][tuple(sorted(image))], i] = permutation_sign(image)
+        assert _rel(relabelled.mass(k), P @ base.mass(k) @ P.T) <= TOL
