@@ -1,19 +1,28 @@
 """Harmonic field bases and the Hodge-Morrey-Friedrichs decomposition.
 
-Harmonic bases are kernels of degree-k Hodge Laplacians, computed as the
-near-zero eigenspace of a generalized symmetric eigenproblem against the
-Whitney mass matrix.  Two boundary conditions are supported: "neumann"
-(no constraint; dimension = k-th Betti number) and "dirichlet" (zero
-tangential trace; dimension = (n-k)-th Betti number).
+Harmonic bases are kernels of degree-k Hodge Laplacians A u = mu M u
+against the Whitney mass matrix.  Two boundary conditions are supported:
+"neumann" (no constraint; dimension = k-th Betti number) and "dirichlet"
+(zero tangential trace; dimension = (n-k)-th Betti number).  The
+Laplacian is never formed: A = K + B^T M_l^-1 B is kept as sparse blocks
+(the mixed, saddle-point form) and its smallest eigenpairs come from
+shift-invert Lanczos, shifted just below zero relative to the largest
+eigenvalue mu_max, itself from Lanczos.  Spaces too small for ARPACK are
+solved densely from the same blocks.  The kernel is counted from the
+spectrum alone, never from the Betti numbers.  On a closed mesh both
+conditions give one operator, so the Dirichlet bases reuse the Neumann
+ones.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import (
     AmbiguousKernel,
@@ -54,6 +63,13 @@ KERNEL_GAP_FACTOR = 10.0
 @dataclass
 class HarmonicBasis:
     """M-orthonormal basis of a discrete harmonic space.
+
+    The eigenvalues below are Rayleigh quotients of shift-invert Lanczos
+    vectors (dense eigenvalues on spaces too small for ARPACK).  The
+    kernel holds the eigenvalues below KERNEL_CUTOFF * mu_max, with mu_max
+    the largest eigenvalue, and must be separated from the rest by
+    KERNEL_GAP_FACTOR.  On a closed mesh the Dirichlet basis carries the
+    Neumann vectors and eigenvalues.
 
     Attributes:
         metric: The metric the basis is orthonormal against.
@@ -107,52 +123,43 @@ def harmonic_basis(metric: Metric, k: int, condition: str = "neumann") -> Harmon
     Raises:
         AmbiguousKernel: The spectral gap below the kernel cutoff is too
             small to count harmonic fields reliably.
-        FactorizationFailure: The eigensolver failed.
+        FactorizationFailure: A factorization or the eigensolver failed.
     """
     if condition not in ("neumann", "dirichlet"):
         raise ValueError(f"unknown boundary condition {condition!r}")
     n = metric.complex.dimension
     if not 0 <= k <= n:
         raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
+    return _cached_basis(metric, k, condition)
+
+
+def _cached_basis(metric: Metric, k: int, condition: str) -> HarmonicBasis:
     return metric.cached(
         ("harmonic", k, condition), lambda: _build_harmonic_basis(metric, k, condition)
     )
 
 
 def _build_harmonic_basis(metric: Metric, k: int, condition: str) -> HarmonicBasis:
-    n = metric.complex.dimension
+    if condition == "dirichlet" and metric.boundary_complex.num_simplices(0) == 0:
+        # closed mesh: both conditions give the same operator
+        return replace(_cached_basis(metric, k, "neumann"), condition="dirichlet")
+    cx = metric.complex
+    N = cx.num_simplices(k)
     if condition == "neumann":
-        idx = np.arange(metric.complex.num_simplices(k))
+        idx, low = np.arange(N), np.arange(cx.num_simplices(k - 1) if k else 0)
     else:
         idx = metric.interior_indices(k)
-    nk = len(idx)
-    if nk == 0:
-        return HarmonicBasis(
-            metric, k, condition,
-            np.zeros((metric.complex.num_simplices(k), 0)), 0.0, math.inf,
-        )
-
-    M = metric.mass(k)[np.ix_(idx, idx)]
-    A = np.zeros((nk, nk))
-    if k < n:
-        D = metric.d_matrix(k)[:, idx]
-        A += D.T @ metric.mass(k + 1) @ D
-    if k > 0:
-        if condition == "neumann":
-            B = metric.d_matrix(k - 1).T @ metric.mass(k)
-            A += B.T @ sla.cho_solve((metric.mass_cholesky(k - 1), True), B)
-        else:
-            low = metric.interior_indices(k - 1)
-            C = (metric.mass(k) @ metric.d_matrix(k - 1))[np.ix_(idx, low)]
-            A += C @ sla.cho_solve((metric.interior_mass_cholesky(k - 1), True), C.T)
+        low = metric.interior_indices(k - 1) if k else np.arange(0)
+    if len(idx) == 0:
+        return HarmonicBasis(metric, k, condition, np.zeros((N, 0)), 0.0, math.inf)
+    c, blocks = _laplacian_blocks(metric, k, idx, low)
     try:
-        evals, evecs = sla.eigh(A, M)
-    except sla.LinAlgError as exc:
+        evals, kernel = _lanczos_pairs(*blocks) or _dense_pairs(*blocks)
+    except (RuntimeError, sla.LinAlgError) as exc:
         raise FactorizationFailure(f"harmonic eigenproblem at degree {k}") from exc
-
-    m = _split_kernel(evals)
-    vectors = np.zeros((metric.complex.num_simplices(k), m))
-    vectors[idx, :] = evecs[:, :m]
+    m = kernel.shape[1]
+    vectors = np.zeros((N, m))
+    vectors[idx, :] = kernel / math.sqrt(c)
     return HarmonicBasis(
         metric,
         k,
@@ -161,6 +168,102 @@ def _build_harmonic_basis(metric: Metric, k: int, condition: str) -> HarmonicBas
         float(evals[m - 1]) if m else 0.0,
         float(evals[m]) if m < len(evals) else math.inf,
     )
+
+
+def _laplacian_blocks(metric: Metric, k: int, idx: np.ndarray, low: np.ndarray):
+    """The mass scale c and the equilibrated sparse blocks (M, K, B, M_l) of
+    the degree-k Hodge Laplacian A = K + B^T M_l^-1 B, A u = mu M u, on the
+    free k-simplices idx and the free (k-1)-simplices low.
+
+    K = D^T M_(k+1) D and B = d_(k-1)^T M_k, restricted to those simplices.
+    Dividing M and K by c, M_l by c_l and B by sqrt(c c_l) (each c the
+    mean of its mass diagonal) leaves the eigenvalues unchanged and makes
+    the blocks unit-free; kernel vectors scale back by 1/sqrt(c).
+    """
+    cx = metric.complex
+    M = metric.mass_csr(k)[idx][:, idx]
+    c = M.diagonal().mean()
+    if k < cx.dimension:
+        D = cx.exterior_derivative_matrix(k)[:, idx]
+        K = (D.T @ metric.mass_csr(k + 1) @ D).tocsr()
+    else:
+        K = sp.csr_matrix((len(idx), len(idx)))
+    if len(low):
+        B = (cx.boundary_matrix(k) @ metric.mass_csr(k))[low][:, idx]
+        M_l = metric.mass_csr(k - 1)[low][:, low]
+        c_l = M_l.diagonal().mean()
+    else:
+        B, M_l, c_l = sp.csr_matrix((0, len(idx))), sp.csr_matrix((0, 0)), 1.0
+    return c, (M / c, K / c, B / math.sqrt(c * c_l), M_l / c_l)
+
+
+def _lanczos_pairs(M, K, B, M_l):
+    """Ascending smallest eigenvalues of A u = mu M u, A = K + B^T M_l^-1 B,
+    and the M-orthonormal kernel vectors, by shift-invert Lanczos at
+    s = -KERNEL_CUTOFF * mu_max.  None once the request reaches ARPACK's
+    limit j < N - 1 (or when A = 0): _dense_pairs then solves the space.
+
+    mu_max comes from Lanczos on A (tolerance 1e-8: it only places the
+    cutoff).  (A - s M)^-1 is applied through one sparse LU of the
+    saddle-point block [[K - s M, B^T], [B, -M_l]], whose Schur complement
+    is A - s M.  The request starts at j = 4 pairs and doubles while every
+    pair is kernel.  Eigenvalues are the Rayleigh quotients of the Ritz
+    vectors; the values handed to _split_kernel end with mu_max.
+    """
+    nk, nl = M.shape[0], M_l.shape[0]
+    j = 4
+    if j >= nk - 1:
+        return None
+    v0 = np.random.default_rng(0).standard_normal(nk)
+    solve_l = spla.splu(M_l.tocsc()).solve if nl else (lambda r: r)
+    A = spla.LinearOperator(
+        (nk, nk), matvec=lambda u: K @ u + B.T @ solve_l(B @ u), dtype=float
+    )
+    Minv = spla.LinearOperator((nk, nk), matvec=spla.splu(M.tocsc()).solve, dtype=float)
+    mu_max = spla.eigsh(
+        A, k=1, M=M, Minv=Minv, which="LA", v0=v0, tol=1e-8, return_eigenvectors=False
+    )[0]
+    if mu_max <= 0:
+        return None
+    s = -KERNEL_CUTOFF * mu_max
+    saddle = sp.bmat([[K - s * M, B.T], [B, -M_l]]) if nl else K - s * M
+    lu = spla.splu(saddle.tocsc())
+    pad = np.zeros(nl)
+    OPinv = spla.LinearOperator(
+        (nk, nk),
+        matvec=lambda f: lu.solve(np.concatenate([np.ravel(f), pad]))[:nk],
+        dtype=float,
+    )
+    while j < nk - 1:
+        _, V = spla.eigsh(A, k=j, M=M, sigma=s, OPinv=OPinv, v0=v0)
+        rayleigh = np.sum(V * (A @ V), axis=0) / np.sum(V * (M @ V), axis=0)
+        order = np.argsort(rayleigh)
+        evals = np.append(rayleigh[order], mu_max)
+        m = _split_kernel(evals)
+        if m < j:
+            return evals, _orthonormalize(V[:, order[:m]], M)
+        j *= 2
+    return None
+
+
+def _dense_pairs(M, K, B, M_l):
+    """All eigenvalues and the kernel vectors from sla.eigh on the same
+    blocks, densified."""
+    A = K.toarray()
+    if M_l.shape[0]:
+        Bd = B.toarray()
+        A += Bd.T @ sla.solve(M_l.toarray(), Bd, assume_a="pos")
+    evals, evecs = sla.eigh(A, M.toarray())
+    m = _split_kernel(evals)
+    return evals, _orthonormalize(evecs[:, :m], M)
+
+
+def _orthonormalize(V: np.ndarray, M) -> np.ndarray:
+    """V with its columns made M-orthonormal by a Cholesky of V^T M V."""
+    if V.shape[1] == 0:
+        return V
+    L = sla.cholesky(V.T @ (M @ V), lower=True)
+    return sla.solve_triangular(L, V.T, lower=True).T
 
 
 def harmonic_projection(basis: HarmonicBasis, c: Cochain):

@@ -4,14 +4,15 @@ Mesh files hold top simplices only; the reader canonicalizes ordering
 and re-infers orientation, so writing and re-reading a complex is
 byte-stable.  All writers emit sorted-key, two-space-indented JSON with
 a trailing newline and refuse non-finite numbers; the readers reject
-NaN/Infinity tokens and numbers that overflow to infinity as malformed
-input.
+NaN/Infinity tokens, numbers that overflow to infinity and integers
+beyond the float range as malformed input.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -45,9 +46,24 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _float_range_int(text: str) -> int:
+    """JSON integer, refused when it lies beyond the float range."""
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(
+            f"integer with {len(text.lstrip('-'))} digits exceeds the float range"
+        )
+    return value
+
+
 def load_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, parse_constant=_finite_float, parse_float=_finite_float)
+        return json.load(
+            fh,
+            parse_constant=_finite_float,
+            parse_float=_finite_float,
+            parse_int=_float_range_int,
+        )
 
 
 def dumps_report(obj) -> str:

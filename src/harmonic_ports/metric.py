@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from .errors import (
     ComplexMismatch,
@@ -120,7 +121,8 @@ class Metric:
     Element frames (signed volumes and barycentric gradients of all
     elements, from one stacked QR) are built eagerly.  Mass and wedge
     matrices share one pairing kernel that evaluates every local entry of
-    every element at once and scatters it into a dense array.  Everything
+    every element at once and scatters it into a dense array; mass_csr
+    holds the same values in CSR form for sparse solvers.  Everything
     else, here and in the layers above (harmonic bases, HMF solvers,
     Stokes-Dirac operators, midpoint factors), is built on first request
     through `cached` and kept in one memo keyed by a tuple naming the
@@ -183,6 +185,10 @@ class Metric:
             return self._pair(k, k, K, scale, symmetric=True)
 
         return self.cached(("mass", k), build)
+
+    def mass_csr(self, k: int) -> sp.csr_matrix:
+        """CSR view of mass(k): the same values, for sparse solvers."""
+        return self.cached(("mass_csr", k), lambda: sp.csr_matrix(self.mass(k)))
 
     def wedge(self, a: int, b: int) -> np.ndarray:
         """Pairing matrix P[s, t] = integral of w_s^(a) wedge w_t^(b).

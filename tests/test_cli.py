@@ -4,8 +4,9 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from harmonic_ports import gen_mesh, write_mesh
+from harmonic_ports import gen_mesh, hodge, write_mesh
 from harmonic_ports.cli import main, sd_verify_main
 
 
@@ -114,6 +115,38 @@ def test_non_finite_numbers_in_input_files_exit_3(tmp_path, capsys):
         code = main(argv)
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
+
+
+def test_integers_beyond_float_range_in_input_files_exit_3(tmp_path, capsys):
+    # a 401-digit integer is valid JSON but has no float value
+    huge = "9" * 401
+    flat = {"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]],
+            "simplices": [[0, 1, 2]]}
+    bad_mesh = tmp_path / "bad_mesh.json"
+    bad_mesh.write_text(json.dumps(flat).replace("[1, 0]", f"[{huge}, 0]", 1))
+    cx = gen_mesh("torus", 4)
+    coch = {"degree": 1, "values": [0.5] * cx.num_simplices(1), "ordering": "canonical"}
+    bad_cochain = tmp_path / "bad_cochain.json"
+    bad_cochain.write_text(json.dumps(coch).replace("0.5", f"-{huge}", 1))
+    for argv in (["analyze", str(bad_mesh)],
+                 ["decompose", _write_torus(tmp_path), str(bad_cochain)]):
+        code = main(argv)
+        assert code == 3
+        assert "integer with 401 digits exceeds the float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, failure", [
+    ("eigsh", spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))),
+    ("splu", RuntimeError("Factor is exactly singular")),
+])
+def test_eigensolver_failures_exit_2(tmp_path, capsys, monkeypatch, name, failure):
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(hodge.spla, name, fail)
+    code = main(["analyze", _write_torus(tmp_path)])
+    assert code == 2
+    assert "harmonic eigenproblem at degree 0" in capsys.readouterr().err
 
 
 def test_decompose_cochain_round_trip(tmp_path, capsys):

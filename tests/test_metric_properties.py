@@ -1,11 +1,12 @@
-"""Invariance of the Whitney mass and wedge matrices under rigid motion,
-uniform scaling and vertex relabelling, on the SMALL meshes."""
+"""Invariance of the Whitney mass and wedge matrices, and of the harmonic
+spaces, under rigid motion, uniform scaling and vertex relabelling, on the
+SMALL meshes."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonic_ports import Metric, build_complex
+from harmonic_ports import Metric, build_complex, harmonic_basis
 from harmonic_ports.mesh import permutation_sign
 
 from conftest import SMALL, metric_for
@@ -36,19 +37,42 @@ def _moved(metric, vertices):
     return Metric(build_complex(tops, vertices, orientation=cx.orientation))
 
 
-@PROPERTY
-@given(shape=SHAPES, seed=SEEDS, embed=st.booleans())
-def test_rigid_motion_leaves_masses_and_wedges_unchanged(shape, seed, embed):
-    # embed: first place the mesh in one dimension more (the flat disk in
-    # R^3, the ball in R^4), then move it there
-    base = metric_for(shape, SMALL[shape])
-    n = base.complex.dimension
-    verts = base.complex.vertices
+def _rigidly_moved(metric, seed, embed):
+    """The mesh after a seeded proper rigid motion; embed first places it
+    in one dimension more (the flat disk in R^3, the ball in R^4)."""
+    verts = metric.complex.vertices
     if embed:
         verts = np.hstack([verts, np.zeros((len(verts), 1))])
     rng = np.random.default_rng(seed)
     d = verts.shape[1]
-    moved = _moved(base, verts @ _rotation(rng, d).T + rng.uniform(-10, 10, d))
+    return _moved(metric, verts @ _rotation(rng, d).T + rng.uniform(-10, 10, d))
+
+
+def _harmonic_dims(metric):
+    n = metric.complex.dimension
+    return [
+        [harmonic_basis(metric, k, condition).dim for k in range(n + 1)]
+        for condition in ("neumann", "dirichlet")
+    ]
+
+
+def _relabelled(metric, seed):
+    """The complex with its vertices renumbered by a seeded permutation,
+    and that permutation."""
+    cx = metric.complex
+    perm = np.random.default_rng(seed).permutation(cx.num_simplices(0))
+    verts = np.empty_like(cx.vertices)
+    verts[perm] = cx.vertices
+    tops = [tuple(int(perm[v]) for v in t) for t in cx.simplices[cx.dimension]]
+    return Metric(build_complex(tops, verts)), perm
+
+
+@PROPERTY
+@given(shape=SHAPES, seed=SEEDS, embed=st.booleans())
+def test_rigid_motion_leaves_masses_and_wedges_unchanged(shape, seed, embed):
+    base = metric_for(shape, SMALL[shape])
+    n = base.complex.dimension
+    moved = _rigidly_moved(base, seed, embed)
     for k in range(n + 1):
         assert _rel(moved.mass(k), base.mass(k)) <= TOL
         assert _rel(moved.wedge(k, n - k), base.wedge(k, n - k)) <= TOL
@@ -75,14 +99,44 @@ def test_vertex_relabelling_permutes_masses(shape, seed):
     base = metric_for(shape, SMALL[shape])
     cx = base.complex
     n = cx.dimension
-    perm = np.random.default_rng(seed).permutation(cx.num_simplices(0))
-    verts = np.empty_like(cx.vertices)
-    verts[perm] = cx.vertices
-    tops = [tuple(int(perm[v]) for v in t) for t in cx.simplices[n]]
-    relabelled = Metric(build_complex(tops, verts))
+    relabelled, perm = _relabelled(base, seed)
     for k in range(n):
         P = np.zeros((cx.num_simplices(k), cx.num_simplices(k)))
         for i, s in enumerate(cx.simplices[k]):
             image = [int(perm[v]) for v in s]
             P[relabelled.complex.index[k][tuple(sorted(image))], i] = permutation_sign(image)
         assert _rel(relabelled.mass(k), P @ base.mass(k) @ P.T) <= TOL
+
+
+@PROPERTY
+@given(shape=SHAPES, seed=SEEDS, embed=st.booleans())
+def test_rigid_motion_keeps_harmonic_dimensions(shape, seed, embed):
+    base = metric_for(shape, SMALL[shape])
+    moved = _rigidly_moved(base, seed, embed)
+    assert _harmonic_dims(moved) == _harmonic_dims(base)
+
+
+@PROPERTY
+@given(shape=SHAPES, exponent=st.floats(-8.0, 8.0))
+def test_uniform_scaling_keeps_harmonic_dimensions_and_scales_the_gap(shape, exponent):
+    # Hodge Laplacian eigenvalues scale as s^-2
+    base = metric_for(shape, SMALL[shape])
+    s = 10.0**exponent
+    scaled = _moved(base, base.complex.vertices * s)
+    assert _harmonic_dims(scaled) == _harmonic_dims(base)
+    for condition in ("neumann", "dirichlet"):
+        for k in range(base.complex.dimension + 1):
+            got = harmonic_basis(scaled, k, condition).first_nonkernel_eigenvalue
+            expect = harmonic_basis(base, k, condition).first_nonkernel_eigenvalue
+            if np.isinf(expect):
+                assert np.isinf(got)
+            else:
+                assert abs(got * s**2 - expect) <= 1e-8 * expect
+
+
+@PROPERTY
+@given(shape=SHAPES, seed=SEEDS)
+def test_vertex_relabelling_keeps_harmonic_dimensions(shape, seed):
+    base = metric_for(shape, SMALL[shape])
+    relabelled, _ = _relabelled(base, seed)
+    assert _harmonic_dims(relabelled) == _harmonic_dims(base)
