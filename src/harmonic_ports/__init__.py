@@ -82,7 +82,6 @@ from .sim import (
 )
 from .io import (
     read_cochain,
-    read_field,
     read_mesh,
     read_state,
     write_cochain,

@@ -12,6 +12,12 @@ solved densely from the same blocks.  The kernel is counted from the
 spectrum alone, never from the Betti numbers.  On a closed mesh both
 conditions give one operator, so the Dirichlet bases reuse the Neumann
 ones.
+
+The same blocks, bordered by the harmonic basis, give every projection
+onto an exact or coexact range: one sparse LU per degree and condition
+serves the HMF split, potentials of exact cochains and the integrability
+witness (see _mixed_potential).  Mass solves use the metric's one LU per
+mass block.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ from .metric import (
     Cochain,
     Metric,
     _check_metric,
+    _splu,
+    exterior_derivative,
     norm,
 )
 
@@ -143,19 +151,14 @@ def _build_harmonic_basis(metric: Metric, k: int, condition: str) -> HarmonicBas
     if condition == "dirichlet" and metric.boundary_complex.num_simplices(0) == 0:
         # closed mesh: both conditions give the same operator
         return replace(_cached_basis(metric, k, "neumann"), condition="dirichlet")
-    cx = metric.complex
-    N = cx.num_simplices(k)
-    if condition == "neumann":
-        idx, low = np.arange(N), np.arange(cx.num_simplices(k - 1) if k else 0)
-    else:
-        idx = metric.interior_indices(k)
-        low = metric.interior_indices(k - 1) if k else np.arange(0)
+    N = metric.complex.num_simplices(k)
+    idx, low = _free_simplices(metric, k, condition)
     if len(idx) == 0:
         return HarmonicBasis(metric, k, condition, np.zeros((N, 0)), 0.0, math.inf)
-    c, blocks = _laplacian_blocks(metric, k, idx, low)
     try:
+        c, _, blocks = _laplacian_blocks(metric, k, condition, idx, low)
         evals, kernel = _lanczos_pairs(*blocks) or _dense_pairs(*blocks)
-    except (RuntimeError, sla.LinAlgError) as exc:
+    except (RuntimeError, sla.LinAlgError, FactorizationFailure) as exc:
         raise FactorizationFailure(f"harmonic eigenproblem at degree {k}") from exc
     m = kernel.shape[1]
     vectors = np.zeros((N, m))
@@ -170,10 +173,21 @@ def _build_harmonic_basis(metric: Metric, k: int, condition: str) -> HarmonicBas
     )
 
 
-def _laplacian_blocks(metric: Metric, k: int, idx: np.ndarray, low: np.ndarray):
-    """The mass scale c and the equilibrated sparse blocks (M, K, B, M_l) of
-    the degree-k Hodge Laplacian A = K + B^T M_l^-1 B, A u = mu M u, on the
-    free k-simplices idx and the free (k-1)-simplices low.
+def _free_simplices(metric: Metric, k: int, condition: str):
+    """The k- and (k-1)-simplices a condition leaves free: all of them for
+    "neumann", the interior ones for "dirichlet"."""
+    if condition == "neumann":
+        cx = metric.complex
+        return np.arange(cx.num_simplices(k)), np.arange(cx.num_simplices(k - 1) if k else 0)
+    return metric.interior_indices(k), metric.interior_indices(k - 1) if k else np.arange(0)
+
+
+def _laplacian_blocks(metric: Metric, k: int, condition: str, idx, low):
+    """The mass scales c, c_l and the equilibrated sparse blocks
+    (M, K, B, M_l) of the degree-k Hodge Laplacian A = K + B^T M_l^-1 B,
+    A u = mu M u, on the free k-simplices idx and (k-1)-simplices low of
+    the condition, followed by the matching mass solves r -> M^-1 r and
+    r -> M_l^-1 r from the metric's mass LUs.
 
     K = D^T M_(k+1) D and B = d_(k-1)^T M_k, restricted to those simplices.
     Dividing M and K by c, M_l by c_l and B by sqrt(c c_l) (each c the
@@ -181,8 +195,10 @@ def _laplacian_blocks(metric: Metric, k: int, idx: np.ndarray, low: np.ndarray):
     the blocks unit-free; kernel vectors scale back by 1/sqrt(c).
     """
     cx = metric.complex
+    mass_lu = metric.mass_lu if condition == "neumann" else metric.interior_mass_lu
     M = metric.mass_csr(k)[idx][:, idx]
     c = M.diagonal().mean()
+    lu = mass_lu(k)
     if k < cx.dimension:
         D = cx.exterior_derivative_matrix(k)[:, idx]
         K = (D.T @ metric.mass_csr(k + 1) @ D).tocsr()
@@ -192,19 +208,24 @@ def _laplacian_blocks(metric: Metric, k: int, idx: np.ndarray, low: np.ndarray):
         B = (cx.boundary_matrix(k) @ metric.mass_csr(k))[low][:, idx]
         M_l = metric.mass_csr(k - 1)[low][:, low]
         c_l = M_l.diagonal().mean()
+        lu_l = mass_lu(k - 1)
+        solve_l = lambda r: c_l * lu_l.solve(r)
     else:
         B, M_l, c_l = sp.csr_matrix((0, len(idx))), sp.csr_matrix((0, 0)), 1.0
-    return c, (M / c, K / c, B / math.sqrt(c * c_l), M_l / c_l)
+        solve_l = lambda r: r
+    blocks = (M / c, K / c, B / math.sqrt(c * c_l), M_l / c_l)
+    return c, c_l, (*blocks, lambda r: c * lu.solve(r), solve_l)
 
 
-def _lanczos_pairs(M, K, B, M_l):
+def _lanczos_pairs(M, K, B, M_l, solve, solve_l):
     """Ascending smallest eigenvalues of A u = mu M u, A = K + B^T M_l^-1 B,
     and the M-orthonormal kernel vectors, by shift-invert Lanczos at
     s = -KERNEL_CUTOFF * mu_max.  None once the request reaches ARPACK's
     limit j < N - 1 (or when A = 0): _dense_pairs then solves the space.
 
     mu_max comes from Lanczos on A (tolerance 1e-8: it only places the
-    cutoff).  (A - s M)^-1 is applied through one sparse LU of the
+    cutoff), with M^-1 and M_l^-1 applied by the mass solves.
+    (A - s M)^-1 is applied through one sparse LU of the
     saddle-point block [[K - s M, B^T], [B, -M_l]], whose Schur complement
     is A - s M.  The request starts at j = 4 pairs and doubles while every
     pair is kernel.  Eigenvalues are the Rayleigh quotients of the Ritz
@@ -215,11 +236,10 @@ def _lanczos_pairs(M, K, B, M_l):
     if j >= nk - 1:
         return None
     v0 = np.random.default_rng(0).standard_normal(nk)
-    solve_l = spla.splu(M_l.tocsc()).solve if nl else (lambda r: r)
     A = spla.LinearOperator(
         (nk, nk), matvec=lambda u: K @ u + B.T @ solve_l(B @ u), dtype=float
     )
-    Minv = spla.LinearOperator((nk, nk), matvec=spla.splu(M.tocsc()).solve, dtype=float)
+    Minv = spla.LinearOperator((nk, nk), matvec=solve, dtype=float)
     mu_max = spla.eigsh(
         A, k=1, M=M, Minv=Minv, which="LA", v0=v0, tol=1e-8, return_eigenvectors=False
     )[0]
@@ -246,13 +266,13 @@ def _lanczos_pairs(M, K, B, M_l):
     return None
 
 
-def _dense_pairs(M, K, B, M_l):
+def _dense_pairs(M, K, B, M_l, solve, solve_l):
     """All eigenvalues and the kernel vectors from sla.eigh on the same
     blocks, densified."""
     A = K.toarray()
     if M_l.shape[0]:
         Bd = B.toarray()
-        A += Bd.T @ sla.solve(M_l.toarray(), Bd, assume_a="pos")
+        A += Bd.T @ solve_l(Bd)
     evals, evecs = sla.eigh(A, M.toarray())
     m = _split_kernel(evals)
     return evals, _orthonormalize(evecs[:, :m], M)
@@ -274,7 +294,7 @@ def harmonic_projection(basis: HarmonicBasis, c: Cochain):
         raise DegreeOutOfRange(
             f"cochain degree {c.degree} against basis degree {basis.degree}"
         )
-    coeffs = basis.vectors.T @ (metric.mass(c.degree) @ c.values)
+    coeffs = basis.vectors.T @ (metric.mass_csr(c.degree) @ c.values)
     proj = Cochain(c.complex, c.degree, basis.vectors @ coeffs)
     return coeffs, proj
 
@@ -303,49 +323,39 @@ class HMFDecomposition:
         return self.lambda_T + self.delta_gamma
 
 
-def _pinv_applier(A: np.ndarray):
-    """Least-squares solver x -> argmin |A x - rhs| from a thin SVD."""
-    if A.shape[1] == 0:
-        return lambda rhs: np.zeros(0)
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
-    tol = (s[0] if len(s) else 0.0) * max(A.shape) * np.finfo(float).eps
-    keep = s > tol
-    ui, si, vi = u[:, keep], s[keep], vt[keep]
+def _mixed_potential(metric: Metric, k: int, condition: str, f: np.ndarray) -> np.ndarray:
+    """The (k-1)-block sigma of the bordered mixed Hodge-Laplacian system
 
-    def solve(rhs):
-        return vi.T @ ((ui.T @ rhs) / si)
+        [[K, B^T, M V], [B, -M_l, 0], [V^T M, 0, 0]] (u, sigma, p) = (M f, 0, 0)
 
-    return solve
-
-
-def _exact_range_solver(metric: Metric, k: int):
-    """Cached whitened least-squares machinery for im(d on zero-trace)."""
+    on the simplices the condition leaves free (_laplacian_blocks), with V
+    the harmonic basis of (k, condition); sigma is zero elsewhere.  The
+    second row makes sigma the codifferential of u (constrained to zero
+    trace for "dirichlet"), and the first, tested against exact fields,
+    makes d sigma the M-orthogonal projection of f onto d of the free
+    (k-1)-cochains.  The bordering pins the harmonic part of u, so the
+    system is nonsingular; it is factored once per (k, condition).
+    """
 
     def build():
-        if k == 0:
-            W = np.zeros((metric.complex.num_simplices(0), 0))
-        else:
-            W = metric.d_matrix(k - 1)[:, metric.interior_indices(k - 1)]
-        return W, _pinv_applier(metric.mass_cholesky(k).T @ W)
+        idx, low = _free_simplices(metric, k, condition)
+        if len(idx) == 0 or len(low) == 0:
+            return idx, low, 1.0, 1.0, None
+        c, c_l, (M, K, B, M_l, _, _) = _laplacian_blocks(metric, k, condition, idx, low)
+        V = harmonic_basis(metric, k, condition).vectors[idx] * math.sqrt(c)
+        MV = sp.csr_matrix(M @ V)
+        saddle = sp.bmat([[K, B.T, MV], [B, -M_l, None], [MV.T, None, None]])
+        return idx, low, c, c_l, _splu(saddle, f"mixed Hodge Laplacian at degree {k}")
 
-    return metric.cached(("exact_solver", k), build)
-
-
-def _coexact_range_solver(metric: Metric, k: int):
-    """Cached whitened least-squares machinery for im(delta)."""
-
-    def build():
-        n = metric.complex.dimension
-        if k == n:
-            B = np.zeros((metric.complex.num_simplices(n), 0))
-        else:
-            L = metric.mass_cholesky(k)
-            B = sla.solve_triangular(
-                L, metric.d_matrix(k).T @ metric.mass(k + 1), lower=True
-            )
-        return B, _pinv_applier(B)
-
-    return metric.cached(("coexact_solver", k), build)
+    if metric.boundary_complex.num_simplices(0) == 0:
+        condition = "neumann"  # closed mesh: both conditions give one system
+    idx, low, c, c_l, lu = metric.cached(("mixed", k, condition), build)
+    sigma = np.zeros(metric.complex.num_simplices(k - 1))
+    if lu is not None:
+        rhs = np.zeros(lu.shape[0])
+        rhs[: len(idx)] = (metric.mass_csr(k) @ f)[idx] / c
+        sigma[low] = lu.solve(rhs)[len(idx) : len(idx) + len(low)] * math.sqrt(c / c_l)
+    return sigma
 
 
 def hodge_morrey_friedrichs(metric: Metric, omega: Cochain) -> HMFDecomposition:
@@ -355,24 +365,21 @@ def hodge_morrey_friedrichs(metric: Metric, omega: Cochain) -> HMFDecomposition:
     plain adjoint codifferential, and the harmonic remainder is split a
     second time along the Dirichlet-harmonic subspace.  At degree 0 the
     exact piece is zero, at the top degree the coexact piece is zero.
+    The exact piece is d sigma of the Dirichlet mixed solve at degree k
+    with right-hand side omega; the coexact piece is sigma of the Neumann
+    mixed solve at degree k+1 with right-hand side d omega, so degrees
+    k < n also need the Neumann harmonic basis at k+1.
     """
     _check_metric(metric, omega)
+    cx = metric.complex
     k = omega.degree
-    N = metric.complex.num_simplices(k)
-    L = metric.mass_cholesky(k)
-    white = L.T @ omega.values
-
-    W, solve_e = _exact_range_solver(metric, k)
-    d_alpha = Cochain(omega.complex, k, W @ solve_e(white) if W.shape[1] else np.zeros(N))
-
-    B, solve_c = _coexact_range_solver(metric, k)
-    if B.shape[1]:
-        z = solve_c(white)
-        delta_beta = Cochain(
-            omega.complex, k, sla.solve_triangular(L.T, B @ z, lower=False)
-        )
-    else:
-        delta_beta = Cochain(omega.complex, k, np.zeros(N))
+    d_alpha = delta_beta = Cochain(cx, k, np.zeros(cx.num_simplices(k)))
+    if k > 0:
+        sigma = _mixed_potential(metric, k, "dirichlet", omega.values)
+        d_alpha = exterior_derivative(metric, Cochain(cx, k - 1, sigma))
+    if k < cx.dimension:
+        d_omega = exterior_derivative(metric, omega).values
+        delta_beta = Cochain(cx, k, _mixed_potential(metric, k + 1, "neumann", d_omega))
 
     h = omega - d_alpha - delta_beta
     basis = harmonic_basis(metric, k, "dirichlet")
@@ -386,6 +393,9 @@ def potential_for_exact(
 ) -> Cochain:
     """A potential u with du = c, for c in the exact range.
 
+    u is the coexact potential of the mixed solve (_mixed_potential),
+    with zero trace unless zero_trace is False.
+
     Raises:
         NotInHarmonicComplement: c has a component (relative tolerance
             1e-8) outside the requested exact range.
@@ -394,18 +404,9 @@ def potential_for_exact(
     k = c.degree
     if k == 0:
         raise DegreeOutOfRange("0-cochains have no potential one degree down")
-    L = metric.mass_cholesky(k)
-    n_low = metric.complex.num_simplices(k - 1)
-    if zero_trace:
-        low = metric.interior_indices(k - 1)
-    else:
-        low = np.arange(n_low)
-    W = metric.d_matrix(k - 1)[:, low]
-    u_low = _pinv_applier(L.T @ W)(L.T @ c.values)
-    vals = np.zeros(n_low)
-    vals[low] = u_low
-    u = Cochain(c.complex, k - 1, vals)
-    resid = norm(metric, Cochain(c.complex, k, W @ u_low - c.values))
+    condition = "dirichlet" if zero_trace else "neumann"
+    u = Cochain(c.complex, k - 1, _mixed_potential(metric, k, condition, c.values))
+    resid = norm(metric, exterior_derivative(metric, u) - c)
     scale = max(norm(metric, c), 1e-300)
     if resid > 1e-8 * scale:
         raise NotInHarmonicComplement(

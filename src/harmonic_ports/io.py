@@ -28,7 +28,6 @@ __all__ = [
     "cochain_from_obj",
     "read_state",
     "write_state",
-    "read_field",
     "field_from_obj",
     "is_field_obj",
     "dumps_report",
@@ -177,10 +176,6 @@ def field_from_obj(obj):
     if vectors.ndim != 2 or vectors.shape[1] != 3:
         raise ValueError("vectors must be a list of 3-component rows")
     return field_type, vectors
-
-
-def read_field(path: str):
-    return field_from_obj(load_json(path))
 
 
 def write_trace_csv(trace, path: str):

@@ -113,6 +113,8 @@ class SimplicialComplex:
         self.boundary: list = [None] * (n + 1)
         for k in range(1, n + 1):
             self.boundary[k] = self._build_boundary(k)
+        top = sp.csr_matrix((0, len(self.simplices[n])), dtype=np.int64)
+        self.coboundary = [b.T.tocsr() for b in self.boundary[1:]] + [top]
 
     def _build_boundary(self, k: int) -> sp.csr_matrix:
         rows, cols, vals = [], [], []
@@ -147,9 +149,7 @@ class SimplicialComplex:
         """Coboundary from degree k to degree k+1 (transpose of boundary)."""
         if not 0 <= k <= self.dimension:
             raise DegreeOutOfRange(f"degree {k} outside 0..{self.dimension}")
-        if k == self.dimension:
-            return sp.csr_matrix((0, self.num_simplices(k)), dtype=np.int64)
-        return self.boundary[k + 1].T.tocsr()
+        return self.coboundary[k]
 
     def oriented_simplex(self, k: int, i: int) -> tuple:
         """The i-th k-simplex, with top simplices in oriented vertex order."""

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import (
     ComplexMismatch,
@@ -76,6 +76,8 @@ class Cochain:
                 f"degree {self.degree} outside 0..{self.complex.dimension}"
             )
         self.values = np.asarray(self.values, dtype=float).reshape(-1)
+        if not np.isfinite(self.values).all():
+            raise ValueError("cochain values must be finite")
         if len(self.values) != self.complex.num_simplices(self.degree):
             raise DegreeMismatch(
                 f"{len(self.values)} values for "
@@ -122,19 +124,21 @@ class Metric:
     elements, from one stacked QR) are built eagerly.  Mass and wedge
     matrices share one pairing kernel that evaluates every local entry of
     every element at once and scatters it into a dense array; mass_csr
-    holds the same values in CSR form for sparse solvers.  Everything
-    else, here and in the layers above (harmonic bases, HMF solvers,
-    Stokes-Dirac operators, midpoint factors), is built on first request
-    through `cached` and kept in one memo keyed by a tuple naming the
-    quantity, e.g. ("mass", k).
-    Each mass matrix has one lower Cholesky factor, for solves and whitening.
+    holds the same values in CSR form, and every product with a mass
+    matrix goes through it.  Each mass block, the full mass_csr(k) or its
+    interior rows and columns, has one sparse LU (SuperLU), shared by
+    every solve against it.  Everything else, here and in the layers above
+    (harmonic bases, mixed Hodge-Laplacian factors, Stokes-Dirac
+    operators, midpoint factors), is built on first request through
+    `cached` and kept in one memo keyed by a tuple naming the quantity,
+    e.g. ("mass", k).
 
     Args:
         complex: The oriented complex to equip.
 
     Raises:
         FactorizationFailure: A degenerate (zero-volume) element, or a
-            mass matrix that fails its Cholesky factorization.
+            singular mass block.
     """
 
     def __init__(self, complex: SimplicialComplex):
@@ -246,18 +250,11 @@ class Metric:
         table = np.array(self.complex.simplices[k], dtype=np.int64)
         return np.searchsorted(_records(table), _records(self._tops[:, local]))
 
-    def mass_cholesky(self, k: int) -> np.ndarray:
-        """Lower Cholesky factor L of mass(k), L L^T = M_k: solve with
-        cho_solve((L, True), rhs), whiten with L^T."""
+    def mass_lu(self, k: int) -> spla.SuperLU:
+        """Sparse LU of mass_csr(k); lu.solve(rhs) solves M_k x = rhs."""
         return self.cached(
-            ("mass_cholesky", k),
-            lambda: _lower_cholesky(self.mass(k), f"mass matrix at degree {k}"),
+            ("mass_lu", k), lambda: _splu(self.mass_csr(k), f"mass matrix at degree {k}")
         )
-
-    def d_matrix(self, k: int) -> np.ndarray:
-        """Dense float coboundary from degree k to k+1."""
-        d = self.complex.exterior_derivative_matrix
-        return self.cached(("d", k), lambda: d(k).toarray().astype(float))
 
     # -- boundary bookkeeping ----------------------------------------------
 
@@ -272,20 +269,18 @@ class Metric:
         mask[self.boundary_indices(k)] = False
         return np.flatnonzero(mask)
 
-    def interior_mass_cholesky(self, k: int) -> np.ndarray:
-        """Lower Cholesky factor of the interior block of mass(k), rows and
-        columns in interior_indices(k) order; mass_cholesky(k) itself when
-        no k-simplex lies on the boundary."""
+    def interior_mass_lu(self, k: int) -> spla.SuperLU:
+        """Sparse LU of the interior block of mass_csr(k), rows and columns
+        in interior_indices(k) order; mass_lu(k) itself when no k-simplex
+        lies on the boundary."""
 
         def build():
             idx = self.interior_indices(k)
             if len(idx) == self.complex.num_simplices(k):
-                return self.mass_cholesky(k)
-            return _lower_cholesky(
-                self.mass(k)[np.ix_(idx, idx)], f"interior mass at degree {k}"
-            )
+                return self.mass_lu(k)
+            return _splu(self.mass_csr(k)[idx][:, idx], f"interior mass at degree {k}")
 
-        return self.cached(("interior_mass_cholesky", k), build)
+        return self.cached(("interior_mass_lu", k), build)
 
     def deltac_matrix(self, k: int) -> np.ndarray:
         """Constrained codifferential from degree k to k-1, as a dense matrix.
@@ -295,9 +290,10 @@ class Metric:
         """
 
         def build():
-            out = self.d_matrix(k - 1).T @ self.mass(k)
+            d = self.complex.exterior_derivative_matrix(k - 1)
+            out = (d.T @ self.mass_csr(k)).toarray()
             idx = self.interior_indices(k - 1)
-            out[idx] = sla.cho_solve((self.interior_mass_cholesky(k - 1), True), out[idx])
+            out[idx] = self.interior_mass_lu(k - 1).solve(out[idx])
             out[self.boundary_indices(k - 1)] = 0.0
             return out
 
@@ -321,11 +317,16 @@ def _records(rows: np.ndarray) -> np.ndarray:
     return rows.view([("", rows.dtype)] * rows.shape[-1])[..., 0]
 
 
-def _lower_cholesky(matrix: np.ndarray, what: str) -> np.ndarray:
+def _splu(matrix, what: str) -> spla.SuperLU:
+    """SuperLU factor of a sparse square matrix (default column ordering).
+
+    Raises:
+        FactorizationFailure: The factor is singular.
+    """
     try:
-        return sla.cholesky(matrix, lower=True)
-    except sla.LinAlgError as exc:
-        raise FactorizationFailure(what) from exc
+        return spla.splu(sp.csc_matrix(matrix))
+    except RuntimeError as exc:
+        raise FactorizationFailure(f"{what} is singular") from exc
 
 
 # -- first-order operations ------------------------------------------------
@@ -342,7 +343,8 @@ def exterior_derivative(metric: Metric, c: Cochain) -> Cochain:
     n = metric.complex.dimension
     if c.degree >= n:
         raise DegreeOutOfRange("exterior derivative of a top-degree cochain")
-    return Cochain(c.complex, c.degree + 1, metric.d_matrix(c.degree) @ c.values)
+    d = metric.complex.exterior_derivative_matrix(c.degree)
+    return Cochain(c.complex, c.degree + 1, d @ c.values)
 
 
 def codifferential(metric: Metric, c: Cochain) -> Cochain:
@@ -351,8 +353,8 @@ def codifferential(metric: Metric, c: Cochain) -> Cochain:
     k = c.degree
     if k == 0:
         raise DegreeOutOfRange("codifferential of a 0-cochain")
-    rhs = metric.d_matrix(k - 1).T @ (metric.mass(k) @ c.values)
-    vals = sla.cho_solve((metric.mass_cholesky(k - 1), True), rhs)
+    d = metric.complex.exterior_derivative_matrix(k - 1)
+    vals = metric.mass_lu(k - 1).solve(d.T @ (metric.mass_csr(k) @ c.values))
     return Cochain(c.complex, k - 1, vals)
 
 
@@ -372,7 +374,7 @@ def codifferential_constrained(metric: Metric, c: Cochain) -> Cochain:
 def inner_product(metric: Metric, a: Cochain, b: Cochain) -> float:
     _check_metric(metric, a)
     a._check(b)
-    return float(a.values @ (metric.mass(a.degree) @ b.values))
+    return float(a.values @ (metric.mass_csr(a.degree) @ b.values))
 
 
 def norm(metric: Metric, a: Cochain) -> float:

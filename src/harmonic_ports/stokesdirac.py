@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     ComplexMismatch,
@@ -27,7 +26,7 @@ from .errors import (
     SolverFailure,
 )
 from .hodge import (
-    _exact_range_solver,
+    _mixed_potential,
     harmonic_basis,
     harmonic_projection,
     validate_degree_pair,
@@ -101,24 +100,17 @@ def _build_system_operators(metric: Metric, p: int, q: int) -> dict:
     sigma = -1 if (p * q + 1) % 2 else 1
     tau = -1 if (q * (n - q)) % 2 else 1
     W = metric.wedge(p - 1, q)
-    effort_q = tau * sla.cho_solve(
-        (metric.mass_cholesky(p - 1), True), W @ metric.d_matrix(q - 1)
-    ) @ metric.deltac_matrix(q)
-    effort_p = (
-        -sigma
-        * tau
-        * sla.cho_solve(
-            (metric.mass_cholesky(q - 1), True), metric.d_matrix(q - 1).T @ W.T
-        )
-        @ metric.deltac_matrix(p)
-    )
+    d = metric.complex.exterior_derivative_matrix
+    Wd = W @ d(q - 1)
+    effort_q = tau * metric.mass_lu(p - 1).solve(Wd) @ metric.deltac_matrix(q)
+    effort_p = -sigma * tau * metric.mass_lu(q - 1).solve(Wd.T) @ metric.deltac_matrix(p)
     return {
         "sigma": sigma,
         "tau": tau,
         "effort_q": effort_q,  # alpha_q -> e_q at degree p-1
         "effort_p": effort_p,  # alpha_p -> e_p at degree q-1
-        "flow_p": sigma * (metric.d_matrix(p - 1) @ effort_q),  # alpha_q -> f_p
-        "flow_q": metric.d_matrix(q - 1) @ effort_p,  # alpha_p -> f_q
+        "flow_p": sigma * (d(p - 1) @ effort_q),  # alpha_q -> f_p
+        "flow_q": d(q - 1) @ effort_p,  # alpha_p -> f_q
     }
 
 
@@ -393,13 +385,8 @@ def integrability_check(
     if not solvable:
         return report
 
-    _, solver = _exact_range_solver(metric, k)
-    g = f.values - d_ext.values
-    u = solver(metric.mass_cholesky(k).T @ g)
-    e_vals = ext.values.copy()
-    idx = metric.interior_indices(k - 1)
-    e_vals[idx] += u
-    witness = Cochain(metric.complex, k - 1, e_vals)
+    sigma = _mixed_potential(metric, k, "dirichlet", f.values - d_ext.values)
+    witness = ext + Cochain(metric.complex, k - 1, sigma)
     resid = norm(metric, exterior_derivative(metric, witness) - f) / scale
     if resid > WITNESS_TOL:
         raise SolverFailure(

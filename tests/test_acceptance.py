@@ -230,7 +230,7 @@ def _oracle_solvable(m, f, psi):
     # dense least squares over the zero-trace potentials: solvable exactly
     # when the right-hand side lies in the column span
     k = f.degree
-    D = m.d_matrix(k - 1)
+    D = m.complex.exterior_derivative_matrix(k - 1).toarray()
     if psi is None:
         ext = np.zeros(m.complex.num_simplices(k - 1))
     else:

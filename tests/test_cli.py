@@ -185,6 +185,20 @@ def test_decompose_vector_field(tmp_path, capsys):
     assert rep["knot_norm"] > rep["gradient_norm"]
 
 
+def test_overflowing_vector_field_exits_3(tmp_path, capsys):
+    # sampling a finite but huge field overflows; the cochain refuses it
+    mesh_path = tmp_path / "ball.json"
+    cx = gen_mesh("ball", 1)
+    write_mesh(cx, mesh_path)
+    fpath = tmp_path / "field.json"
+    vec = [[1e308, 1e308, 1e308]] * cx.num_simplices(0)
+    fpath.write_text(json.dumps({"field_type": "vertex", "vectors": vec}))
+    with pytest.warns(RuntimeWarning):
+        code = main(["decompose", str(mesh_path), str(fpath)])
+    assert code == 3
+    assert "cochain values must be finite" in capsys.readouterr().err
+
+
 def test_sd_verify_random_states(tmp_path, capsys):
     mesh = _write_torus(tmp_path)
     code, rep = _run(capsys, ["sd-verify", mesh, "--p", "1", "--q", "2",

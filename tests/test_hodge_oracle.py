@@ -1,5 +1,6 @@
-"""Sparse harmonic bases against the dense generalized eigensolve they
-replaced, kept here as a test-only oracle for small meshes."""
+"""Sparse harmonic bases and mixed solves against the dense code they
+replaced (generalized eigensolve, thin-SVD least squares on whitened
+matrices), kept here as test-only oracles for small meshes."""
 
 import math
 
@@ -7,10 +8,28 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from harmonic_ports import Metric, betti_numbers, build_complex, harmonic_basis
+from harmonic_ports import (
+    Cochain,
+    Metric,
+    betti_numbers,
+    build_complex,
+    exterior_derivative,
+    harmonic_basis,
+    hodge_morrey_friedrichs,
+    integrability_check,
+    norm,
+    potential_for_exact,
+    random_cochain,
+    tangential_trace,
+)
 from harmonic_ports.hodge import _split_kernel
 
-from conftest import ACCEPTANCE, SMALL, complex_for, metric_for
+from conftest import ACCEPTANCE, CLOSED, SMALL, complex_for, metric_for
+
+
+def _d(metric, k):
+    """Dense float coboundary from degree k to k+1."""
+    return metric.complex.exterior_derivative_matrix(k).toarray().astype(float)
 
 
 def dense_harmonic_basis(metric, k, condition):
@@ -28,16 +47,15 @@ def dense_harmonic_basis(metric, k, condition):
     M = metric.mass(k)[np.ix_(idx, idx)]
     A = np.zeros((nk, nk))
     if k < n:
-        D = metric.d_matrix(k)[:, idx]
+        D = _d(metric, k)[:, idx]
         A += D.T @ metric.mass(k + 1) @ D
     if k > 0:
         if condition == "neumann":
-            B = metric.d_matrix(k - 1).T @ metric.mass(k)
-            A += B.T @ sla.cho_solve((metric.mass_cholesky(k - 1), True), B)
+            low = np.arange(metric.complex.num_simplices(k - 1))
         else:
             low = metric.interior_indices(k - 1)
-            C = (metric.mass(k) @ metric.d_matrix(k - 1))[np.ix_(idx, low)]
-            A += C @ sla.cho_solve((metric.interior_mass_cholesky(k - 1), True), C.T)
+        C = (metric.mass(k) @ _d(metric, k - 1))[np.ix_(idx, low)]
+        A += C @ sla.solve(metric.mass(k - 1)[np.ix_(low, low)], C.T, assume_a="pos")
     evals, evecs = sla.eigh(A, M)
 
     m = _split_kernel(evals)
@@ -88,3 +106,119 @@ def test_kernel_larger_than_the_first_lanczos_request():
     assert [harmonic_basis(metric, k).dim for k in range(3)] == betti
     assert [harmonic_basis(metric, k, "dirichlet").dim for k in range(3)] == betti[::-1]
     _assert_matches_oracle(metric)
+
+
+# -- HMF, potentials and integrability against dense least squares -----------
+
+
+def _lstsq_applier(A):
+    """x -> argmin |A x - rhs| from a thin SVD, small singular values cut."""
+    if A.shape[1] == 0:
+        return lambda rhs: np.zeros(0)
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    keep = s > (s[0] if len(s) else 0.0) * max(A.shape) * np.finfo(float).eps
+    return lambda rhs: vt[keep].T @ ((u[:, keep].T @ rhs) / s[keep])
+
+
+def dense_hmf(metric, omega):
+    """(d_alpha, delta_beta, lambda_T, delta_gamma) values by whitened least
+    squares: M = L L^T, the exact piece projects L^T omega onto the span of
+    L^T d (zero-trace potentials), the coexact piece onto the span of
+    L^-1 d^T M_(k+1); lambda_T uses the dense oracle basis."""
+    n = metric.complex.dimension
+    k = omega.degree
+    N = metric.complex.num_simplices(k)
+    L = sla.cholesky(metric.mass(k), lower=True)
+    white = L.T @ omega.values
+    d_alpha = delta_beta = np.zeros(N)
+    if k > 0:
+        W = _d(metric, k - 1)[:, metric.interior_indices(k - 1)]
+        d_alpha = W @ _lstsq_applier(L.T @ W)(white)
+    if k < n:
+        B = sla.solve_triangular(L, _d(metric, k).T @ metric.mass(k + 1), lower=True)
+        z = _lstsq_applier(B)(white)
+        delta_beta = sla.solve_triangular(L.T, B @ z, lower=False)
+    h = omega.values - d_alpha - delta_beta
+    V, _ = dense_harmonic_basis(metric, k, "dirichlet")
+    lambda_T = V @ (V.T @ (metric.mass(k) @ h))
+    return d_alpha, delta_beta, lambda_T, h - lambda_T
+
+
+@pytest.mark.parametrize("shape", sorted(ACCEPTANCE))
+def test_hmf_matches_the_dense_least_squares_oracle(shape):
+    m = metric_for(shape, ACCEPTANCE[shape])
+    rng = np.random.default_rng(505)
+    for k in range(m.complex.dimension + 1):
+        omega = random_cochain(m.complex, k, rng)
+        dec = hodge_morrey_friedrichs(m, omega)
+        got = [dec.d_alpha, dec.delta_beta, dec.lambda_T, dec.delta_gamma]
+        scale = norm(m, omega)
+        for piece, expect in zip(got, dense_hmf(m, omega)):
+            assert norm(m, piece - Cochain(m.complex, k, expect)) <= 1e-10 * scale
+
+
+def _dense_solvable(metric, f, psi):
+    """Least-squares verdict: f - d ext lies in the span of d on zero-trace
+    potentials, ext the zero extension of psi."""
+    k = f.degree
+    D = _d(metric, k - 1)
+    ext = np.zeros(metric.complex.num_simplices(k - 1))
+    if psi is not None:
+        ext = metric.boundary_complex.trace_matrix(k - 1).T @ psi.values
+    A = D[:, metric.interior_indices(k - 1)]
+    b = f.values - D @ ext
+    resid = np.linalg.norm(A @ _lstsq_applier(A)(b) - b)
+    return bool(resid <= 1e-8 * max(np.linalg.norm(f.values), np.linalg.norm(D @ ext), 1.0))
+
+
+@pytest.mark.parametrize("shape", sorted(ACCEPTANCE))
+def test_integrability_verdicts_and_witnesses_match_the_oracle(shape):
+    m = metric_for(shape, ACCEPTANCE[shape])
+    cx = m.complex
+    bounded = shape not in CLOSED
+    rng = np.random.default_rng(506)
+    for k in range(1, cx.dimension + 1):
+        e = random_cochain(cx, k - 1, rng)
+        psi = tangential_trace(m, e) if bounded else None
+        f = exterior_derivative(m, e)
+        cases = [(f, psi), (random_cochain(cx, k, rng), psi)]
+        obstruction = harmonic_basis(m, k, "dirichlet")
+        if obstruction.dim:
+            cases.append((f + obstruction.element(0), psi))
+        for target, trace in cases:
+            rep = integrability_check(m, target, trace)
+            assert rep.solvable == _dense_solvable(m, target, trace)
+            if rep.solvable:
+                assert rep.witness_residual <= 1e-8
+                if trace is not None:
+                    assert np.array_equal(
+                        tangential_trace(m, rep.witness).values, trace.values
+                    )
+
+
+@pytest.mark.parametrize("shape", sorted(ACCEPTANCE))
+def test_potentials_match_the_oracle_exact_range(shape):
+    # the potential of an exact cochain reproduces it, with zero trace
+    # unless asked otherwise; it is the coexact one, so no potential has a
+    # smaller M-norm, the dense least-squares one included
+    m = metric_for(shape, ACCEPTANCE[shape])
+    cx = m.complex
+    rng = np.random.default_rng(507)
+    for k in range(1, cx.dimension + 1):
+        interior = m.interior_indices(k - 1)
+        for zero_trace in (True, False):
+            low = interior if zero_trace else np.arange(cx.num_simplices(k - 1))
+            e = np.zeros(cx.num_simplices(k - 1))
+            e[low] = rng.standard_normal(len(low))
+            c = exterior_derivative(m, Cochain(cx, k - 1, e))
+            u = potential_for_exact(m, c, zero_trace=zero_trace)
+            assert norm(m, exterior_derivative(m, u) - c) <= 1e-10 * norm(m, c)
+            if zero_trace:
+                assert np.all(u.values[m.boundary_indices(k - 1)] == 0.0)
+            W = _d(m, k - 1)[:, low]
+            L = sla.cholesky(m.mass(k), lower=True)
+            ref = np.zeros(cx.num_simplices(k - 1))
+            ref[low] = _lstsq_applier(L.T @ W)(L.T @ c.values)
+            ref = Cochain(cx, k - 1, ref)
+            assert norm(m, exterior_derivative(m, ref) - c) <= 1e-10 * norm(m, c)
+            assert norm(m, u) <= (1 + 1e-10) * norm(m, ref)

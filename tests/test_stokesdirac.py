@@ -162,7 +162,8 @@ def test_efforts_follow_the_module_formula(shape, p, q):
     dq = exterior_derivative(m, codifferential_constrained(m, sys.alpha_q)).values
     expect_q = tau * np.linalg.solve(m.mass(p - 1), W @ dq)
     dp = codifferential_constrained(m, sys.alpha_p).values
-    expect_p = -sigma * tau * np.linalg.solve(m.mass(q - 1), m.d_matrix(q - 1).T @ (W.T @ dp))
+    d = m.complex.exterior_derivative_matrix(q - 1).toarray()
+    expect_p = -sigma * tau * np.linalg.solve(m.mass(q - 1), d.T @ (W.T @ dp))
     e_p, e_q = efforts(sys)
     assert np.linalg.norm(e_q.values - expect_q) <= 1e-12 * np.linalg.norm(expect_q)
     assert np.linalg.norm(e_p.values - expect_p) <= 1e-12 * np.linalg.norm(expect_p)
