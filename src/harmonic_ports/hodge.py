@@ -152,12 +152,17 @@ def _build_harmonic_basis(metric: Metric, k: int, condition: str) -> HarmonicBas
         # closed mesh: both conditions give the same operator
         return replace(_cached_basis(metric, k, "neumann"), condition="dirichlet")
     N = metric.complex.num_simplices(k)
-    idx, low = _free_simplices(metric, k, condition)
+    idx, low, c, c_l, blocks = _laplacian_blocks(metric, k, condition)
     if len(idx) == 0:
         return HarmonicBasis(metric, k, condition, np.zeros((N, 0)), 0.0, math.inf)
+    mass_lu = metric.mass_lu if condition == "neumann" else metric.interior_mass_lu
     try:
-        c, _, blocks = _laplacian_blocks(metric, k, condition, idx, low)
-        evals, kernel = _lanczos_pairs(*blocks) or _dense_pairs(*blocks)
+        lu = mass_lu(k)
+        lu_l = mass_lu(k - 1) if len(low) else None
+        solve = lambda r: c * lu.solve(r)
+        solve_l = (lambda r: c_l * lu_l.solve(r)) if len(low) else (lambda r: r)
+        pairs = _lanczos_pairs(*blocks, solve, solve_l)
+        evals, kernel = pairs or _dense_pairs(*blocks, solve, solve_l)
     except (RuntimeError, sla.LinAlgError, FactorizationFailure) as exc:
         raise FactorizationFailure(f"harmonic eigenproblem at degree {k}") from exc
     m = kernel.shape[1]
@@ -173,32 +178,28 @@ def _build_harmonic_basis(metric: Metric, k: int, condition: str) -> HarmonicBas
     )
 
 
-def _free_simplices(metric: Metric, k: int, condition: str):
-    """The k- and (k-1)-simplices a condition leaves free: all of them for
-    "neumann", the interior ones for "dirichlet"."""
-    if condition == "neumann":
-        cx = metric.complex
-        return np.arange(cx.num_simplices(k)), np.arange(cx.num_simplices(k - 1) if k else 0)
-    return metric.interior_indices(k), metric.interior_indices(k - 1) if k else np.arange(0)
-
-
-def _laplacian_blocks(metric: Metric, k: int, condition: str, idx, low):
-    """The mass scales c, c_l and the equilibrated sparse blocks
+def _laplacian_blocks(metric: Metric, k: int, condition: str):
+    """The free simplices idx (degree k) and low (degree k-1) of the
+    condition, the mass scales c, c_l and the equilibrated sparse blocks
     (M, K, B, M_l) of the degree-k Hodge Laplacian A = K + B^T M_l^-1 B,
-    A u = mu M u, on the free k-simplices idx and (k-1)-simplices low of
-    the condition, followed by the matching mass solves r -> M^-1 r and
-    r -> M_l^-1 r from the metric's mass LUs.
+    A u = mu M u, on those simplices.
 
-    K = D^T M_(k+1) D and B = d_(k-1)^T M_k, restricted to those simplices.
-    Dividing M and K by c, M_l by c_l and B by sqrt(c c_l) (each c the
-    mean of its mass diagonal) leaves the eigenvalues unchanged and makes
-    the blocks unit-free; kernel vectors scale back by 1/sqrt(c).
+    "neumann" leaves every simplex free, "dirichlet" the interior ones.
+    K = D^T M_(k+1) D and B = d_(k-1)^T M_k, restricted to the free
+    simplices.  Dividing M and K by c, M_l by c_l and B by sqrt(c c_l)
+    (each c the mean of its mass diagonal) leaves the eigenvalues
+    unchanged and makes the blocks unit-free; kernel vectors scale back by
+    1/sqrt(c).
     """
     cx = metric.complex
-    mass_lu = metric.mass_lu if condition == "neumann" else metric.interior_mass_lu
+    if condition == "neumann":
+        idx = np.arange(cx.num_simplices(k))
+        low = np.arange(cx.num_simplices(k - 1) if k else 0)
+    else:
+        idx = metric.interior_indices(k)
+        low = metric.interior_indices(k - 1) if k else np.arange(0)
     M = metric.mass_csr(k)[idx][:, idx]
-    c = M.diagonal().mean()
-    lu = mass_lu(k)
+    c = M.diagonal().mean() if len(idx) else 1.0
     if k < cx.dimension:
         D = cx.exterior_derivative_matrix(k)[:, idx]
         K = (D.T @ metric.mass_csr(k + 1) @ D).tocsr()
@@ -208,13 +209,9 @@ def _laplacian_blocks(metric: Metric, k: int, condition: str, idx, low):
         B = (cx.boundary_matrix(k) @ metric.mass_csr(k))[low][:, idx]
         M_l = metric.mass_csr(k - 1)[low][:, low]
         c_l = M_l.diagonal().mean()
-        lu_l = mass_lu(k - 1)
-        solve_l = lambda r: c_l * lu_l.solve(r)
     else:
         B, M_l, c_l = sp.csr_matrix((0, len(idx))), sp.csr_matrix((0, 0)), 1.0
-        solve_l = lambda r: r
-    blocks = (M / c, K / c, B / math.sqrt(c * c_l), M_l / c_l)
-    return c, c_l, (*blocks, lambda r: c * lu.solve(r), solve_l)
+    return idx, low, c, c_l, (M / c, K / c, B / math.sqrt(c * c_l), M_l / c_l)
 
 
 def _lanczos_pairs(M, K, B, M_l, solve, solve_l):
@@ -338,17 +335,14 @@ def _mixed_potential(metric: Metric, k: int, condition: str, f: np.ndarray) -> n
     """
 
     def build():
-        idx, low = _free_simplices(metric, k, condition)
+        idx, low, c, c_l, (M, K, B, M_l) = _laplacian_blocks(metric, k, condition)
         if len(idx) == 0 or len(low) == 0:
-            return idx, low, 1.0, 1.0, None
-        c, c_l, (M, K, B, M_l, _, _) = _laplacian_blocks(metric, k, condition, idx, low)
+            return idx, low, c, c_l, None
         V = harmonic_basis(metric, k, condition).vectors[idx] * math.sqrt(c)
         MV = sp.csr_matrix(M @ V)
         saddle = sp.bmat([[K, B.T, MV], [B, -M_l, None], [MV.T, None, None]])
         return idx, low, c, c_l, _splu(saddle, f"mixed Hodge Laplacian at degree {k}")
 
-    if metric.boundary_complex.num_simplices(0) == 0:
-        condition = "neumann"  # closed mesh: both conditions give one system
     idx, low, c, c_l, lu = metric.cached(("mixed", k, condition), build)
     sigma = np.zeros(metric.complex.num_simplices(k - 1))
     if lu is not None:

@@ -157,22 +157,11 @@ def test_hmf_matches_the_dense_least_squares_oracle(shape):
             assert norm(m, piece - Cochain(m.complex, k, expect)) <= 1e-10 * scale
 
 
-def _dense_solvable(metric, f, psi):
-    """Least-squares verdict: f - d ext lies in the span of d on zero-trace
-    potentials, ext the zero extension of psi."""
-    k = f.degree
-    D = _d(metric, k - 1)
-    ext = np.zeros(metric.complex.num_simplices(k - 1))
-    if psi is not None:
-        ext = metric.boundary_complex.trace_matrix(k - 1).T @ psi.values
-    A = D[:, metric.interior_indices(k - 1)]
-    b = f.values - D @ ext
-    resid = np.linalg.norm(A @ _lstsq_applier(A)(b) - b)
-    return bool(resid <= 1e-8 * max(np.linalg.norm(f.values), np.linalg.norm(D @ ext), 1.0))
-
-
 @pytest.mark.parametrize("shape", sorted(ACCEPTANCE))
-def test_integrability_verdicts_and_witnesses_match_the_oracle(shape):
+def test_integrability_witnesses_reproduce_target_and_trace(shape):
+    # the verdicts are criterion 8's; here an exact target with a non-zero
+    # boundary trace gets a witness whose derivative is the target and
+    # whose trace is that boundary trace
     m = metric_for(shape, ACCEPTANCE[shape])
     cx = m.complex
     bounded = shape not in CLOSED
@@ -180,20 +169,13 @@ def test_integrability_verdicts_and_witnesses_match_the_oracle(shape):
     for k in range(1, cx.dimension + 1):
         e = random_cochain(cx, k - 1, rng)
         psi = tangential_trace(m, e) if bounded else None
-        f = exterior_derivative(m, e)
-        cases = [(f, psi), (random_cochain(cx, k, rng), psi)]
-        obstruction = harmonic_basis(m, k, "dirichlet")
-        if obstruction.dim:
-            cases.append((f + obstruction.element(0), psi))
-        for target, trace in cases:
-            rep = integrability_check(m, target, trace)
-            assert rep.solvable == _dense_solvable(m, target, trace)
-            if rep.solvable:
-                assert rep.witness_residual <= 1e-8
-                if trace is not None:
-                    assert np.array_equal(
-                        tangential_trace(m, rep.witness).values, trace.values
-                    )
+        if psi is not None:
+            assert np.any(psi.values != 0.0)
+        rep = integrability_check(m, exterior_derivative(m, e), psi)
+        assert rep.solvable
+        assert rep.witness_residual <= 1e-8
+        if psi is not None:
+            assert np.array_equal(tangential_trace(m, rep.witness).values, psi.values)
 
 
 @pytest.mark.parametrize("shape", sorted(ACCEPTANCE))
