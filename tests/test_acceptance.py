@@ -305,6 +305,10 @@ def test_criterion_08_integrability_verdicts_match_brute_force():
             if rep.solvable:
                 got = exterior_derivative(m, rep.witness)
                 assert norm(m, got - f) <= 1e-7 * max(norm(m, f), 1e-30)
+                assert rep.witness_residual <= 1e-8
+                if psi is not None:
+                    trace = tangential_trace(m, rep.witness)
+                    assert np.array_equal(trace.values, psi.values), (shape, f.degree)
             agreements += 1
     print(f"[PASS] criterion 8: {agreements} integrability verdicts agree with "
           f"the dense least-squares oracle (>= 5 unsolvable cases per mesh)")

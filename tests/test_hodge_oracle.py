@@ -16,15 +16,13 @@ from harmonic_ports import (
     exterior_derivative,
     harmonic_basis,
     hodge_morrey_friedrichs,
-    integrability_check,
     norm,
     potential_for_exact,
     random_cochain,
-    tangential_trace,
 )
 from harmonic_ports.hodge import _split_kernel
 
-from conftest import ACCEPTANCE, CLOSED, SMALL, complex_for, metric_for
+from conftest import ACCEPTANCE, SMALL, complex_for, metric_for
 
 
 def _d(metric, k):
@@ -155,27 +153,6 @@ def test_hmf_matches_the_dense_least_squares_oracle(shape):
         scale = norm(m, omega)
         for piece, expect in zip(got, dense_hmf(m, omega)):
             assert norm(m, piece - Cochain(m.complex, k, expect)) <= 1e-10 * scale
-
-
-@pytest.mark.parametrize("shape", sorted(ACCEPTANCE))
-def test_integrability_witnesses_reproduce_target_and_trace(shape):
-    # the verdicts are criterion 8's; here an exact target with a non-zero
-    # boundary trace gets a witness whose derivative is the target and
-    # whose trace is that boundary trace
-    m = metric_for(shape, ACCEPTANCE[shape])
-    cx = m.complex
-    bounded = shape not in CLOSED
-    rng = np.random.default_rng(506)
-    for k in range(1, cx.dimension + 1):
-        e = random_cochain(cx, k - 1, rng)
-        psi = tangential_trace(m, e) if bounded else None
-        if psi is not None:
-            assert np.any(psi.values != 0.0)
-        rep = integrability_check(m, exterior_derivative(m, e), psi)
-        assert rep.solvable
-        assert rep.witness_residual <= 1e-8
-        if psi is not None:
-            assert np.array_equal(tangential_trace(m, rep.witness).values, psi.values)
 
 
 @pytest.mark.parametrize("shape", sorted(ACCEPTANCE))
