@@ -26,7 +26,9 @@ class NonOrientable(HarmonicPortsError):
 
 
 class OverflowInExactArithmetic(HarmonicPortsError):
-    """Exact integer elimination would exceed its work budget."""
+    """Exact integer elimination would exceed its work budget: the stored
+    nonzeros plus the fill the elimination creates, or the size of an
+    intermediate entry."""
 
 
 class UnsupportedResolution(HarmonicPortsError):

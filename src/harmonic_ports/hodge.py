@@ -36,6 +36,7 @@ from .errors import (
     FactorizationFailure,
     InvalidDegrees,
     NotInHarmonicComplement,
+    SolverFailure,
     WrongDimension,
 )
 from .mesh import betti_numbers, euler_characteristic
@@ -66,6 +67,9 @@ __all__ = [
 # last kernel eigenvalue.
 KERNEL_CUTOFF = 1e-9
 KERNEL_GAP_FACTOR = 10.0
+# Largest M-inner product between two HMF pieces, relative to |omega|_M^2
+# (the bound of the integrability witness residual).
+HMF_ORTHOGONALITY_TOL = 1e-8
 
 
 @dataclass
@@ -363,6 +367,11 @@ def hodge_morrey_friedrichs(metric: Metric, omega: Cochain) -> HMFDecomposition:
     with right-hand side omega; the coexact piece is sigma of the Neumann
     mixed solve at degree k+1 with right-hand side d omega, so degrees
     k < n also need the Neumann harmonic basis at k+1.
+
+    Raises:
+        SolverFailure: Two pieces have an M-inner product above
+            HMF_ORTHOGONALITY_TOL * |omega|_M^2, as when a harmonic basis
+            holds a non-harmonic vector.
     """
     _check_metric(metric, omega)
     cx = metric.complex
@@ -379,6 +388,17 @@ def hodge_morrey_friedrichs(metric: Metric, omega: Cochain) -> HMFDecomposition:
     basis = harmonic_basis(metric, k, "dirichlet")
     _, lambda_T = harmonic_projection(basis, h)
     delta_gamma = h - lambda_T
+    M = metric.mass_csr(k)
+    pieces = np.column_stack(
+        [x.values for x in (d_alpha, delta_beta, lambda_T, delta_gamma)]
+    )
+    overlap = np.abs(np.triu(pieces.T @ (M @ pieces), 1)).max()
+    scale = omega.values @ (M @ omega.values)
+    if overlap > HMF_ORTHOGONALITY_TOL * scale:
+        raise SolverFailure(
+            f"HMF pieces overlap by {overlap / scale:.3e} of |omega|^2"
+            " (a harmonic basis of the wrong dimension?)"
+        )
     return HMFDecomposition(omega, d_alpha, delta_beta, lambda_T, delta_gamma)
 
 

@@ -47,8 +47,8 @@ __all__ = [
     "permutation_sign",
 ]
 
-# Exact elimination is refused beyond this many (rows * cols) cells.
-_EXACT_RANK_CELL_BUDGET = 4_000_000
+# Exact elimination is refused beyond this many stored nonzeros plus fill.
+_EXACT_RANK_NNZ_BUDGET = 2_000_000
 # ... and if intermediate integer entries ever exceed this magnitude.
 _EXACT_RANK_ENTRY_LIMIT = 10**80
 
@@ -503,20 +503,19 @@ def _check_volume_links(complex, findings):
                 }
             )
     for v, tris in vertex_link.items():
-        adj = defaultdict(set)
+        # Link triangles are adjacent when they share a link edge.
+        holders = defaultdict(list)
         for i, tri in enumerate(tris):
-            for j in range(i + 1, len(tris)):
-                if len(set(tri) & set(tris[j])) == 2:
-                    adj[i].add(j)
-                    adj[j].add(i)
+            for edge in itertools.combinations(tri, 2):
+                holders[edge].append(i)
         seen = {0}
-        queue = deque([0])
-        while queue:
-            cur = queue.popleft()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
+        stack = [0]
+        while stack:
+            for edge in itertools.combinations(tris[stack.pop()], 2):
+                for nxt in holders[edge]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
         if len(seen) != len(tris):
             findings.append(
                 {
@@ -532,17 +531,22 @@ def _check_volume_links(complex, findings):
 def integer_matrix_rank(matrix) -> int:
     """Exact rank of an integer matrix by fraction-free elimination.
 
-    Pivots of magnitude 1 are preferred so entries stay small; after a
-    non-unit pivot each updated row is divided by its gcd.  Python
-    integers cannot overflow, so OverflowInExactArithmetic is tied to a
-    work budget: matrices beyond _EXACT_RANK_CELL_BUDGET cells, or
-    intermediate entries beyond _EXACT_RANK_ENTRY_LIMIT, are refused.
+    Each step takes a pivot of magnitude 1 where one exists, preferring
+    short rows in sparse columns, and eliminates its column from every
+    other row; after a non-unit pivot each updated row is divided by its
+    gcd, so entries stay small.  ``betti_numbers`` feeds it only the few
+    cells its coreductions leave.  Python integers cannot overflow, so
+    OverflowInExactArithmetic is tied to a work budget: the stored
+    nonzeros plus the fill the elimination creates may not exceed
+    _EXACT_RANK_NNZ_BUDGET, and no intermediate entry may exceed
+    _EXACT_RANK_ENTRY_LIMIT.
     """
     mat = sp.csr_matrix(matrix)
-    m, ncols = mat.shape
-    if m * ncols > _EXACT_RANK_CELL_BUDGET:
+    m = mat.shape[0]
+    nonzeros_and_fill = mat.count_nonzero()
+    if nonzeros_and_fill > _EXACT_RANK_NNZ_BUDGET:
         raise OverflowInExactArithmetic(
-            f"{m} x {ncols} exceeds the exact elimination budget"
+            f"{nonzeros_and_fill} nonzeros exceed the exact elimination budget"
         )
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set] = defaultdict(set)
@@ -580,11 +584,17 @@ def integer_matrix_rank(matrix) -> int:
                 col_rows[cc].discard(ri)
             new = {cc: pv * vv for cc, vv in row.items()}
             for cc, vv in pivot_row.items():
+                if cc not in new:
+                    nonzeros_and_fill += 1
                 val = new.get(cc, 0) - rv * vv
                 if val:
                     new[cc] = val
                 else:
                     new.pop(cc, None)
+            if nonzeros_and_fill > _EXACT_RANK_NNZ_BUDGET:
+                raise OverflowInExactArithmetic(
+                    "fill beyond the exact elimination budget"
+                )
             if abs(pv) != 1 and new:
                 g = 0
                 for vv in new.values():
@@ -603,27 +613,104 @@ def integer_matrix_rank(matrix) -> int:
     return rank
 
 
-def betti_numbers(complex: SimplicialComplex) -> list[int]:
-    """Betti numbers b_0..b_n from exact integer ranks of the boundary
-    matrices.
+def _coreduce(complex: SimplicialComplex) -> tuple[int, list[np.ndarray]]:
+    """Seed removal and coreductions (Mrozek-Batko, DCG 2009).
 
-    Raises:
-        OverflowInExactArithmetic: The elimination exceeds its work budget.
-
-    The ranks do not depend on the orientation fold, since it only scales
-    columns by +-1.
+    One seed vertex per connected component is removed; then, until none
+    is left, a cell with exactly one face still present is removed
+    together with that face.  Every incidence of a simplicial complex is
+    +-1, so each removed pair is a coreduction pair over the integers and
+    the cells left, with the restricted boundary, have the homology of
+    the complex relative to the seeds.  Returns the seed count and, per
+    degree, the indices of the cells left.
     """
     n = complex.dimension
+    sizes = [complex.num_simplices(k) for k in range(n + 1)]
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    total = int(offsets[-1])
+    # One matrix over all cells: row = face, column = coface.
+    rows, cols = [], []
+    for k in range(1, n + 1):
+        coo = complex.boundary[k].tocoo()
+        rows.append(coo.row + offsets[k - 1])
+        cols.append(coo.col + offsets[k])
+    rows = np.concatenate(rows) if rows else np.zeros(0, np.int64)
+    cols = np.concatenate(cols) if cols else np.zeros(0, np.int64)
+    incidence = sp.csr_matrix(
+        (np.ones(len(rows), np.int8), (rows, cols)), shape=(total, total)
+    )
+    faces = incidence.T.tocsr()
+    face_ptr, face_idx = faces.indptr.tolist(), faces.indices.tolist()
+    co_ptr, co_idx = incidence.indptr.tolist(), incidence.indices.tolist()
+    present_faces = np.diff(faces.indptr).tolist()
+
+    # Imported here: loading csgraph adds about 1 MiB to every process.
+    from scipy.sparse.csgraph import connected_components
+
+    ends = complex.coboundary[0].indices.reshape(-1, 2)  # two vertices per edge
+    graph = sp.csr_matrix(
+        (np.ones(len(ends), np.int8), (ends[:, 0], ends[:, 1])),
+        shape=(sizes[0], sizes[0]),
+    )
+    _, labels = connected_components(graph, directed=False)
+    seeds = np.unique(labels, return_index=True)[1].tolist()
+
+    alive = bytearray(b"\x01") * total
+    queue: deque = deque()
+
+    def remove(cell):
+        alive[cell] = 0
+        for co in co_idx[co_ptr[cell] : co_ptr[cell + 1]]:
+            present_faces[co] -= 1
+            if present_faces[co] == 1 and alive[co]:
+                queue.append(co)
+
+    for seed in seeds:
+        remove(seed)
+    # First in, first out: the pairs grow breadth-first from the seeds.
+    # Last in, first out left 80001 edges and 80000 triangles on torus:200.
+    while queue:
+        cell = queue.popleft()
+        if not alive[cell] or present_faces[cell] != 1:
+            continue
+        face = next(
+            f for f in face_idx[face_ptr[cell] : face_ptr[cell + 1]] if alive[f]
+        )
+        remove(cell)
+        remove(face)
+
+    left = np.frombuffer(bytes(alive), dtype=np.uint8).astype(bool)
+    return len(seeds), [
+        np.flatnonzero(left[offsets[k] : offsets[k + 1]]) for k in range(n + 1)
+    ]
+
+
+def betti_numbers(complex: SimplicialComplex) -> list[int]:
+    """Betti numbers b_0..b_n over the rationals, exactly.
+
+    Coreduction (_coreduce) removes one seed vertex per connected
+    component and then pairs of cells in linear time, preserving
+    homology over the integers; on a triangulated surface or ball only a
+    few cells are left.  Their Betti numbers come from the exact ranks
+    (integer_matrix_rank) of the boundary matrices restricted to them,
+    and each seed adds one to b_0.  The ranks do not depend on the
+    orientation fold, since it only scales columns by +-1.
+
+    Raises:
+        OverflowInExactArithmetic: The elimination of the cells left
+            exceeds its work budget.
+    """
+    n = complex.dimension
+    seeds, left = _coreduce(complex)
     ranks = [0] * (n + 2)
     for k in range(1, n + 1):
-        if complex.num_simplices(k):
-            ranks[k] = integer_matrix_rank(complex.boundary[k])
-    betti = [
-        complex.num_simplices(k) - ranks[k] - ranks[k + 1] for k in range(n + 1)
-    ]
-    assert sum((-1) ** k * b for k, b in enumerate(betti)) == euler_characteristic(
-        complex
-    )
+        ranks[k] = integer_matrix_rank(complex.boundary[k][left[k - 1]][:, left[k]])
+    betti = [len(left[k]) - ranks[k] - ranks[k + 1] for k in range(n + 1)]
+    betti[0] += seeds
+    if sum((-1) ** k * b for k, b in enumerate(betti)) != euler_characteristic(complex):
+        raise RuntimeError(
+            f"Betti numbers {betti} disagree with the Euler characteristic"
+        )
     return betti
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from harmonic_ports import (
     InvalidDegrees,
     Metric,
     NotInHarmonicComplement,
+    SolverFailure,
     WrongDimension,
     betti_numbers,
     build_complex,
@@ -23,6 +26,7 @@ from harmonic_ports import (
     stokes_dirac_cohomology,
     validate_degree_pair,
 )
+from harmonic_ports import hodge as hodge_mod
 from harmonic_ports.hodge import _split_kernel
 
 from conftest import ACCEPTANCE, CLOSED, SMALL, complex_for, metric_for
@@ -258,3 +262,21 @@ def test_vector_field_input_validation():
         decompose_vector_field_3d(m, np.zeros((3, 3)), field_type="edge")
     with pytest.raises(WrongDimension):
         decompose_vector_field_3d(m, np.zeros((2, 2)))
+
+
+def test_overcounted_harmonic_basis_makes_hmf_raise(monkeypatch):
+    # A fresh metric: the mixed solves cached below see the padded basis.
+    m = Metric(complex_for("annulus", 3))
+    genuine = hodge_mod.harmonic_basis
+
+    def padded(metric, k, condition="neumann"):
+        basis = genuine(metric, k, condition)
+        extra = np.random.default_rng(k).standard_normal(metric.complex.num_simplices(k))
+        extra -= basis.vectors @ (basis.vectors.T @ (metric.mass_csr(k) @ extra))
+        extra /= np.sqrt(extra @ (metric.mass_csr(k) @ extra))
+        return replace(basis, vectors=np.column_stack([basis.vectors, extra]))
+
+    monkeypatch.setattr(hodge_mod, "harmonic_basis", padded)
+    w = random_cochain(m.complex, 1, np.random.default_rng(5))
+    with pytest.raises(SolverFailure):
+        hodge_morrey_friedrichs(m, w)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmonic_ports import (
     BoundaryComplex,
@@ -20,7 +22,7 @@ from harmonic_ports import (
 from harmonic_ports import mesh as mesh_mod
 from harmonic_ports.mesh import permutation_sign
 
-from conftest import CLOSED, SMALL, complex_for
+from conftest import ACCEPTANCE, CLOSED, SMALL, complex_for
 
 # Frozen reference topology: [b_0, b_1, ...] per shape.
 BETTI = {
@@ -182,6 +184,87 @@ def test_betti_numbers(shape):
     assert euler_characteristic(cx) == EULER[shape]
 
 
+def _full_elimination_betti(cx):
+    """Betti numbers from the ranks of the whole boundary matrices."""
+    n = cx.dimension
+    ranks = [0] + [integer_matrix_rank(cx.boundary_matrix(k)) for k in range(1, n + 1)]
+    ranks.append(0)
+    return [cx.num_simplices(k) - ranks[k] - ranks[k + 1] for k in range(n + 1)]
+
+
+def _generic_vertices(count, dim=3):
+    return np.random.default_rng(count).standard_normal((count, dim))
+
+
+def _hand_built():
+    """Name -> (top simplices, vertex count, rational Betti numbers)."""
+    rp2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+           (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3)]
+    mobius = [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)]
+    fin = [(0, 1, 2), (0, 1, 3), (0, 1, 4)]
+    torus = complex_for("torus", 3).simplices[2]
+    two_tori = list(torus) + [tuple(v + 9 for v in t) for t in torus]
+    disk = complex_for("disk", 2).simplices[2]
+    disk_vertices = complex_for("disk", 2).num_simplices(0)
+    return {
+        # A mod-2 rank would give (1, 1, 1): H_1 is Z/2.
+        "rp2": (rp2, 6, [1, 0, 0]),
+        "mobius": (mobius, 5, [1, 1, 0]),
+        "three_triangles_on_an_edge": (fin, 5, [1, 0, 0]),
+        "two_tori": (two_tori, 18, [2, 4, 2]),
+        "disk_and_isolated_vertex": (disk, disk_vertices + 1, [2, 0, 0]),
+    }
+
+
+HAND_BUILT = _hand_built()
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_betti_numbers_of_hand_built_complexes(name):
+    tops, count, expected = HAND_BUILT[name]
+    cx = build_complex(tops, _generic_vertices(count), strict=False)
+    assert betti_numbers(cx) == expected
+    assert _full_elimination_betti(cx) == expected
+
+
+@pytest.mark.parametrize(
+    "shape, resolution",
+    sorted({(s, r) for table in (SMALL, ACCEPTANCE) for s, r in table.items()}),
+)
+def test_betti_numbers_match_full_elimination(shape, resolution):
+    cx = complex_for(shape, resolution)
+    assert betti_numbers(cx) == _full_elimination_betti(cx) == BETTI[shape]
+    if shape not in CLOSED:
+        bc = extract_boundary(cx)
+        assert betti_numbers(bc) == _full_elimination_betti(bc) == BOUNDARY_BETTI[shape]
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(
+    name=st.sampled_from(sorted(HAND_BUILT) + [f"shape:{s}" for s in sorted(SMALL)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_betti_numbers_survive_vertex_relabelling(name, seed):
+    if name.startswith("shape:"):
+        cx = complex_for(name[6:], SMALL[name[6:]])
+        tops, count = cx.simplices[cx.dimension], cx.num_simplices(0)
+    else:
+        tops, count, _ = HAND_BUILT[name]
+    verts = _generic_vertices(count)
+    expected = betti_numbers(build_complex(tops, verts, strict=False))
+    perm = np.random.default_rng(seed).permutation(count)
+    moved = np.empty_like(verts)
+    moved[perm] = verts
+    relabelled = [tuple(int(perm[v]) for v in t) for t in tops]
+    assert betti_numbers(build_complex(relabelled, moved, strict=False)) == expected
+
+
+@pytest.mark.parametrize("shape, resolution", [("torus", 40), ("ball", 8)])
+def test_betti_numbers_beyond_the_old_cell_budget(shape, resolution):
+    # Both exceeded the rows x cols budget of the full elimination.
+    assert betti_numbers(gen_mesh(shape, resolution)) == BETTI[shape]
+
+
 def test_integer_matrix_rank():
     assert integer_matrix_rank(np.array([[2, 4], [1, 2]])) == 1
     assert integer_matrix_rank(np.zeros((3, 4), dtype=np.int64)) == 0
@@ -191,9 +274,16 @@ def test_integer_matrix_rank():
 
 
 def test_exact_rank_budget_overflow(monkeypatch):
-    monkeypatch.setattr(mesh_mod, "_EXACT_RANK_CELL_BUDGET", 4)
-    with pytest.raises(OverflowInExactArithmetic):
-        integer_matrix_rank(np.eye(4, dtype=np.int64))
+    # Incidence of a 6-cycle: 12 nonzeros, and every pivot fills one entry.
+    cycle = np.zeros((6, 6), dtype=np.int64)
+    for e in range(6):
+        cycle[e, e], cycle[(e + 1) % 6, e] = -1, 1
+    for budget in (11, 12):
+        monkeypatch.setattr(mesh_mod, "_EXACT_RANK_NNZ_BUDGET", budget)
+        with pytest.raises(OverflowInExactArithmetic):
+            integer_matrix_rank(cycle)
+    monkeypatch.setattr(mesh_mod, "_EXACT_RANK_NNZ_BUDGET", 20)
+    assert integer_matrix_rank(cycle) == 5
 
 
 def test_gen_mesh_counts_and_errors():

@@ -11,9 +11,11 @@ from harmonic_ports import (
     random_cochain,
     run,
     step_implicit_midpoint,
+    system_operators,
 )
+from harmonic_ports.sim import _spectral_radius_estimate
 
-from conftest import SMALL, metric_for
+from conftest import ACCEPTANCE, SMALL, metric_for, valid_pairs
 
 
 def _sys(shape, p, q, init="random", seed=0):
@@ -158,3 +160,19 @@ def test_harmonic_seed_is_a_fixed_point_coordinate():
     assert first == pytest.approx(1.0, abs=1e-10)
     charges = [r[4] for r in trace.rows]
     assert np.max(np.abs(np.array(charges) - first)) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", sorted(ACCEPTANCE))
+def test_spectral_radius_matches_dense_svd(shape):
+    # solid_torus at (2, 2) has A = 0, from which ARPACK cannot start.
+    metric = metric_for(shape, ACCEPTANCE[shape])
+    for p, q in valid_pairs(metric.complex.dimension):
+        ops = system_operators(metric, p, q)
+        flow_p, flow_q = ops["flow_p"], ops["flow_q"]
+        n_p = flow_q.shape[1]
+        generator = np.zeros((n_p + flow_p.shape[1],) * 2)
+        generator[:n_p, n_p:] = flow_p
+        generator[n_p:, :n_p] = flow_q
+        sigma_max = np.linalg.svd(generator, compute_uv=False)[0]
+        estimate = _spectral_radius_estimate(flow_p, flow_q)
+        assert estimate == pytest.approx(sigma_max, rel=1e-6), (p, q)
