@@ -219,6 +219,98 @@ def _hand_built():
 HAND_BUILT = _hand_built()
 
 
+def _report(manifold, orientable, boundary_faces, *findings):
+    return {
+        "manifold": manifold,
+        "orientable": orientable,
+        "boundary_faces": boundary_faces,
+        "findings": [{"kind": kind, "detail": detail} for kind, detail in findings],
+    }
+
+
+NOT_PATH = "link is not a path or cycle"
+NO_ORIENTATION = "no consistent orientation across face"
+# Name -> (top simplices, vertex count) of the inputs whose validation is frozen:
+# the hand-built complexes plus three that pinch at a vertex or an edge.
+FROZEN_INPUTS = {name: (tops, count) for name, (tops, count, _) in HAND_BUILT.items()}
+FROZEN_INPUTS.update(
+    bowtie=([(0, 1, 2), (0, 3, 4)], 5),
+    tets_on_an_edge=([(0, 1, 2, 3), (0, 1, 4, 5)], 6),
+    tets_on_a_vertex=([(0, 1, 2, 3), (0, 4, 5, 6)], 7),
+)
+# Name -> (validate_manifold report, build_complex(strict=False) orientation).
+FROZEN_VALIDATION = {
+    "bowtie": (_report(False, True, 6, ("bad_link", f"vertex 0 {NOT_PATH}")), [1, 1]),
+    "disk_and_isolated_vertex": (
+        _report(False, True, 12, ("isolated_vertex", "vertex 25 lies in no top simplex")),
+        [1, -1] + [1] * 10 + [-1, 1] + [1, -1] * 11,
+    ),
+    "mobius": (
+        _report(
+            True,
+            False,
+            5,
+            ("non_orientable", f"{NO_ORIENTATION} (3, 4)"),
+            ("non_orientable", f"{NO_ORIENTATION} (3, 4)"),
+        ),
+        [1, -1, 1, -1, 1],
+    ),
+    "rp2": (
+        _report(
+            True,
+            False,
+            0,
+            ("non_orientable", f"{NO_ORIENTATION} (4, 5)"),
+            ("non_orientable", f"{NO_ORIENTATION} (3, 4)"),
+            ("non_orientable", f"{NO_ORIENTATION} (3, 5)"),
+            ("non_orientable", f"{NO_ORIENTATION} (3, 4)"),
+            ("non_orientable", f"{NO_ORIENTATION} (3, 5)"),
+            ("non_orientable", f"{NO_ORIENTATION} (4, 5)"),
+        ),
+        [1, -1, 1, 1, 1, -1, 1, -1, -1, 1],
+    ),
+    "tets_on_a_vertex": (
+        _report(False, True, 8, ("bad_link", "vertex 0 link is disconnected")),
+        [-1, -1],
+    ),
+    "tets_on_an_edge": (
+        _report(
+            False,
+            True,
+            8,
+            ("bad_link", f"edge (0, 1) {NOT_PATH}"),
+            ("bad_link", "vertex 0 link is disconnected"),
+            ("bad_link", "vertex 1 link is disconnected"),
+        ),
+        [-1, 1],
+    ),
+    "three_triangles_on_an_edge": (
+        _report(
+            False,
+            True,
+            6,
+            ("face_with_excess_cofaces", "face (0, 1) has 3 cofaces"),
+            ("bad_link", f"vertex 0 {NOT_PATH}"),
+            ("bad_link", f"vertex 1 {NOT_PATH}"),
+        ),
+        [1, 1, 1],
+    ),
+    "two_tori": (
+        _report(True, True, 0),
+        [1, -1, -1, 1, -1, -1, 1, -1, -1, 1, 1, 1, 1, -1, -1, 1, -1, 1] * 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_INPUTS))
+def test_validation_and_inferred_orientation_are_frozen(name):
+    tops, count = FROZEN_INPUTS[name]
+    cx = build_complex(tops, _generic_vertices(count), strict=False)
+    report, orientation = FROZEN_VALIDATION[name]
+    assert validate_manifold(cx) == report
+    assert cx.orientation.tolist() == orientation
+
+
 @pytest.mark.parametrize("name", sorted(HAND_BUILT))
 def test_betti_numbers_of_hand_built_complexes(name):
     tops, count, expected = HAND_BUILT[name]
