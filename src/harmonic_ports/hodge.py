@@ -500,12 +500,11 @@ def decompose_vector_field_3d(
     elif field_type == "cell":
         if vectors.shape != (cx.num_simplices(3), 3):
             raise WrongDimension("expected one 3-vector per top simplex")
-        incident = [[] for _ in cx.simplices[1]]
-        for t_idx, top in enumerate(cx.simplices[3]):
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    incident[cx.index[1][(top[i], top[j])]].append(t_idx)
-        edge_vecs = [vectors[ids].mean(axis=0) for ids in incident]
+        # Each edge takes the mean over its tetrahedra, summed in top order.
+        edges = cx._face_positions[1].ravel()
+        sums = np.zeros((cx.num_simplices(1), 3))
+        np.add.at(sums, edges, np.repeat(vectors, 6, axis=0))
+        edge_vecs = sums / np.bincount(edges)[:, None]
     else:
         raise ValueError(f"unknown field_type {field_type!r}")
 

@@ -5,6 +5,14 @@ Conventions:
 * Simplices are stored as tuples of vertex indices sorted increasingly;
   within each degree the simplices are listed in lexicographic order and
   addressed by their position in that list.
+* Each complex holds one face table, built by _faces.  Per degree k, one
+  lexicographic sort of every top simplex's local k-faces (the
+  (k+1)-subsets of its vertex tuple, in itertools.combinations order)
+  gives the sorted k-simplices and the (T, C(n+1, k+1)) positions of each
+  top's k-faces among them; the faces of a k-simplex are read off the top
+  where it first occurs.  The public simplex lists and index lookups,
+  every boundary matrix, orientation inference, validation and the
+  Whitney scatter all read this table.
 * Each top simplex carries an orientation sign (+1 or -1) relative to its
   sorted vertex tuple.  The signs are folded into the columns of the top
   boundary matrix, so the two columns meeting at an interior (n-1)-face
@@ -90,47 +98,40 @@ class SimplicialComplex:
         n = self.dimension
 
         signs = np.asarray(orientation, dtype=np.int64)
-        tops = [tuple(t) for t in top_simplices]
+        tops = np.asarray(top_simplices, dtype=np.int64).reshape(-1, n + 1)
         if len(signs) != len(tops):
             raise ValueError("orientation array does not match top simplex count")
-        pairs = sorted(zip(tops, signs.tolist()))
-        tops = [p[0] for p in pairs]
-        self.orientation = np.array([p[1] for p in pairs], dtype=np.int64)
+        order = np.lexsort((signs, *tops.T[::-1]))
+        tops = tops[order]
+        self.orientation = signs[order]
 
-        self.simplices: list[list[tuple]] = [[] for _ in range(n + 1)]
-        self.index: list[dict] = [{} for _ in range(n + 1)]
-
-        faces: list[set] = [set() for _ in range(n + 1)]
-        faces[0].update((i,) for i in range(len(self.vertices)))
-        for top in tops:
-            for k in range(1, n + 1):
-                faces[k].update(itertools.combinations(top, k + 1))
-        for k in range(n + 1):
-            ordered = sorted(faces[k])
-            self.simplices[k] = ordered
-            self.index[k] = {s: i for i, s in enumerate(ordered)}
-
+        # The face table: per degree, the sorted simplices as vertex rows
+        # and the positions of every top's faces among them (the local
+        # 0-faces of a top are its vertices, so degree 0 is the tops).
+        self._simplex_rows = [np.arange(len(self.vertices))[:, None]]
+        self._face_positions = [tops]
         self.boundary: list = [None] * (n + 1)
         for k in range(1, n + 1):
-            self.boundary[k] = self._build_boundary(k)
-        top = sp.csr_matrix((0, len(self.simplices[n])), dtype=np.int64)
+            rows, positions, first = _faces(tops, k)
+            self._simplex_rows.append(rows)
+            self._face_positions.append(positions)
+            # Face i of a k-simplex drops vertex i; read it off the top
+            # where the simplex first occurs.
+            top, local = np.divmod(first, positions.shape[1])
+            faces = self._face_positions[k - 1][top[:, None], _dropped(n + 1, k)[local]]
+            vals = np.tile((-1) ** np.arange(k + 1), len(rows))
+            if k == n:
+                vals *= np.repeat(self.orientation, k + 1)
+            cols = np.repeat(np.arange(len(rows)), k + 1)
+            shape = (len(self._simplex_rows[k - 1]), len(rows))
+            self.boundary[k] = sp.csr_matrix((vals, (faces.ravel(), cols)), shape=shape)
+        top = sp.csr_matrix((0, len(tops)), dtype=np.int64)
         self.coboundary = [b.T.tocsr() for b in self.boundary[1:]] + [top]
 
-    def _build_boundary(self, k: int) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
-        idx_low = self.index[k - 1]
-        fold = k == self.dimension
-        for col, s in enumerate(self.simplices[k]):
-            o = int(self.orientation[col]) if fold else 1
-            for i in range(k + 1):
-                face = s[:i] + s[i + 1 :]
-                rows.append(idx_low[face])
-                cols.append(col)
-                vals.append(o * (-1 if i % 2 else 1))
-        shape = (len(self.simplices[k - 1]), len(self.simplices[k]))
-        return sp.csr_matrix(
-            (np.array(vals, dtype=np.int64), (rows, cols)), shape=shape
-        )
+        self.simplices: list[list[tuple]] = [
+            list(map(tuple, rows.tolist())) for rows in self._simplex_rows
+        ]
+        self.index: list[dict] = [dict(zip(s, range(len(s)))) for s in self.simplices]
 
     # -- basic queries ---------------------------------------------------
 
@@ -165,6 +166,51 @@ class SimplicialComplex:
         return f"<SimplicialComplex n={self.dimension}: {counts}>"
 
 
+def _subsets(m: int, r: int) -> np.ndarray:
+    """(C(m, r), r) array of the r-subsets of range(m) in combinations order."""
+    return np.array(list(itertools.combinations(range(m), r)), dtype=np.int64)
+
+
+def _rank(local: np.ndarray, m: int) -> np.ndarray:
+    """Position of each increasing row of local among the subsets of range(m)
+    of its length, in combinations order."""
+    r = local.shape[-1]
+    pos = {s: j for j, s in enumerate(itertools.combinations(range(m), r))}
+    ranks = [pos[tuple(s)] for s in local.reshape(-1, r).tolist()]
+    return np.array(ranks, dtype=np.int64).reshape(local.shape[:-1])
+
+
+def _dropped(m: int, k: int) -> np.ndarray:
+    """(C(m, k+1), k+1) table: entry [j, i] is the position of the j-th
+    (k+1)-subset of range(m) without its i-th element, among the
+    k-subsets."""
+    local = _subsets(m, k + 1)
+    return _rank(np.stack([np.delete(local, i, axis=1) for i in range(k + 1)], 1), m)
+
+
+def _faces(tops: np.ndarray, k: int):
+    """The k-faces of the top simplices, from one lexicographic sort.
+
+    Args:
+        tops: (T, n+1) increasing vertex rows.
+
+    Returns:
+        The (N_k, k+1) distinct k-faces in lexicographic order; the
+        (T, C(n+1, k+1)) position of every top's local k-faces among them,
+        local faces in combinations order; and for each k-face the flat
+        index t * C(n+1, k+1) + j of its first occurrence.
+    """
+    local = _subsets(tops.shape[1], k + 1)
+    rows = tops[:, local].reshape(-1, k + 1)
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    positions = np.empty(len(order), dtype=np.int64)
+    positions[order] = np.cumsum(new) - 1
+    return ranked[new], positions.reshape(len(tops), len(local)), order[new]
+
+
 class BoundaryComplex(SimplicialComplex):
     """The boundary of a complex, carrying the induced orientation.
 
@@ -175,30 +221,33 @@ class BoundaryComplex(SimplicialComplex):
             matrix sending boundary simplices to their parent copies.
     """
 
-    def __init__(self, parent: SimplicialComplex, faces, signs):
+    def __init__(self, parent: SimplicialComplex, faces: np.ndarray, signs):
+        """faces: increasing parent indices of the boundary (n-1)-faces,
+        signs: their induced orientations."""
         self.parent = parent
         n = parent.dimension
-        used = sorted({v for f in faces for v in f})
-        self.vertex_map = np.array(used, dtype=np.int64)
-        to_local = {v: i for i, v in enumerate(used)}
-        local_faces = [tuple(to_local[v] for v in f) for f in faces]
-        verts = (
-            parent.vertices[self.vertex_map]
-            if len(used)
-            else np.zeros((0, parent.vertices.shape[1]))
-        )
+        # The boundary k-simplices are the k-faces of the boundary faces.
+        # Relabelling vertices by the increasing vertex_map keeps the
+        # lexicographic order, so they are listed in parent order.
+        on = [np.asarray(faces, dtype=np.int64)]
+        for k in range(n - 1, 0, -1):
+            mask = np.zeros(parent.num_simplices(k), dtype=np.int64)
+            mask[on[0]] = 1
+            on.insert(0, np.flatnonzero(abs(parent.boundary[k]) @ mask))
+        self.vertex_map = on[0]
+        to_local = np.zeros(parent.num_simplices(0), dtype=np.int64)
+        to_local[self.vertex_map] = np.arange(len(self.vertex_map))
+        local_faces = to_local[parent._simplex_rows[n - 1][on[-1]]]
+        verts = parent.vertices[self.vertex_map]
         super().__init__(n - 1, verts, local_faces, np.asarray(signs, np.int64))
 
-        self.inclusion: list = []
-        for k in range(n):
-            rows, cols = [], []
-            for j, s in enumerate(self.simplices[k]):
-                parent_s = tuple(int(self.vertex_map[v]) for v in s)
-                rows.append(parent.index[k][parent_s])
-                cols.append(j)
-            shape = (parent.num_simplices(k), self.num_simplices(k))
-            vals = np.ones(len(rows), dtype=np.int64)
-            self.inclusion.append(sp.csr_matrix((vals, (rows, cols)), shape=shape))
+        self.inclusion = [
+            sp.csr_matrix(
+                (np.ones(len(rows), dtype=np.int64), (rows, np.arange(len(rows)))),
+                shape=(parent.num_simplices(k), len(rows)),
+            )
+            for k, rows in enumerate(on)
+        ]
 
     def trace_matrix(self, k: int) -> sp.csr_matrix:
         """Restriction of parent k-cochains to the boundary.
@@ -264,89 +313,113 @@ def build_complex(
     if d < n:
         raise WrongDimension(f"cannot embed {n}-simplices in R^{d}")
 
-    nv = len(verts)
-    seen = {}
-    for t in tops:
-        if len(set(t)) != len(t):
+    # Input order decides which error is raised: the first top with a
+    # repeated vertex, a dangling vertex or an earlier copy, in that order.
+    given = np.array(tops, dtype=object)
+    dangling = ~((given >= 0) & (given < len(verts))).astype(bool)
+    ordered = np.sort(np.where(dangling, -1, given).astype(np.int64), axis=1)
+    repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    for i in np.flatnonzero(dangling.any(axis=1)):  # repeats of the true values
+        repeated[i] = len(set(tops[i])) != len(tops[i])
+    rank = np.lexsort(ordered.T[::-1])  # stable: copies keep their input order
+    copy = np.zeros(len(tops), dtype=bool)
+    copy[rank[1:]] = (ordered[rank[1:]] == ordered[rank[:-1]]).all(axis=1)
+    bad = repeated | dangling.any(axis=1) | copy
+    if bad.any():
+        i = int(np.argmax(bad))
+        t = tops[i]
+        if repeated[i]:
             raise DuplicateSimplex(f"repeated vertex in simplex {t}")
-        for v in t:
-            if not 0 <= v < nv:
-                raise DanglingVertexIndex(f"vertex {v} of simplex {t}")
-        key = tuple(sorted(t))
-        if key in seen:
-            raise DuplicateSimplex(f"simplex {key} appears twice")
-        seen[key] = t
-
-    sorted_tops = sorted(seen)  # canonical order of the top simplices
-    given_order = {key: pos for pos, key in enumerate(tuple(sorted(t)) for t in tops)}
+        if dangling[i].any():
+            raise DanglingVertexIndex(f"vertex {t[np.argmax(dangling[i])]} of simplex {t}")
+        raise DuplicateSimplex(f"simplex {tuple(ordered[i].tolist())} appears twice")
+    sorted_tops = ordered[rank]  # canonical order of the top simplices
 
     if isinstance(orientation, str) and orientation == "from_order":
-        signs = np.array(
-            [permutation_sign(seen[key]) for key in sorted_tops], dtype=np.int64
-        )
+        signs = np.array([permutation_sign(tops[i]) for i in rank], dtype=np.int64)
     elif orientation is None:
         if d == n:
             signs = _orient_by_volume(sorted_tops, verts, strict)
         else:
-            signs, conflicts = _orient_by_propagation(sorted_tops, n)
+            faces, positions, _ = _faces(sorted_tops, n - 1)
+            signs, conflicts = _orient_by_propagation(_facets(positions))
             if conflicts and strict:
-                raise NonOrientable(
-                    f"orientation conflict across face {conflicts[0]}"
-                )
+                face = tuple(faces[conflicts[0]].tolist())
+                raise NonOrientable(f"orientation conflict across face {face}")
     else:
         arr = np.asarray(orientation, dtype=np.int64)
         if arr.shape != (len(tops),) or not np.all(np.abs(arr) == 1):
             raise ValueError("orientation must be +-1 per top simplex")
-        signs = np.array(
-            [arr[given_order[key]] for key in sorted_tops], dtype=np.int64
-        )
+        signs = arr[rank]
 
     return SimplicialComplex(n, verts, sorted_tops, signs)
 
 
-def _orient_by_volume(sorted_tops, verts, strict):
-    tops = np.array(sorted_tops, dtype=np.int64)
+def _orient_by_volume(tops, verts, strict):
     edges = verts[tops[:, 1:]] - verts[tops[:, :1]]  # (T, n, n)
     det = np.linalg.det(edges)
     scale = np.abs(edges).max(axis=(1, 2)) ** (tops.shape[1] - 1)
     degenerate = np.abs(det) <= 1e-12 * scale
     if strict and degenerate.any():
-        raise NonOrientable(f"degenerate element {sorted_tops[np.argmax(degenerate)]}")
+        element = tuple(tops[np.argmax(degenerate)].tolist())
+        raise NonOrientable(f"degenerate element {element}")
     return np.where((det > 0) | degenerate, 1, -1)  # degenerate elements keep +1
 
 
-def _orient_by_propagation(sorted_tops, n):
-    cofaces = defaultdict(list)
-    for t_idx, t in enumerate(sorted_tops):
-        for i in range(n + 1):
-            face = t[:i] + t[i + 1 :]
-            cofaces[face].append((t_idx, -1 if i % 2 else 1))
+def _facets(positions: np.ndarray) -> np.ndarray:
+    """Each top's (n-1)-faces from the face table at degree n-1, column i
+    the face without vertex i (incidence sign (-1)^i)."""
+    return positions[:, ::-1]
 
-    signs = np.zeros(len(sorted_tops), dtype=np.int64)
-    conflicts = []
-    for seed in range(len(sorted_tops)):
+
+def _adjacent_incidences(facets: np.ndarray):
+    """Flat indices (a, b) into facets of consecutive incidences of one
+    face: a face with c cofaces gives c - 1 pairs, in top order."""
+    flat = facets.ravel()
+    order = np.argsort(flat, kind="stable")
+    same = flat[order[1:]] == flat[order[:-1]]
+    return order[:-1][same], order[1:][same]
+
+
+def _orient_by_propagation(facets: np.ndarray):
+    """Signs that cancel the two incidences of every interior face.
+
+    Each unsigned top in turn seeds +1; first in, first out, a neighbour
+    across a face with exactly two cofaces gets the sign that cancels
+    there.  Returns the signs and the faces where a signed neighbour
+    disagrees, in order of detection.
+    """
+    num_tops, m = facets.shape
+    a, b = _adjacent_incidences(facets)
+    interior = np.bincount(facets.ravel())[facets.ravel()[a]] == 2
+    a, b = a[interior], b[interior]
+    partner = np.full(num_tops * m, -1, dtype=np.int64)
+    partner[a], partner[b] = b, a
+    neighbour = np.where(partner >= 0, partner // m, -1).reshape(num_tops, m)
+    # needed sign of the neighbour = own sign * -(-1)^(i_self + i_other)
+    slot = np.arange(num_tops * m) % m
+    flip = np.where((slot + partner % m) % 2, 1, -1).reshape(num_tops, m)
+
+    neighbour, flip, faces = neighbour.tolist(), flip.tolist(), facets.tolist()
+    signs = [0] * num_tops
+    conflicts: list[int] = []
+    for seed in range(num_tops):
         if signs[seed]:
             continue
         signs[seed] = 1
         queue = deque([seed])
         while queue:
-            t_idx = queue.popleft()
-            t = sorted_tops[t_idx]
-            for i in range(n + 1):
-                face = t[:i] + t[i + 1 :]
-                inc = cofaces[face]
-                if len(inc) != 2:
+            t = queue.popleft()
+            for other, rel, face in zip(neighbour[t], flip[t], faces[t]):
+                if other < 0:
                     continue  # boundary or non-manifold face: no constraint
-                (a, ca), (b, cb) = inc
-                other, c_other = (b, cb) if a == t_idx else (a, ca)
-                c_self = ca if a == t_idx else cb
-                needed = -signs[t_idx] * c_self * c_other
-                if signs[other] == 0:
+                needed = signs[t] * rel
+                if not signs[other]:
                     signs[other] = needed
                     queue.append(other)
                 elif signs[other] != needed:
                     conflicts.append(face)
-    return signs, conflicts
+    return np.array(signs, dtype=np.int64), conflicts
 
 
 def extract_boundary(complex: SimplicialComplex) -> BoundaryComplex:
@@ -356,14 +429,9 @@ def extract_boundary(complex: SimplicialComplex) -> BoundaryComplex:
     induced orientation sign is its single nonzero entry in the top
     boundary matrix.
     """
-    n = complex.dimension
-    bnd = complex.boundary[n].tocsr()
-    counts = np.diff(bnd.indptr)
-    faces, signs = [], []
-    for row in np.flatnonzero(counts == 1):
-        faces.append(complex.simplices[n - 1][row])
-        signs.append(int(bnd.data[bnd.indptr[row]]))
-    return BoundaryComplex(complex, faces, np.array(signs, dtype=np.int64))
+    top = complex.boundary[complex.dimension]
+    faces = np.flatnonzero(np.diff(top.indptr) == 1)
+    return BoundaryComplex(complex, faces, top.data[top.indptr[faces]])
 
 
 def validate_manifold(complex: SimplicialComplex) -> dict:
@@ -371,63 +439,56 @@ def validate_manifold(complex: SimplicialComplex) -> dict:
 
     Returns a dict with keys ``manifold`` (bool), ``orientable`` (bool),
     ``boundary_faces`` (int) and ``findings`` (list of dicts carrying a
-    ``kind`` tag and a human-readable ``detail``).
+    ``kind`` tag and a human-readable ``detail``).  Findings about faces
+    and links come in order of first occurrence among the top simplices.
     """
     n = complex.dimension
-    used = {v for t in complex.simplices[n] for v in t}
+    used = np.zeros(complex.num_simplices(0), dtype=bool)
+    used[complex._face_positions[0]] = True
     findings = [
         {"kind": "isolated_vertex", "detail": f"vertex {v} lies in no top simplex"}
-        for v in range(complex.num_simplices(0))
-        if v not in used
+        for v in np.flatnonzero(~used).tolist()
     ]
 
-    cofaces = defaultdict(list)
-    for t_idx, t in enumerate(complex.simplices[n]):
-        for i in range(n + 1):
-            face = t[:i] + t[i + 1 :]
-            cofaces[face].append((t_idx, -1 if i % 2 else 1))
+    facets = _facets(complex._face_positions[n - 1])
+    top = complex.boundary[n]
+    cofaces = np.diff(top.indptr)
+    faces = _first_seen(facets)
+    names = complex.simplices[n - 1]
+    for f in faces[cofaces[faces] > 2].tolist():
+        findings.append(
+            {
+                "kind": "face_with_excess_cofaces",
+                "detail": f"face {names[f]} has {cofaces[f]} cofaces",
+            }
+        )
 
-    boundary_faces = 0
-    for face, inc in cofaces.items():
-        if len(inc) == 1:
-            boundary_faces += 1
-        elif len(inc) > 2:
-            findings.append(
-                {
-                    "kind": "face_with_excess_cofaces",
-                    "detail": f"face {face} has {len(inc)} cofaces",
-                }
-            )
-
-    _, conflicts = _orient_by_propagation(complex.simplices[n], n)
+    # Interior faces are the rows of the top boundary matrix with two
+    # nonzeros; the stored orientations agree where such a row sums to 0.
+    # When they agree everywhere the complex is orientable, and propagation
+    # could find no conflict.
+    row_sums = np.asarray(top.sum(axis=1)).ravel()
+    disagree = faces[(cofaces[faces] == 2) & (row_sums[faces] != 0)]
+    conflicts = _orient_by_propagation(facets)[1] if len(disagree) else []
     orientable = not conflicts
-    for face in conflicts:
+    for f in conflicts:
         findings.append(
             {
                 "kind": "non_orientable",
-                "detail": f"no consistent orientation across face {face}",
+                "detail": f"no consistent orientation across face {names[f]}",
             }
         )
     if orientable:
-        for face, inc in cofaces.items():
-            if len(inc) != 2:
-                continue
-            (a, ca), (b, cb) = inc
-            if (
-                complex.orientation[a] * ca + complex.orientation[b] * cb
-                != 0
-            ):
-                findings.append(
-                    {
-                        "kind": "orientation_conflict",
-                        "detail": f"stored orientations disagree at face {face}",
-                    }
-                )
+        for f in disagree.tolist():
+            findings.append(
+                {
+                    "kind": "orientation_conflict",
+                    "detail": f"stored orientations disagree at face {names[f]}",
+                }
+            )
 
-    if n == 2:
-        _check_surface_links(complex, findings)
-    elif n == 3:
-        _check_volume_links(complex, findings)
+    if n in (2, 3):
+        _check_links(complex, facets, cofaces, findings)
 
     manifold = not any(
         f["kind"] in ("isolated_vertex", "face_with_excess_cofaces", "bad_link")
@@ -436,93 +497,69 @@ def validate_manifold(complex: SimplicialComplex) -> dict:
     return {
         "manifold": manifold,
         "orientable": orientable,
-        "boundary_faces": boundary_faces,
+        "boundary_faces": int(np.count_nonzero(cofaces == 1)),
         "findings": findings,
     }
 
 
-def _link_is_path_or_cycle(edges: list[tuple]) -> bool:
-    adj = defaultdict(set)
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    if not adj:
-        return True
-    if any(len(nb) > 2 for nb in adj.values()):
-        return False
-    ends = sum(1 for nb in adj.values() if len(nb) == 1)
-    if ends not in (0, 2):
-        return False
-    start = next(iter(adj))
-    for node, nb in adj.items():
-        if len(nb) == 1:
-            start = node
-            break
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == len(adj)
+def _first_seen(positions: np.ndarray) -> np.ndarray:
+    """The simplices that positions lists, in order of first occurrence
+    (row-major)."""
+    ids, first = np.unique(positions.ravel(), return_index=True)
+    return ids[np.argsort(first)]
 
 
-def _check_surface_links(complex, findings):
-    star = defaultdict(list)
-    for t in complex.simplices[2]:
-        for v in t:
-            a, b = (u for u in t if u != v)
-            star[v].append((a, b))
-    for v, edges in star.items():
-        if not _link_is_path_or_cycle(edges):
-            findings.append(
-                {
-                    "kind": "bad_link",
-                    "detail": f"vertex {v} link is not a path or cycle",
-                }
-            )
+def _check_links(complex, facets, cofaces, findings):
+    """Links of the vertices (n = 2), or of the edges and vertices (n = 3).
 
+    The link of an (n-2)-simplex s is a path or cycle exactly when every
+    (n-1)-face containing s has at most two cofaces and the tops around s
+    are connected through (n-1)-faces containing s; a vertex link in 3-d
+    need only be connected.  Connectivity comes from one flag graph: its
+    nodes are the pairs (s, top containing s), and at every s inside an
+    (n-1)-face the cofaces of that face are joined in a chain.
+    """
+    # Imported here: loading csgraph adds about 1 MiB to every process.
+    from scipy.sparse.csgraph import connected_components
 
-def _check_volume_links(complex, findings):
-    edge_link = defaultdict(list)
-    vertex_link = defaultdict(list)
-    for t in complex.simplices[3]:
-        for a, b in itertools.combinations(t, 2):
-            c, d = (u for u in t if u not in (a, b))
-            edge_link[(a, b)].append((c, d))
-        for v in t:
-            vertex_link[v].append(tuple(u for u in t if u != v))
-    for e, edges in edge_link.items():
-        if not _link_is_path_or_cycle(edges):
-            findings.append(
-                {
-                    "kind": "bad_link",
-                    "detail": f"edge {e} link is not a path or cycle",
-                }
-            )
-    for v, tris in vertex_link.items():
-        # Link triangles are adjacent when they share a link edge.
-        holders = defaultdict(list)
-        for i, tri in enumerate(tris):
-            for edge in itertools.combinations(tri, 2):
-                holders[edge].append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for edge in itertools.combinations(tris[stack.pop()], 2):
-                for nxt in holders[edge]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-        if len(seen) != len(tris):
-            findings.append(
-                {
-                    "kind": "bad_link",
-                    "detail": f"vertex {v} link is disconnected",
-                }
-            )
+    n = complex.dimension
+    num_tops = len(facets)
+    a, b = _adjacent_incidences(facets)
+    (ta, ia), (tb, ib) = np.divmod(a, n + 1), np.divmod(b, n + 1)
+    offsets, heads, tails = [0], [], []
+    for k in range(n - 1):
+        width = complex._face_positions[k].shape[1]
+        # the local k-faces of a top inside its facet without vertex i
+        inside = np.stack(
+            [np.delete(np.arange(n + 1), i)[_subsets(n, k + 1)] for i in range(n + 1)]
+        )
+        inside = _rank(inside, n + 1)
+        heads.append((offsets[-1] + ta[:, None] * width + inside[ia]).ravel())
+        tails.append((offsets[-1] + tb[:, None] * width + inside[ib]).ravel())
+        offsets.append(offsets[-1] + num_tops * width)
+    heads, tails = np.concatenate(heads), np.concatenate(tails)
+    flags = sp.csr_matrix(
+        (np.ones(len(heads), np.int8), (heads, tails)), shape=(offsets[-1],) * 2
+    )
+    num_labels, labels = connected_components(flags, directed=False)
+
+    # A face with excess cofaces spoils the links of its (n-2)-faces.
+    spoiled = abs(complex.boundary[n - 1]) @ (cofaces > 2).astype(np.int64) > 0
+    for k in range(n - 2, -1, -1):
+        positions = complex._face_positions[k]
+        pairs = np.unique(
+            positions.ravel() * num_labels + labels[offsets[k] : offsets[k + 1]]
+        )
+        bad = np.bincount(pairs // num_labels, minlength=complex.num_simplices(k)) > 1
+        if k == n - 2:
+            bad |= spoiled
+            problem = "is not a path or cycle"
+        else:
+            problem = "is disconnected"
+        order = _first_seen(positions)
+        for s in order[bad[order]].tolist():
+            name = f"vertex {s}" if k == 0 else f"edge {complex.simplices[k][s]}"
+            findings.append({"kind": "bad_link", "detail": f"{name} link {problem}"})
 
 
 # -- homology ------------------------------------------------------------

@@ -26,7 +26,7 @@ from .errors import (
     DegreeOutOfRange,
     FactorizationFailure,
 )
-from .mesh import BoundaryComplex, SimplicialComplex, extract_boundary
+from .mesh import BoundaryComplex, SimplicialComplex, _subsets, extract_boundary
 
 __all__ = [
     "Cochain",
@@ -123,7 +123,8 @@ class Metric:
     Element frames (signed volumes and barycentric gradients of all
     elements, from one stacked QR) are built eagerly.  Mass and wedge
     matrices share one pairing kernel that evaluates every local entry of
-    every element at once and scatters it into a dense array; mass_csr
+    every element at once and scatters it into a dense array, at the face
+    positions the complex's face table holds for every element; mass_csr
     holds the same values in CSR form, and every product with a mass
     matrix goes through it.  Each mass block, the full mass_csr(k) or its
     interior rows and columns, has one sparse LU (SuperLU), shared by
@@ -158,7 +159,7 @@ class Metric:
     def _build_frames(self):
         cx = self.complex
         n = cx.dimension
-        tops = np.array(cx.simplices[n], dtype=np.int64)
+        tops = cx._face_positions[0]  # the local 0-faces of a top are its vertices
         edges = cx.vertices[tops[:, 1:]] - cx.vertices[tops[:, :1]]  # (T, n, d)
         r = np.linalg.qr(edges.transpose(0, 2, 1), mode="r")  # (T, n, n)
         det = np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1)
@@ -167,7 +168,6 @@ class Metric:
         if bad.size:
             raise FactorizationFailure(f"degenerate element {cx.simplices[n][bad[0]]}")
         rinv = np.linalg.inv(r)  # row i: frame gradient of lambda_(i+1)
-        self._tops = tops
         self._vols_signed = det / math.factorial(n)
         self._gradients = np.concatenate([-rinv.sum(1, keepdims=True), rinv], axis=1)
 
@@ -240,15 +240,9 @@ class Metric:
         if symmetric:
             local = (local + local.transpose(0, 2, 1)) / 2
         out = np.zeros((self.complex.num_simplices(p), self.complex.num_simplices(q)))
-        np.add.at(out, (self._faces(p)[:, :, None], self._faces(q)[:, None, :]), local)
+        faces = self.complex._face_positions
+        np.add.at(out, (faces[p][:, :, None], faces[q][:, None, :]), local)
         return out
-
-    def _faces(self, k: int) -> np.ndarray:
-        """(T, C(n+1, k+1)) positions of every element's k-faces, local
-        faces in itertools.combinations order."""
-        local = _subsets(self.complex.dimension + 1, k + 1)
-        table = np.array(self.complex.simplices[k], dtype=np.int64)
-        return np.searchsorted(_records(table), _records(self._tops[:, local]))
 
     def mass_lu(self, k: int) -> spla.SuperLU:
         """Sparse LU of mass_csr(k); lu.solve(rhs) solves M_k x = rhs."""
@@ -304,17 +298,6 @@ class Metric:
         if self.boundary_complex.num_simplices(0) == 0:
             return None
         return self.cached(("boundary_metric",), lambda: Metric(self.boundary_complex))
-
-
-def _subsets(m: int, r: int) -> np.ndarray:
-    """(C(m, r), r) array of the r-subsets of range(m) in combinations order."""
-    return np.array(list(itertools.combinations(range(m), r)), dtype=np.int64)
-
-
-def _records(rows: np.ndarray) -> np.ndarray:
-    """Integer rows viewed as records, which compare lexicographically."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view([("", rows.dtype)] * rows.shape[-1])[..., 0]
 
 
 def _splu(matrix, what: str) -> spla.SuperLU:
