@@ -387,7 +387,7 @@ def _orient_by_propagation(facets: np.ndarray):
     Each unsigned top in turn seeds +1; first in, first out, a neighbour
     across a face with exactly two cofaces gets the sign that cancels
     there.  Returns the signs and the faces where a signed neighbour
-    disagrees, in order of detection.
+    disagrees, each face once, in order of first detection.
     """
     num_tops, m = facets.shape
     a, b = _adjacent_incidences(facets)
@@ -403,6 +403,7 @@ def _orient_by_propagation(facets: np.ndarray):
     neighbour, flip, faces = neighbour.tolist(), flip.tolist(), facets.tolist()
     signs = [0] * num_tops
     conflicts: list[int] = []
+    reported = set()
     for seed in range(num_tops):
         if signs[seed]:
             continue
@@ -417,7 +418,8 @@ def _orient_by_propagation(facets: np.ndarray):
                 if not signs[other]:
                     signs[other] = needed
                     queue.append(other)
-                elif signs[other] != needed:
+                elif signs[other] != needed and face not in reported:
+                    reported.add(face)
                     conflicts.append(face)
     return np.array(signs, dtype=np.int64), conflicts
 

@@ -251,7 +251,6 @@ FROZEN_VALIDATION = {
             False,
             5,
             ("non_orientable", f"{NO_ORIENTATION} (3, 4)"),
-            ("non_orientable", f"{NO_ORIENTATION} (3, 4)"),
         ),
         [1, -1, 1, -1, 1],
     ),
@@ -263,9 +262,6 @@ FROZEN_VALIDATION = {
             ("non_orientable", f"{NO_ORIENTATION} (4, 5)"),
             ("non_orientable", f"{NO_ORIENTATION} (3, 4)"),
             ("non_orientable", f"{NO_ORIENTATION} (3, 5)"),
-            ("non_orientable", f"{NO_ORIENTATION} (3, 4)"),
-            ("non_orientable", f"{NO_ORIENTATION} (3, 5)"),
-            ("non_orientable", f"{NO_ORIENTATION} (4, 5)"),
         ),
         [1, -1, 1, 1, 1, -1, 1, -1, -1, 1],
     ),
