@@ -518,6 +518,10 @@ def _dispatch(func, args) -> int:
     except NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 2
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

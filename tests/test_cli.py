@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from harmonic_ports import gen_mesh, hodge, write_mesh
+from harmonic_ports import Metric, gen_mesh, hodge, write_mesh
 from harmonic_ports.cli import main, sd_verify_main
 
 
@@ -147,6 +147,17 @@ def test_eigensolver_failures_exit_2(tmp_path, capsys, monkeypatch, name, failur
     code = main(["analyze", _write_torus(tmp_path)])
     assert code == 2
     assert "harmonic eigenproblem at degree 0" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    def fail(self, k):
+        raise MemoryError("Unable to allocate 11.9 GiB for an array")
+
+    monkeypatch.setattr(Metric, "mass", fail)
+    code = main(["analyze", _write_torus(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: out of memory: Unable to allocate 11.9 GiB for an array\n"
 
 
 def test_decompose_cochain_round_trip(tmp_path, capsys):
