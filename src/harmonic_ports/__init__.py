@@ -49,13 +49,11 @@ from .metric import (
 from .hodge import (
     HarmonicBasis,
     HMFDecomposition,
-    cohomology_report,
     decompose_vector_field_3d,
     harmonic_basis,
     harmonic_projection,
     hodge_morrey_friedrichs,
     potential_for_exact,
-    stokes_dirac_cohomology,
     validate_degree_pair,
 )
 from .stokesdirac import (
@@ -63,7 +61,6 @@ from .stokesdirac import (
     IntegrabilityReport,
     PowerBalance,
     StokesDiracSystem,
-    boundary_port,
     efforts,
     extended_power_balance,
     flows,

@@ -39,7 +39,6 @@ from .errors import (
     SolverFailure,
     WrongDimension,
 )
-from .mesh import betti_numbers, euler_characteristic
 from .metric import (
     Cochain,
     Metric,
@@ -56,8 +55,6 @@ __all__ = [
     "HMFDecomposition",
     "hodge_morrey_friedrichs",
     "potential_for_exact",
-    "cohomology_report",
-    "stokes_dirac_cohomology",
     "validate_degree_pair",
     "decompose_vector_field_3d",
 ]
@@ -429,26 +426,7 @@ def potential_for_exact(
     return u
 
 
-# -- reports -----------------------------------------------------------------
-
-
-def cohomology_report(metric: Metric) -> dict:
-    """Harmonic dimensions under both boundary conditions, with the exact
-    Betti numbers for comparison."""
-    cx = metric.complex
-    n = cx.dimension
-    betti = betti_numbers(cx)
-    neumann = [harmonic_basis(metric, k, "neumann").dim for k in range(n + 1)]
-    dirichlet = [harmonic_basis(metric, k, "dirichlet").dim for k in range(n + 1)]
-    return {
-        "dimension": n,
-        "betti": betti,
-        "euler_characteristic": euler_characteristic(cx),
-        "neumann_dims": neumann,
-        "dirichlet_dims": dirichlet,
-        "neumann_matches_betti": neumann == betti,
-        "dirichlet_matches_reversed_betti": dirichlet == betti[::-1],
-    }
+# -- degree pairs ------------------------------------------------------------
 
 
 def validate_degree_pair(n: int, p: int, q: int):
@@ -457,17 +435,6 @@ def validate_degree_pair(n: int, p: int, q: int):
         raise InvalidDegrees(
             f"(p, q) = ({p}, {q}) needs p + q = {n + 1} and 1 <= p, q <= {n}"
         )
-
-
-def stokes_dirac_cohomology(metric: Metric, p: int, q: int) -> dict:
-    """Dimensions of the four harmonic spaces attached to a degree pair."""
-    validate_degree_pair(metric.complex.dimension, p, q)
-    return {
-        "H_N_p": harmonic_basis(metric, p, "neumann").dim,
-        "H_T_p": harmonic_basis(metric, p, "dirichlet").dim,
-        "H_N_q": harmonic_basis(metric, q, "neumann").dim,
-        "H_T_q": harmonic_basis(metric, q, "dirichlet").dim,
-    }
 
 
 # -- vector field decomposition ---------------------------------------------

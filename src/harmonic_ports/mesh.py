@@ -152,13 +152,6 @@ class SimplicialComplex:
             raise DegreeOutOfRange(f"degree {k} outside 0..{self.dimension}")
         return self.coboundary[k]
 
-    def oriented_simplex(self, k: int, i: int) -> tuple:
-        """The i-th k-simplex, with top simplices in oriented vertex order."""
-        s = self.simplices[k][i]
-        if k == self.dimension and self.orientation[i] < 0:
-            s = s[:2][::-1] + s[2:]
-        return s
-
     def __repr__(self) -> str:
         counts = ", ".join(
             f"{len(self.simplices[k])} x dim{k}" for k in range(self.dimension + 1)

@@ -51,7 +51,6 @@ __all__ = [
     "hamiltonian",
     "efforts",
     "flows",
-    "boundary_port",
     "PowerBalance",
     "power_balance",
     "ExtendedPowerBalance",
@@ -137,14 +136,6 @@ def flows(sys: StokesDiracSystem):
     f_p = Cochain(cx, sys.p, ops["flow_p"] @ sys.alpha_q.values)
     f_q = Cochain(cx, sys.q, ops["flow_q"] @ sys.alpha_p.values)
     return f_p, f_q
-
-
-def boundary_port(sys: StokesDiracSystem):
-    """Boundary port pair (f_b, e_b) = (trace e_p, (-1)^p trace e_q)."""
-    e_p, e_q = efforts(sys)
-    f_b = tangential_trace(sys.metric, e_p)
-    e_b = (-1) ** sys.p * tangential_trace(sys.metric, e_q)
-    return f_b, e_b
 
 
 @dataclass

@@ -13,7 +13,6 @@ from harmonic_ports import (
     WrongDimension,
     betti_numbers,
     build_complex,
-    cohomology_report,
     decompose_vector_field_3d,
     exterior_derivative,
     harmonic_basis,
@@ -23,7 +22,6 @@ from harmonic_ports import (
     norm,
     potential_for_exact,
     random_cochain,
-    stokes_dirac_cohomology,
     validate_degree_pair,
 )
 from harmonic_ports import hodge as hodge_mod
@@ -186,27 +184,6 @@ def test_harmonic_projection_returns_coefficients():
     # projection is idempotent
     coeffs2, proj2 = harmonic_projection(hb, proj)
     assert np.allclose(coeffs, coeffs2, atol=1e-12)
-
-
-@pytest.mark.parametrize("shape", sorted(SMALL))
-def test_cohomology_report(shape):
-    m = metric_for(shape, SMALL[shape])
-    rep = cohomology_report(m)
-    assert rep["betti"] == betti_numbers(m.complex)
-    assert rep["neumann_matches_betti"] is True
-    assert rep["dirichlet_matches_reversed_betti"] is True
-    assert rep["neumann_dims"] == rep["betti"]
-    assert rep["dirichlet_dims"] == rep["betti"][::-1]
-
-
-def test_state_space_cohomology_on_torus():
-    m = metric_for("torus", 4)
-    assert stokes_dirac_cohomology(m, 1, 2) == {
-        "H_N_p": 2,
-        "H_T_p": 2,
-        "H_N_q": 1,
-        "H_T_q": 1,
-    }
 
 
 def test_validate_degree_pair():

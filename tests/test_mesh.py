@@ -392,12 +392,3 @@ def test_gen_mesh_resolution_scales_counts():
     big = gen_mesh("annulus", 4)
     assert big.num_simplices(2) > small.num_simplices(2)
     assert betti_numbers(big) == BETTI["annulus"]
-
-
-def test_oriented_simplex_respects_orientation_flag():
-    cx = complex_for("sphere", 1)
-    n = cx.dimension
-    for i, s in enumerate(cx.simplices[n]):
-        out = cx.oriented_simplex(n, i)
-        assert sorted(out) == list(s)
-        assert permutation_sign(out) == cx.orientation[i]

@@ -7,7 +7,6 @@ from harmonic_ports import (
     InvalidDegrees,
     SolverFailure,
     StokesDiracSystem,
-    boundary_port,
     codifferential_constrained,
     efforts,
     extend_by_zero,
@@ -139,16 +138,6 @@ def test_energy_rate_splits_into_boundary_power(shape):
             assert np.isclose(pb.dH_dt, direct, rtol=1e-10, atol=1e-12 * pb.scale)
 
 
-def test_boundary_port_traces():
-    sys = _system("annulus", 1, 2)
-    m = sys.metric
-    f_b, e_b = boundary_port(sys)
-    e_p, e_q = efforts(sys)
-    assert f_b.complex is m.boundary_complex
-    assert np.array_equal(f_b.values, tangential_trace(m, e_p).values)
-    assert np.array_equal(e_b.values, (-1.0) ** sys.p * tangential_trace(m, e_q).values)
-
-
 @pytest.mark.parametrize("shape, p, q", [("annulus", 1, 2), ("ball", 2, 2)])
 def test_efforts_follow_the_module_formula(shape, p, q):
     # e_q = tau M^-1 W d (delta_c alpha_q),
@@ -167,12 +156,6 @@ def test_efforts_follow_the_module_formula(shape, p, q):
     e_p, e_q = efforts(sys)
     assert np.linalg.norm(e_q.values - expect_q) <= 1e-12 * np.linalg.norm(expect_q)
     assert np.linalg.norm(e_p.values - expect_p) <= 1e-12 * np.linalg.norm(expect_p)
-
-
-def test_boundary_port_is_empty_on_closed_meshes():
-    f_b, e_b = boundary_port(_system("torus", 1, 2))
-    assert f_b.values.shape == (0,)
-    assert e_b.values.shape == (0,)
 
 
 def test_harmonic_boundary_split_on_annulus():
