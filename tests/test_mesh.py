@@ -339,18 +339,32 @@ def test_betti_numbers_survive_vertex_relabelling(name, seed):
     else:
         tops, count, _ = HAND_BUILT[name]
     verts = _generic_vertices(count)
-    expected = betti_numbers(build_complex(tops, verts, strict=False))
+    original = build_complex(tops, verts, strict=False)
     perm = np.random.default_rng(seed).permutation(count)
     moved = np.empty_like(verts)
     moved[perm] = verts
-    relabelled = [tuple(int(perm[v]) for v in t) for t in tops]
-    assert betti_numbers(build_complex(relabelled, moved, strict=False)) == expected
+    relabelled = build_complex(
+        [tuple(int(perm[v]) for v in t) for t in tops], moved, strict=False
+    )
+    assert betti_numbers(relabelled) == betti_numbers(original)
+
+    def verdicts(cx):
+        report = validate_manifold(cx)
+        kinds = sorted(f["kind"] for f in report["findings"])
+        return report["manifold"], report["orientable"], report["boundary_faces"], kinds
+
+    assert verdicts(relabelled) == verdicts(original)
 
 
 @pytest.mark.parametrize("shape, resolution", [("torus", 40), ("ball", 8)])
 def test_betti_numbers_beyond_the_old_cell_budget(shape, resolution):
     # Both exceeded the rows x cols budget of the full elimination.
-    assert betti_numbers(gen_mesh(shape, resolution)) == BETTI[shape]
+    cx = gen_mesh(shape, resolution)
+    assert betti_numbers(cx) == BETTI[shape]
+    report = validate_manifold(cx)
+    assert report["manifold"] is True
+    assert report["orientable"] is True
+    assert report["findings"] == []
 
 
 def test_integer_matrix_rank():
