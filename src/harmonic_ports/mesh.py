@@ -324,7 +324,8 @@ def build_complex(
         if repeated[i]:
             raise DuplicateSimplex(f"repeated vertex in simplex {t}")
         if dangling[i].any():
-            raise DanglingVertexIndex(f"vertex {t[np.argmax(dangling[i])]} of simplex {t}")
+            v = t[np.argmax(dangling[i])]
+            raise DanglingVertexIndex(f"vertex {v} of simplex {t}")
         raise DuplicateSimplex(f"simplex {tuple(ordered[i].tolist())} appears twice")
     sorted_tops = ordered[rank]  # canonical order of the top simplices
 
