@@ -125,7 +125,7 @@ class SimplicialComplex:
             cols = np.repeat(np.arange(len(rows)), k + 1)
             shape = (len(self._simplex_rows[k - 1]), len(rows))
             self.boundary[k] = sp.csr_matrix((vals, (faces.ravel(), cols)), shape=shape)
-        top = sp.csr_matrix((0, len(tops)), dtype=np.int64)
+        top = sp.csr_matrix((0, len(self._simplex_rows[n])), dtype=np.int64)
         self.coboundary = [b.T.tocsr() for b in self.boundary[1:]] + [top]
 
         self.simplices: list[list[tuple]] = [
@@ -194,8 +194,9 @@ def _faces(tops: np.ndarray, k: int):
         index t * C(n+1, k+1) + j of its first occurrence.
     """
     local = _subsets(tops.shape[1], k + 1)
-    rows = tops[:, local].reshape(-1, k + 1)
-    order = np.lexsort(rows.T[::-1])
+    rows = tops[:, local].reshape(len(tops) * len(local), k + 1)
+    # k = -1 (the facets of 0-simplices): every row is the empty face
+    order = np.lexsort(rows.T[::-1]) if k >= 0 else np.arange(len(rows))
     ranked = rows[order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
@@ -437,8 +438,13 @@ def validate_manifold(complex: SimplicialComplex) -> dict:
     ``boundary_faces`` (int) and ``findings`` (list of dicts carrying a
     ``kind`` tag and a human-readable ``detail``).  Findings about faces
     and links come in order of first occurrence among the top simplices.
+
+    Raises:
+        WrongDimension: A 0-dimensional complex.
     """
     n = complex.dimension
+    if n < 1:
+        raise WrongDimension("manifold validation needs dimension >= 1")
     used = np.zeros(complex.num_simplices(0), dtype=bool)
     used[complex._face_positions[0]] = True
     findings = [

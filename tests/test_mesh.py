@@ -132,6 +132,14 @@ def test_mobius_strip_is_rejected_when_strict():
     assert any(f["kind"] == "non_orientable" for f in report["findings"])
 
 
+def test_zero_dimensional_complexes_build_but_are_not_validated():
+    cx = build_complex([(0,), (2,)], TRIANGLE, strict=False)
+    assert cx.dimension == 0
+    assert cx.num_simplices(0) == 3
+    with pytest.raises(WrongDimension):
+        validate_manifold(cx)
+
+
 def test_three_triangles_on_one_edge_are_not_manifold():
     verts = np.array([[0.0, 0], [1, 0], [0, 1], [0, -1], [2, 1]])
     cx = build_complex([(0, 1, 2), (0, 1, 3), (0, 1, 4)], verts, strict=False)
