@@ -117,8 +117,9 @@ class SimplicialComplex:
             self._face_positions.append(positions)
             # Face i of a k-simplex drops vertex i; read it off the top
             # where the simplex first occurs.
-            top, local = np.divmod(first, positions.shape[1])
-            faces = self._face_positions[k - 1][top[:, None], _dropped(n + 1, k)[local]]
+            owner, local = np.divmod(first, positions.shape[1])
+            dropped = _dropped(n + 1, k)[local]
+            faces = self._face_positions[k - 1][owner[:, None], dropped]
             vals = np.tile((-1) ** np.arange(k + 1), len(rows))
             if k == n:
                 vals *= np.repeat(self.orientation, k + 1)
