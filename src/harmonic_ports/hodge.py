@@ -458,12 +458,11 @@ def decompose_vector_field_3d(
     if cx.dimension != 3:
         raise WrongDimension("vector field decomposition needs a 3-d complex")
     vectors = np.asarray(vectors, dtype=float)
+    a, b = cx._simplex_rows[1].T
     if field_type == "vertex":
         if vectors.shape != (cx.num_simplices(0), 3):
             raise WrongDimension("expected one 3-vector per vertex")
-        edge_vecs = [
-            0.5 * (vectors[a] + vectors[b]) for a, b in cx.simplices[1]
-        ]
+        edge_vecs = 0.5 * (vectors[a] + vectors[b])
     elif field_type == "cell":
         if vectors.shape != (cx.num_simplices(3), 3):
             raise WrongDimension("expected one 3-vector per top simplex")
@@ -475,12 +474,7 @@ def decompose_vector_field_3d(
     else:
         raise ValueError(f"unknown field_type {field_type!r}")
 
-    vals = np.array(
-        [
-            ev @ (cx.vertices[b] - cx.vertices[a])
-            for ev, (a, b) in zip(edge_vecs, cx.simplices[1])
-        ]
-    )
+    vals = (edge_vecs[:, None, :] @ (cx.vertices[b] - cx.vertices[a])[:, :, None]).ravel()
     omega = Cochain(cx, 1, vals)
     dec = hodge_morrey_friedrichs(metric, omega)
     nb = harmonic_basis(metric, 1, "neumann")

@@ -82,7 +82,7 @@ def read_mesh(path: str, strict: bool = True) -> SimplicialComplex:
         if key not in obj:
             raise ValueError(f"mesh file is missing {key!r}")
     n = obj["dimension"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # bool is an int subclass
         raise ValueError("dimension must be a positive integer")
     vertices = np.asarray(obj["vertices"], dtype=float)
     if vertices.ndim != 2:
@@ -93,7 +93,7 @@ def read_mesh(path: str, strict: bool = True) -> SimplicialComplex:
     tops = []
     for s in simplices:
         if not isinstance(s, list) or len(s) != n + 1 or not all(
-            isinstance(v, int) for v in s
+            type(v) is int for v in s
         ):
             raise ValueError(f"each simplex must list {n + 1} vertex indices")
         tops.append(tuple(s))
@@ -125,7 +125,7 @@ def cochain_from_obj(obj, cx: SimplicialComplex) -> Cochain:
     if obj.get("ordering", "canonical") != "canonical":
         raise ValueError("only canonical cochain ordering is supported")
     degree = obj["degree"]
-    if not isinstance(degree, int):
+    if type(degree) is not int:
         raise ValueError("cochain degree must be an integer")
     values = np.asarray(obj["values"], dtype=float)
     if values.ndim != 1:

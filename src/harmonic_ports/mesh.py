@@ -10,9 +10,9 @@ Conventions:
   (k+1)-subsets of its vertex tuple, in itertools.combinations order)
   gives the sorted k-simplices and the (T, C(n+1, k+1)) positions of each
   top's k-faces among them; the faces of a k-simplex are read off the top
-  where it first occurs.  The public simplex lists and index lookups,
-  every boundary matrix, orientation inference, validation and the
-  Whitney scatter all read this table.
+  where it first occurs.  The public simplex lists, every boundary
+  matrix, orientation inference, validation, the Whitney scatter and the
+  sampling of fields onto simplices all read this table.
 * Each top simplex carries an orientation sign (+1 or -1) relative to its
   sorted vertex tuple.  The signs are folded into the columns of the top
   boundary matrix, so the two columns meeting at an interior (n-1)-face
@@ -79,7 +79,6 @@ class SimplicialComplex:
         vertices: (V, d) float array of vertex coordinates.
         simplices: Per degree k, the lexicographically ordered list of
             sorted vertex tuples.
-        index: Per degree k, the tuple -> position lookup.
         orientation: (N_n,) array of +-1, the orientation of each top
             simplex relative to its sorted tuple.
     """
@@ -132,7 +131,6 @@ class SimplicialComplex:
         self.simplices: list[list[tuple]] = [
             list(map(tuple, rows.tolist())) for rows in self._simplex_rows
         ]
-        self.index: list[dict] = [dict(zip(s, range(len(s)))) for s in self.simplices]
 
     # -- basic queries ---------------------------------------------------
 

@@ -128,11 +128,11 @@ class Metric:
     holds the same values in CSR form, and every product with a mass
     matrix goes through it.  Each mass block, the full mass_csr(k) or its
     interior rows and columns, has one sparse LU (SuperLU), shared by
-    every solve against it.  Everything else, here and in the layers above
-    (harmonic bases, mixed Hodge-Laplacian factors, Stokes-Dirac
-    operators, midpoint factors), is built on first request through
-    `cached` and kept in one memo keyed by a tuple naming the quantity,
-    e.g. ("mass", k).
+    every solve against it, the constrained codifferential included.
+    Everything else, here and in the layers above (harmonic bases, mixed
+    Hodge-Laplacian factors, the Stokes-Dirac coupling, the midpoint
+    generator and factors), is built on first request through `cached`
+    and kept in one memo keyed by a tuple naming it, e.g. ("mass", k).
 
     Args:
         complex: The oriented complex to equip.
@@ -276,23 +276,6 @@ class Metric:
 
         return self.cached(("interior_mass_lu", k), build)
 
-    def deltac_matrix(self, k: int) -> np.ndarray:
-        """Constrained codifferential from degree k to k-1, as a dense matrix.
-
-        The interior rows solve the interior mass block against d^T M_k;
-        boundary rows are exactly zero.
-        """
-
-        def build():
-            d = self.complex.exterior_derivative_matrix(k - 1)
-            out = (d.T @ self.mass_csr(k)).toarray()
-            idx = self.interior_indices(k - 1)
-            out[idx] = self.interior_mass_lu(k - 1).solve(out[idx])
-            out[self.boundary_indices(k - 1)] = 0.0
-            return out
-
-        return self.cached(("deltac", k), build)
-
     def boundary_metric(self):
         """Metric on the boundary complex, or None when it is empty."""
         if self.boundary_complex.num_simplices(0) == 0:
@@ -351,7 +334,18 @@ def codifferential_constrained(metric: Metric, c: Cochain) -> Cochain:
     k = c.degree
     if k == 0:
         raise DegreeOutOfRange("codifferential of a 0-cochain")
-    return Cochain(c.complex, k - 1, metric.deltac_matrix(k) @ c.values)
+    return Cochain(c.complex, k - 1, _deltac(metric, k, c.values))
+
+
+def _deltac(metric: Metric, k: int, x: np.ndarray) -> np.ndarray:
+    """Constrained codifferential of degree-k values x, a vector or a
+    column block: the interior rows solve the interior mass block against
+    d^T M_k x, and the boundary rows are exactly zero."""
+    rhs = metric.complex.boundary_matrix(k) @ (metric.mass_csr(k) @ x)
+    idx = metric.interior_indices(k - 1)
+    out = np.zeros_like(rhs)
+    out[idx] = metric.interior_mass_lu(k - 1).solve(rhs[idx])
+    return out
 
 
 def inner_product(metric: Metric, a: Cochain, b: Cochain) -> float:
@@ -384,26 +378,24 @@ def extend_by_zero(metric: Metric, psi: Cochain) -> Cochain:
 
 def green_defect(metric: Metric, a: Cochain, b: Cochain) -> float:
     """<<da, b>> - <<a, delta b>>; zero to rounding for the plain adjoint."""
-    _check_metric(metric, a)
-    _check_metric(metric, b)
-    if b.degree != a.degree + 1:
-        raise DegreeMismatch("defect needs degrees (k, k+1)")
-    return inner_product(metric, exterior_derivative(metric, a), b) - inner_product(
-        metric, a, codifferential(metric, b)
-    )
+    return _green(metric, a, b, codifferential)
 
 
 def green_defect_constrained(metric: Metric, a: Cochain, b: Cochain) -> float:
     """<<da, b>> - <<a, delta_c b>>: the boundary pairing realized by the
     constrained codifferential.  Vanishes whenever a has zero trace, and
     depends on a only through its trace."""
+    return _green(metric, a, b, codifferential_constrained)
+
+
+def _green(metric: Metric, a: Cochain, b: Cochain, delta) -> float:
+    """<<da, b>> - <<a, delta(metric, b)>> for degrees (k, k+1)."""
     _check_metric(metric, a)
     _check_metric(metric, b)
     if b.degree != a.degree + 1:
         raise DegreeMismatch("defect needs degrees (k, k+1)")
-    return inner_product(metric, exterior_derivative(metric, a), b) - inner_product(
-        metric, a, codifferential_constrained(metric, b)
-    )
+    da = exterior_derivative(metric, a)
+    return inner_product(metric, da, b) - inner_product(metric, a, delta(metric, b))
 
 
 def stokes_check(metric: Metric, c: Cochain) -> dict:

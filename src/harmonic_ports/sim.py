@@ -9,6 +9,11 @@ drift on closed meshes and the drift of the harmonic coefficients
 measure rounding, not scheme error.  Flows are exact cochains, hence
 M-orthogonal to the Neumann-harmonic spaces; the trace records those
 coefficients per step as the conserved topological content.
+
+A is the one dense operator left: its flow blocks are built once per
+pair from the port action's delta_c kernel, coupling and mass LUs, so
+that one dense LU of I - dt/2 A per dt makes every step a pair of
+triangular solves; the spectral radius estimate reads the same blocks.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import FactorizationFailure
 from .hodge import harmonic_basis
-from .metric import Cochain, Metric
+from .metric import Cochain, Metric, _deltac
 from .stokesdirac import (
     StokesDiracSystem,
     hamiltonian,
@@ -50,8 +55,8 @@ class SimulationConfig:
     stride: int = 0
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
+        if not (0 < self.dt < np.inf):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.steps < 1:
             raise ValueError("steps must be a positive integer")
         if self.stride < 0:
@@ -110,25 +115,39 @@ def initial_state(metric: Metric, p: int, q: int, spec: str, seed: int = 0):
             raise ValueError(f"vertex index {vertex} out of range")
         if not (width > 0):
             raise ValueError("gaussian width must be positive")
-        center = cx.vertices[vertex]
-        values = np.empty(np_)
-        for i, simplex in enumerate(cx.simplices[p]):
-            bary = cx.vertices[list(simplex)].mean(axis=0)
-            d2 = float(np.sum((bary - center) ** 2))
-            values[i] = np.exp(-d2 / (2.0 * width**2))
+        bary = cx.vertices[cx._simplex_rows[p]].mean(axis=1)
+        d2 = np.sum((bary - cx.vertices[vertex]) ** 2, axis=1)
+        values = np.exp(-d2 / (2.0 * width**2))
         return Cochain(cx, p, values), Cochain(cx, q, np.zeros(nq_))
     raise ValueError(f"unknown init spec {spec!r}")
+
+
+def _generator(metric: Metric, p: int, q: int):
+    """Dense blocks (flow_p, flow_q) of A = [[0, flow_p], [flow_q, 0]],
+    once per pair: each effort block solves against the columns of W d,
+    then multiplies delta_c of the identity (a dense temporary)."""
+
+    def build():
+        ops = system_operators(metric, p, q)
+        sigma, tau, Wd = ops["sigma"], ops["tau"], ops["coupling"].toarray()
+        lu, size = metric.mass_lu, metric.complex.num_simplices
+        e_q = tau * lu(p - 1).solve(Wd) @ _deltac(metric, q, np.eye(size(q)))
+        e_p = -sigma * tau * lu(q - 1).solve(Wd.T) @ _deltac(metric, p, np.eye(size(p)))
+        d = metric.complex.exterior_derivative_matrix
+        return sigma * (d(p - 1) @ e_q), d(q - 1) @ e_p
+
+    return metric.cached(("generator", p, q), build)
 
 
 def _midpoint_factors(metric: Metric, p: int, q: int, dt: float):
     """LU factors of I - dt/2 A, assembled once per dt."""
 
     def build():
-        ops = system_operators(metric, p, q)
+        flow_p, flow_q = _generator(metric, p, q)
         np_ = metric.complex.num_simplices(p)
         G = np.eye(np_ + metric.complex.num_simplices(q))
-        G[:np_, np_:] = -0.5 * dt * ops["flow_p"]
-        G[np_:, :np_] = -0.5 * dt * ops["flow_q"]
+        G[:np_, np_:] = -0.5 * dt * flow_p
+        G[np_:, :np_] = -0.5 * dt * flow_q
         try:
             return sla.lu_factor(G, overwrite_a=True)
         except sla.LinAlgError as exc:
@@ -139,6 +158,8 @@ def _midpoint_factors(metric: Metric, p: int, q: int, dt: float):
 
 def step_implicit_midpoint(sys: StokesDiracSystem, dt: float) -> StokesDiracSystem:
     """One midpoint step; dt may be negative (the exact inverse step)."""
+    if not np.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt}")
     m = sys.metric
     lu = _midpoint_factors(m, sys.p, sys.q, dt)
     np_ = m.complex.num_simplices(sys.p)
@@ -191,8 +212,7 @@ def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
             )
         return out
 
-    ops = system_operators(m, sys.p, sys.q)
-    rho = _spectral_radius_estimate(ops["flow_p"], ops["flow_q"])
+    rho = _spectral_radius_estimate(*_generator(m, sys.p, sys.q))
     trace = Trace(
         header=header,
         rows=[],

@@ -12,6 +12,9 @@ constrained codifferential; the flows f_p = sigma d e_q, f_q = d e_p are
 exact cochains.  The transpose coupling makes the interior d/delta
 pairing cancel identically, so the energy rate equals the constrained
 Green-defect boundary term on every mesh and vanishes on closed ones.
+
+These maps are applied by sparse solves, never formed: efforts, flows
+and every balance read one port action, which solves delta_c alpha once.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     ComplexMismatch,
@@ -35,7 +39,7 @@ from .metric import (
     Cochain,
     Metric,
     _check_metric,
-    codifferential_constrained,
+    _deltac,
     extend_by_zero,
     exterior_derivative,
     green_defect_constrained,
@@ -89,28 +93,37 @@ class StokesDiracSystem:
 
 
 def system_operators(metric: Metric, p: int, q: int) -> dict:
-    """Cached state-to-effort and state-to-flow matrices for one pair."""
+    """Cached signs sigma, tau and the sparse wedge coupling W_{p-1,q}
+    d_{q-1} of one pair; no effort or flow matrix is formed."""
     validate_degree_pair(metric.complex.dimension, p, q)
-    return metric.cached(("sd_ops", p, q), lambda: _build_system_operators(metric, p, q))
+
+    def build():
+        n = metric.complex.dimension
+        W = sp.csr_matrix(metric.wedge(p - 1, q))
+        return {
+            "sigma": -1 if (p * q + 1) % 2 else 1,
+            "tau": -1 if (q * (n - q)) % 2 else 1,
+            "coupling": W @ metric.complex.exterior_derivative_matrix(q - 1),
+        }
+
+    return metric.cached(("sd_ops", p, q), build)
 
 
-def _build_system_operators(metric: Metric, p: int, q: int) -> dict:
-    n = metric.complex.dimension
-    sigma = -1 if (p * q + 1) % 2 else 1
-    tau = -1 if (q * (n - q)) % 2 else 1
-    W = metric.wedge(p - 1, q)
-    d = metric.complex.exterior_derivative_matrix
-    Wd = W @ d(q - 1)
-    effort_q = tau * metric.mass_lu(p - 1).solve(Wd) @ metric.deltac_matrix(q)
-    effort_p = -sigma * tau * metric.mass_lu(q - 1).solve(Wd.T) @ metric.deltac_matrix(p)
-    return {
-        "sigma": sigma,
-        "tau": tau,
-        "effort_q": effort_q,  # alpha_q -> e_q at degree p-1
-        "effort_p": effort_p,  # alpha_p -> e_p at degree q-1
-        "flow_p": sigma * (d(p - 1) @ effort_q),  # alpha_q -> f_p
-        "flow_q": d(q - 1) @ effort_p,  # alpha_p -> f_q
-    }
+def _port_action(sys: StokesDiracSystem) -> list[Cochain]:
+    """[z_p, z_q, e_p, e_q, f_p, f_q]: z = delta_c alpha per slot (one
+    interior-mass solve each), the efforts (one mass solve each against
+    the coupling) and the flows f_p = sigma d e_q, f_q = d e_p."""
+    m, p, q = sys.metric, sys.p, sys.q
+    ops = system_operators(m, p, q)
+    sigma, tau, Wd = ops["sigma"], ops["tau"], ops["coupling"]
+    d = m.complex.exterior_derivative_matrix
+    z_p = _deltac(m, p, sys.alpha_p.values)
+    z_q = _deltac(m, q, sys.alpha_q.values)
+    e_q = tau * m.mass_lu(p - 1).solve(Wd @ z_q)
+    e_p = -sigma * tau * m.mass_lu(q - 1).solve(Wd.T @ z_p)
+    values = (z_p, z_q, e_p, e_q, sigma * (d(p - 1) @ e_q), d(q - 1) @ e_p)
+    degrees = (p - 1, q - 1, q - 1, p - 1, p, q)
+    return [Cochain(m.complex, k, v) for k, v in zip(degrees, values)]
 
 
 def hamiltonian(sys: StokesDiracSystem) -> float:
@@ -122,20 +135,12 @@ def hamiltonian(sys: StokesDiracSystem) -> float:
 
 def efforts(sys: StokesDiracSystem):
     """(e_p, e_q) at degrees (q-1, p-1)."""
-    ops = system_operators(sys.metric, sys.p, sys.q)
-    cx = sys.metric.complex
-    e_p = Cochain(cx, sys.q - 1, ops["effort_p"] @ sys.alpha_p.values)
-    e_q = Cochain(cx, sys.p - 1, ops["effort_q"] @ sys.alpha_q.values)
-    return e_p, e_q
+    return tuple(_port_action(sys)[2:4])
 
 
 def flows(sys: StokesDiracSystem):
     """(f_p, f_q) at degrees (p, q); exact cochains by construction."""
-    ops = system_operators(sys.metric, sys.p, sys.q)
-    cx = sys.metric.complex
-    f_p = Cochain(cx, sys.p, ops["flow_p"] @ sys.alpha_q.values)
-    f_q = Cochain(cx, sys.q, ops["flow_q"] @ sys.alpha_p.values)
-    return f_p, f_q
+    return tuple(_port_action(sys)[4:])
 
 
 @dataclass
@@ -154,40 +159,42 @@ class PowerBalance:
     scale: float
 
 
+def _defect(m: Metric, effort: Cochain, alpha: Cochain, z: Cochain) -> float:
+    """green_defect_constrained(m, effort, alpha), given z = delta_c alpha."""
+    de = exterior_derivative(m, effort)
+    return inner_product(m, de, alpha) - inner_product(m, effort, z)
+
+
 def _power_pieces(sys: StokesDiracSystem):
+    """The port action and the PowerBalance fields of one state."""
     m = sys.metric
     sigma = system_operators(m, sys.p, sys.q)["sigma"]
-    e_p, e_q = efforts(sys)
-    f_p, f_q = flows(sys)
+    port = z_p, z_q, e_p, e_q, f_p, f_q = _port_action(sys)
     dH = inner_product(m, sys.alpha_p, f_p) + inner_product(m, sys.alpha_q, f_q)
-    dc_p = codifferential_constrained(m, sys.alpha_p)
-    dc_q = codifferential_constrained(m, sys.alpha_q)
-    internal = sigma * inner_product(m, e_q, dc_p) + inner_product(m, e_p, dc_q)
-    boundary = sigma * green_defect_constrained(m, e_q, sys.alpha_p) + (
-        green_defect_constrained(m, e_p, sys.alpha_q)
-    )
+    internal = sigma * inner_product(m, e_q, z_p) + inner_product(m, e_p, z_q)
+    boundary = sigma * _defect(m, e_q, sys.alpha_p, z_p) + _defect(m, e_p, sys.alpha_q, z_q)
     # Every term is a fixed linear image of the state, so rounding scales
     # with the state even when the flows cancel to zero; floor the scale
     # with the squared state norm so residual ratios stay meaningful.
     state_norm = norm(m, sys.alpha_p) + norm(m, sys.alpha_q)
     flow_norm = norm(m, f_p) + norm(m, f_q)
     scale = max(state_norm * flow_norm, state_norm * state_norm, 1e-30)
-    return e_p, e_q, f_p, f_q, dH, internal, boundary, scale, sigma
-
-
-def power_balance(sys: StokesDiracSystem) -> PowerBalance:
-    _, _, _, _, dH, internal, boundary, scale, _ = _power_pieces(sys)
-    return PowerBalance(
+    fields = dict(
         dH_dt=dH,
         internal_term=internal,
         boundary_term=boundary,
         split_residual=abs(dH - internal - boundary),
         scale=scale,
     )
+    return port, sigma, fields
+
+
+def power_balance(sys: StokesDiracSystem) -> PowerBalance:
+    return PowerBalance(**_power_pieces(sys)[2])
 
 
 @dataclass
-class ExtendedPowerBalance:
+class ExtendedPowerBalance(PowerBalance):
     """Power balance with the boundary term split along the
     Dirichlet-harmonic projections of the states.
 
@@ -197,11 +204,6 @@ class ExtendedPowerBalance:
     harmonic spaces and how exactly it is closed.
     """
 
-    dH_dt: float
-    internal_term: float
-    boundary_term: float
-    split_residual: float
-    scale: float
     harmonic_boundary_part: float
     exact_boundary_part: float
     bilinearity_residual: float
@@ -213,7 +215,7 @@ class ExtendedPowerBalance:
 def extended_power_balance(sys: StokesDiracSystem) -> ExtendedPowerBalance:
     m = sys.metric
     n = m.complex.dimension
-    e_p, e_q, f_p, f_q, dH, internal, boundary, scale, sigma = _power_pieces(sys)
+    (z_p, z_q, e_p, e_q, f_p, f_q), sigma, fields = _power_pieces(sys)
 
     state_coeffs: dict = {}
     flow_coeffs: dict = {}
@@ -221,33 +223,25 @@ def extended_power_balance(sys: StokesDiracSystem) -> ExtendedPowerBalance:
     harmonic_part = 0.0
     exact_part = 0.0
     slots = [
-        ("p", sys.p, sys.alpha_p, e_q, f_p, float(sigma)),
-        ("q", sys.q, sys.alpha_q, e_p, f_q, 1.0),
+        ("p", sys.p, sys.alpha_p, z_p, e_q, f_p, float(sigma)),
+        ("q", sys.q, sys.alpha_q, z_q, e_p, f_q, 1.0),
     ]
-    for name, deg, alpha, effort, flow, sgn in slots:
+    for name, deg, alpha, z, effort, flow, sgn in slots:
         basis = harmonic_basis(m, deg, "dirichlet")
-        coeffs, proj = harmonic_projection(basis, alpha)
-        state_coeffs[name] = coeffs
-        fc, _ = harmonic_projection(basis, flow)
-        flow_coeffs[name] = fc
-        closedness[name] = (
-            norm(m, exterior_derivative(m, flow)) if deg < n else 0.0
-        )
+        state_coeffs[name], proj = harmonic_projection(basis, alpha)
+        flow_coeffs[name] = harmonic_projection(basis, flow)[0]
+        closedness[name] = norm(m, exterior_derivative(m, flow)) if deg < n else 0.0
         if 1 <= deg <= n - 1:
             harmonic_part += sgn * green_defect_constrained(m, effort, proj)
             exact_part += sgn * green_defect_constrained(m, effort, alpha - proj)
         else:
-            exact_part += sgn * green_defect_constrained(m, effort, alpha)
+            exact_part += sgn * _defect(m, effort, alpha, z)
 
     return ExtendedPowerBalance(
-        dH_dt=dH,
-        internal_term=internal,
-        boundary_term=boundary,
-        split_residual=abs(dH - internal - boundary),
-        scale=scale,
+        **fields,
         harmonic_boundary_part=harmonic_part,
         exact_boundary_part=exact_part,
-        bilinearity_residual=abs(boundary - harmonic_part - exact_part),
+        bilinearity_residual=abs(fields["boundary_term"] - harmonic_part - exact_part),
         state_harmonic_coefficients=state_coeffs,
         flow_harmonic_coefficients=flow_coeffs,
         flow_closedness=closedness,
@@ -264,8 +258,7 @@ def harmonic_flow_identity(sys: StokesDiracSystem) -> list[dict]:
     """
     m = sys.metric
     sigma = system_operators(m, sys.p, sys.q)["sigma"]
-    e_p, e_q = efforts(sys)
-    f_p, f_q = flows(sys)
+    _, _, e_p, e_q, f_p, f_q = _port_action(sys)
     state_norm = norm(m, sys.alpha_p) + norm(m, sys.alpha_q)
     rows = []
     for name, deg, effort, flow, sgn in (

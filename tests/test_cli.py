@@ -117,6 +117,29 @@ def test_non_finite_numbers_in_input_files_exit_3(tmp_path, capsys):
         assert "non-finite" in capsys.readouterr().err
 
 
+def test_json_booleans_are_not_integers_exit_3(tmp_path, capsys):
+    # true and false are JSON booleans, not the integers 1 and 0
+    flat = {"dimension": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+            "simplices": [[0, 1, 2]]}
+    cases = [
+        ("bool_vertex.json", dict(flat, simplices=[[0, True, 2]]),
+         "each simplex must list 3 vertex indices"),
+        ("bool_dimension.json", dict(flat, dimension=True),
+         "dimension must be a positive integer"),
+    ]
+    for name, obj, message in cases:
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        assert main(["analyze", str(path)]) == 3, name
+        assert message in capsys.readouterr().err
+    cx = gen_mesh("torus", 4)
+    coch = {"degree": True, "values": [0.5] * cx.num_simplices(1)}
+    path = tmp_path / "bool_degree.json"
+    path.write_text(json.dumps(coch))
+    assert main(["decompose", _write_torus(tmp_path), str(path)]) == 3
+    assert "cochain degree must be an integer" in capsys.readouterr().err
+
+
 def test_integers_beyond_float_range_in_input_files_exit_3(tmp_path, capsys):
     # a 401-digit integer is valid JSON but has no float value
     huge = "9" * 401
@@ -302,6 +325,15 @@ def test_simulate_balance_gate_on_bounded_mesh(tmp_path, capsys):
     assert code == 0
     assert rep["passed"] is True
     assert rep["max_step_balance_residual"] <= 1e-8
+
+
+def test_simulate_rejects_non_finite_dt_exit_3(tmp_path, capsys):
+    mesh = _write_torus(tmp_path)
+    for dt in ("inf", "nan"):
+        code = main(["simulate", mesh, "--p", "1", "--q", "2", "--dt", dt,
+                     "--steps", "3", "--out", str(tmp_path / "t.csv")])
+        assert code == 3, dt
+        assert "dt must be positive and finite" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_3(tmp_path, capsys):

@@ -59,8 +59,9 @@ def test_build_complex_enumerates_and_sorts_faces():
     assert cx.simplices[1] == [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
     assert cx.simplices[2] == [(0, 1, 2), (1, 2, 3)]
     for k in range(3):
-        for i, s in enumerate(cx.simplices[k]):
-            assert cx.index[k][s] == i
+        index = {s: i for i, s in enumerate(cx.simplices[k])}
+        assert list(index) == sorted(index) == cx.simplices[k]  # distinct, in order
+        for s in index:
             assert s == tuple(sorted(s))
 
 

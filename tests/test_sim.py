@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from harmonic_ports import (
+    Cochain,
     SimulationConfig,
     StokesDiracSystem,
     hamiltonian,
@@ -10,12 +11,12 @@ from harmonic_ports import (
     norm,
     random_cochain,
     run,
+    flows,
     step_implicit_midpoint,
-    system_operators,
 )
-from harmonic_ports.sim import _spectral_radius_estimate
+from harmonic_ports.sim import _generator, _spectral_radius_estimate
 
-from conftest import ACCEPTANCE, SMALL, metric_for, valid_pairs
+from conftest import ACCEPTANCE, SMALL, dense_port_operators, metric_for, valid_pairs
 
 
 def _sys(shape, p, q, init="random", seed=0):
@@ -34,6 +35,15 @@ def test_config_validation():
         SimulationConfig(steps=0)
     with pytest.raises(ValueError):
         SimulationConfig(stride=-1)
+
+
+def test_non_finite_dt_is_rejected():
+    sys = _sys("torus", 1, 2)
+    for dt in (float("inf"), float("nan"), float("-inf")):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            SimulationConfig(dt=dt)
+        with pytest.raises(ValueError, match="dt must be finite"):
+            step_implicit_midpoint(sys, dt)
 
 
 def test_initial_state_specs():
@@ -167,12 +177,32 @@ def test_spectral_radius_matches_dense_svd(shape):
     # solid_torus at (2, 2) has A = 0, from which ARPACK cannot start.
     metric = metric_for(shape, ACCEPTANCE[shape])
     for p, q in valid_pairs(metric.complex.dimension):
-        ops = system_operators(metric, p, q)
+        ops = dense_port_operators(metric, p, q)
         flow_p, flow_q = ops["flow_p"], ops["flow_q"]
         n_p = flow_q.shape[1]
         generator = np.zeros((n_p + flow_p.shape[1],) * 2)
         generator[:n_p, n_p:] = flow_p
         generator[n_p:, :n_p] = flow_q
         sigma_max = np.linalg.svd(generator, compute_uv=False)[0]
-        estimate = _spectral_radius_estimate(flow_p, flow_q)
+        estimate = _spectral_radius_estimate(*_generator(metric, p, q))
         assert estimate == pytest.approx(sigma_max, rel=1e-6), (p, q)
+
+
+def _assert_same_column(got, expect):
+    assert np.abs(got - expect).max() <= 1e-13 * max(np.abs(expect).max(), 1e-300)
+
+
+@pytest.mark.parametrize("shape", sorted(SMALL))
+def test_generator_columns_are_flows_of_unit_states(shape):
+    metric = metric_for(shape, SMALL[shape])
+    cx = metric.complex
+    for p, q in valid_pairs(cx.dimension):
+        flow_p, flow_q = _generator(metric, p, q)
+        units_p, units_q = np.eye(cx.num_simplices(p)), np.eye(cx.num_simplices(q))
+        zero_p, zero_q = Cochain(cx, p, 0 * units_p[0]), Cochain(cx, q, 0 * units_q[0])
+        for j, unit in enumerate(units_q):
+            sys = StokesDiracSystem(metric, p, q, zero_p, Cochain(cx, q, unit))
+            _assert_same_column(flow_p[:, j], flows(sys)[0].values)
+        for i, unit in enumerate(units_p):
+            sys = StokesDiracSystem(metric, p, q, Cochain(cx, p, unit), zero_q)
+            _assert_same_column(flow_q[:, i], flows(sys)[1].values)

@@ -5,9 +5,9 @@ from harmonic_ports import (
     ComplexMismatch,
     DegreeMismatch,
     InvalidDegrees,
+    Metric,
     SolverFailure,
     StokesDiracSystem,
-    codifferential_constrained,
     efforts,
     extend_by_zero,
     extended_power_balance,
@@ -25,7 +25,15 @@ from harmonic_ports import (
     tangential_trace,
 )
 
-from conftest import CLOSED, SMALL, metric_for, valid_pairs
+from conftest import (
+    ACCEPTANCE,
+    CLOSED,
+    SMALL,
+    complex_for,
+    dense_port_operators,
+    metric_for,
+    valid_pairs,
+)
 
 
 def _system(shape, p, q, seed=0):
@@ -138,24 +146,65 @@ def test_energy_rate_splits_into_boundary_power(shape):
             assert np.isclose(pb.dH_dt, direct, rtol=1e-10, atol=1e-12 * pb.scale)
 
 
-@pytest.mark.parametrize("shape, p, q", [("annulus", 1, 2), ("ball", 2, 2)])
+@pytest.mark.parametrize(
+    "shape, p, q",
+    [
+        (shape, p, q)
+        for shape in sorted(ACCEPTANCE)
+        for p, q in valid_pairs(complex_for(shape, ACCEPTANCE[shape]).dimension)
+    ],
+)
 def test_efforts_follow_the_module_formula(shape, p, q):
     # e_q = tau M^-1 W d (delta_c alpha_q),
-    # e_p = -sigma tau M^-1 d^T W^T (delta_c alpha_p), from public calls only
-    sys = _system(shape, p, q, seed=2)
-    m = sys.metric
-    n = m.complex.dimension
-    sigma = (-1) ** (p * q + 1)
-    tau = (-1) ** (q * (n - q))
-    W = m.wedge(p - 1, q)
-    dq = exterior_derivative(m, codifferential_constrained(m, sys.alpha_q)).values
-    expect_q = tau * np.linalg.solve(m.mass(p - 1), W @ dq)
-    dp = codifferential_constrained(m, sys.alpha_p).values
-    d = m.complex.exterior_derivative_matrix(q - 1).toarray()
-    expect_p = -sigma * tau * np.linalg.solve(m.mass(q - 1), d.T @ (W.T @ dp))
+    # e_p = -sigma tau M^-1 d^T W^T (delta_c alpha_p), f_p = sigma d e_q,
+    # f_q = d e_p, against dense matrices with dense solves throughout
+    m = metric_for(shape, ACCEPTANCE[shape])
+    rng = np.random.default_rng(2)
+    sys = StokesDiracSystem(
+        m, p, q, random_cochain(m.complex, p, rng), random_cochain(m.complex, q, rng)
+    )
+    ops = dense_port_operators(m, p, q)
     e_p, e_q = efforts(sys)
-    assert np.linalg.norm(e_q.values - expect_q) <= 1e-12 * np.linalg.norm(expect_q)
-    assert np.linalg.norm(e_p.values - expect_p) <= 1e-12 * np.linalg.norm(expect_p)
+    f_p, f_q = flows(sys)
+    for got, op, state in (
+        (e_q, "effort_q", sys.alpha_q),
+        (e_p, "effort_p", sys.alpha_p),
+        (f_p, "flow_p", sys.alpha_q),
+        (f_q, "flow_q", sys.alpha_p),
+    ):
+        expect = ops[op] @ state.values
+        assert np.linalg.norm(got.values - expect) <= 1e-12 * np.linalg.norm(expect), op
+
+
+def test_balances_keep_no_dense_operator():
+    # a fresh metric: only the calls below fill its memo
+    m = Metric(complex_for("ball", ACCEPTANCE["ball"]))
+    rng = np.random.default_rng(3)
+    a2, b2 = random_cochain(m.complex, 2, rng), random_cochain(m.complex, 2, rng)
+    sys = StokesDiracSystem(m, 2, 2, a2, b2)
+    extended_power_balance(sys)
+    harmonic_flow_identity(sys)
+    counts = [m.complex.num_simplices(k) for k in range(m.complex.dimension + 1)]
+    limit = min(a * b for a, b in zip(counts, counts[1:]))
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, dict):
+            for v in value.values():
+                yield from arrays(v)
+        elif isinstance(value, (tuple, list)):
+            for v in value:
+                yield from arrays(v)
+
+    dense = [
+        key
+        for key, value in m._memo.items()
+        if key[0] not in ("mass", "wedge")
+        for a in arrays(value)
+        if a.size >= limit
+    ]
+    assert dense == []
 
 
 def test_harmonic_boundary_split_on_annulus():
