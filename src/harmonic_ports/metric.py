@@ -378,24 +378,26 @@ def extend_by_zero(metric: Metric, psi: Cochain) -> Cochain:
 
 def green_defect(metric: Metric, a: Cochain, b: Cochain) -> float:
     """<<da, b>> - <<a, delta b>>; zero to rounding for the plain adjoint."""
-    return _green(metric, a, b, codifferential)
+    _check_metric(metric, a)
+    _check_metric(metric, b)
+    if b.degree != a.degree + 1:
+        raise DegreeMismatch("defect needs degrees (k, k+1)")
+    return inner_product(metric, exterior_derivative(metric, a), b) - inner_product(
+        metric, a, codifferential(metric, b)
+    )
 
 
 def green_defect_constrained(metric: Metric, a: Cochain, b: Cochain) -> float:
     """<<da, b>> - <<a, delta_c b>>: the boundary pairing realized by the
     constrained codifferential.  Vanishes whenever a has zero trace, and
     depends on a only through its trace."""
-    return _green(metric, a, b, codifferential_constrained)
-
-
-def _green(metric: Metric, a: Cochain, b: Cochain, delta) -> float:
-    """<<da, b>> - <<a, delta(metric, b)>> for degrees (k, k+1)."""
     _check_metric(metric, a)
     _check_metric(metric, b)
     if b.degree != a.degree + 1:
         raise DegreeMismatch("defect needs degrees (k, k+1)")
-    da = exterior_derivative(metric, a)
-    return inner_product(metric, da, b) - inner_product(metric, a, delta(metric, b))
+    return inner_product(metric, exterior_derivative(metric, a), b) - inner_product(
+        metric, a, codifferential_constrained(metric, b)
+    )
 
 
 def stokes_check(metric: Metric, c: Cochain) -> dict:
