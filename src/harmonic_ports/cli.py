@@ -402,10 +402,13 @@ def cmd_simulate(args) -> int:
     harm_drift = (
         float(np.max(np.abs(harm - harm[0]))) if harm.shape[1] else 0.0
     )
+    # relative to |dH/dt|, floored by H/dt: the rounding scale of the
+    # finite difference, in the same units, so the check is unit-free
     balance = 0.0
     for k in range(1, rows.shape[0]):
         dh = (H[k] - H[k - 1]) / config.dt
-        balance = max(balance, abs(dh - rows[k, 3]) / max(1.0, abs(dh)))
+        floor = max(abs(dh), H[k - 1] / config.dt, np.finfo(float).tiny)
+        balance = max(balance, abs(dh - rows[k, 3]) / floor)
     tols = {
         "closed_energy_drift": 1e-10 * scale,
         "harmonic_drift": 1e-8 * scale,

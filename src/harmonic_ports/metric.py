@@ -4,10 +4,12 @@ One stacked QR of all element edge vectors gives every element's signed
 volume and barycentric gradients in an orthonormal tangent frame, so
 embedded surfaces work the same way as flat meshes.  Mass matrices and
 wedge pairings of lowest-order Whitney forms then come from one pairing
-kernel over all elements at once.  On top of the masses sit the
-first-order operators: exterior derivative, the two codifferentials
-(plain adjoint and the zero-trace constrained one), tangential traces,
-Green defects, and the exact discrete Stokes identity.
+kernel over all elements at once, summed straight into sparse (CSR)
+matrices: no N x N array is ever formed, so memory grows with the
+number of simplices.  On top of the masses sit the first-order
+operators: exterior derivative, the two codifferentials (plain adjoint
+and the zero-trace constrained one), tangential traces, Green defects,
+and the exact discrete Stokes identity.
 """
 
 from __future__ import annotations
@@ -123,16 +125,20 @@ class Metric:
     Element frames (signed volumes and barycentric gradients of all
     elements, from one stacked QR) are built eagerly.  Mass and wedge
     matrices share one pairing kernel that evaluates every local entry of
-    every element at once and scatters it into a dense array, at the face
-    positions the complex's face table holds for every element; mass_csr
-    holds the same values in CSR form, and every product with a mass
-    matrix goes through it.  Each mass block, the full mass_csr(k) or its
-    interior rows and columns, has one sparse LU (SuperLU), shared by
-    every solve against it, the constrained codifferential included.
-    Everything else, here and in the layers above (harmonic bases, mixed
-    Hodge-Laplacian factors, the Stokes-Dirac coupling, the midpoint
-    generator and factors), is built on first request through `cached`
-    and kept in one memo keyed by a tuple naming it, e.g. ("mass", k).
+    every element at once and sums them, at the face positions the
+    complex's face table holds for every element, into one CSR matrix:
+    mass_csr(k) and wedge_csr(a, b) are the one stored form of each, and
+    every product with them goes through it.  mass(k) and wedge(a, b)
+    are uncached dense copies for small meshes, kept for callers that
+    read dense arrays (the benchmark's traced byte counts); the library
+    itself never calls them.  Each mass block, the full mass_csr(k) or
+    its interior rows and columns, has one sparse LU (SuperLU), shared
+    by every solve against it, the constrained codifferential included.
+    Everything else, here and in the layers above (boundary and interior
+    index arrays, harmonic bases, mixed Hodge-Laplacian factors, the
+    Stokes-Dirac coupling, the midpoint generator and factors), is built
+    on first request through `cached` and kept in one memo keyed by a
+    tuple naming it, e.g. ("mass_csr", k).
 
     Args:
         complex: The oriented complex to equip.
@@ -173,8 +179,8 @@ class Metric:
 
     # -- assembled matrices -----------------------------------------------
 
-    def mass(self, k: int) -> np.ndarray:
-        """Whitney mass matrix at degree k (dense, symmetric positive)."""
+    def mass_csr(self, k: int) -> sp.csr_matrix:
+        """Whitney mass matrix at degree k (CSR, exactly symmetric, positive)."""
         n = self.complex.dimension
         if not 0 <= k <= n:
             raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
@@ -188,14 +194,14 @@ class Metric:
             scale = math.factorial(k) ** 2 / ((n + 1) * (n + 2)) * vols
             return self._pair(k, k, K, scale, symmetric=True)
 
-        return self.cached(("mass", k), build)
+        return self.cached(("mass_csr", k), build)
 
-    def mass_csr(self, k: int) -> sp.csr_matrix:
-        """CSR view of mass(k): the same values, for sparse solvers."""
-        return self.cached(("mass_csr", k), lambda: sp.csr_matrix(self.mass(k)))
+    def mass(self, k: int) -> np.ndarray:
+        """Dense copy of mass_csr(k), built afresh on every call."""
+        return self.mass_csr(k).toarray()
 
-    def wedge(self, a: int, b: int) -> np.ndarray:
-        """Pairing matrix P[s, t] = integral of w_s^(a) wedge w_t^(b).
+    def wedge_csr(self, a: int, b: int) -> sp.csr_matrix:
+        """Pairing matrix P[s, t] = integral of w_s^(a) wedge w_t^(b) (CSR).
 
         Requires a + b = n.  Degree-n slots use the oriented basis, like
         cochains do.  Satisfies P(a,b) = (-1)^(a b) P(b,a)^T.
@@ -217,14 +223,22 @@ class Metric:
                 scale = scale * o  # oriented top-degree basis
             return self._pair(a, b, K, scale)
 
-        return self.cached(("wedge", a, b), build)
+        return self.cached(("wedge_csr", a, b), build)
 
-    def _pair(self, p, q, K, scale, symmetric=False) -> np.ndarray:
-        """Dense (N_p, N_q) sum over elements of, per local p-face s and q-face t,
+    def wedge(self, a: int, b: int) -> np.ndarray:
+        """Dense copy of wedge_csr(a, b), built afresh on every call."""
+        return self.wedge_csr(a, b).toarray()
+
+    def _pair(self, p, q, K, scale, symmetric=False) -> sp.csr_matrix:
+        """Sparse (N_p, N_q) sum over elements of, per local p-face s and q-face t,
         scale * sum_ij (-1)^(i+j) (1 + [s_i = t_j]) K(s minus s_i, t minus t_j).
 
         K is (T, C(n+1, p), C(n+1, q)), removal sub-tuples in combinations
         order.  symmetric averages each local block with its transpose.
+        bincount adds the local entries of each matrix position in element
+        order, the order of a dense scatter, so entries (i, j) and (j, i)
+        of a symmetric pairing get bitwise equal sums; exact zeros are
+        left out.
         """
         n = self.complex.dimension
         faces_p = list(itertools.combinations(range(n + 1), p + 1))
@@ -239,10 +253,13 @@ class Metric:
         local = scale[:, None, None] * np.einsum("eab,abst->est", K, coef)
         if symmetric:
             local = (local + local.transpose(0, 2, 1)) / 2
-        out = np.zeros((self.complex.num_simplices(p), self.complex.num_simplices(q)))
+        shape = (self.complex.num_simplices(p), self.complex.num_simplices(q))
         faces = self.complex._face_positions
-        np.add.at(out, (faces[p][:, :, None], faces[q][:, None, :]), local)
-        return out
+        flat = (faces[p][:, :, None] * shape[1] + faces[q][:, None, :]).ravel()
+        keys, slot = np.unique(flat, return_inverse=True)
+        sums = np.bincount(slot, weights=local.ravel(), minlength=len(keys))
+        kept = sums != 0
+        return sp.csr_matrix((sums[kept], np.divmod(keys[kept], shape[1])), shape=shape)
 
     def mass_lu(self, k: int) -> spla.SuperLU:
         """Sparse LU of mass_csr(k); lu.solve(rhs) solves M_k x = rhs."""
@@ -253,15 +270,25 @@ class Metric:
     # -- boundary bookkeeping ----------------------------------------------
 
     def boundary_indices(self, k: int) -> np.ndarray:
-        """Parent indices of k-simplices lying on the boundary."""
-        if k == self.complex.dimension:
-            return np.zeros(0, dtype=np.int64)
-        return np.unique(self.boundary_complex.parent_indices(k))
+        """Sorted parent indices of k-simplices lying on the boundary (cached,
+        read-only)."""
+
+        def build():
+            if k == self.complex.dimension:
+                return _read_only(np.zeros(0, dtype=np.int64))
+            return _read_only(np.unique(self.boundary_complex.parent_indices(k)))
+
+        return self.cached(("boundary_indices", k), build)
 
     def interior_indices(self, k: int) -> np.ndarray:
-        mask = np.ones(self.complex.num_simplices(k), dtype=bool)
-        mask[self.boundary_indices(k)] = False
-        return np.flatnonzero(mask)
+        """Sorted indices of k-simplices off the boundary (cached, read-only)."""
+
+        def build():
+            mask = np.ones(self.complex.num_simplices(k), dtype=bool)
+            mask[self.boundary_indices(k)] = False
+            return _read_only(np.flatnonzero(mask))
+
+        return self.cached(("interior_indices", k), build)
 
     def interior_mass_lu(self, k: int) -> spla.SuperLU:
         """Sparse LU of the interior block of mass_csr(k), rows and columns
@@ -281,6 +308,11 @@ class Metric:
         if self.boundary_complex.num_simplices(0) == 0:
             return None
         return self.cached(("boundary_metric",), lambda: Metric(self.boundary_complex))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _splu(matrix, what: str) -> spla.SuperLU:

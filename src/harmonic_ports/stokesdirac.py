@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     ComplexMismatch,
@@ -94,16 +93,17 @@ class StokesDiracSystem:
 
 def system_operators(metric: Metric, p: int, q: int) -> dict:
     """Cached signs sigma, tau and the sparse wedge coupling W_{p-1,q}
-    d_{q-1} of one pair; no effort or flow matrix is formed."""
+    d_{q-1} of one pair, the product of the metric's wedge_csr(p-1, q)
+    and the coboundary; no effort or flow matrix is formed."""
     validate_degree_pair(metric.complex.dimension, p, q)
 
     def build():
         n = metric.complex.dimension
-        W = sp.csr_matrix(metric.wedge(p - 1, q))
         return {
             "sigma": -1 if (p * q + 1) % 2 else 1,
             "tau": -1 if (q * (n - q)) % 2 else 1,
-            "coupling": W @ metric.complex.exterior_derivative_matrix(q - 1),
+            "coupling": metric.wedge_csr(p - 1, q)
+            @ metric.complex.exterior_derivative_matrix(q - 1),
         }
 
     return metric.cached(("sd_ops", p, q), build)

@@ -1,8 +1,11 @@
 import functools
+import itertools
+import math
 
 import numpy as np
 
 from harmonic_ports import Metric, gen_mesh
+from harmonic_ports.mesh import _subsets
 
 # Shapes at the resolutions the acceptance checks run at, and smaller
 # twins for unit tests.  Caches are shared per session so harmonic bases
@@ -38,6 +41,53 @@ def metric_for(shape, resolution):
 
 def valid_pairs(n):
     return [(p, n + 1 - p) for p in range(1, n + 1)]
+
+
+def _dense_pair(metric, p, q, K, scale, symmetric=False):
+    """Dense (N_p, N_q) Whitney pairing: every element's local block,
+    averaged with its transpose when symmetric, scattered by np.add.at
+    into an array of zeros at the element's face positions."""
+    n = metric.complex.dimension
+    faces_p = list(itertools.combinations(range(n + 1), p + 1))
+    faces_q = list(itertools.combinations(range(n + 1), q + 1))
+    pos_p = {s: i for i, s in enumerate(itertools.combinations(range(n + 1), p))}
+    pos_q = {t: j for j, t in enumerate(itertools.combinations(range(n + 1), q))}
+    coef = np.zeros((len(pos_p), len(pos_q), len(faces_p), len(faces_q)))
+    for (si, s), (ti, t) in itertools.product(enumerate(faces_p), enumerate(faces_q)):
+        for i, j in itertools.product(range(p + 1), range(q + 1)):
+            rs, rt = pos_p[s[:i] + s[i + 1 :]], pos_q[t[:j] + t[j + 1 :]]
+            coef[rs, rt, si, ti] += (-1) ** (i + j) * (1 + (s[i] == t[j]))
+    local = scale[:, None, None] * np.einsum("eab,abst->est", K, coef)
+    if symmetric:
+        local = (local + local.transpose(0, 2, 1)) / 2
+    out = np.zeros((metric.complex.num_simplices(p), metric.complex.num_simplices(q)))
+    faces = metric.complex._face_positions
+    np.add.at(out, (faces[p][:, :, None], faces[q][:, None, :]), local)
+    return out
+
+
+def dense_mass(metric, k):
+    """Dense Whitney mass matrix at degree k, for small meshes only."""
+    n = metric.complex.dimension
+    grads = metric._gradients
+    sub = _subsets(n + 1, k)
+    gram = grads @ grads.transpose(0, 2, 1)
+    K = np.linalg.det(gram[:, sub[:, None, :, None], sub[None, :, None, :]])
+    scale = math.factorial(k) ** 2 / ((n + 1) * (n + 2)) * np.abs(metric._vols_signed)
+    return _dense_pair(metric, k, k, K, scale, symmetric=True)
+
+
+def dense_wedge(metric, a, b):
+    """Dense wedge pairing of degrees a + b = n, for small meshes only."""
+    n = metric.complex.dimension
+    sa, sb = _subsets(n + 1, a), _subsets(n + 1, b)
+    rows = np.array([s + t for s in sa.tolist() for t in sb.tolist()])
+    K = np.linalg.det(metric._gradients[:, rows.reshape(len(sa), len(sb), n)])
+    o = metric.complex.orientation
+    scale = math.factorial(a) * math.factorial(b) / ((n + 1) * (n + 2)) * o * metric._vols_signed
+    if n in (a, b):
+        scale = scale * o
+    return _dense_pair(metric, a, b, K, scale)
 
 
 def dense_deltac(metric, k):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,7 +7,15 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from harmonic_ports import Metric, gen_mesh, hodge, write_mesh
+from harmonic_ports import (
+    Metric,
+    gen_mesh,
+    hodge,
+    initial_state,
+    sim,
+    write_mesh,
+    write_state,
+)
 from harmonic_ports.cli import main, sd_verify_main
 
 
@@ -176,7 +185,7 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     def fail(self, k):
         raise MemoryError("Unable to allocate 11.9 GiB for an array")
 
-    monkeypatch.setattr(Metric, "mass", fail)
+    monkeypatch.setattr(Metric, "mass_csr", fail)
     code = main(["analyze", _write_torus(tmp_path)])
     err = capsys.readouterr().err
     assert code == 2
@@ -325,6 +334,47 @@ def test_simulate_balance_gate_on_bounded_mesh(tmp_path, capsys):
     assert code == 0
     assert rep["passed"] is True
     assert rep["max_step_balance_residual"] <= 1e-8
+
+
+def _write_disk_state(tmp_path, amplitude):
+    """disk:4 mesh and a smooth (1, 2) state, a Gaussian bump at vertex 0,
+    scaled by amplitude."""
+    mpath = tmp_path / "disk.json"
+    cx = gen_mesh("disk", 4)
+    write_mesh(cx, mpath)
+    alpha_p, alpha_q = initial_state(Metric(cx), 1, 2, "gaussian:0:0.5")
+    spath = tmp_path / f"state_{amplitude:g}.json"
+    write_state(alpha_p * amplitude, alpha_q * amplitude, spath)
+    return str(mpath), str(spath)
+
+
+def _simulate_state(tmp_path, capsys, mesh, state):
+    return _run(capsys, ["simulate", mesh, "--p", "1", "--q", "2", "--steps", "10",
+                         "--state", state, "--out", str(tmp_path / "s.csv")])
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 1e-6, 1.0, 1e6])
+def test_simulate_step_balance_is_unit_free(tmp_path, capsys, amplitude):
+    mesh, state = _write_disk_state(tmp_path, amplitude)
+    code, rep = _simulate_state(tmp_path, capsys, mesh, state)
+    assert code == 0
+    assert rep["max_step_balance_residual"] <= 1e-12
+
+
+def test_simulate_catches_wrong_boundary_power_at_small_amplitude(
+    tmp_path, capsys, monkeypatch
+):
+    real = sim.power_balance
+
+    def doubled(system):
+        pb = real(system)
+        return dataclasses.replace(pb, boundary_term=2.0 * pb.boundary_term)
+
+    monkeypatch.setattr(sim, "power_balance", doubled)
+    mesh, state = _write_disk_state(tmp_path, 1e-6)
+    code, rep = _simulate_state(tmp_path, capsys, mesh, state)
+    assert code == 1
+    assert rep["passed"] is False
 
 
 def test_simulate_rejects_non_finite_dt_exit_3(tmp_path, capsys):

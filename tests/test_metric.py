@@ -23,7 +23,15 @@ from harmonic_ports import (
     tangential_trace,
 )
 
-from conftest import CLOSED, SMALL, complex_for, metric_for
+from conftest import (
+    ACCEPTANCE,
+    CLOSED,
+    SMALL,
+    complex_for,
+    dense_mass,
+    dense_wedge,
+    metric_for,
+)
 
 RIGHT_TRIANGLE = build_complex([(0, 1, 2)], np.array([[0.0, 0], [1, 0], [0, 1]]))
 UNIT_TET = build_complex(
@@ -79,6 +87,34 @@ def test_mass_matrices_are_spd(shape):
         mk = m.mass(k)
         assert np.allclose(mk, mk.T, rtol=1e-13)
         assert np.linalg.eigvalsh(mk).min() > 0
+
+
+def _with_boundary(shape):
+    """The ACCEPTANCE metric of a shape and its boundary metric, if any."""
+    m = metric_for(shape, ACCEPTANCE[shape])
+    return [m] if m.boundary_metric() is None else [m, m.boundary_metric()]
+
+
+def _rel(sparse, dense):
+    return np.abs(sparse.toarray() - dense).max() / np.abs(dense).max()
+
+
+@pytest.mark.parametrize("shape", sorted(ACCEPTANCE))
+def test_sparse_assembly_matches_dense_scatter(shape):
+    for m in _with_boundary(shape):
+        n = m.complex.dimension
+        for k in range(n + 1):
+            assert _rel(m.mass_csr(k), dense_mass(m, k)) <= 1e-15
+        for a in range(n + 1):
+            assert _rel(m.wedge_csr(a, n - a), dense_wedge(m, a, n - a)) <= 1e-15
+
+
+@pytest.mark.parametrize("shape", sorted(ACCEPTANCE))
+def test_mass_matrices_are_exactly_symmetric(shape):
+    for m in _with_boundary(shape):
+        for k in range(m.complex.dimension + 1):
+            M = m.mass_csr(k)
+            assert (M != M.T).nnz == 0
 
 
 @pytest.mark.parametrize("shape", ["annulus", "ball"])
@@ -316,3 +352,13 @@ def test_index_partition():
         assert np.union1d(bi, ii).size == m.complex.num_simplices(k)
     closed = metric_for("torus", 4)
     assert closed.boundary_indices(1).size == 0
+
+
+def test_index_arrays_are_cached_and_read_only():
+    m = metric_for("annulus", 2)
+    for k in range(3):
+        for indices in (m.boundary_indices, m.interior_indices):
+            idx = indices(k)
+            assert indices(k) is idx
+            with pytest.raises(ValueError):
+                idx[:1] = 0

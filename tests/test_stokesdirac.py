@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from harmonic_ports import (
     hamiltonian,
     harmonic_basis,
     harmonic_flow_identity,
+    hodge_morrey_friedrichs,
     inner_product,
     integrability_check,
     norm,
@@ -176,6 +179,21 @@ def test_efforts_follow_the_module_formula(shape, p, q):
         assert np.linalg.norm(got.values - expect) <= 1e-12 * np.linalg.norm(expect), op
 
 
+def _arrays(value):
+    """Every ndarray in a memo value, through dicts, sequences and dataclasses."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _arrays(v)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from _arrays(v)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+
+
 def test_balances_keep_no_dense_operator():
     # a fresh metric: only the calls below fill its memo
     m = Metric(complex_for("ball", ACCEPTANCE["ball"]))
@@ -186,25 +204,32 @@ def test_balances_keep_no_dense_operator():
     harmonic_flow_identity(sys)
     counts = [m.complex.num_simplices(k) for k in range(m.complex.dimension + 1)]
     limit = min(a * b for a, b in zip(counts, counts[1:]))
-
-    def arrays(value):
-        if isinstance(value, np.ndarray):
-            yield value
-        elif isinstance(value, dict):
-            for v in value.values():
-                yield from arrays(v)
-        elif isinstance(value, (tuple, list)):
-            for v in value:
-                yield from arrays(v)
-
-    dense = [
-        key
-        for key, value in m._memo.items()
-        if key[0] not in ("mass", "wedge")
-        for a in arrays(value)
-        if a.size >= limit
-    ]
+    dense = [key for key, value in m._memo.items() for a in _arrays(value) if a.size >= limit]
     assert dense == []
+
+
+def test_memo_holds_no_dense_matrix():
+    # a fresh metric: every basis, one HMF per degree and the extended
+    # balance fill its memo and its boundary metric's
+    m = Metric(complex_for("ball", ACCEPTANCE["ball"]))
+    rng = np.random.default_rng(4)
+    n = m.complex.dimension
+    for k in range(n + 1):
+        for condition in ("neumann", "dirichlet"):
+            harmonic_basis(m, k, condition)
+        hodge_morrey_friedrichs(m, random_cochain(m.complex, k, rng))
+    a2, b2 = random_cochain(m.complex, 2, rng), random_cochain(m.complex, 2, rng)
+    extended_power_balance(StokesDiracSystem(m, 2, 2, a2, b2))
+    for metric in (m, m.boundary_metric()):
+        cx = metric.complex
+        smallest = min(cx.num_simplices(k) for k in range(cx.dimension + 1))
+        dense = [
+            key
+            for key, value in metric._memo.items()
+            for a in _arrays(value)
+            if a.ndim == 2 and min(a.shape) >= smallest
+        ]
+        assert dense == []
 
 
 def test_harmonic_boundary_split_on_annulus():
