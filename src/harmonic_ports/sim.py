@@ -11,9 +11,13 @@ M-orthogonal to the Neumann-harmonic spaces; the trace records those
 coefficients per step as the conserved topological content.
 
 A is the one dense operator left: its flow blocks are built once per
-pair from the port action's delta_c kernel, coupling and mass LUs, so
-that one dense LU of I - dt/2 A per dt makes every step a pair of
-triangular solves; the spectral radius estimate reads the same blocks.
+pair from the port action's delta_c kernel, coupling and mass LUs, and
+the spectral radius estimate reads them.  A = [[0, F_p], [F_q, 0]] is
+block off-diagonal, so with h = dt/2 the step eliminates one slot: on
+the slot s with fewer simplices (l the other) the Schur complement
+S = I - h^2 F_s F_l has det S = det(I - h A), and one dense LU of S per
+|dt| makes every step two products with the blocks and a pair of
+triangular solves of size n_s.
 """
 
 from __future__ import annotations
@@ -124,49 +128,71 @@ def initial_state(metric: Metric, p: int, q: int, spec: str, seed: int = 0):
 
 def _generator(metric: Metric, p: int, q: int):
     """Dense blocks (flow_p, flow_q) of A = [[0, flow_p], [flow_q, 0]],
-    once per pair: each effort block solves against the columns of W d,
-    then multiplies delta_c of the identity (a dense temporary)."""
+    once per pair, from the dense delta_c matrices (sparse d^T M, then
+    the interior mass solve).  flow_p applies the sparse coupling, a mass
+    solve and d_{p-1} to the columns of delta_c_q; flow_q is one dense
+    product, d_{q-1} M_{q-1}^-1 (W d)^T times delta_c_p, so no
+    n_{q-1} x n_p effort block is formed."""
 
     def build():
         ops = system_operators(metric, p, q)
-        sigma, tau, Wd = ops["sigma"], ops["tau"], ops["coupling"].toarray()
-        lu, size = metric.mass_lu, metric.complex.num_simplices
-        e_q = tau * lu(p - 1).solve(Wd) @ _deltac(metric, q, np.eye(size(q)))
-        e_p = -sigma * tau * lu(q - 1).solve(Wd.T) @ _deltac(metric, p, np.eye(size(p)))
-        d = metric.complex.exterior_derivative_matrix
-        return sigma * (d(p - 1) @ e_q), d(q - 1) @ e_p
+        sigma, tau, Wd = ops["sigma"], ops["tau"], ops["coupling"]
+        lu, d = metric.mass_lu, metric.complex.exterior_derivative_matrix
+        flow_p = sigma * tau * (d(p - 1) @ lu(p - 1).solve(Wd @ _deltac(metric, q)))
+        z_to_flow_q = -sigma * tau * (d(q - 1) @ lu(q - 1).solve(Wd.T.toarray()))
+        return flow_p, z_to_flow_q @ _deltac(metric, p)
 
     return metric.cached(("generator", p, q), build)
 
 
+def _small_slot(metric: Metric, p: int, q: int) -> int:
+    """0 for the p slot, 1 for the q slot: the one with fewer simplices
+    (q on a tie), on which the midpoint step solves."""
+    size = metric.complex.num_simplices
+    return 1 if size(q) <= size(p) else 0
+
+
 def _midpoint_factors(metric: Metric, p: int, q: int, dt: float):
-    """LU factors of I - dt/2 A, assembled once per dt."""
+    """LU factors of S = I - h^2 F_s F_l, h = dt/2, on the smaller slot s
+    (see `_small_slot`).  S depends on h^2 alone, so one factor per |dt|
+    serves both directions, and a reversed run factors once.  S is
+    singular exactly when I - h A is (det S = det(I - h A)), so a zero
+    pivot still raises."""
 
     def build():
-        flow_p, flow_q = _generator(metric, p, q)
-        np_ = metric.complex.num_simplices(p)
-        G = np.eye(np_ + metric.complex.num_simplices(q))
-        G[:np_, np_:] = -0.5 * dt * flow_p
-        G[np_:, :np_] = -0.5 * dt * flow_q
-        try:
-            return sla.lu_factor(G, overwrite_a=True)
-        except sla.LinAlgError as exc:
-            raise FactorizationFailure("midpoint operator is singular") from exc
+        blocks, s = _generator(metric, p, q), _small_slot(metric, p, q)
+        h = 0.5 * dt
+        S = blocks[s] @ blocks[1 - s]
+        S *= -(h * h)
+        S.flat[:: len(S) + 1] += 1.0
+        # LAPACK getrf directly: lu_factor only warns on an exactly zero pivot
+        (getrf,) = sla.get_lapack_funcs(("getrf",), (S,))
+        lu, piv, info = getrf(S, overwrite_a=True)
+        if info > 0:
+            raise FactorizationFailure("midpoint operator is singular")
+        return lu, piv
 
-    return metric.cached(("midpoint", p, q, float(dt)), build)
+    return metric.cached(("midpoint", p, q, abs(float(dt))), build)
 
 
 def step_implicit_midpoint(sys: StokesDiracSystem, dt: float) -> StokesDiracSystem:
-    """One midpoint step; dt may be negative (the exact inverse step)."""
+    """One midpoint step; dt may be negative (the exact inverse step).
+
+    The Cayley step 2 w - a, w = (I - h A)^-1 a, h = dt/2, by block
+    elimination onto the smaller slot s: w_s = S^-1 (a_s + h F_s a_l),
+    then w_l = a_l + h F_l w_s.  A negative dt reuses the factor of |dt|.
+    """
     if not np.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
-    m = sys.metric
-    lu = _midpoint_factors(m, sys.p, sys.q, dt)
-    np_ = m.complex.num_simplices(sys.p)
-    x = np.concatenate([sys.alpha_p.values, sys.alpha_q.values])
-    y = 2.0 * sla.lu_solve(lu, x) - x
+    m, p, q, h = sys.metric, sys.p, sys.q, 0.5 * dt
+    blocks, s = _generator(m, p, q), _small_slot(m, p, q)
+    lu = _midpoint_factors(m, p, q, dt)
+    a = (sys.alpha_p.values, sys.alpha_q.values)
+    w = [None, None]
+    w[s] = sla.lu_solve(lu, a[s] + h * (blocks[s] @ a[1 - s]))
+    w[1 - s] = a[1 - s] + h * (blocks[1 - s] @ w[s])
     return sys.with_state(
-        Cochain(m.complex, sys.p, y[:np_]), Cochain(m.complex, sys.q, y[np_:])
+        Cochain(m.complex, p, 2.0 * w[0] - a[0]), Cochain(m.complex, q, 2.0 * w[1] - a[1])
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -121,3 +122,18 @@ def dense_port_operators(metric, p, q):
         "flow_p": sigma * d[p - 1] @ effort_q,  # alpha_q -> f_p
         "flow_q": d[q - 1] @ effort_p,  # alpha_p -> f_q
     }
+
+
+def memo_arrays(value):
+    """Every ndarray in a memo value, through dicts, sequences and dataclasses."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from memo_arrays(v)
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            yield from memo_arrays(v)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from memo_arrays(getattr(value, f.name))

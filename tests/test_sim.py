@@ -3,6 +3,8 @@ import pytest
 
 from harmonic_ports import (
     Cochain,
+    FactorizationFailure,
+    Metric,
     SimulationConfig,
     StokesDiracSystem,
     hamiltonian,
@@ -16,7 +18,15 @@ from harmonic_ports import (
 )
 from harmonic_ports.sim import _generator, _spectral_radius_estimate
 
-from conftest import ACCEPTANCE, SMALL, dense_port_operators, metric_for, valid_pairs
+from conftest import (
+    ACCEPTANCE,
+    SMALL,
+    complex_for,
+    dense_port_operators,
+    memo_arrays,
+    metric_for,
+    valid_pairs,
+)
 
 
 def _sys(shape, p, q, init="random", seed=0):
@@ -118,6 +128,59 @@ def test_steps_reverse_exactly():
         sys.metric, back.alpha_q - sys.alpha_q
     )
     assert err <= 1e-11 * s
+
+
+@pytest.mark.parametrize("shape", sorted(ACCEPTANCE))
+def test_step_matches_dense_cayley_oracle(shape):
+    # covers n_q < n_p (torus (1, 2)), n_p < n_q (torus (2, 1)) and the
+    # tie (ball (2, 2)) of the block elimination
+    metric = metric_for(shape, ACCEPTANCE[shape])
+    for p, q in valid_pairs(metric.complex.dimension):
+        ops = dense_port_operators(metric, p, q)
+        n_p, n_q = ops["flow_q"].shape[1], ops["flow_p"].shape[1]
+        A = np.zeros((n_p + n_q,) * 2)
+        A[:n_p, n_p:] = ops["flow_p"]
+        A[n_p:, :n_p] = ops["flow_q"]
+        ap, aq = initial_state(metric, p, q, "random", seed=7)
+        x = np.concatenate([ap.values, aq.values])
+        for dt in (0.01, -0.01):
+            expect = 2.0 * np.linalg.solve(np.eye(n_p + n_q) - 0.5 * dt * A, x) - x
+            out = step_implicit_midpoint(StokesDiracSystem(metric, p, q, ap, aq), dt)
+            got = np.concatenate([out.alpha_p.values, out.alpha_q.values])
+            assert np.abs(got - expect).max() <= 1e-12 * np.abs(expect).max(), (p, q, dt)
+
+
+def test_backward_step_reuses_the_forward_factor():
+    # a fresh metric: only the two steps below fill its memo
+    metric = Metric(complex_for("torus", SMALL["torus"]))
+    ap, aq = initial_state(metric, 1, 2, "random")
+    sys = StokesDiracSystem(metric, 1, 2, ap, aq)
+    step_implicit_midpoint(step_implicit_midpoint(sys, 0.01), -0.01)
+    assert [key for key in metric._memo if key[0] == "midpoint"] == [("midpoint", 1, 2, 0.01)]
+
+
+def test_run_keeps_no_array_larger_than_a_generator_block():
+    # the generator blocks hold n_p * n_q entries and the Schur factor
+    # min(n_p, n_q)^2; nothing of size (n_p + n_q)^2 stays
+    metric = Metric(complex_for("torus", SMALL["torus"]))
+    ap, aq = initial_state(metric, 1, 2, "random")
+    run(StokesDiracSystem(metric, 1, 2, ap, aq), SimulationConfig(dt=0.01, steps=3))
+    limit = metric.complex.num_simplices(1) * metric.complex.num_simplices(2)
+    large = [
+        key for key, value in metric._memo.items() for a in memo_arrays(value) if a.size > limit
+    ]
+    assert large == []
+
+
+def test_singular_midpoint_operator_raises():
+    # blocks with F_s F_l = (2/dt)^2 I make S exactly zero
+    metric = Metric(complex_for("torus", SMALL["torus"]))
+    n_p, n_q = metric.complex.num_simplices(1), metric.complex.num_simplices(2)
+    unit = np.eye(n_p, n_q) * 200.0
+    metric._memo[("generator", 1, 2)] = (unit, unit.T.copy())
+    ap, aq = initial_state(metric, 1, 2, "random")
+    with pytest.raises(FactorizationFailure, match="midpoint operator is singular"):
+        step_implicit_midpoint(StokesDiracSystem(metric, 1, 2, ap, aq), 0.01)
 
 
 def test_run_produces_full_trace():

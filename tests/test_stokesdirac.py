@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -34,6 +32,7 @@ from conftest import (
     SMALL,
     complex_for,
     dense_port_operators,
+    memo_arrays,
     metric_for,
     valid_pairs,
 )
@@ -179,21 +178,6 @@ def test_efforts_follow_the_module_formula(shape, p, q):
         assert np.linalg.norm(got.values - expect) <= 1e-12 * np.linalg.norm(expect), op
 
 
-def _arrays(value):
-    """Every ndarray in a memo value, through dicts, sequences and dataclasses."""
-    if isinstance(value, np.ndarray):
-        yield value
-    elif isinstance(value, dict):
-        for v in value.values():
-            yield from _arrays(v)
-    elif isinstance(value, (tuple, list)):
-        for v in value:
-            yield from _arrays(v)
-    elif dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            yield from _arrays(getattr(value, f.name))
-
-
 def test_balances_keep_no_dense_operator():
     # a fresh metric: only the calls below fill its memo
     m = Metric(complex_for("ball", ACCEPTANCE["ball"]))
@@ -204,7 +188,9 @@ def test_balances_keep_no_dense_operator():
     harmonic_flow_identity(sys)
     counts = [m.complex.num_simplices(k) for k in range(m.complex.dimension + 1)]
     limit = min(a * b for a, b in zip(counts, counts[1:]))
-    dense = [key for key, value in m._memo.items() for a in _arrays(value) if a.size >= limit]
+    dense = [
+        key for key, value in m._memo.items() for a in memo_arrays(value) if a.size >= limit
+    ]
     assert dense == []
 
 
@@ -226,7 +212,7 @@ def test_memo_holds_no_dense_matrix():
         dense = [
             key
             for key, value in metric._memo.items()
-            for a in _arrays(value)
+            for a in memo_arrays(value)
             if a.ndim == 2 and min(a.shape) >= smallest
         ]
         assert dense == []
