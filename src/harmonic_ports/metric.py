@@ -136,7 +136,7 @@ class Metric:
     by every solve against it, the constrained codifferential included.
     Everything else, here and in the layers above (boundary and interior
     index arrays, harmonic bases, mixed Hodge-Laplacian factors, the
-    Stokes-Dirac coupling, the midpoint generator and factors), is built
+    Stokes-Dirac coupling, the midpoint block system's factor), is built
     on first request through `cached` and kept in one memo keyed by a
     tuple naming it, e.g. ("mass_csr", k).
 
@@ -369,13 +369,11 @@ def codifferential_constrained(metric: Metric, c: Cochain) -> Cochain:
     return Cochain(c.complex, k - 1, _deltac(metric, k, c.values))
 
 
-def _deltac(metric: Metric, k: int, x: np.ndarray | None = None) -> np.ndarray:
-    """Constrained codifferential of degree-k values x, a vector or a
-    column block, or with x None the dense delta_c matrix (from the sparse
-    product d^T M_k): the interior rows solve the interior mass block
-    against d^T M_k x, and the boundary rows are exactly zero."""
-    B, M = metric.complex.boundary_matrix(k), metric.mass_csr(k)
-    rhs = (B @ M).toarray() if x is None else B @ (M @ x)
+def _deltac(metric: Metric, k: int, x: np.ndarray) -> np.ndarray:
+    """Constrained codifferential of degree-k values x: the interior rows
+    solve the interior mass block against d^T M_k x, and the boundary rows
+    are exactly zero."""
+    rhs = metric.complex.boundary_matrix(k) @ (metric.mass_csr(k) @ x)
     idx = metric.interior_indices(k - 1)
     out = np.zeros_like(rhs)
     out[idx] = metric.interior_mass_lu(k - 1).solve(rhs[idx])

@@ -10,14 +10,13 @@ measure rounding, not scheme error.  Flows are exact cochains, hence
 M-orthogonal to the Neumann-harmonic spaces; the trace records those
 coefficients per step as the conserved topological content.
 
-A is the one dense operator left: its flow blocks are built once per
-pair from the port action's delta_c kernel, coupling and mass LUs, and
-the spectral radius estimate reads them.  A = [[0, F_p], [F_q, 0]] is
-block off-diagonal, so with h = dt/2 the step eliminates one slot: on
-the slot s with fewer simplices (l the other) the Schur complement
-S = I - h^2 F_s F_l has det S = det(I - h A), and one dense LU of S per
-|dt| makes every step two products with the blocks and a pair of
-triangular solves of size n_s.
+A is never formed: with h = dt/2 the midpoint w = (I - h A)^-1 a is
+one solve of a sparse block system K(|h|) (`_midpoint_operator`) in w and
+the port action at w, factored once per |dt| and refined to rounding.
+J = diag(I, -I) has J A J = -A, so a step back solves K(|h|) against J a
+and applies J to the unknowns.  run takes each step's power balance from
+the port action the solve returns and checks its flows against an
+independent port action at step 1 and at every snapshot.
 """
 
 from __future__ import annotations
@@ -25,14 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import FactorizationFailure
+from .errors import FactorizationFailure, SolverFailure
 from .hodge import harmonic_basis
-from .metric import Cochain, Metric, _deltac
+from .metric import Cochain, Metric, _deltac, norm
 from .stokesdirac import (
     StokesDiracSystem,
+    _port,
+    _port_action,
+    _power_pieces,
     hamiltonian,
     power_balance,
     system_operators,
@@ -45,6 +47,13 @@ __all__ = [
     "step_implicit_midpoint",
     "run",
 ]
+
+# A midpoint solve is refined until its componentwise backward error is at
+# most the bound, in at most REFINE_PASSES passes; FLOW_CHECK_TOL bounds
+# its flows against an independent port action.
+BACKWARD_ERROR_BOUND = 1e-14
+REFINE_PASSES = 3
+FLOW_CHECK_TOL = 1e-8
 
 
 @dataclass
@@ -126,93 +135,152 @@ def initial_state(metric: Metric, p: int, q: int, spec: str, seed: int = 0):
     raise ValueError(f"unknown init spec {spec!r}")
 
 
-def _generator(metric: Metric, p: int, q: int):
-    """Dense blocks (flow_p, flow_q) of A = [[0, flow_p], [flow_q, 0]],
-    once per pair, from the dense delta_c matrices (sparse d^T M, then
-    the interior mass solve).  flow_p applies the sparse coupling, a mass
-    solve and d_{p-1} to the columns of delta_c_q; flow_q is one dense
-    product, d_{q-1} M_{q-1}^-1 (W d)^T times delta_c_p, so no
-    n_{q-1} x n_p effort block is formed."""
+def _midpoint_operator(metric: Metric, p: int, q: int, h: float) -> sp.csc_matrix:
+    """K(h) in (w_p, w_q, z_p, z_q, e_p, e_q), z = delta_c w on the interior
+    (p-1)/(q-1) simplices (rows R, interior mass block L), W d the coupling:
 
-    def build():
-        ops = system_operators(metric, p, q)
-        sigma, tau, Wd = ops["sigma"], ops["tau"], ops["coupling"]
-        lu, d = metric.mass_lu, metric.complex.exterior_derivative_matrix
-        flow_p = sigma * tau * (d(p - 1) @ lu(p - 1).solve(Wd @ _deltac(metric, q)))
-        z_to_flow_q = -sigma * tau * (d(q - 1) @ lu(q - 1).solve(Wd.T.toarray()))
-        return flow_p, z_to_flow_q @ _deltac(metric, p)
-
-    return metric.cached(("generator", p, q), build)
-
-
-def _small_slot(metric: Metric, p: int, q: int) -> int:
-    """0 for the p slot, 1 for the q slot: the one with fewer simplices
-    (q on a tie), on which the midpoint step solves."""
-    size = metric.complex.num_simplices
-    return 1 if size(q) <= size(p) else 0
+        w_p - h sigma d_{p-1} e_q = a_p      L_{p-1} z_p - R B_p M_p w_p = 0
+        w_q - h d_{q-1} e_p = a_q            L_{q-1} z_q - R B_q M_q w_q = 0
+        M_{q-1} e_p + sigma tau (W d)^T R^T z_p = 0
+        M_{p-1} e_q - tau (W d) R^T z_q = 0
+    """
+    ops = system_operators(metric, p, q)
+    sigma, tau, Wd = ops["sigma"], ops["tau"], ops["coupling"]
+    cx, M = metric.complex, metric.mass_csr
+    d, B, eye = cx.exterior_derivative_matrix, cx.boundary_matrix, sp.identity
+    ip, iq = metric.interior_indices(p - 1), metric.interior_indices(q - 1)
+    blocks = [
+        [eye(cx.num_simplices(p)), None, None, None, None, -h * sigma * d(p - 1)],
+        [None, eye(cx.num_simplices(q)), None, None, -h * d(q - 1), None],
+        [-(B(p) @ M(p))[ip], None, M(p - 1)[ip][:, ip], None, None, None],
+        [None, -(B(q) @ M(q))[iq], None, M(q - 1)[iq][:, iq], None, None],
+        [None, None, sigma * tau * Wd.T[:, ip], None, M(q - 1), None],
+        [None, None, None, -tau * Wd[:, iq], None, M(p - 1)],
+    ]
+    return sp.bmat(blocks, format="csc")
 
 
 def _midpoint_factors(metric: Metric, p: int, q: int, dt: float):
-    """LU factors of S = I - h^2 F_s F_l, h = dt/2, on the smaller slot s
-    (see `_small_slot`).  S depends on h^2 alone, so one factor per |dt|
-    serves both directions, and a reversed run factors once.  S is
-    singular exactly when I - h A is (det S = det(I - h A)), so a zero
-    pivot still raises."""
+    """(K, |K|, SuperLU factor of K) at h = |dt|/2, once per |dt|.  Every
+    diagonal block of K is I or a mass, so K is factored in symmetric
+    mode: minimum degree on K + K^T and diagonal pivots only, since an
+    off-diagonal pivot would break that ordering's fill.  relax=1 relaxes
+    no supernodes, so the triangular solves of every step carry none of
+    their explicit zeros (faster on the 2-D tori, no slower on the balls
+    measured).  K and |K| stay, in CSR, for the residuals of the
+    refinement."""
 
     def build():
-        blocks, s = _generator(metric, p, q), _small_slot(metric, p, q)
-        h = 0.5 * dt
-        S = blocks[s] @ blocks[1 - s]
-        S *= -(h * h)
-        S.flat[:: len(S) + 1] += 1.0
-        # LAPACK getrf directly: lu_factor only warns on an exactly zero pivot
-        (getrf,) = sla.get_lapack_funcs(("getrf",), (S,))
-        lu, piv, info = getrf(S, overwrite_a=True)
-        if info > 0:
-            raise FactorizationFailure("midpoint operator is singular")
-        return lu, piv
+        K = _midpoint_operator(metric, p, q, 0.5 * abs(dt))
+        try:
+            lu = spla.splu(
+                K,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                relax=1,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:
+            raise FactorizationFailure("midpoint operator is singular") from exc
+        return K.tocsr(), abs(K).tocsr(), lu
 
     return metric.cached(("midpoint", p, q, abs(float(dt))), build)
+
+
+def _refined_solve(K, abs_K, lu: spla.SuperLU, b: np.ndarray) -> np.ndarray:
+    """K^-1 b, refined on the factor while the componentwise (Oettli-Prager)
+    backward error max_i |b - K x|_i / (|K| |x| + |b|)_i, which row and
+    column scaling leave unchanged, exceeds BACKWARD_ERROR_BOUND."""
+    x = lu.solve(b)
+    for done in range(REFINE_PASSES + 1):
+        r, scale = b - K @ x, abs_K @ np.abs(x) + np.abs(b)
+        # a row with |K| |x| + |b| = 0 has r = 0 and counts as 0
+        omega = (np.abs(r) / np.maximum(scale, np.finfo(float).tiny)).max()
+        if omega <= BACKWARD_ERROR_BOUND:
+            return x
+        if done < REFINE_PASSES:
+            x += lu.solve(r)
+    raise SolverFailure(f"midpoint solve backward error {omega:.3e} after refinement")
+
+
+def _midpoint(sys: StokesDiracSystem, dt: float):
+    """(new, mid, port): the step 2 w - a, the midpoint w = (I - dt/2 A)^-1 a
+    and the port action at w, [z_p, z_q, e_p, e_q, f_p, f_q] as
+    `stokesdirac._port_action` lists it, from one refined solve."""
+    m, p, q = sys.metric, sys.p, sys.q
+    K, abs_K, lu = _midpoint_factors(m, p, q, dt)
+    ip, iq = m.interior_indices(p - 1), m.interior_indices(q - 1)
+    n = m.complex.num_simplices
+    cuts = np.cumsum([0, n(p), n(q), len(ip), len(iq), n(q - 1), n(p - 1)])
+    sign = -1.0 if dt < 0 else 1.0  # J on the right-hand side and the unknowns
+    b = np.zeros(cuts[-1])
+    b[: cuts[1]], b[cuts[1] : cuts[2]] = sys.alpha_p.values, sign * sys.alpha_q.values
+    x = _refined_solve(K, abs_K, lu, b)
+    w_p, w_q, zi_p, zi_q, e_p, e_q = (x[i:j] for i, j in zip(cuts, cuts[1:]))
+    w_q, zi_q, e_q = sign * w_q, sign * zi_q, sign * e_q
+    z_p, z_q = np.zeros(n(p - 1)), np.zeros(n(q - 1))
+    z_p[ip], z_q[iq] = zi_p, zi_q
+    port = _port(m, p, q, z_p, z_q, e_p, e_q)
+    w = Cochain(m.complex, p, w_p), Cochain(m.complex, q, w_q)
+    new = sys.with_state(2.0 * w[0] - sys.alpha_p, 2.0 * w[1] - sys.alpha_q)
+    return new, sys.with_state(*w), port
 
 
 def step_implicit_midpoint(sys: StokesDiracSystem, dt: float) -> StokesDiracSystem:
     """One midpoint step; dt may be negative (the exact inverse step).
 
-    The Cayley step 2 w - a, w = (I - h A)^-1 a, h = dt/2, by block
-    elimination onto the smaller slot s: w_s = S^-1 (a_s + h F_s a_l),
-    then w_l = a_l + h F_l w_s.  A negative dt reuses the factor of |dt|.
+    The Cayley step 2 w - a, w = (I - h A)^-1 a, h = dt/2, by one refined
+    solve of K(|h|); a negative dt reuses the factor of |dt|.
+
+    Raises:
+        FactorizationFailure: K is singular.
+        SolverFailure: Refinement did not reach BACKWARD_ERROR_BOUND.
     """
     if not np.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
-    m, p, q, h = sys.metric, sys.p, sys.q, 0.5 * dt
-    blocks, s = _generator(m, p, q), _small_slot(m, p, q)
-    lu = _midpoint_factors(m, p, q, dt)
-    a = (sys.alpha_p.values, sys.alpha_q.values)
-    w = [None, None]
-    w[s] = sla.lu_solve(lu, a[s] + h * (blocks[s] @ a[1 - s]))
-    w[1 - s] = a[1 - s] + h * (blocks[1 - s] @ w[s])
-    return sys.with_state(
-        Cochain(m.complex, p, 2.0 * w[0] - a[0]), Cochain(m.complex, q, 2.0 * w[1] - a[1])
-    )
+    return _midpoint(sys, dt)[0]
 
 
-def _spectral_radius_estimate(flow_p: np.ndarray, flow_q: np.ndarray) -> float:
-    """Largest singular value of A = [[0, flow_p], [flow_q, 0]]: the square
-    root of the largest eigenvalue of A^T A = diag(flow_q^T flow_q,
-    flow_p^T flow_p), each block by Lanczos (eigsh, tolerance 1e-6) from
-    a seeded start vector, so the estimate is deterministic."""
+def _check_flows(mid: StokesDiracSystem, port: list[Cochain], rho: float):
+    """Raise SolverFailure unless the solve's flows match an independent
+    port action of the midpoint to FLOW_CHECK_TOL, relative to rho |w| +
+    |f| in the Whitney norm (rho the spectral radius estimate)."""
+    m, ref = mid.metric, _port_action(mid)[4:]
+    err = sum(norm(m, got - want) for got, want in zip(port[4:], ref))
+    scale = rho * (norm(m, mid.alpha_p) + norm(m, mid.alpha_q))
+    if not err <= FLOW_CHECK_TOL * (scale + sum(norm(m, f) for f in ref)):
+        raise SolverFailure(f"midpoint flows differ from the port action by {err:.3e}")
+
+
+def _spectral_radius_estimate(metric: Metric, p: int, q: int) -> float:
+    """Largest singular value of A = [[0, F_p], [F_q, 0]]: the square
+    root of the largest eigenvalue of A^T A = diag(F_q^T F_q, F_p^T F_p),
+    each block by Lanczos (eigsh, tolerance 1e-6) from a seeded start
+    vector, so the estimate is deterministic.  Up to sign, the block from
+    degree k is F = d_j M_j^-1 C delta_c, applied by the sparse products
+    and solves of the port action; F^T by their transposes, with
+    delta_c^T = M_k B_k^T R^T L^-T R (R the interior rows, L their mass)."""
+    Wd, cx = system_operators(metric, p, q)["coupling"], metric.complex
     top = 0.0
-    for F in (flow_q, flow_p):
-        if not F.any():
-            continue  # an empty or zero block adds nothing (and stops ARPACK)
-        size = F.shape[1]
-        gram = spla.LinearOperator(
-            (size, size), matvec=lambda v, F=F: F.T @ (F @ v), dtype=float
-        )
+    # F_p maps degree q through efforts at p-1; F_q maps degree p through q-1
+    for k, j, C in ((q, p - 1, Wd), (p, q - 1, Wd.T)):
+        d, B, lu = cx.exterior_derivative_matrix(j), cx.boundary_matrix(k), metric.mass_lu(j)
+        idx = metric.interior_indices(k - 1)
+
+        def gram(v, k=k, C=C, d=d, B=B, lu=lu, idx=idx):
+            y = C.T @ lu.solve(d.T @ (d @ lu.solve(C @ _deltac(metric, k, v))), trans="T")
+            u = np.zeros(B.shape[0])
+            u[idx] = metric.interior_mass_lu(k - 1).solve(y[idx], trans="T")
+            return metric.mass_csr(k) @ (B.T @ u)
+
+        size = cx.num_simplices(k)
         v0 = np.random.default_rng(0).standard_normal(size)
+        if not gram(v0).any():
+            continue  # an empty or zero block adds nothing (and stops ARPACK)
+        op = spla.LinearOperator((size, size), matvec=gram, dtype=float)
         try:
             lam = spla.eigsh(
-                gram, k=1, which="LA", v0=v0, tol=1e-6, return_eigenvectors=False
+                op, k=1, which="LA", v0=v0, tol=1e-6, return_eigenvectors=False
             )[0]
         except RuntimeError as exc:
             raise FactorizationFailure("spectral radius estimate failed") from exc
@@ -238,7 +306,7 @@ def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
             )
         return out
 
-    rho = _spectral_radius_estimate(*_generator(m, sys.p, sys.q))
+    rho = _spectral_radius_estimate(m, sys.p, sys.q)
     trace = Trace(
         header=header,
         rows=[],
@@ -255,17 +323,17 @@ def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
         trace.snapshots.append((0, state.alpha_p.copy(), state.alpha_q.copy()))
 
     for k in range(1, config.steps + 1):
-        new = step_implicit_midpoint(state, config.dt)
-        mid = state.with_state(
-            0.5 * (state.alpha_p + new.alpha_p), 0.5 * (state.alpha_q + new.alpha_q)
-        )
-        pb = power_balance(mid)
+        new, mid, port = _midpoint(state, config.dt)
+        snapshot = config.stride and k % config.stride == 0
+        if k == 1 or snapshot:
+            _check_flows(mid, port, rho)
+        pb = _power_pieces(mid, port)[2]
         H_new = hamiltonian(new)
-        residual = abs((H_new - H_prev) / config.dt - pb.dH_dt)
+        residual = abs((H_new - H_prev) / config.dt - pb["dH_dt"])
         trace.rows.append(
-            [k * config.dt, H_new, residual, pb.boundary_term] + coeffs(new)
+            [k * config.dt, H_new, residual, pb["boundary_term"]] + coeffs(new)
         )
-        if config.stride and k % config.stride == 0:
+        if snapshot:
             trace.snapshots.append((k, new.alpha_p.copy(), new.alpha_q.copy()))
         state, H_prev = new, H_new
     return trace

@@ -112,15 +112,21 @@ def system_operators(metric: Metric, p: int, q: int) -> dict:
 def _port_action(sys: StokesDiracSystem) -> list[Cochain]:
     """[z_p, z_q, e_p, e_q, f_p, f_q]: z = delta_c alpha per slot (one
     interior-mass solve each), the efforts (one mass solve each against
-    the coupling) and the flows f_p = sigma d e_q, f_q = d e_p."""
+    the coupling) and their flows (`_port`)."""
     m, p, q = sys.metric, sys.p, sys.q
     ops = system_operators(m, p, q)
     sigma, tau, Wd = ops["sigma"], ops["tau"], ops["coupling"]
-    d = m.complex.exterior_derivative_matrix
     z_p = _deltac(m, p, sys.alpha_p.values)
     z_q = _deltac(m, q, sys.alpha_q.values)
     e_q = tau * m.mass_lu(p - 1).solve(Wd @ z_q)
     e_p = -sigma * tau * m.mass_lu(q - 1).solve(Wd.T @ z_p)
+    return _port(m, p, q, z_p, z_q, e_p, e_q)
+
+
+def _port(m: Metric, p: int, q: int, z_p, z_q, e_p, e_q) -> list[Cochain]:
+    """The port action list from z and the efforts, with the flows
+    f_p = sigma d e_q, f_q = d e_p."""
+    sigma, d = system_operators(m, p, q)["sigma"], m.complex.exterior_derivative_matrix
     values = (z_p, z_q, e_p, e_q, sigma * (d(p - 1) @ e_q), d(q - 1) @ e_p)
     degrees = (p - 1, q - 1, q - 1, p - 1, p, q)
     return [Cochain(m.complex, k, v) for k, v in zip(degrees, values)]
@@ -165,11 +171,12 @@ def _defect(m: Metric, effort: Cochain, alpha: Cochain, z: Cochain) -> float:
     return inner_product(m, de, alpha) - inner_product(m, effort, z)
 
 
-def _power_pieces(sys: StokesDiracSystem):
-    """The port action and the PowerBalance fields of one state."""
+def _power_pieces(sys: StokesDiracSystem, port: list[Cochain] | None = None):
+    """The port action (port, when it is given) and the PowerBalance fields
+    of one state."""
     m = sys.metric
     sigma = system_operators(m, sys.p, sys.q)["sigma"]
-    port = z_p, z_q, e_p, e_q, f_p, f_q = _port_action(sys)
+    port = z_p, z_q, e_p, e_q, f_p, f_q = port or _port_action(sys)
     dH = inner_product(m, sys.alpha_p, f_p) + inner_product(m, sys.alpha_q, f_q)
     internal = sigma * inner_product(m, e_q, z_p) + inner_product(m, e_p, z_q)
     boundary = sigma * _defect(m, e_q, sys.alpha_p, z_p) + _defect(m, e_p, sys.alpha_q, z_q)

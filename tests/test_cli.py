@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import subprocess
 import sys
@@ -364,13 +363,14 @@ def test_simulate_step_balance_is_unit_free(tmp_path, capsys, amplitude):
 def test_simulate_catches_wrong_boundary_power_at_small_amplitude(
     tmp_path, capsys, monkeypatch
 ):
-    real = sim.power_balance
+    # run takes each step's balance from the solve's port action
+    real = sim._power_pieces
 
-    def doubled(system):
-        pb = real(system)
-        return dataclasses.replace(pb, boundary_term=2.0 * pb.boundary_term)
+    def doubled(system, port=None):
+        port, sigma, fields = real(system, port)
+        return port, sigma, {**fields, "boundary_term": 2.0 * fields["boundary_term"]}
 
-    monkeypatch.setattr(sim, "power_balance", doubled)
+    monkeypatch.setattr(sim, "_power_pieces", doubled)
     mesh, state = _write_disk_state(tmp_path, 1e-6)
     code, rep = _simulate_state(tmp_path, capsys, mesh, state)
     assert code == 1

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from harmonic_ports import (
-    Cochain,
     FactorizationFailure,
     Metric,
     SimulationConfig,
+    SolverFailure,
     StokesDiracSystem,
     hamiltonian,
     harmonic_basis,
@@ -16,7 +16,9 @@ from harmonic_ports import (
     flows,
     step_implicit_midpoint,
 )
-from harmonic_ports.sim import _generator, _spectral_radius_estimate
+from harmonic_ports import sim
+from harmonic_ports.sim import _midpoint, _spectral_radius_estimate
+from harmonic_ports.stokesdirac import _port_action
 
 from conftest import (
     ACCEPTANCE,
@@ -159,28 +161,96 @@ def test_backward_step_reuses_the_forward_factor():
     assert [key for key in metric._memo if key[0] == "midpoint"] == [("midpoint", 1, 2, 0.01)]
 
 
+def _memo_arrays_at_least(metric, limit):
+    return [key for key, value in metric._memo.items() for a in memo_arrays(value) if a.size >= limit]
+
+
 def test_run_keeps_no_array_larger_than_a_generator_block():
-    # the generator blocks hold n_p * n_q entries and the Schur factor
-    # min(n_p, n_q)^2; nothing of size (n_p + n_q)^2 stays
+    # the step holds sparse matrices and a sparse factor only: no dense
+    # generator block (n_p * n_q) and no Schur factor (min(n_p, n_q)^2)
     metric = Metric(complex_for("torus", SMALL["torus"]))
     ap, aq = initial_state(metric, 1, 2, "random")
     run(StokesDiracSystem(metric, 1, 2, ap, aq), SimulationConfig(dt=0.01, steps=3))
-    limit = metric.complex.num_simplices(1) * metric.complex.num_simplices(2)
-    large = [
-        key for key, value in metric._memo.items() for a in memo_arrays(value) if a.size > limit
-    ]
-    assert large == []
+    size = metric.complex.num_simplices
+    assert _memo_arrays_at_least(metric, min(size(1), size(2)) ** 2) == []
 
 
-def test_singular_midpoint_operator_raises():
-    # blocks with F_s F_l = (2/dt)^2 I make S exactly zero
+def test_singular_midpoint_operator_raises(monkeypatch):
+    # a zero column makes K exactly singular
     metric = Metric(complex_for("torus", SMALL["torus"]))
-    n_p, n_q = metric.complex.num_simplices(1), metric.complex.num_simplices(2)
-    unit = np.eye(n_p, n_q) * 200.0
-    metric._memo[("generator", 1, 2)] = (unit, unit.T.copy())
+    build = sim._midpoint_operator
+
+    def singular(*args):
+        K = build(*args).tolil()
+        K[:, 0] = 0.0
+        return K.tocsc()
+
+    monkeypatch.setattr(sim, "_midpoint_operator", singular)
     ap, aq = initial_state(metric, 1, 2, "random")
     with pytest.raises(FactorizationFailure, match="midpoint operator is singular"):
         step_implicit_midpoint(StokesDiracSystem(metric, 1, 2, ap, aq), 0.01)
+
+
+def test_refined_midpoint_solves_the_cayley_equation():
+    # unrefined, the factor's backward error on ball:5 (2, 2) is ~4e-10
+    # and this residual ~3e-9
+    metric = metric_for("ball", 5)
+    ap, aq = initial_state(metric, 2, 2, "random", seed=5)
+    sys = StokesDiracSystem(metric, 2, 2, ap, aq)
+    for dt in (0.01, -0.01):
+        _, w, _ = _midpoint(sys, dt)
+        f_p, f_q = flows(w)
+        r_p = w.alpha_p - 0.5 * dt * f_p - ap
+        r_q = w.alpha_q - 0.5 * dt * f_q - aq
+        resid = norm(metric, r_p) + norm(metric, r_q)
+        assert resid <= 1e-12 * (norm(metric, ap) + norm(metric, aq)), dt
+
+
+def test_unconverged_refinement_raises(monkeypatch):
+    monkeypatch.setattr(sim, "BACKWARD_ERROR_BOUND", 0.0)
+    sys = _sys("torus", 1, 2)
+    with pytest.raises(SolverFailure, match="backward error"):
+        step_implicit_midpoint(sys, 0.01)
+
+
+@pytest.mark.parametrize("stride", [0, 3])
+def test_run_checks_the_solve_flows_independently(monkeypatch, stride):
+    # corrupt the z, e (and so the flows) the solve returns from the first
+    # step (stride 0: caught at step 1) or from the third (caught at the
+    # snapshot)
+    calls = []
+
+    def corrupted(state, dt):
+        new, mid, port = _midpoint(state, dt)
+        calls.append(dt)
+        if stride == 0 or len(calls) >= stride:
+            port = [1.001 * piece for piece in port]
+        return new, mid, port
+
+    monkeypatch.setattr(sim, "_midpoint", corrupted)
+    sys = _sys("torus", 1, 2)
+    with pytest.raises(SolverFailure, match="flows differ"):
+        run(sys, SimulationConfig(dt=0.01, steps=5, stride=stride))
+    assert len(calls) == (1 if stride == 0 else stride)
+
+
+def test_torus40_runs_forward_and_back():
+    # the dense step spent about 10 s on the first step here
+    metric = Metric(complex_for("torus", 40))
+    ap, aq = initial_state(metric, 1, 2, "random", seed=40)
+    sys = StokesDiracSystem(metric, 1, 2, ap, aq)
+    trace = run(sys, SimulationConfig(dt=0.01, steps=10, stride=10))
+    h = np.array([row[1] for row in trace.rows])
+    assert np.max(np.abs(h - h[0])) <= 1e-10 * h[0]
+    _, fp, fq = trace.snapshots[-1]
+    back = StokesDiracSystem(metric, 1, 2, fp, fq)
+    for _ in range(10):
+        back = step_implicit_midpoint(back, -0.01)
+    s = norm(metric, ap) + norm(metric, aq)
+    rev = norm(metric, back.alpha_p - ap) + norm(metric, back.alpha_q - aq)
+    assert rev <= 1e-8 * s
+    size = metric.complex.num_simplices
+    assert _memo_arrays_at_least(metric, min(size(1), size(2)) ** 2) == []
 
 
 def test_run_produces_full_trace():
@@ -247,7 +317,7 @@ def test_spectral_radius_matches_dense_svd(shape):
         generator[:n_p, n_p:] = flow_p
         generator[n_p:, :n_p] = flow_q
         sigma_max = np.linalg.svd(generator, compute_uv=False)[0]
-        estimate = _spectral_radius_estimate(*_generator(metric, p, q))
+        estimate = _spectral_radius_estimate(metric, p, q)
         assert estimate == pytest.approx(sigma_max, rel=1e-6), (p, q)
 
 
@@ -256,16 +326,11 @@ def _assert_same_column(got, expect):
 
 
 @pytest.mark.parametrize("shape", sorted(SMALL))
-def test_generator_columns_are_flows_of_unit_states(shape):
+def test_solve_returns_the_port_action_of_the_midpoint(shape):
     metric = metric_for(shape, SMALL[shape])
-    cx = metric.complex
-    for p, q in valid_pairs(cx.dimension):
-        flow_p, flow_q = _generator(metric, p, q)
-        units_p, units_q = np.eye(cx.num_simplices(p)), np.eye(cx.num_simplices(q))
-        zero_p, zero_q = Cochain(cx, p, 0 * units_p[0]), Cochain(cx, q, 0 * units_q[0])
-        for j, unit in enumerate(units_q):
-            sys = StokesDiracSystem(metric, p, q, zero_p, Cochain(cx, q, unit))
-            _assert_same_column(flow_p[:, j], flows(sys)[0].values)
-        for i, unit in enumerate(units_p):
-            sys = StokesDiracSystem(metric, p, q, Cochain(cx, p, unit), zero_q)
-            _assert_same_column(flow_q[:, i], flows(sys)[1].values)
+    for p, q in valid_pairs(metric.complex.dimension):
+        ap, aq = initial_state(metric, p, q, "random", seed=3)
+        for dt in (0.01, -0.01):
+            _, mid, port = _midpoint(StokesDiracSystem(metric, p, q, ap, aq), dt)
+            for got, expect in zip(port[:4], _port_action(mid)[:4]):
+                _assert_same_column(got.values, expect.values)
