@@ -3,25 +3,24 @@
 Harmonic bases are kernels of degree-k Hodge Laplacians A u = mu M u
 against the Whitney mass matrix.  Two boundary conditions are supported:
 "neumann" (no constraint; dimension = k-th Betti number) and "dirichlet"
-(zero tangential trace; dimension = (n-k)-th Betti number).  The
-Laplacian is never formed: A = K + B^T M_l^-1 B is kept as sparse blocks
-(the mixed, saddle-point form) and its smallest eigenpairs come from
-shift-invert Lanczos, shifted just below zero relative to the largest
-eigenvalue mu_max, itself from Lanczos.  Spaces too small for ARPACK are
-solved densely from the same blocks.  The kernel is counted from the
-spectrum alone, never from the Betti numbers.  On a closed mesh both
-conditions give one operator, so the Dirichlet bases reuse the Neumann
-ones.
-
-The same blocks, bordered by the harmonic basis, give every projection
-onto an exact or coexact range: one sparse LU per degree and condition
-serves the HMF split, potentials of exact cochains and the integrability
-witness (see _mixed_potential).  Mass solves use the metric's one LU per
-mass block.
+(zero tangential trace; dimension = (n-k)-th Betti number).  A = K + B^T
+M_l^-1 B is never formed.  Its largest eigenvalue mu_max comes from
+Lanczos, its smallest eigenpairs from shift-invert Lanczos just below
+zero, through one kept factor per degree and condition of the
+saddle-point form of A - s M (spaces too small for ARPACK are solved
+densely).  The kernel is counted from the spectrum alone, never from the
+Betti numbers.  On a closed mesh both conditions give one operator, so
+the Dirichlet bases and factors are the Neumann ones.  Iterative
+refinement on the same factor, with the harmonic part projected out,
+solves the singular mixed system behind every projection onto an exact
+or coexact range: the HMF split, potentials of exact cochains and the
+integrability witness (see _mixed_potential).  Mass solves use the
+metric's one factor per mass block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -42,6 +41,7 @@ from .errors import (
 from .metric import (
     Cochain,
     Metric,
+    _backward_error,
     _check_metric,
     _splu,
     exterior_derivative,
@@ -67,6 +67,11 @@ KERNEL_GAP_FACTOR = 10.0
 # Largest M-inner product between two HMF pieces, relative to |omega|_M^2
 # (the bound of the integrability witness residual).
 HMF_ORTHOGONALITY_TOL = 1e-8
+# Bound and pass cap of the refinement of a mixed solve (_mixed_potential).
+POTENTIAL_BACKWARD_ERROR_BOUND = 1e-14
+POTENTIAL_REFINE_PASSES = 10
+# Pairs the first shift-invert Lanczos request asks for (_lanczos_pairs).
+FIRST_REQUEST = 4
 
 
 @dataclass
@@ -153,110 +158,132 @@ def _build_harmonic_basis(metric: Metric, k: int, condition: str) -> HarmonicBas
         # closed mesh: both conditions give the same operator
         return replace(_cached_basis(metric, k, "neumann"), condition="dirichlet")
     N = metric.complex.num_simplices(k)
-    idx, low, c, c_l, blocks = _laplacian_blocks(metric, k, condition)
-    if len(idx) == 0:
-        return HarmonicBasis(metric, k, condition, np.zeros((N, 0)), 0.0, math.inf)
-    mass_lu = metric.mass_lu if condition == "neumann" else metric.interior_mass_lu
     try:
-        lu = mass_lu(k)
-        lu_l = mass_lu(k - 1) if len(low) else None
-        solve = lambda r: c * lu.solve(r)
-        solve_l = (lambda r: c_l * lu_l.solve(r)) if len(low) else (lambda r: r)
-        pairs = _lanczos_pairs(*blocks, solve, solve_l)
-        evals, kernel = pairs or _dense_pairs(*blocks, solve, solve_l)
+        sd = _saddle(metric, k, condition)
+        if len(sd.idx) == 0:
+            return HarmonicBasis(metric, k, condition, np.zeros((N, 0)), 0.0, math.inf)
+        evals, kernel = _lanczos_pairs(sd) or _dense_pairs(sd)
     except (RuntimeError, sla.LinAlgError, FactorizationFailure) as exc:
         raise FactorizationFailure(f"harmonic eigenproblem at degree {k}") from exc
     m = kernel.shape[1]
     vectors = np.zeros((N, m))
-    vectors[idx, :] = kernel / math.sqrt(c)
-    return HarmonicBasis(
-        metric,
-        k,
-        condition,
-        vectors,
-        float(evals[m - 1]) if m else 0.0,
-        float(evals[m]) if m < len(evals) else math.inf,
-    )
+    vectors[sd.idx, :] = kernel / math.sqrt(sd.c)
+    last = float(evals[m - 1]) if m else 0.0
+    first = float(evals[m]) if m < len(evals) else math.inf
+    return HarmonicBasis(metric, k, condition, vectors, last, first)
 
 
-def _laplacian_blocks(metric: Metric, k: int, condition: str):
-    """The free simplices idx (degree k) and low (degree k-1) of the
-    condition, the mass scales c, c_l and the equilibrated sparse blocks
-    (M, K, B, M_l) of the degree-k Hodge Laplacian A = K + B^T M_l^-1 B,
-    A u = mu M u, on those simplices.
+@dataclass
+class _Saddle:
+    """The Hodge Laplacian A = K + B^T M_l^-1 B, A u = mu M u, of one (k,
+    condition) on the free simplices idx (degree k) and low (degree k-1),
+    with its blocks divided by the mean mass diagonals (c for M and K, c_l
+    for M_l, sqrt(c c_l) for B; the eigenvalues stay, the blocks become
+    unit-free and kernel vectors scale back by 1/sqrt(c)), A as an
+    operator, its largest eigenvalue mu_max and the saddle factor lu
+    (None when the space is empty or A = 0)."""
 
-    "neumann" leaves every simplex free, "dirichlet" the interior ones.
-    K = D^T M_(k+1) D and B = d_(k-1)^T M_k, restricted to the free
-    simplices.  Dividing M and K by c, M_l by c_l and B by sqrt(c c_l)
-    (each c the mean of its mass diagonal) leaves the eigenvalues
-    unchanged and makes the blocks unit-free; kernel vectors scale back by
-    1/sqrt(c).
+    idx: np.ndarray
+    low: np.ndarray
+    c: float
+    c_l: float
+    M: sp.csr_matrix
+    K: sp.csr_matrix
+    B: sp.csr_matrix
+    M_l: sp.csr_matrix
+    A: spla.LinearOperator | None = None
+    mu_max: float = 0.0
+    lu: spla.SuperLU | None = None
+
+    @functools.cached_property
+    def system(self):
+        """The mixed system S = [[K, B^T], [B, -M_l]] and |S| (CSR), built
+        when first used."""
+        S = sp.bmat([[self.K, self.B.T], [self.B, -self.M_l]], format="csr")
+        return S, abs(S)
+
+
+def _saddle(metric: Metric, k: int, condition: str) -> _Saddle:
+    """The one factor of (k, condition), cached under ("saddle", k,
+    condition): SuperLU of [[K - s M, B^T], [B, -M_l]] (K - s M at k = 0),
+    s = -KERNEL_CUTOFF * mu_max, whose Schur complement is A - s M.  With
+    s < 0 it is symmetric quasi-definite, so `_splu`'s symmetric mode
+    factors it stably.  "neumann" leaves every simplex free, "dirichlet"
+    the interior ones; K = D^T M_(k+1) D and B = d_(k-1)^T M_k.  On a
+    closed mesh the Dirichlet entry is the Neumann object."""
+
+    def build():
+        cx = metric.complex
+        if condition == "dirichlet" and metric.boundary_complex.num_simplices(0) == 0:
+            return _saddle(metric, k, "neumann")
+        if condition == "neumann":
+            idx = np.arange(cx.num_simplices(k))
+            low = np.arange(cx.num_simplices(k - 1) if k else 0)
+            mass_lu = metric.mass_lu
+        else:
+            idx = metric.interior_indices(k)
+            low = metric.interior_indices(k - 1) if k else np.arange(0)
+            mass_lu = metric.interior_mass_lu
+        nk, nl = len(idx), len(low)
+        M = metric.mass_csr(k)[idx][:, idx]
+        c = M.diagonal().mean() if nk else 1.0
+        K = sp.csr_matrix((nk, nk))
+        if k < cx.dimension:
+            D = cx.exterior_derivative_matrix(k)[:, idx]
+            K = (D.T @ metric.mass_csr(k + 1) @ D).tocsr()
+        B, M_l, c_l = sp.csr_matrix((0, nk)), sp.csr_matrix((0, 0)), 1.0
+        if nl:
+            B = (cx.boundary_matrix(k) @ metric.mass_csr(k))[low][:, idx]
+            M_l = metric.mass_csr(k - 1)[low][:, low]
+            c_l = M_l.diagonal().mean()
+        M, K, B, M_l = M / c, K / c, B / math.sqrt(c * c_l), M_l / c_l
+        sd = _Saddle(idx, low, c, c_l, M, K, B, M_l)
+        if nk == 0:
+            return sd
+        lu, lu_l = mass_lu(k), mass_lu(k - 1) if nl else None
+        solve_l = (lambda r: c_l * lu_l.solve(r)) if nl else (lambda r: r)
+        sd.A = spla.LinearOperator(
+            (nk, nk), matvec=lambda u: K @ u + B.T @ solve_l(B @ u), dtype=float
+        )
+        if nk - 1 > FIRST_REQUEST:  # tolerance 1e-3: mu_max only places the cutoff
+            Minv = spla.LinearOperator((nk, nk), matvec=lambda r: c * lu.solve(r), dtype=float)
+            v0 = np.random.default_rng(0).standard_normal(nk)
+            sd.mu_max = spla.eigsh(
+                sd.A, k=1, M=M, Minv=Minv, which="LA", v0=v0, tol=1e-3,
+                return_eigenvectors=False,
+            )[0]
+        else:
+            sd.mu_max = sla.eigvalsh(sd.A @ np.eye(nk), M.toarray())[-1]
+        if sd.mu_max > 0:
+            F = K + KERNEL_CUTOFF * sd.mu_max * M
+            F = sp.bmat([[F, B.T], [B, -M_l]]) if nl else F
+            sd.lu = _splu(F, f"shift-invert saddle at degree {k}")
+        return sd
+
+    return metric.cached(("saddle", k, condition), build)
+
+
+def _lanczos_pairs(sd: _Saddle):
+    """Ascending smallest eigenvalues of A u = mu M u and the M-orthonormal
+    kernel vectors, by shift-invert Lanczos at s = -KERNEL_CUTOFF *
+    mu_max, (A - s M)^-1 applied by the saddle factor.  None once the
+    request reaches ARPACK's limit j < N - 1 (or when A = 0): _dense_pairs
+    then solves the space.  The request starts at j = FIRST_REQUEST pairs
+    and doubles while every pair is kernel.  Eigenvalues are the Rayleigh
+    quotients of the Ritz vectors; the values handed to _split_kernel end
+    with mu_max.
     """
-    cx = metric.complex
-    if condition == "neumann":
-        idx = np.arange(cx.num_simplices(k))
-        low = np.arange(cx.num_simplices(k - 1) if k else 0)
-    else:
-        idx = metric.interior_indices(k)
-        low = metric.interior_indices(k - 1) if k else np.arange(0)
-    M = metric.mass_csr(k)[idx][:, idx]
-    c = M.diagonal().mean() if len(idx) else 1.0
-    if k < cx.dimension:
-        D = cx.exterior_derivative_matrix(k)[:, idx]
-        K = (D.T @ metric.mass_csr(k + 1) @ D).tocsr()
-    else:
-        K = sp.csr_matrix((len(idx), len(idx)))
-    if len(low):
-        B = (cx.boundary_matrix(k) @ metric.mass_csr(k))[low][:, idx]
-        M_l = metric.mass_csr(k - 1)[low][:, low]
-        c_l = M_l.diagonal().mean()
-    else:
-        B, M_l, c_l = sp.csr_matrix((0, len(idx))), sp.csr_matrix((0, 0)), 1.0
-    return idx, low, c, c_l, (M / c, K / c, B / math.sqrt(c * c_l), M_l / c_l)
-
-
-def _lanczos_pairs(M, K, B, M_l, solve, solve_l):
-    """Ascending smallest eigenvalues of A u = mu M u, A = K + B^T M_l^-1 B,
-    and the M-orthonormal kernel vectors, by shift-invert Lanczos at
-    s = -KERNEL_CUTOFF * mu_max.  None once the request reaches ARPACK's
-    limit j < N - 1 (or when A = 0): _dense_pairs then solves the space.
-
-    mu_max comes from Lanczos on A (tolerance 1e-8: it only places the
-    cutoff), with M^-1 and M_l^-1 applied by the mass solves.
-    (A - s M)^-1 is applied through one sparse LU of the
-    saddle-point block [[K - s M, B^T], [B, -M_l]], whose Schur complement
-    is A - s M.  The request starts at j = 4 pairs and doubles while every
-    pair is kernel.  Eigenvalues are the Rayleigh quotients of the Ritz
-    vectors; the values handed to _split_kernel end with mu_max.
-    """
-    nk, nl = M.shape[0], M_l.shape[0]
-    j = 4
-    if j >= nk - 1:
+    nk, j, A, M, pad = len(sd.idx), FIRST_REQUEST, sd.A, sd.M, np.zeros(len(sd.low))
+    if j >= nk - 1 or sd.lu is None:
         return None
+    solve = lambda f: sd.lu.solve(np.concatenate([np.ravel(f), pad]))[:nk]
+    OPinv = spla.LinearOperator((nk, nk), matvec=solve, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(nk)
-    A = spla.LinearOperator(
-        (nk, nk), matvec=lambda u: K @ u + B.T @ solve_l(B @ u), dtype=float
-    )
-    Minv = spla.LinearOperator((nk, nk), matvec=solve, dtype=float)
-    mu_max = spla.eigsh(
-        A, k=1, M=M, Minv=Minv, which="LA", v0=v0, tol=1e-8, return_eigenvectors=False
-    )[0]
-    if mu_max <= 0:
-        return None
-    s = -KERNEL_CUTOFF * mu_max
-    saddle = sp.bmat([[K - s * M, B.T], [B, -M_l]]) if nl else K - s * M
-    lu = spla.splu(saddle.tocsc())
-    pad = np.zeros(nl)
-    OPinv = spla.LinearOperator(
-        (nk, nk),
-        matvec=lambda f: lu.solve(np.concatenate([np.ravel(f), pad]))[:nk],
-        dtype=float,
-    )
     while j < nk - 1:
-        _, V = spla.eigsh(A, k=j, M=M, sigma=s, OPinv=OPinv, v0=v0)
+        _, V = spla.eigsh(A, k=j, M=M, sigma=-KERNEL_CUTOFF * sd.mu_max, OPinv=OPinv, v0=v0)
         rayleigh = np.sum(V * (A @ V), axis=0) / np.sum(V * (M @ V), axis=0)
         order = np.argsort(rayleigh)
-        evals = np.append(rayleigh[order], mu_max)
+        evals = np.append(rayleigh[order], sd.mu_max)
         m = _split_kernel(evals)
         if m < j:
             return evals, _orthonormalize(V[:, order[:m]], M)
@@ -264,16 +291,12 @@ def _lanczos_pairs(M, K, B, M_l, solve, solve_l):
     return None
 
 
-def _dense_pairs(M, K, B, M_l, solve, solve_l):
-    """All eigenvalues and the kernel vectors from sla.eigh on the same
-    blocks, densified."""
-    A = K.toarray()
-    if M_l.shape[0]:
-        Bd = B.toarray()
-        A += Bd.T @ solve_l(Bd)
-    evals, evecs = sla.eigh(A, M.toarray())
+def _dense_pairs(sd: _Saddle):
+    """All eigenvalues and the kernel vectors from sla.eigh on A and M,
+    densified."""
+    evals, evecs = sla.eigh(sd.A @ np.eye(len(sd.idx)), sd.M.toarray())
     m = _split_kernel(evals)
-    return evals, _orthonormalize(evecs[:, :m], M)
+    return evals, _orthonormalize(evecs[:, :m], sd.M)
 
 
 def _orthonormalize(V: np.ndarray, M) -> np.ndarray:
@@ -322,35 +345,50 @@ class HMFDecomposition:
 
 
 def _mixed_potential(metric: Metric, k: int, condition: str, f: np.ndarray) -> np.ndarray:
-    """The (k-1)-block sigma of the bordered mixed Hodge-Laplacian system
+    """sigma of the mixed Hodge-Laplacian system of (k, condition) (_saddle)
 
-        [[K, B^T, M V], [B, -M_l, 0], [V^T M, 0, 0]] (u, sigma, p) = (M f, 0, 0)
+        [[K, B^T], [B, -M_l]] (u, sigma) = (M f_0, 0),   f_0 = f - V V^T M f,
 
-    on the simplices the condition leaves free (_laplacian_blocks), with V
-    the harmonic basis of (k, condition); sigma is zero elsewhere.  The
-    second row makes sigma the codifferential of u (constrained to zero
-    trace for "dirichlet"), and the first, tested against exact fields,
-    makes d sigma the M-orthogonal projection of f onto d of the free
-    (k-1)-cochains.  The bordering pins the harmonic part of u, so the
-    system is nonsingular; it is factored once per (k, condition).
+    V the harmonic basis and u M-orthogonal to V; sigma is zero off the
+    free simplices.  The second row makes sigma the codifferential of u
+    (constrained to zero trace for "dirichlet"), and the first, tested
+    against exact fields, makes d sigma the M-orthogonal projection of f
+    onto d of the free (k-1)-cochains.  The system is singular on the
+    harmonic space, so it is solved by iterative refinement on the saddle
+    factor, the harmonic part projected out of every residual and out of
+    u after every solve: the error contracts by |s| / (lambda_1 + |s|) <
+    1/2 per solve (lambda_1 the first non-kernel eigenvalue), until the
+    componentwise backward error, against the size of M f, is at most
+    POTENTIAL_BACKWARD_ERROR_BOUND.  sigma = 0 when f_0 = 0 or the whole
+    space is harmonic.
+
+    Raises:
+        SolverFailure: The bound is not reached in POTENTIAL_REFINE_PASSES
+            solves, as when the basis holds a non-harmonic vector.
     """
-
-    def build():
-        idx, low, c, c_l, (M, K, B, M_l) = _laplacian_blocks(metric, k, condition)
-        if len(idx) == 0 or len(low) == 0:
-            return idx, low, c, c_l, None
-        V = harmonic_basis(metric, k, condition).vectors[idx] * math.sqrt(c)
-        MV = sp.csr_matrix(M @ V)
-        saddle = sp.bmat([[K, B.T, MV], [B, -M_l, None], [MV.T, None, None]])
-        return idx, low, c, c_l, _splu(saddle, f"mixed Hodge Laplacian at degree {k}")
-
-    idx, low, c, c_l, lu = metric.cached(("mixed", k, condition), build)
+    basis = harmonic_basis(metric, k, condition)
+    sd = _saddle(metric, k, condition)
     sigma = np.zeros(metric.complex.num_simplices(k - 1))
-    if lu is not None:
-        rhs = np.zeros(lu.shape[0])
-        rhs[: len(idx)] = (metric.mass_csr(k) @ f)[idx] / c
-        sigma[low] = lu.solve(rhs)[len(idx) : len(idx) + len(low)] * math.sqrt(c / c_l)
-    return sigma
+    nk = len(sd.idx)
+    if len(sd.low) == 0 or basis.dim == nk:
+        return sigma
+    V = basis.vectors[sd.idx] * math.sqrt(sd.c)
+    MV, (S, abs_S) = sd.M @ V, sd.system
+    b = np.zeros(S.shape[0])
+    b[:nk] = (metric.mass_csr(k) @ f)[sd.idx] / sd.c
+    b_abs, x = np.abs(b), np.zeros_like(b)
+    b[:nk] -= MV @ (V.T @ b[:nk])
+    for done in range(POTENTIAL_REFINE_PASSES + 1):
+        r = b - S @ x
+        r[:nk] -= MV @ (V.T @ r[:nk])
+        omega = _backward_error(r, abs_S, x, b_abs)
+        if omega <= POTENTIAL_BACKWARD_ERROR_BOUND:
+            sigma[sd.low] = x[nk:] * math.sqrt(sd.c / sd.c_l)
+            return sigma
+        if done < POTENTIAL_REFINE_PASSES:
+            x += sd.lu.solve(r)
+            x[:nk] -= V @ (MV.T @ x[:nk])
+    raise SolverFailure(f"mixed solve at degree {k}: backward error {omega:.3e}")
 
 
 def hodge_morrey_friedrichs(metric: Metric, omega: Cochain) -> HMFDecomposition:
@@ -366,7 +404,8 @@ def hodge_morrey_friedrichs(metric: Metric, omega: Cochain) -> HMFDecomposition:
     k < n also need the Neumann harmonic basis at k+1.
 
     Raises:
-        SolverFailure: Two pieces have an M-inner product above
+        SolverFailure: A mixed solve misses its backward-error bound, or
+            two pieces have an M-inner product above
             HMF_ORTHOGONALITY_TOL * |omega|_M^2, as when a harmonic basis
             holds a non-harmonic vector.
     """

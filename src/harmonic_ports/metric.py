@@ -132,13 +132,12 @@ class Metric:
     are uncached dense copies for small meshes, kept for callers that
     read dense arrays (the benchmark's traced byte counts); the library
     itself never calls them.  Each mass block, the full mass_csr(k) or
-    its interior rows and columns, has one sparse LU (SuperLU), shared
-    by every solve against it, the constrained codifferential included.
-    Everything else, here and in the layers above (boundary and interior
-    index arrays, harmonic bases, mixed Hodge-Laplacian factors, the
-    Stokes-Dirac coupling, the midpoint block system's factor), is built
-    on first request through `cached` and kept in one memo keyed by a
-    tuple naming it, e.g. ("mass_csr", k).
+    its interior rows and columns, has one `_splu` factor, shared by
+    every solve against it.  Everything else, here and in the layers
+    above (index arrays, harmonic bases and their saddle factors, the
+    Stokes-Dirac coupling, the spectral radius estimate, the midpoint
+    factor), is built on first request through `cached` and kept in one
+    memo keyed by a tuple naming it, e.g. ("mass_csr", k).
 
     Args:
         complex: The oriented complex to equip.
@@ -316,15 +315,36 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _splu(matrix, what: str) -> spla.SuperLU:
-    """SuperLU factor of a sparse square matrix (default column ordering).
+    """SuperLU factor of a sparse square matrix in symmetric mode: minimum
+    degree on A + A^T, diagonal pivots only (an off-diagonal pivot would
+    break that ordering's fill) and no relaxed supernodes, so solves carry
+    no explicit zeros.  Every matrix factored here is SPD (a mass block),
+    symmetric quasi-definite (a shift-invert saddle; any symmetric
+    ordering factors those stably, Vanderbei 1995) or has I and mass
+    diagonal blocks (the midpoint operator).  A zero diagonal block would
+    get a silently wrong factor.
 
     Raises:
         FactorizationFailure: The factor is singular.
     """
     try:
-        return spla.splu(sp.csc_matrix(matrix))
+        return spla.splu(
+            sp.csc_matrix(matrix),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            relax=1,
+            options={"SymmetricMode": True},
+        )
     except RuntimeError as exc:
         raise FactorizationFailure(f"{what} is singular") from exc
+
+
+def _backward_error(r, abs_S, x, b_abs) -> float:
+    """Componentwise (Oettli-Prager) backward error max_i |r_i| / (|S| |x|
+    + b_abs)_i of x, r = b - S x, b_abs the size of the data b; row and
+    column scaling leave it unchanged.  A zero-scale row has r_i = 0."""
+    scale = abs_S @ np.abs(x) + b_abs
+    return (np.abs(r) / np.maximum(scale, np.finfo(float).tiny)).max()
 
 
 # -- first-order operations ------------------------------------------------

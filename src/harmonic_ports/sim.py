@@ -29,7 +29,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import FactorizationFailure, SolverFailure
 from .hodge import harmonic_basis
-from .metric import Cochain, Metric, _deltac, norm
+from .metric import Cochain, Metric, _backward_error, _deltac, _splu, norm
 from .stokesdirac import (
     StokesDiracSystem,
     _port,
@@ -162,40 +162,24 @@ def _midpoint_operator(metric: Metric, p: int, q: int, h: float) -> sp.csc_matri
 
 def _midpoint_factors(metric: Metric, p: int, q: int, dt: float):
     """(K, |K|, SuperLU factor of K) at h = |dt|/2, once per |dt|.  Every
-    diagonal block of K is I or a mass, so K is factored in symmetric
-    mode: minimum degree on K + K^T and diagonal pivots only, since an
-    off-diagonal pivot would break that ordering's fill.  relax=1 relaxes
-    no supernodes, so the triangular solves of every step carry none of
-    their explicit zeros (faster on the 2-D tori, no slower on the balls
-    measured).  K and |K| stay, in CSR, for the residuals of the
+    diagonal block of K is I or a mass, so `_splu`'s symmetric mode
+    applies.  K and |K| stay, in CSR, for the residuals of the
     refinement."""
 
     def build():
         K = _midpoint_operator(metric, p, q, 0.5 * abs(dt))
-        try:
-            lu = spla.splu(
-                K,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                relax=1,
-                options={"SymmetricMode": True},
-            )
-        except RuntimeError as exc:
-            raise FactorizationFailure("midpoint operator is singular") from exc
-        return K.tocsr(), abs(K).tocsr(), lu
+        return K.tocsr(), abs(K).tocsr(), _splu(K, "midpoint operator")
 
     return metric.cached(("midpoint", p, q, abs(float(dt))), build)
 
 
 def _refined_solve(K, abs_K, lu: spla.SuperLU, b: np.ndarray) -> np.ndarray:
-    """K^-1 b, refined on the factor while the componentwise (Oettli-Prager)
-    backward error max_i |b - K x|_i / (|K| |x| + |b|)_i, which row and
-    column scaling leave unchanged, exceeds BACKWARD_ERROR_BOUND."""
+    """K^-1 b, refined on the factor while its componentwise backward
+    error (`_backward_error`) exceeds BACKWARD_ERROR_BOUND."""
     x = lu.solve(b)
     for done in range(REFINE_PASSES + 1):
-        r, scale = b - K @ x, abs_K @ np.abs(x) + np.abs(b)
-        # a row with |K| |x| + |b| = 0 has r = 0 and counts as 0
-        omega = (np.abs(r) / np.maximum(scale, np.finfo(float).tiny)).max()
+        r = b - K @ x
+        omega = _backward_error(r, abs_K, x, np.abs(b))
         if omega <= BACKWARD_ERROR_BOUND:
             return x
         if done < REFINE_PASSES:
@@ -306,7 +290,10 @@ def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
             )
         return out
 
-    rho = _spectral_radius_estimate(m, sys.p, sys.q)
+    rho = m.cached(
+        ("spectral_radius", sys.p, sys.q),
+        lambda: _spectral_radius_estimate(m, sys.p, sys.q),
+    )
     trace = Trace(
         header=header,
         rows=[],

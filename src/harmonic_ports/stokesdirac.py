@@ -302,7 +302,9 @@ class IntegrabilityReport:
 
     The verdict comes from three residuals (closedness of f, trace
     compatibility with psi, and pairing against the Dirichlet-harmonic
-    obstructions); a witness potential is produced only when solvable.
+    obstructions), each relative to a size in its own degree and complex,
+    so that no unit enters; a witness potential is produced only when
+    solvable.
     """
 
     solvable: bool
@@ -344,14 +346,18 @@ def integrability_check(
     d_ext = exterior_derivative(metric, ext)
     scale = max(norm(metric, f), norm(metric, d_ext), 1e-30)
 
-    closed_res = (
-        norm(metric, exterior_derivative(metric, f)) / scale if k < n else 0.0
-    )
+    # closedness and trace mismatch are measured in their own degree and
+    # complex, against the cancellation-free size of the same terms
+    closed_res = 0.0
+    if k < n:
+        d = metric.complex.exterior_derivative_matrix(k)
+        df, size = (Cochain(f.complex, k + 1, x) for x in (d @ f.values, abs(d) @ abs(f.values)))
+        closed_res = norm(metric, df) / max(norm(metric, size), 1e-300)
 
     if k <= n - 1 and not closed:
         bm = metric.boundary_metric()
-        mismatch = tangential_trace(metric, f) - exterior_derivative(bm, psi)
-        trace_res = norm(bm, mismatch) / scale
+        tf, dpsi = tangential_trace(metric, f), exterior_derivative(bm, psi)
+        trace_res = norm(bm, tf - dpsi) / max(norm(bm, tf) + norm(bm, dpsi), 1e-300)
     else:
         trace_res = 0.0
 

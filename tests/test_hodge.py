@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from harmonic_ports import (
     AmbiguousKernel,
@@ -257,3 +258,35 @@ def test_overcounted_harmonic_basis_makes_hmf_raise(monkeypatch):
     w = random_cochain(m.complex, 1, np.random.default_rng(5))
     with pytest.raises(SolverFailure):
         hodge_morrey_friedrichs(m, w)
+
+
+@pytest.mark.parametrize("shape", ["annulus", "torus"])
+def test_one_saddle_factor_per_degree_and_condition(shape):
+    # a fresh metric: every basis and one HMF per degree fill its memo
+    m = Metric(complex_for(shape, ACCEPTANCE[shape]))
+    n = m.complex.dimension
+    conditions = ("neumann", "dirichlet")
+    rng = np.random.default_rng(6)
+    for k in range(n + 1):
+        for condition in conditions:
+            harmonic_basis(m, k, condition)
+        hodge_morrey_friedrichs(m, random_cochain(m.complex, k, rng))
+    assert [key for key in m._memo if key[0] == "mixed"] == []
+    saddles = {key: value for key, value in m._memo.items() if key[0] == "saddle"}
+    # one factor per distinct operator: on the closed torus the Dirichlet
+    # entries (reached from degree 1 up by the HMF) hold the Neumann object
+    for (_, k, condition), value in saddles.items():
+        if condition == "dirichlet":
+            assert (value is saddles[("saddle", k, "neumann")]) == (shape in CLOSED)
+    assert [key for key in saddles if key[2] == "dirichlet"] != []
+    distinct = {id(value.lu) for value in saddles.values()}
+    assert len(distinct) == (n + 1) * (1 if shape in CLOSED else 2)
+    # every other SuperLU factor in the memo is a mass block's
+    factored = {
+        key[0]
+        for key, value in m._memo.items()
+        for lu in (value, getattr(value, "lu", None))
+        if isinstance(lu, spla.SuperLU)
+    }
+    assert "saddle" in factored
+    assert factored <= {"mass_lu", "interior_mass_lu", "saddle"}

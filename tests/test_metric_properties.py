@@ -1,12 +1,25 @@
-"""Invariance of the Whitney mass and wedge matrices, and of the harmonic
-spaces, under rigid motion, uniform scaling and vertex relabelling, on the
-SMALL meshes."""
+"""Invariance of the Whitney mass and wedge matrices, of the harmonic
+spaces and of the accuracy of the solves built on them (HMF split,
+potentials, integrability witness), under rigid motion, uniform scaling
+and vertex relabelling, on the SMALL meshes."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonic_ports import Metric, build_complex, harmonic_basis
+from harmonic_ports import (
+    Metric,
+    build_complex,
+    exterior_derivative,
+    harmonic_basis,
+    hodge_morrey_friedrichs,
+    inner_product,
+    integrability_check,
+    norm,
+    potential_for_exact,
+    random_cochain,
+    tangential_trace,
+)
 from harmonic_ports.mesh import permutation_sign
 
 from conftest import SMALL, metric_for
@@ -15,6 +28,7 @@ SHAPES = st.sampled_from(sorted(SMALL))
 SEEDS = st.integers(0, 2**32 - 1)
 PROPERTY = settings(max_examples=12, deadline=None, database=None)
 TOL = 1e-12
+SOLVE_TOL = 1e-10
 
 
 def _rel(got, expect):
@@ -54,6 +68,37 @@ def _harmonic_dims(metric):
         [harmonic_basis(metric, k, condition).dim for k in range(n + 1)]
         for condition in ("neumann", "dirichlet")
     ]
+
+
+def _solve_residuals(metric, seed):
+    """Worst relative residual over every degree: HMF reconstruction
+    against |omega| and pairwise overlaps of the pieces against
+    |omega|^2, du - f for the potential u of an exact f = de against
+    |f|, and the witness residual of integrability_check on f with the
+    trace of e."""
+    cx = metric.complex
+    closed = metric.boundary_complex.num_simplices(0) == 0
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for k in range(cx.dimension + 1):
+        w = random_cochain(cx, k, rng)
+        dec = hodge_morrey_friedrichs(metric, w)
+        pieces = [dec.d_alpha, dec.delta_beta, dec.lambda_T, dec.delta_gamma]
+        s2 = inner_product(metric, w, w)
+        worst = max(worst, norm(metric, w - sum(pieces[1:], pieces[0])) / np.sqrt(s2))
+        for i, a in enumerate(pieces):
+            for b in pieces[i + 1 :]:
+                worst = max(worst, abs(inner_product(metric, a, b)) / s2)
+        if k == 0:
+            continue
+        e = random_cochain(cx, k - 1, rng)
+        f = exterior_derivative(metric, e)
+        u = potential_for_exact(metric, f, zero_trace=False)
+        worst = max(worst, norm(metric, exterior_derivative(metric, u) - f) / norm(metric, f))
+        rep = integrability_check(metric, f, None if closed else tangential_trace(metric, e))
+        assert rep.solvable
+        worst = max(worst, rep.witness_residual)
+    return worst
 
 
 def _relabelled(metric, seed):
@@ -133,6 +178,23 @@ def test_uniform_scaling_keeps_harmonic_dimensions_and_scales_the_gap(shape, exp
                 assert np.isinf(got)
             else:
                 assert abs(got * s**2 - expect) <= 1e-8 * expect
+
+
+@PROPERTY
+@given(shape=SHAPES, seed=SEEDS, embed=st.booleans())
+def test_rigid_motion_keeps_solves_accurate(shape, seed, embed):
+    moved = _rigidly_moved(metric_for(shape, SMALL[shape]), seed, embed)
+    assert _solve_residuals(moved, seed) <= SOLVE_TOL
+
+
+@PROPERTY
+@given(shape=SHAPES, exponent=st.floats(-8.0, 8.0))
+def test_uniform_scaling_keeps_solves_accurate(shape, exponent):
+    # the refinement of the mixed solves stops on a unit-free residual, so
+    # the same accuracy holds at every scale
+    base = metric_for(shape, SMALL[shape])
+    scaled = _moved(base, base.complex.vertices * 10.0**exponent)
+    assert _solve_residuals(scaled, 0) <= SOLVE_TOL
 
 
 @PROPERTY

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from harmonic_ports import (
     FactorizationFailure,
@@ -334,3 +335,25 @@ def test_solve_returns_the_port_action_of_the_midpoint(shape):
             _, mid, port = _midpoint(StokesDiracSystem(metric, p, q, ap, aq), dt)
             for got, expect in zip(port[:4], _port_action(mid)[:4]):
                 _assert_same_column(got.values, expect.values)
+
+
+def test_spectral_radius_estimate_runs_once_per_pair(monkeypatch):
+    # a fresh metric: the first run computes the bases and the estimate,
+    # the second finds both in the memo and calls no eigensolver
+    metric = Metric(complex_for("torus", SMALL["torus"]))
+    ap, aq = initial_state(metric, 1, 2, "random")
+    sys = StokesDiracSystem(metric, 1, 2, ap, aq)
+    calls = []
+    eigsh = spla.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", counted)
+    config = SimulationConfig(dt=0.01, steps=2)
+    first = run(sys, config)
+    estimated = len(calls)
+    second = run(sys, config)
+    assert estimated > 0 and len(calls) == estimated
+    assert second.spectral_radius_estimate == first.spectral_radius_estimate
