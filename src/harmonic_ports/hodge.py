@@ -10,17 +10,16 @@ zero, through one kept factor per degree and condition of the
 saddle-point form of A - s M (spaces too small for ARPACK are solved
 densely).  The kernel is counted from the spectrum alone, never from the
 Betti numbers.  On a closed mesh both conditions give one operator, so
-the Dirichlet bases and factors are the Neumann ones.  Iterative
-refinement on the same factor, with the harmonic part projected out,
-solves the singular mixed system behind every projection onto an exact
-or coexact range: the HMF split, potentials of exact cochains and the
+the Dirichlet bases and factors are the Neumann ones.  Refinement on the
+same factor (`metric._refine`), the harmonic part projected out, solves
+the singular mixed system behind every projection onto an exact or
+coexact range: the HMF split, potentials of exact cochains and the
 integrability witness (see _mixed_potential).  Mass solves use the
 metric's one factor per mass block.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -41,8 +40,8 @@ from .errors import (
 from .metric import (
     Cochain,
     Metric,
-    _backward_error,
     _check_metric,
+    _refine,
     _splu,
     exterior_derivative,
     norm,
@@ -67,9 +66,6 @@ KERNEL_GAP_FACTOR = 10.0
 # Largest M-inner product between two HMF pieces, relative to |omega|_M^2
 # (the bound of the integrability witness residual).
 HMF_ORTHOGONALITY_TOL = 1e-8
-# Bound and pass cap of the refinement of a mixed solve (_mixed_potential).
-POTENTIAL_BACKWARD_ERROR_BOUND = 1e-14
-POTENTIAL_REFINE_PASSES = 10
 # Pairs the first shift-invert Lanczos request asks for (_lanczos_pairs).
 FIRST_REQUEST = 4
 
@@ -144,10 +140,6 @@ def harmonic_basis(metric: Metric, k: int, condition: str = "neumann") -> Harmon
     n = metric.complex.dimension
     if not 0 <= k <= n:
         raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
-    return _cached_basis(metric, k, condition)
-
-
-def _cached_basis(metric: Metric, k: int, condition: str) -> HarmonicBasis:
     return metric.cached(
         ("harmonic", k, condition), lambda: _build_harmonic_basis(metric, k, condition)
     )
@@ -156,7 +148,7 @@ def _cached_basis(metric: Metric, k: int, condition: str) -> HarmonicBasis:
 def _build_harmonic_basis(metric: Metric, k: int, condition: str) -> HarmonicBasis:
     if condition == "dirichlet" and metric.boundary_complex.num_simplices(0) == 0:
         # closed mesh: both conditions give the same operator
-        return replace(_cached_basis(metric, k, "neumann"), condition="dirichlet")
+        return replace(harmonic_basis(metric, k, "neumann"), condition="dirichlet")
     N = metric.complex.num_simplices(k)
     try:
         sd = _saddle(metric, k, condition)
@@ -164,7 +156,7 @@ def _build_harmonic_basis(metric: Metric, k: int, condition: str) -> HarmonicBas
             return HarmonicBasis(metric, k, condition, np.zeros((N, 0)), 0.0, math.inf)
         evals, kernel = _lanczos_pairs(sd) or _dense_pairs(sd)
     except (RuntimeError, sla.LinAlgError, FactorizationFailure) as exc:
-        raise FactorizationFailure(f"harmonic eigenproblem at degree {k}") from exc
+        raise FactorizationFailure(f"harmonic eigenproblem at degree {k}: {exc}") from exc
     m = kernel.shape[1]
     vectors = np.zeros((N, m))
     vectors[sd.idx, :] = kernel / math.sqrt(sd.c)
@@ -176,41 +168,34 @@ def _build_harmonic_basis(metric: Metric, k: int, condition: str) -> HarmonicBas
 @dataclass
 class _Saddle:
     """The Hodge Laplacian A = K + B^T M_l^-1 B, A u = mu M u, of one (k,
-    condition) on the free simplices idx (degree k) and low (degree k-1),
-    with its blocks divided by the mean mass diagonals (c for M and K, c_l
-    for M_l, sqrt(c c_l) for B; the eigenvalues stay, the blocks become
-    unit-free and kernel vectors scale back by 1/sqrt(c)), A as an
-    operator, its largest eigenvalue mu_max and the saddle factor lu
-    (None when the space is empty or A = 0)."""
+    condition) on the free simplices idx (degree k) and low (degree k-1):
+    M and S = [[K, B^T], [B, -M_l]] (S = K if low is empty), the blocks
+    divided by the mean mass diagonals (c for M and K, c_l for M_l,
+    sqrt(c c_l) for B; the eigenvalues stay, the blocks become unit-free
+    and kernel vectors scale back by 1/sqrt(c)), A as an operator, its
+    largest eigenvalue mu_max and the saddle factor lu (None when the
+    space is empty or A = 0)."""
 
     idx: np.ndarray
     low: np.ndarray
     c: float
     c_l: float
     M: sp.csr_matrix
-    K: sp.csr_matrix
-    B: sp.csr_matrix
-    M_l: sp.csr_matrix
+    S: sp.csr_matrix
     A: spla.LinearOperator | None = None
     mu_max: float = 0.0
     lu: spla.SuperLU | None = None
 
-    @functools.cached_property
-    def system(self):
-        """The mixed system S = [[K, B^T], [B, -M_l]] and |S| (CSR), built
-        when first used."""
-        S = sp.bmat([[self.K, self.B.T], [self.B, -self.M_l]], format="csr")
-        return S, abs(S)
-
 
 def _saddle(metric: Metric, k: int, condition: str) -> _Saddle:
     """The one factor of (k, condition), cached under ("saddle", k,
-    condition): SuperLU of [[K - s M, B^T], [B, -M_l]] (K - s M at k = 0),
-    s = -KERNEL_CUTOFF * mu_max, whose Schur complement is A - s M.  With
-    s < 0 it is symmetric quasi-definite, so `_splu`'s symmetric mode
-    factors it stably.  "neumann" leaves every simplex free, "dirichlet"
-    the interior ones; K = D^T M_(k+1) D and B = d_(k-1)^T M_k.  On a
-    closed mesh the Dirichlet entry is the Neumann object."""
+    condition): SuperLU of S - s blkdiag(M, 0) = [[K - s M, B^T], [B,
+    -M_l]] (K - s M at k = 0), s = -KERNEL_CUTOFF * mu_max, whose Schur
+    complement is A - s M.  With s < 0 it is symmetric quasi-definite, so
+    `_splu`'s symmetric mode factors it stably.  "neumann" leaves every
+    simplex free, "dirichlet" the interior ones; K = D^T M_(k+1) D and
+    B = d_(k-1)^T M_k.  On a closed mesh the Dirichlet entry is the
+    Neumann object."""
 
     def build():
         cx = metric.complex
@@ -237,7 +222,8 @@ def _saddle(metric: Metric, k: int, condition: str) -> _Saddle:
             M_l = metric.mass_csr(k - 1)[low][:, low]
             c_l = M_l.diagonal().mean()
         M, K, B, M_l = M / c, K / c, B / math.sqrt(c * c_l), M_l / c_l
-        sd = _Saddle(idx, low, c, c_l, M, K, B, M_l)
+        S = sp.bmat([[K, B.T], [B, -M_l]], format="csr") if nl else K
+        sd = _Saddle(idx, low, c, c_l, M, S)
         if nk == 0:
             return sd
         lu, lu_l = mass_lu(k), mass_lu(k - 1) if nl else None
@@ -255,9 +241,8 @@ def _saddle(metric: Metric, k: int, condition: str) -> _Saddle:
         else:
             sd.mu_max = sla.eigvalsh(sd.A @ np.eye(nk), M.toarray())[-1]
         if sd.mu_max > 0:
-            F = K + KERNEL_CUTOFF * sd.mu_max * M
-            F = sp.bmat([[F, B.T], [B, -M_l]]) if nl else F
-            sd.lu = _splu(F, f"shift-invert saddle at degree {k}")
+            shift = sp.block_diag((KERNEL_CUTOFF * sd.mu_max * M, sp.csr_matrix((nl, nl))))
+            sd.lu = _splu(S + shift, f"shift-invert saddle at degree {k}")
         return sd
 
     return metric.cached(("saddle", k, condition), build)
@@ -347,24 +332,23 @@ class HMFDecomposition:
 def _mixed_potential(metric: Metric, k: int, condition: str, f: np.ndarray) -> np.ndarray:
     """sigma of the mixed Hodge-Laplacian system of (k, condition) (_saddle)
 
-        [[K, B^T], [B, -M_l]] (u, sigma) = (M f_0, 0),   f_0 = f - V V^T M f,
+        S (u, sigma) = (M f_0, 0),   f_0 = f - V V^T M f,
 
     V the harmonic basis and u M-orthogonal to V; sigma is zero off the
     free simplices.  The second row makes sigma the codifferential of u
     (constrained to zero trace for "dirichlet"), and the first, tested
     against exact fields, makes d sigma the M-orthogonal projection of f
-    onto d of the free (k-1)-cochains.  The system is singular on the
-    harmonic space, so it is solved by iterative refinement on the saddle
-    factor, the harmonic part projected out of every residual and out of
-    u after every solve: the error contracts by |s| / (lambda_1 + |s|) <
-    1/2 per solve (lambda_1 the first non-kernel eigenvalue), until the
-    componentwise backward error, against the size of M f, is at most
-    POTENTIAL_BACKWARD_ERROR_BOUND.  sigma = 0 when f_0 = 0 or the whole
-    space is harmonic.
+    onto d of the free (k-1)-cochains.  S is singular on the harmonic
+    space, so it is solved by refinement on the saddle factor (`_refine`),
+    the harmonic part projected out of every residual and correction: the
+    error contracts by |s| / (lambda_1 + |s|) < 1/2 per solve (lambda_1
+    the first non-kernel eigenvalue), until the componentwise backward
+    error, against the size of M f, reaches its bound.  sigma = 0 when
+    f_0 = 0 or the whole space is harmonic.
 
     Raises:
-        SolverFailure: The bound is not reached in POTENTIAL_REFINE_PASSES
-            solves, as when the basis holds a non-harmonic vector.
+        SolverFailure: The bound is not reached, as when the basis holds
+            a non-harmonic vector.
     """
     basis = harmonic_basis(metric, k, condition)
     sd = _saddle(metric, k, condition)
@@ -373,22 +357,23 @@ def _mixed_potential(metric: Metric, k: int, condition: str, f: np.ndarray) -> n
     if len(sd.low) == 0 or basis.dim == nk:
         return sigma
     V = basis.vectors[sd.idx] * math.sqrt(sd.c)
-    MV, (S, abs_S) = sd.M @ V, sd.system
-    b = np.zeros(S.shape[0])
+    MV = sd.M @ V
+
+    def deflate(y, P, Q):  # y[:nk] minus P Q^T y[:nk]
+        y[:nk] -= P @ (Q.T @ y[:nk])
+        return y
+
+    b = np.zeros(sd.S.shape[0])
     b[:nk] = (metric.mass_csr(k) @ f)[sd.idx] / sd.c
-    b_abs, x = np.abs(b), np.zeros_like(b)
-    b[:nk] -= MV @ (V.T @ b[:nk])
-    for done in range(POTENTIAL_REFINE_PASSES + 1):
-        r = b - S @ x
-        r[:nk] -= MV @ (V.T @ r[:nk])
-        omega = _backward_error(r, abs_S, x, b_abs)
-        if omega <= POTENTIAL_BACKWARD_ERROR_BOUND:
-            sigma[sd.low] = x[nk:] * math.sqrt(sd.c / sd.c_l)
-            return sigma
-        if done < POTENTIAL_REFINE_PASSES:
-            x += sd.lu.solve(r)
-            x[:nk] -= V @ (MV.T @ x[:nk])
-    raise SolverFailure(f"mixed solve at degree {k}: backward error {omega:.3e}")
+    b_abs, b = np.abs(b), deflate(b, MV, V)
+    x = _refine(
+        np.zeros_like(b),
+        lambda x: deflate(b - sd.S @ x, MV, V),
+        lambda r: deflate(sd.lu.solve(r), V, MV),
+        abs(sd.S), b_abs, f"mixed solve at degree {k}",
+    )
+    sigma[sd.low] = x[nk:] * math.sqrt(sd.c / sd.c_l)
+    return sigma
 
 
 def hodge_morrey_friedrichs(metric: Metric, omega: Cochain) -> HMFDecomposition:

@@ -38,6 +38,7 @@ from .errors import (
     DanglingVertexIndex,
     DegreeOutOfRange,
     DuplicateSimplex,
+    FactorizationFailure,
     NonOrientable,
     OverflowInExactArithmetic,
     WrongDimension,
@@ -280,8 +281,8 @@ def build_complex(
             lexicographically first top simplex of each component),
             "from_order" (the parity of each given tuple relative to its
             sorted order), or an explicit array of +-1 per given simplex.
-        strict: If True raise NonOrientable on inference conflicts or
-            degenerate elements; if False record a best effort and let
+        strict: If True raise on inference conflicts or degenerate
+            elements; if False record a best effort and let
             validate_manifold report the findings.
 
     Raises:
@@ -291,6 +292,8 @@ def build_complex(
         WrongDimension: Mixed tuple lengths, or fewer ambient coordinates
             than the simplex dimension.
         NonOrientable: No consistent orientation exists (strict only).
+        FactorizationFailure: A degenerate element met by the signed-volume
+            orientation (strict only), as in the metric's frame check.
     """
     tops = [tuple(int(v) for v in t) for t in top_simplices]
     if not tops:
@@ -356,7 +359,7 @@ def _orient_by_volume(tops, verts, strict):
     degenerate = np.abs(det) <= 1e-12 * scale
     if strict and degenerate.any():
         element = tuple(tops[np.argmax(degenerate)].tolist())
-        raise NonOrientable(f"degenerate element {element}")
+        raise FactorizationFailure(f"degenerate element {element}")
     return np.where((det > 0) | degenerate, 1, -1)  # degenerate elements keep +1
 
 

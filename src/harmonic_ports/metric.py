@@ -27,6 +27,7 @@ from .errors import (
     DegreeMismatch,
     DegreeOutOfRange,
     FactorizationFailure,
+    SolverFailure,
 )
 from .mesh import BoundaryComplex, SimplicialComplex, _subsets, extract_boundary
 
@@ -46,6 +47,10 @@ __all__ = [
     "green_defect_constrained",
     "stokes_check",
 ]
+
+# Bound and pass cap of every iterative refinement (_refine).
+BACKWARD_ERROR_BOUND = 1e-14
+REFINE_PASSES = 10
 
 
 def same_complex(a: SimplicialComplex, b: SimplicialComplex) -> bool:
@@ -144,7 +149,7 @@ class Metric:
 
     Raises:
         FactorizationFailure: A degenerate (zero-volume) element, or a
-            singular mass block.
+            singular or underflowed mass block.
     """
 
     def __init__(self, complex: SimplicialComplex):
@@ -179,7 +184,8 @@ class Metric:
     # -- assembled matrices -----------------------------------------------
 
     def mass_csr(self, k: int) -> sp.csr_matrix:
-        """Whitney mass matrix at degree k (CSR, exactly symmetric, positive)."""
+        """Whitney mass matrix at degree k (CSR, exactly symmetric, positive;
+        FactorizationFailure if a diagonal entry underflows to 0)."""
         n = self.complex.dimension
         if not 0 <= k <= n:
             raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
@@ -191,7 +197,10 @@ class Metric:
             K = np.linalg.det(gram[:, sub[:, None, :, None], sub[None, :, None, :]])
             vols = np.abs(self._vols_signed)
             scale = math.factorial(k) ** 2 / ((n + 1) * (n + 2)) * vols
-            return self._pair(k, k, K, scale, symmetric=True)
+            M = self._pair(k, k, K, scale, symmetric=True)
+            if not (M.diagonal() > 0).all():
+                raise FactorizationFailure(f"mass matrix at degree {k} has a zero diagonal")
+            return M
 
         return self.cached(("mass_csr", k), build)
 
@@ -322,7 +331,8 @@ def _splu(matrix, what: str) -> spla.SuperLU:
     symmetric quasi-definite (a shift-invert saddle; any symmetric
     ordering factors those stably, Vanderbei 1995) or has I and mass
     diagonal blocks (the midpoint operator).  A zero diagonal block would
-    get a silently wrong factor.
+    get a silently wrong factor.  Solves that must reach rounding refine
+    on the factor through `_refine`, the one refinement policy.
 
     Raises:
         FactorizationFailure: The factor is singular.
@@ -339,12 +349,24 @@ def _splu(matrix, what: str) -> spla.SuperLU:
         raise FactorizationFailure(f"{what} is singular") from exc
 
 
-def _backward_error(r, abs_S, x, b_abs) -> float:
-    """Componentwise (Oettli-Prager) backward error max_i |r_i| / (|S| |x|
-    + b_abs)_i of x, r = b - S x, b_abs the size of the data b; row and
-    column scaling leave it unchanged.  A zero-scale row has r_i = 0."""
-    scale = abs_S @ np.abs(x) + b_abs
-    return (np.abs(r) / np.maximum(scale, np.finfo(float).tiny)).max()
+def _refine(x, residual, correct, abs_S, b_abs, what: str) -> np.ndarray:
+    """x refined in place by x += correct(r), r = residual(x) (b - S x),
+    while its componentwise (Oettli-Prager) backward error max_i |r_i| /
+    (|S| |x| + b_abs)_i, b_abs the size of b, exceeds the bound; row and
+    column scaling leave it unchanged, a zero-scale row has r_i = 0.
+
+    Raises:
+        SolverFailure: The bound is not reached in REFINE_PASSES passes.
+    """
+    for done in range(REFINE_PASSES + 1):
+        r = residual(x)
+        scale = abs_S @ np.abs(x) + b_abs
+        omega = (np.abs(r) / np.maximum(scale, np.finfo(float).tiny)).max()
+        if omega <= BACKWARD_ERROR_BOUND:
+            return x
+        if done < REFINE_PASSES:
+            x += correct(r)
+    raise SolverFailure(f"{what}: backward error {omega:.3e} after refinement")
 
 
 # -- first-order operations ------------------------------------------------

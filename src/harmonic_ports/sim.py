@@ -12,7 +12,8 @@ coefficients per step as the conserved topological content.
 
 A is never formed: with h = dt/2 the midpoint w = (I - h A)^-1 a is
 one solve of a sparse block system K(|h|) (`_midpoint_operator`) in w and
-the port action at w, factored once per |dt| and refined to rounding.
+the port action at w, factored once per |dt| and refined to rounding by
+the one refinement policy, `metric._refine`.
 J = diag(I, -I) has J A J = -A, so a step back solves K(|h|) against J a
 and applies J to the unknowns.  run takes each step's power balance from
 the port action the solve returns and checks its flows against an
@@ -29,7 +30,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import FactorizationFailure, SolverFailure
 from .hodge import harmonic_basis
-from .metric import Cochain, Metric, _backward_error, _deltac, _splu, norm
+from .metric import Cochain, Metric, _deltac, _refine, _splu, norm
 from .stokesdirac import (
     StokesDiracSystem,
     _port,
@@ -48,11 +49,7 @@ __all__ = [
     "run",
 ]
 
-# A midpoint solve is refined until its componentwise backward error is at
-# most the bound, in at most REFINE_PASSES passes; FLOW_CHECK_TOL bounds
-# its flows against an independent port action.
-BACKWARD_ERROR_BOUND = 1e-14
-REFINE_PASSES = 3
+# Bound of a midpoint solve's flows against an independent port action.
 FLOW_CHECK_TOL = 1e-8
 
 
@@ -163,28 +160,14 @@ def _midpoint_operator(metric: Metric, p: int, q: int, h: float) -> sp.csc_matri
 def _midpoint_factors(metric: Metric, p: int, q: int, dt: float):
     """(K, |K|, SuperLU factor of K) at h = |dt|/2, once per |dt|.  Every
     diagonal block of K is I or a mass, so `_splu`'s symmetric mode
-    applies.  K and |K| stay, in CSR, for the residuals of the
-    refinement."""
+    applies.  K and |K| stay, in CSR, for the residuals and backward
+    errors of the refinement (`metric._refine`)."""
 
     def build():
         K = _midpoint_operator(metric, p, q, 0.5 * abs(dt))
         return K.tocsr(), abs(K).tocsr(), _splu(K, "midpoint operator")
 
     return metric.cached(("midpoint", p, q, abs(float(dt))), build)
-
-
-def _refined_solve(K, abs_K, lu: spla.SuperLU, b: np.ndarray) -> np.ndarray:
-    """K^-1 b, refined on the factor while its componentwise backward
-    error (`_backward_error`) exceeds BACKWARD_ERROR_BOUND."""
-    x = lu.solve(b)
-    for done in range(REFINE_PASSES + 1):
-        r = b - K @ x
-        omega = _backward_error(r, abs_K, x, np.abs(b))
-        if omega <= BACKWARD_ERROR_BOUND:
-            return x
-        if done < REFINE_PASSES:
-            x += lu.solve(r)
-    raise SolverFailure(f"midpoint solve backward error {omega:.3e} after refinement")
 
 
 def _midpoint(sys: StokesDiracSystem, dt: float):
@@ -199,7 +182,8 @@ def _midpoint(sys: StokesDiracSystem, dt: float):
     sign = -1.0 if dt < 0 else 1.0  # J on the right-hand side and the unknowns
     b = np.zeros(cuts[-1])
     b[: cuts[1]], b[cuts[1] : cuts[2]] = sys.alpha_p.values, sign * sys.alpha_q.values
-    x = _refined_solve(K, abs_K, lu, b)
+    x = lu.solve(b)
+    x = _refine(x, lambda x: b - K @ x, lu.solve, abs_K, np.abs(b), "midpoint solve")
     w_p, w_q, zi_p, zi_q, e_p, e_q = (x[i:j] for i, j in zip(cuts, cuts[1:]))
     w_q, zi_q, e_q = sign * w_q, sign * zi_q, sign * e_q
     z_p, z_q = np.zeros(n(p - 1)), np.zeros(n(q - 1))
@@ -218,7 +202,7 @@ def step_implicit_midpoint(sys: StokesDiracSystem, dt: float) -> StokesDiracSyst
 
     Raises:
         FactorizationFailure: K is singular.
-        SolverFailure: Refinement did not reach BACKWARD_ERROR_BOUND.
+        SolverFailure: Refinement (`metric._refine`) missed its bound.
     """
     if not np.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")

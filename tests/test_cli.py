@@ -8,6 +8,7 @@ import scipy.sparse.linalg as spla
 
 from harmonic_ports import (
     Metric,
+    build_complex,
     gen_mesh,
     hodge,
     initial_state,
@@ -106,6 +107,39 @@ def test_analyze_rejects_degenerate_geometry(tmp_path, capsys):
     code = main(["analyze", str(path)])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "sd-verify", "simulate", "decompose"])
+def test_degenerate_element_exits_2_from_every_subcommand(tmp_path, capsys, command):
+    # the second triangle (0, 1, 3) has zero area: analyze reads leniently
+    # and the metric's frame check raises, the others fail on the strict read
+    obj = {"dimension": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]],
+           "simplices": [[0, 1, 2], [0, 1, 3]]}
+    mesh = tmp_path / "flat.json"
+    mesh.write_text(json.dumps(obj))
+    cochain = tmp_path / "c.json"
+    cochain.write_text(json.dumps({"degree": 1, "values": [0.0] * 5}))
+    argv = {
+        "analyze": ["analyze", str(mesh)],
+        "sd-verify": ["sd-verify", str(mesh), "--p", "1", "--q", "2"],
+        "simulate": ["simulate", str(mesh), "--p", "1", "--q", "2", "--out",
+                     str(tmp_path / "trace.csv")],
+        "decompose": ["decompose", str(mesh), str(cochain)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: degenerate element (0, 1, 3)\n"
+
+
+def test_underflowed_mass_exits_2_with_one_line(tmp_path, capsys):
+    # at a scale of 1e60 every entry of the degree-3 mass of ball:2
+    # underflows to 0
+    cx = gen_mesh("ball", 2)
+    mesh = tmp_path / "ball.json"
+    write_mesh(build_complex(cx.simplices[3], cx.vertices * 1e60), mesh)
+    assert main(["analyze", str(mesh)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "mass matrix at degree 3" in err
 
 
 def test_non_finite_numbers_in_input_files_exit_3(tmp_path, capsys):
@@ -253,6 +287,12 @@ def test_sd_verify_random_states(tmp_path, capsys):
         assert entry["split_residual_relative"] <= 1e-10
     for check in rep["integrability_spot_checks"]:
         assert check["solvable"] == check["expected_solvable"]
+
+
+def test_sd_verify_rejects_zero_random_states_exit_3(tmp_path, capsys):
+    argv = ["sd-verify", _write_torus(tmp_path), "--p", "1", "--q", "2", "--random-states", "0"]
+    assert main(argv) == 3
+    assert "--random-states must be positive" in capsys.readouterr().err
 
 
 def test_sd_verify_state_file(tmp_path, capsys):

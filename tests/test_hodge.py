@@ -242,6 +242,17 @@ def test_vector_field_input_validation():
         decompose_vector_field_3d(m, np.zeros((2, 2)))
 
 
+def test_wrong_mixed_solve_makes_hmf_pieces_overlap(monkeypatch):
+    # a potential 1% off passes every solve; only the orthogonality check
+    # of the four pieces sees it
+    genuine = hodge_mod._mixed_potential
+    monkeypatch.setattr(hodge_mod, "_mixed_potential", lambda *args: 1.01 * genuine(*args))
+    m = metric_for("annulus", SMALL["annulus"])
+    w = random_cochain(m.complex, 1, np.random.default_rng(5))
+    with pytest.raises(SolverFailure, match="HMF pieces overlap"):
+        hodge_morrey_friedrichs(m, w)
+
+
 def test_overcounted_harmonic_basis_makes_hmf_raise(monkeypatch):
     # A fresh metric: the mixed solves cached below see the padded basis.
     m = Metric(complex_for("annulus", 3))

@@ -7,6 +7,7 @@ from harmonic_ports import (
     BoundaryComplex,
     DanglingVertexIndex,
     DuplicateSimplex,
+    FactorizationFailure,
     NonOrientable,
     OverflowInExactArithmetic,
     UnsupportedResolution,
@@ -131,6 +132,16 @@ def test_mobius_strip_is_rejected_when_strict():
     assert report["manifold"] is True
     assert report["orientable"] is False
     assert any(f["kind"] == "non_orientable" for f in report["findings"])
+
+
+def test_degenerate_element_is_a_factorization_failure_when_strict():
+    # the second triangle (0, 1, 3) has zero area; the metric's frame check
+    # raises the same error for it on a lenient read
+    tops = [(0, 1, 2), (0, 1, 3)]
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
+    with pytest.raises(FactorizationFailure, match=r"degenerate element \(0, 1, 3\)"):
+        build_complex(tops, verts)
+    build_complex(tops, verts, strict=False)
 
 
 def test_zero_dimensional_complexes_build_but_are_not_validated():

@@ -8,6 +8,7 @@ from harmonic_ports import (
     ComplexMismatch,
     DegreeMismatch,
     DegreeOutOfRange,
+    FactorizationFailure,
     Metric,
     build_complex,
     codifferential,
@@ -43,6 +44,16 @@ def _signed_volume(cx, s):
     e = cx.vertices[list(s[1:])] - cx.vertices[s[0]]
     g = e @ e.T
     return math.sqrt(max(np.linalg.det(g), 0.0)) / math.factorial(len(s) - 1)
+
+
+def test_underflowed_mass_raises():
+    # at a scale of 1e60 every entry of the degree-3 mass of ball:2
+    # underflows to 0; the degree-2 mass is still positive
+    cx = complex_for("ball", 2)
+    m = Metric(build_complex(cx.simplices[3], cx.vertices * 1e60))
+    assert (m.mass_csr(2).diagonal() > 0).all()
+    with pytest.raises(FactorizationFailure, match="mass matrix at degree 3"):
+        m.mass_csr(3)
 
 
 def test_mass_matrices_on_reference_triangle():

@@ -10,6 +10,7 @@ from harmonic_ports import (
     StokesDiracSystem,
     hamiltonian,
     harmonic_basis,
+    hodge_morrey_friedrichs,
     initial_state,
     norm,
     random_cochain,
@@ -17,6 +18,7 @@ from harmonic_ports import (
     flows,
     step_implicit_midpoint,
 )
+from harmonic_ports import metric as metric_mod
 from harmonic_ports import sim
 from harmonic_ports.sim import _midpoint, _spectral_radius_estimate
 from harmonic_ports.stokesdirac import _port_action
@@ -207,11 +209,17 @@ def test_refined_midpoint_solves_the_cayley_equation():
         assert resid <= 1e-12 * (norm(metric, ap) + norm(metric, aq)), dt
 
 
-def test_unconverged_refinement_raises(monkeypatch):
-    monkeypatch.setattr(sim, "BACKWARD_ERROR_BOUND", 0.0)
-    sys = _sys("torus", 1, 2)
+@pytest.mark.parametrize("solve", ["midpoint", "hmf"])
+def test_unconverged_refinement_raises(monkeypatch, solve):
+    # one bound serves both refined solves: the midpoint step and the
+    # mixed solves of the HMF split
+    monkeypatch.setattr(metric_mod, "BACKWARD_ERROR_BOUND", 0.0)
     with pytest.raises(SolverFailure, match="backward error"):
-        step_implicit_midpoint(sys, 0.01)
+        if solve == "midpoint":
+            step_implicit_midpoint(_sys("torus", 1, 2), 0.01)
+        else:
+            m = metric_for("annulus", SMALL["annulus"])
+            hodge_morrey_friedrichs(m, random_cochain(m.complex, 1, np.random.default_rng(0)))
 
 
 @pytest.mark.parametrize("stride", [0, 3])

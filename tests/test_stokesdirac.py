@@ -25,6 +25,7 @@ from harmonic_ports import (
     system_operators,
     tangential_trace,
 )
+from harmonic_ports import stokesdirac as stokesdirac_mod
 
 from conftest import (
     ACCEPTANCE,
@@ -293,6 +294,18 @@ def test_integrability_accepts_constructed_solvable_data(shape):
         got = exterior_derivative(m, rep.witness)
         assert norm(m, got - f) <= 1e-7 * max(norm(m, f), 1e-30)
         assert rep.witness_residual <= 1e-8
+
+
+def test_integrability_raises_on_a_wrong_witness(monkeypatch):
+    # solvable data, but a potential 1% off gives a witness whose d misses f
+    genuine = stokesdirac_mod._mixed_potential
+    monkeypatch.setattr(
+        stokesdirac_mod, "_mixed_potential", lambda *args: 1.01 * genuine(*args)
+    )
+    m = metric_for("annulus", SMALL["annulus"])
+    e = random_cochain(m.complex, 0, np.random.default_rng(13))
+    with pytest.raises(SolverFailure, match="witness residual"):
+        integrability_check(m, exterior_derivative(m, e), tangential_trace(m, e))
 
 
 def test_integrability_rejects_harmonic_obstruction():

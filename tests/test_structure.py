@@ -1,0 +1,71 @@
+"""Structure guards on the library source: one SuperLU call site, one
+refinement bound and pass cap, and one cache mechanism (Metric.cached)."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "harmonic_ports"
+FUNCTOOLS_CACHES = {"cached_property", "lru_cache", "cache"}
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _nodes_in_functions(node, function=None):
+    """(node, name of its innermost enclosing def or None) below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = child.name
+        else:
+            inner = function
+        yield child, inner
+        yield from _nodes_in_functions(child, inner)
+
+
+def _callee(call: ast.Call):
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_splu_is_called_only_inside_metric_splu():
+    sites = [
+        (module, function)
+        for module, tree in _modules().items()
+        for node, function in _nodes_in_functions(tree)
+        if isinstance(node, ast.Call) and _callee(node) == "splu"
+    ]
+    assert sites == [("metric.py", "_splu")]
+
+
+def test_refinement_bound_and_pass_cap_are_assigned_once():
+    assigned = sorted(
+        (module, target.id)
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+        and target.id.endswith(("BACKWARD_ERROR_BOUND", "REFINE_PASSES"))
+    )
+    assert assigned == [("metric.py", "BACKWARD_ERROR_BOUND"), ("metric.py", "REFINE_PASSES")]
+
+
+def test_no_functools_cache_in_the_library():
+    found = []
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools"
+                and node.attr in FUNCTOOLS_CACHES
+            ):
+                found.append((module, node.lineno, node.attr))
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [
+                    (module, node.lineno, alias.name)
+                    for alias in node.names
+                    if alias.name in FUNCTOOLS_CACHES
+                ]
+    assert found == []
