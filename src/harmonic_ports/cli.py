@@ -89,24 +89,8 @@ def _tol_scale() -> float:
     return scale
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
-
-
 def _emit(report: dict):
-    sys.stdout.write(hio.dumps_report(_jsonable(report)))
+    sys.stdout.write(hio.dumps_report(report))
 
 
 def _rel(value: float, floor: float) -> float:
@@ -275,7 +259,6 @@ def cmd_sd_verify(args) -> int:
     cx = hio.read_mesh(args.mesh)
     metric = Metric(cx)
     p, q = args.p, args.q
-    closed = metric.boundary_complex.num_simplices(0) == 0
     states, rng = _sd_states(args, metric, p, q)
 
     passed = True
@@ -301,7 +284,7 @@ def cmd_sd_verify(args) -> int:
             "flow_closedness": ext.flow_closedness,
         }
         ok = split_rel <= tols["split"] and bilin_rel <= tols["boundary_split_sum"]
-        if closed:
+        if metric.closed:
             dh_rel = _rel(ext.dH_dt, ext.scale)
             entry["closed_dH_dt_relative"] = dh_rel
             ok = ok and dh_rel <= tols["closed_dH_dt"]
@@ -328,7 +311,7 @@ def cmd_sd_verify(args) -> int:
     spot_checks = []
     e0 = random_cochain(cx, p - 1, rng)
     f_ok = exterior_derivative(metric, e0)
-    psi = None if closed else tangential_trace(metric, e0)
+    psi = None if metric.closed else tangential_trace(metric, e0)
     rep = integrability_check(metric, f_ok, psi)
     spot_checks.append(
         {
@@ -360,7 +343,7 @@ def cmd_sd_verify(args) -> int:
         "mesh": args.mesh,
         "p": p,
         "q": q,
-        "closed": closed,
+        "closed": metric.closed,
         "tolerance_scale": scale,
         "tolerances": tols,
         "states": state_reports,
@@ -393,7 +376,6 @@ def cmd_simulate(args) -> int:
         snapshot_dir = root + "_snapshots"
         hio.write_snapshots(trace, snapshot_dir)
 
-    closed = metric.boundary_complex.num_simplices(0) == 0
     rows = np.asarray(trace.rows)
     H = rows[:, 1]
     h0 = max(abs(H[0]), 1e-30)
@@ -414,7 +396,7 @@ def cmd_simulate(args) -> int:
         "harmonic_drift": 1e-8 * scale,
         "step_balance": 1e-8 * scale,
     }
-    if closed:
+    if metric.closed:
         passed = drift <= tols["closed_energy_drift"] and (
             harm_drift <= tols["harmonic_drift"]
         )
@@ -426,7 +408,7 @@ def cmd_simulate(args) -> int:
         "mesh": args.mesh,
         "p": p,
         "q": q,
-        "closed": closed,
+        "closed": metric.closed,
         "dt": config.dt,
         "steps": config.steps,
         "init": config.init if args.state is None else f"state:{args.state}",

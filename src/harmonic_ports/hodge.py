@@ -14,8 +14,10 @@ the Dirichlet bases and factors are the Neumann ones.  Refinement on the
 same factor (`metric._refine`), the harmonic part projected out, solves
 the singular mixed system behind every projection onto an exact or
 coexact range: the HMF split, potentials of exact cochains and the
-integrability witness (see _mixed_potential).  Mass solves use the
-metric's one factor per mass block.
+integrability witness (see _mixed_potential).  The metric decides what
+a condition means: its free simplices (`Metric.free_indices`) and the
+one mass factor of each (k, condition) (`Metric.mass_lu`) are read
+here, never re-derived.
 """
 
 from __future__ import annotations
@@ -134,9 +136,8 @@ def harmonic_basis(metric: Metric, k: int, condition: str = "neumann") -> Harmon
         AmbiguousKernel: The spectral gap below the kernel cutoff is too
             small to count harmonic fields reliably.
         FactorizationFailure: A factorization or the eigensolver failed.
+        ValueError: An unknown condition (Metric.free_indices).
     """
-    if condition not in ("neumann", "dirichlet"):
-        raise ValueError(f"unknown boundary condition {condition!r}")
     n = metric.complex.dimension
     if not 0 <= k <= n:
         raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
@@ -146,7 +147,7 @@ def harmonic_basis(metric: Metric, k: int, condition: str = "neumann") -> Harmon
 
 
 def _build_harmonic_basis(metric: Metric, k: int, condition: str) -> HarmonicBasis:
-    if condition == "dirichlet" and metric.boundary_complex.num_simplices(0) == 0:
+    if condition == "dirichlet" and metric.closed:
         # closed mesh: both conditions give the same operator
         return replace(harmonic_basis(metric, k, "neumann"), condition="dirichlet")
     N = metric.complex.num_simplices(k)
@@ -192,23 +193,17 @@ def _saddle(metric: Metric, k: int, condition: str) -> _Saddle:
     condition): SuperLU of S - s blkdiag(M, 0) = [[K - s M, B^T], [B,
     -M_l]] (K - s M at k = 0), s = -KERNEL_CUTOFF * mu_max, whose Schur
     complement is A - s M.  With s < 0 it is symmetric quasi-definite, so
-    `_splu`'s symmetric mode factors it stably.  "neumann" leaves every
-    simplex free, "dirichlet" the interior ones; K = D^T M_(k+1) D and
-    B = d_(k-1)^T M_k.  On a closed mesh the Dirichlet entry is the
-    Neumann object."""
+    `_splu`'s symmetric mode factors it stably.  idx and low are the
+    metric's free indices of the condition and A's mass solves use its
+    factors of (k, condition); K = D^T M_(k+1) D and B = d_(k-1)^T M_k.
+    On a closed mesh the Dirichlet entry is the Neumann object."""
 
     def build():
         cx = metric.complex
-        if condition == "dirichlet" and metric.boundary_complex.num_simplices(0) == 0:
+        if condition == "dirichlet" and metric.closed:
             return _saddle(metric, k, "neumann")
-        if condition == "neumann":
-            idx = np.arange(cx.num_simplices(k))
-            low = np.arange(cx.num_simplices(k - 1) if k else 0)
-            mass_lu = metric.mass_lu
-        else:
-            idx = metric.interior_indices(k)
-            low = metric.interior_indices(k - 1) if k else np.arange(0)
-            mass_lu = metric.interior_mass_lu
+        idx = metric.free_indices(k, condition)
+        low = metric.free_indices(k - 1, condition) if k else np.arange(0)
         nk, nl = len(idx), len(low)
         M = metric.mass_csr(k)[idx][:, idx]
         c = M.diagonal().mean() if nk else 1.0
@@ -226,7 +221,7 @@ def _saddle(metric: Metric, k: int, condition: str) -> _Saddle:
         sd = _Saddle(idx, low, c, c_l, M, S)
         if nk == 0:
             return sd
-        lu, lu_l = mass_lu(k), mass_lu(k - 1) if nl else None
+        lu, lu_l = metric.mass_lu(k, condition), metric.mass_lu(k - 1, condition) if nl else None
         solve_l = (lambda r: c_l * lu_l.solve(r)) if nl else (lambda r: r)
         sd.A = spla.LinearOperator(
             (nk, nk), matvec=lambda u: K @ u + B.T @ solve_l(B @ u), dtype=float

@@ -65,8 +65,16 @@ def load_json(path: str):
         )
 
 
+def _tolist(value):
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def dumps_report(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Sorted-key, two-space-indented JSON and a newline; numpy arrays and
+    scalars are written through .tolist(), non-finite numbers refused."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_tolist) + "\n"
 
 
 def _write_json(obj, path: str):

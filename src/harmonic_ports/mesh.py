@@ -223,7 +223,7 @@ class BoundaryComplex(SimplicialComplex):
         # The boundary k-simplices are the k-faces of the boundary faces.
         # Relabelling vertices by the increasing vertex_map keeps the
         # lexicographic order, so they are listed in parent order.
-        on = [np.asarray(faces, dtype=np.int64)]
+        on = [np.array(faces, dtype=np.int64)]
         for k in range(n - 1, 0, -1):
             mask = np.zeros(parent.num_simplices(k), dtype=np.int64)
             mask[on[0]] = 1
@@ -242,6 +242,9 @@ class BoundaryComplex(SimplicialComplex):
             )
             for k, rows in enumerate(on)
         ]
+        for rows in on:
+            rows.setflags(write=False)
+        self._parent_indices = on
 
     def trace_matrix(self, k: int) -> sp.csr_matrix:
         """Restriction of parent k-cochains to the boundary.
@@ -258,11 +261,9 @@ class BoundaryComplex(SimplicialComplex):
         return tr.tocsr()
 
     def parent_indices(self, k: int) -> np.ndarray:
-        """Parent indices of the boundary k-simplices (canonical order)."""
-        inc = self.inclusion[k].tocoo()
-        out = np.zeros(self.num_simplices(k), dtype=np.int64)
-        out[inc.col] = inc.row
-        return out
+        """Parent indices of the boundary k-simplices (canonical order, so
+        increasing; read-only)."""
+        return self._parent_indices[k]
 
 
 def build_complex(

@@ -7,9 +7,10 @@ wedge pairings of lowest-order Whitney forms then come from one pairing
 kernel over all elements at once, summed straight into sparse (CSR)
 matrices: no N x N array is ever formed, so memory grows with the
 number of simplices.  On top of the masses sit the first-order
-operators: exterior derivative, the two codifferentials (plain adjoint
-and the zero-trace constrained one), tangential traces, Green defects,
-and the exact discrete Stokes identity.
+operators: exterior derivative, one codifferential kernel and its
+transpose for both boundary conditions (the plain adjoint and the
+zero-trace constrained one), tangential traces, Green defects, and the
+exact discrete Stokes identity.
 """
 
 from __future__ import annotations
@@ -136,10 +137,11 @@ class Metric:
     every product with them goes through it.  mass(k) and wedge(a, b)
     are uncached dense copies for small meshes, kept for callers that
     read dense arrays (the benchmark's traced byte counts); the library
-    itself never calls them.  Each mass block, the full mass_csr(k) or
-    its interior rows and columns, has one `_splu` factor, shared by
-    every solve against it.  Everything else, here and in the layers
-    above (index arrays, harmonic bases and their saddle factors, the
+    itself never calls them.  The boundary condition is decided here
+    alone: `closed` once, the free simplices of each (k, condition)
+    (free_indices) and one `_splu` factor of their mass block (mass_lu),
+    shared by every solve against it.  Everything else, here and in the
+    layers above (index arrays, harmonic bases and their saddle factors, the
     Stokes-Dirac coupling, the spectral radius estimate, the midpoint
     factor), is built on first request through `cached` and kept in one
     memo keyed by a tuple naming it, e.g. ("mass_csr", k).
@@ -155,6 +157,7 @@ class Metric:
     def __init__(self, complex: SimplicialComplex):
         self.complex = complex
         self.boundary_complex: BoundaryComplex = extract_boundary(complex)
+        self.closed = self.boundary_complex.num_simplices(0) == 0
         self._build_frames()
         self._memo: dict = {}
 
@@ -269,24 +272,29 @@ class Metric:
         kept = sums != 0
         return sp.csr_matrix((sums[kept], np.divmod(keys[kept], shape[1])), shape=shape)
 
-    def mass_lu(self, k: int) -> spla.SuperLU:
-        """Sparse LU of mass_csr(k); lu.solve(rhs) solves M_k x = rhs."""
-        return self.cached(
-            ("mass_lu", k), lambda: _splu(self.mass_csr(k), f"mass matrix at degree {k}")
-        )
+    def mass_lu(self, k: int, condition: str = "neumann") -> spla.SuperLU:
+        """Sparse LU of mass_csr(k) on the rows and columns
+        free_indices(k, condition), solving in that order; the Neumann
+        factor object when they are all k-simplices."""
+
+        def build():
+            idx = self.free_indices(k, condition)
+            if len(idx) < self.complex.num_simplices(k):
+                return _splu(self.mass_csr(k)[idx][:, idx], f"interior mass at degree {k}")
+            if condition != "neumann":
+                return self.mass_lu(k)
+            return _splu(self.mass_csr(k), f"mass matrix at degree {k}")
+
+        return self.cached(("mass_lu", k, condition), build)
 
     # -- boundary bookkeeping ----------------------------------------------
 
     def boundary_indices(self, k: int) -> np.ndarray:
         """Sorted parent indices of k-simplices lying on the boundary (cached,
         read-only)."""
-
-        def build():
-            if k == self.complex.dimension:
-                return _read_only(np.zeros(0, dtype=np.int64))
-            return _read_only(np.unique(self.boundary_complex.parent_indices(k)))
-
-        return self.cached(("boundary_indices", k), build)
+        if k < self.complex.dimension:
+            return self.boundary_complex.parent_indices(k)
+        return self.cached(("boundary_indices", k), lambda: _read_only(np.zeros(0, np.int64)))
 
     def interior_indices(self, k: int) -> np.ndarray:
         """Sorted indices of k-simplices off the boundary (cached, read-only)."""
@@ -298,22 +306,20 @@ class Metric:
 
         return self.cached(("interior_indices", k), build)
 
-    def interior_mass_lu(self, k: int) -> spla.SuperLU:
-        """Sparse LU of the interior block of mass_csr(k), rows and columns
-        in interior_indices(k) order; mass_lu(k) itself when no k-simplex
-        lies on the boundary."""
-
-        def build():
-            idx = self.interior_indices(k)
-            if len(idx) == self.complex.num_simplices(k):
-                return self.mass_lu(k)
-            return _splu(self.mass_csr(k)[idx][:, idx], f"interior mass at degree {k}")
-
-        return self.cached(("interior_mass_lu", k), build)
+    def free_indices(self, k: int, condition: str = "neumann") -> np.ndarray:
+        """Sorted k-simplex indices the condition leaves free (cached,
+        read-only): all for "neumann", the interior ones for "dirichlet"."""
+        if condition == "dirichlet":
+            return self.interior_indices(k)
+        if condition != "neumann":
+            raise ValueError(f"unknown boundary condition {condition!r}")
+        return self.cached(
+            ("free_indices", k), lambda: _read_only(np.arange(self.complex.num_simplices(k)))
+        )
 
     def boundary_metric(self):
         """Metric on the boundary complex, or None when it is empty."""
-        if self.boundary_complex.num_simplices(0) == 0:
+        if self.closed:
             return None
         return self.cached(("boundary_metric",), lambda: Metric(self.boundary_complex))
 
@@ -389,13 +395,7 @@ def exterior_derivative(metric: Metric, c: Cochain) -> Cochain:
 
 def codifferential(metric: Metric, c: Cochain) -> Cochain:
     """Adjoint codifferential: delta = M^-1 d^T M, one degree down."""
-    _check_metric(metric, c)
-    k = c.degree
-    if k == 0:
-        raise DegreeOutOfRange("codifferential of a 0-cochain")
-    d = metric.complex.exterior_derivative_matrix(k - 1)
-    vals = metric.mass_lu(k - 1).solve(d.T @ (metric.mass_csr(k) @ c.values))
-    return Cochain(c.complex, k - 1, vals)
+    return _codifferential(metric, c, "neumann")
 
 
 def codifferential_constrained(metric: Metric, c: Cochain) -> Cochain:
@@ -404,22 +404,34 @@ def codifferential_constrained(metric: Metric, c: Cochain) -> Cochain:
     The result is the weak codifferential tested against zero-trace forms
     only; it agrees with the plain adjoint on closed meshes.
     """
+    return _codifferential(metric, c, "dirichlet")
+
+
+def _codifferential(metric: Metric, c: Cochain, condition: str) -> Cochain:
     _check_metric(metric, c)
-    k = c.degree
-    if k == 0:
+    if c.degree == 0:
         raise DegreeOutOfRange("codifferential of a 0-cochain")
-    return Cochain(c.complex, k - 1, _deltac(metric, k, c.values))
+    return Cochain(c.complex, c.degree - 1, _delta(metric, c.degree, c.values, condition))
 
 
-def _deltac(metric: Metric, k: int, x: np.ndarray) -> np.ndarray:
-    """Constrained codifferential of degree-k values x: the interior rows
-    solve the interior mass block against d^T M_k x, and the boundary rows
-    are exactly zero."""
+def _delta(metric: Metric, k: int, x: np.ndarray, condition: str) -> np.ndarray:
+    """Codifferential of (k, condition) applied to degree-k values x: the
+    free rows (free_indices(k-1, condition)) solve the mass block of
+    (k-1, condition) against d^T M_k x, the other rows are exactly zero."""
     rhs = metric.complex.boundary_matrix(k) @ (metric.mass_csr(k) @ x)
-    idx = metric.interior_indices(k - 1)
+    idx = metric.free_indices(k - 1, condition)
     out = np.zeros_like(rhs)
-    out[idx] = metric.interior_mass_lu(k - 1).solve(rhs[idx])
+    out[idx] = metric.mass_lu(k - 1, condition).solve(rhs[idx])
     return out
+
+
+def _delta_transpose(metric: Metric, k: int, y: np.ndarray, condition: str) -> np.ndarray:
+    """Transpose of `_delta` of (k, condition), applied to degree-(k-1)
+    values y."""
+    idx = metric.free_indices(k - 1, condition)
+    u = np.zeros_like(y)
+    u[idx] = metric.mass_lu(k - 1, condition).solve(y[idx], trans="T")
+    return metric.mass_csr(k) @ (metric.complex.boundary_matrix(k).T @ u)
 
 
 def inner_product(metric: Metric, a: Cochain, b: Cochain) -> float:
@@ -452,25 +464,23 @@ def extend_by_zero(metric: Metric, psi: Cochain) -> Cochain:
 
 def green_defect(metric: Metric, a: Cochain, b: Cochain) -> float:
     """<<da, b>> - <<a, delta b>>; zero to rounding for the plain adjoint."""
-    _check_metric(metric, a)
-    _check_metric(metric, b)
-    if b.degree != a.degree + 1:
-        raise DegreeMismatch("defect needs degrees (k, k+1)")
-    return inner_product(metric, exterior_derivative(metric, a), b) - inner_product(
-        metric, a, codifferential(metric, b)
-    )
+    return _green_defect(metric, a, b, "neumann")
 
 
 def green_defect_constrained(metric: Metric, a: Cochain, b: Cochain) -> float:
     """<<da, b>> - <<a, delta_c b>>: the boundary pairing realized by the
     constrained codifferential.  Vanishes whenever a has zero trace, and
     depends on a only through its trace."""
+    return _green_defect(metric, a, b, "dirichlet")
+
+
+def _green_defect(metric: Metric, a: Cochain, b: Cochain, condition: str) -> float:
     _check_metric(metric, a)
     _check_metric(metric, b)
     if b.degree != a.degree + 1:
         raise DegreeMismatch("defect needs degrees (k, k+1)")
     return inner_product(metric, exterior_derivative(metric, a), b) - inner_product(
-        metric, a, codifferential_constrained(metric, b)
+        metric, a, _codifferential(metric, b, condition)
     )
 
 
@@ -491,13 +501,11 @@ def stokes_check(metric: Metric, c: Cochain) -> dict:
         float(s) * c.values[f] for f, s in zip(bnd.row, bnd.data)
     )
     bc = metric.boundary_complex
-    inc = bc.inclusion[n - 1].tocoo() if bc.num_simplices(0) else None
-    if inc is None:
-        rhs = 0.0
-    else:
-        signs = bc.orientation
+    rhs = 0.0
+    if not metric.closed:
+        inc = bc.inclusion[n - 1].tocoo()
         rhs = math.fsum(
-            float(signs[j]) * c.values[parent]
+            float(bc.orientation[j]) * c.values[parent]
             for parent, j in zip(inc.row, inc.col)
         )
     return {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs}

@@ -30,12 +30,12 @@ import scipy.sparse.linalg as spla
 
 from .errors import FactorizationFailure, SolverFailure
 from .hodge import harmonic_basis
-from .metric import Cochain, Metric, _deltac, _refine, _splu, norm
+from .metric import Cochain, Metric, _delta, _delta_transpose, _refine, _splu, norm
 from .stokesdirac import (
     StokesDiracSystem,
     _port,
     _port_action,
-    _power_pieces,
+    _power_rate,
     hamiltonian,
     power_balance,
     system_operators,
@@ -145,7 +145,7 @@ def _midpoint_operator(metric: Metric, p: int, q: int, h: float) -> sp.csc_matri
     sigma, tau, Wd = ops["sigma"], ops["tau"], ops["coupling"]
     cx, M = metric.complex, metric.mass_csr
     d, B, eye = cx.exterior_derivative_matrix, cx.boundary_matrix, sp.identity
-    ip, iq = metric.interior_indices(p - 1), metric.interior_indices(q - 1)
+    ip, iq = metric.free_indices(p - 1, "dirichlet"), metric.free_indices(q - 1, "dirichlet")
     blocks = [
         [eye(cx.num_simplices(p)), None, None, None, None, -h * sigma * d(p - 1)],
         [None, eye(cx.num_simplices(q)), None, None, -h * d(q - 1), None],
@@ -176,7 +176,7 @@ def _midpoint(sys: StokesDiracSystem, dt: float):
     `stokesdirac._port_action` lists it, from one refined solve."""
     m, p, q = sys.metric, sys.p, sys.q
     K, abs_K, lu = _midpoint_factors(m, p, q, dt)
-    ip, iq = m.interior_indices(p - 1), m.interior_indices(q - 1)
+    ip, iq = m.free_indices(p - 1, "dirichlet"), m.free_indices(q - 1, "dirichlet")
     n = m.complex.num_simplices
     cuts = np.cumsum([0, n(p), n(q), len(ip), len(iq), n(q - 1), n(p - 1)])
     sign = -1.0 if dt < 0 else 1.0  # J on the right-hand side and the unknowns
@@ -226,20 +226,19 @@ def _spectral_radius_estimate(metric: Metric, p: int, q: int) -> float:
     each block by Lanczos (eigsh, tolerance 1e-6) from a seeded start
     vector, so the estimate is deterministic.  Up to sign, the block from
     degree k is F = d_j M_j^-1 C delta_c, applied by the sparse products
-    and solves of the port action; F^T by their transposes, with
-    delta_c^T = M_k B_k^T R^T L^-T R (R the interior rows, L their mass)."""
+    and solves of the port action; F^T by their transposes, delta_c and
+    its transpose by the metric's Dirichlet codifferential kernels
+    (`_delta`, `_delta_transpose`)."""
     Wd, cx = system_operators(metric, p, q)["coupling"], metric.complex
     top = 0.0
     # F_p maps degree q through efforts at p-1; F_q maps degree p through q-1
     for k, j, C in ((q, p - 1, Wd), (p, q - 1, Wd.T)):
-        d, B, lu = cx.exterior_derivative_matrix(j), cx.boundary_matrix(k), metric.mass_lu(j)
-        idx = metric.interior_indices(k - 1)
+        d, lu = cx.exterior_derivative_matrix(j), metric.mass_lu(j)
 
-        def gram(v, k=k, C=C, d=d, B=B, lu=lu, idx=idx):
-            y = C.T @ lu.solve(d.T @ (d @ lu.solve(C @ _deltac(metric, k, v))), trans="T")
-            u = np.zeros(B.shape[0])
-            u[idx] = metric.interior_mass_lu(k - 1).solve(y[idx], trans="T")
-            return metric.mass_csr(k) @ (B.T @ u)
+        def gram(v, k=k, C=C, d=d, lu=lu):
+            z = _delta(metric, k, v, "dirichlet")
+            y = C.T @ lu.solve(d.T @ (d @ lu.solve(C @ z)), trans="T")
+            return _delta_transpose(metric, k, y, "dirichlet")
 
         size = cx.num_simplices(k)
         v0 = np.random.default_rng(0).standard_normal(size)
@@ -298,12 +297,10 @@ def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
         snapshot = config.stride and k % config.stride == 0
         if k == 1 or snapshot:
             _check_flows(mid, port, rho)
-        pb = _power_pieces(mid, port)[2]
+        dH_dt, boundary_term = _power_rate(mid, port)
         H_new = hamiltonian(new)
-        residual = abs((H_new - H_prev) / config.dt - pb["dH_dt"])
-        trace.rows.append(
-            [k * config.dt, H_new, residual, pb["boundary_term"]] + coeffs(new)
-        )
+        residual = abs((H_new - H_prev) / config.dt - dH_dt)
+        trace.rows.append([k * config.dt, H_new, residual, boundary_term] + coeffs(new))
         if snapshot:
             trace.snapshots.append((k, new.alpha_p.copy(), new.alpha_q.copy()))
         state, H_prev = new, H_new

@@ -38,7 +38,7 @@ from .metric import (
     Cochain,
     Metric,
     _check_metric,
-    _deltac,
+    _delta,
     extend_by_zero,
     exterior_derivative,
     green_defect_constrained,
@@ -116,8 +116,8 @@ def _port_action(sys: StokesDiracSystem) -> list[Cochain]:
     m, p, q = sys.metric, sys.p, sys.q
     ops = system_operators(m, p, q)
     sigma, tau, Wd = ops["sigma"], ops["tau"], ops["coupling"]
-    z_p = _deltac(m, p, sys.alpha_p.values)
-    z_q = _deltac(m, q, sys.alpha_q.values)
+    z_p = _delta(m, p, sys.alpha_p.values, "dirichlet")
+    z_q = _delta(m, q, sys.alpha_q.values, "dirichlet")
     e_q = tau * m.mass_lu(p - 1).solve(Wd @ z_q)
     e_p = -sigma * tau * m.mass_lu(q - 1).solve(Wd.T @ z_p)
     return _port(m, p, q, z_p, z_q, e_p, e_q)
@@ -171,15 +171,23 @@ def _defect(m: Metric, effort: Cochain, alpha: Cochain, z: Cochain) -> float:
     return inner_product(m, de, alpha) - inner_product(m, effort, z)
 
 
-def _power_pieces(sys: StokesDiracSystem, port: list[Cochain] | None = None):
-    """The port action (port, when it is given) and the PowerBalance fields
-    of one state."""
+def _power_rate(sys: StokesDiracSystem, port: list[Cochain]) -> tuple[float, float]:
+    """(dH/dt, boundary term) of one state from its port action."""
     m = sys.metric
     sigma = system_operators(m, sys.p, sys.q)["sigma"]
-    port = z_p, z_q, e_p, e_q, f_p, f_q = port or _port_action(sys)
+    z_p, z_q, e_p, e_q, f_p, f_q = port
     dH = inner_product(m, sys.alpha_p, f_p) + inner_product(m, sys.alpha_q, f_q)
-    internal = sigma * inner_product(m, e_q, z_p) + inner_product(m, e_p, z_q)
     boundary = sigma * _defect(m, e_q, sys.alpha_p, z_p) + _defect(m, e_p, sys.alpha_q, z_q)
+    return dH, boundary
+
+
+def _power_pieces(sys: StokesDiracSystem):
+    """The port action and the PowerBalance fields of one state."""
+    m = sys.metric
+    sigma = system_operators(m, sys.p, sys.q)["sigma"]
+    port = z_p, z_q, e_p, e_q, f_p, f_q = _port_action(sys)
+    dH, boundary = _power_rate(sys, port)
+    internal = sigma * inner_product(m, e_q, z_p) + inner_product(m, e_p, z_q)
     # Every term is a fixed linear image of the state, so rounding scales
     # with the state even when the flows cancel to zero; floor the scale
     # with the squared state norm so residual ratios stay meaningful.
@@ -333,7 +341,6 @@ def integrability_check(
         raise DegreeMismatch("a 0-cochain is not an exterior derivative")
     n = metric.complex.dimension
     bc = metric.boundary_complex
-    closed = bc.num_simplices(0) == 0
 
     if psi is None:
         psi = Cochain(bc, k - 1, np.zeros(bc.num_simplices(k - 1)))
@@ -354,7 +361,7 @@ def integrability_check(
         df, size = (Cochain(f.complex, k + 1, x) for x in (d @ f.values, abs(d) @ abs(f.values)))
         closed_res = norm(metric, df) / max(norm(metric, size), 1e-300)
 
-    if k <= n - 1 and not closed:
+    if k <= n - 1 and not metric.closed:
         bm = metric.boundary_metric()
         tf, dpsi = tangential_trace(metric, f), exterior_derivative(bm, psi)
         trace_res = norm(bm, tf - dpsi) / max(norm(bm, tf) + norm(bm, dpsi), 1e-300)

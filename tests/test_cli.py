@@ -130,6 +130,23 @@ def test_degenerate_element_exits_2_from_every_subcommand(tmp_path, capsys, comm
     assert capsys.readouterr().err == "error: degenerate element (0, 1, 3)\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "sd-verify", "simulate"])
+def test_repeated_top_simplex_exits_1_with_one_line(tmp_path, capsys, command):
+    # a library error outside the numerical and usage groups exits 1
+    obj = {"dimension": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+           "simplices": [[0, 1, 2], [0, 1, 2]]}
+    mesh = tmp_path / "twice.json"
+    mesh.write_text(json.dumps(obj))
+    argv = {
+        "analyze": ["analyze", str(mesh)],
+        "sd-verify": ["sd-verify", str(mesh), "--p", "1", "--q", "2"],
+        "simulate": ["simulate", str(mesh), "--p", "1", "--q", "2", "--out",
+                     str(tmp_path / "trace.csv")],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: simplex (0, 1, 2) appears twice\n"
+
+
 def test_underflowed_mass_exits_2_with_one_line(tmp_path, capsys):
     # at a scale of 1e60 every entry of the degree-3 mass of ball:2
     # underflows to 0
@@ -404,13 +421,13 @@ def test_simulate_catches_wrong_boundary_power_at_small_amplitude(
     tmp_path, capsys, monkeypatch
 ):
     # run takes each step's balance from the solve's port action
-    real = sim._power_pieces
+    real = sim._power_rate
 
-    def doubled(system, port=None):
-        port, sigma, fields = real(system, port)
-        return port, sigma, {**fields, "boundary_term": 2.0 * fields["boundary_term"]}
+    def doubled(system, port):
+        dH_dt, boundary_term = real(system, port)
+        return dH_dt, 2.0 * boundary_term
 
-    monkeypatch.setattr(sim, "_power_pieces", doubled)
+    monkeypatch.setattr(sim, "_power_rate", doubled)
     mesh, state = _write_disk_state(tmp_path, 1e-6)
     code, rep = _simulate_state(tmp_path, capsys, mesh, state)
     assert code == 1

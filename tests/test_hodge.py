@@ -31,6 +31,27 @@ from harmonic_ports.hodge import _split_kernel
 from conftest import ACCEPTANCE, CLOSED, SMALL, complex_for, metric_for
 
 
+def test_kernel_beyond_every_lanczos_request_is_solved_densely():
+    # sixteen disjoint edges: H^0 has dimension 16 of N = 32, so each
+    # doubled request (4, 8, 16 pairs) is all kernel until it reaches
+    # ARPACK's limit N - 1 and the dense solve takes over
+    vertices = np.array([[float(i), float(j)] for i in range(16) for j in (0, 1)])
+    cx = build_complex([(2 * i, 2 * i + 1) for i in range(16)], vertices)
+    m = Metric(cx)
+    assert hodge_mod._lanczos_pairs(hodge_mod._saddle(m, 0, "neumann")) is None
+    basis = harmonic_basis(m, 0, "neumann")
+    assert basis.dim == betti_numbers(cx)[0] == 16
+    gram = basis.vectors.T @ (m.mass_csr(0) @ basis.vectors)
+    assert np.allclose(gram, np.eye(16), atol=1e-10)
+
+
+def test_harmonic_basis_rejects_a_degree_out_of_range():
+    m = metric_for("disk", 2)
+    for k in (-1, 3):
+        with pytest.raises(DegreeOutOfRange):
+            harmonic_basis(m, k)
+
+
 @pytest.mark.parametrize("shape", sorted(SMALL))
 def test_harmonic_dimensions_match_topology(shape):
     m = metric_for(shape, SMALL[shape])
@@ -300,4 +321,4 @@ def test_one_saddle_factor_per_degree_and_condition(shape):
         if isinstance(lu, spla.SuperLU)
     }
     assert "saddle" in factored
-    assert factored <= {"mass_lu", "interior_mass_lu", "saddle"}
+    assert factored <= {"mass_lu", "saddle"}

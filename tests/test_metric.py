@@ -299,6 +299,46 @@ def test_degree_guards():
         codifferential(m, random_cochain(m.complex, 0, rng))
     with pytest.raises(DegreeMismatch):
         green_defect(m, random_cochain(m.complex, 0, rng), random_cochain(m.complex, 0, rng))
+    with pytest.raises(DegreeOutOfRange):
+        m.mass_csr(3)
+    with pytest.raises(DegreeOutOfRange):
+        tangential_trace(m, random_cochain(m.complex, 2, rng))
+
+
+@pytest.mark.parametrize("defect", [green_defect, green_defect_constrained])
+def test_green_defect_needs_consecutive_degrees(defect):
+    m = metric_for("disk", 2)
+    rng = np.random.default_rng(0)
+    with pytest.raises(DegreeMismatch):
+        defect(m, random_cochain(m.complex, 0, rng), random_cochain(m.complex, 2, rng))
+
+
+def test_extend_by_zero_rejects_a_foreign_boundary():
+    m = metric_for("disk", 2)
+    foreign = metric_for("annulus", 2).boundary_complex
+    with pytest.raises(ComplexMismatch):
+        extend_by_zero(m, random_cochain(foreign, 0, np.random.default_rng(0)))
+
+
+def test_free_indices_and_mass_factor_per_condition():
+    m = metric_for("annulus", 2)
+    rng = np.random.default_rng(4)
+    for k in range(3):
+        assert np.array_equal(m.free_indices(k, "neumann"), np.arange(m.complex.num_simplices(k)))
+        assert m.free_indices(k, "dirichlet") is m.interior_indices(k)
+        for condition in ("neumann", "dirichlet"):
+            idx = m.free_indices(k, condition)
+            block = m.mass_csr(k)[idx][:, idx]
+            x = rng.standard_normal(len(idx))
+            got = m.mass_lu(k, condition).solve(block @ x)
+            assert np.allclose(got, x, rtol=1e-10, atol=1e-10)
+    # no 2-simplex lies on the boundary: the Dirichlet factor is the Neumann one
+    assert m.mass_lu(2, "dirichlet") is m.mass_lu(2)
+    closed = metric_for("torus", 4)
+    assert closed.closed and not m.closed
+    assert closed.mass_lu(1, "dirichlet") is closed.mass_lu(1, "neumann")
+    with pytest.raises(ValueError):
+        m.free_indices(1, "robin")
 
 
 def test_derivative_squares_to_zero():

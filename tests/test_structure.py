@@ -1,5 +1,6 @@
 """Structure guards on the library source: one SuperLU call site, one
-refinement bound and pass cap, and one cache mechanism (Metric.cached)."""
+refinement bound and pass cap, one cache mechanism (Metric.cached), and
+the boundary condition decided in metric.py alone."""
 
 import ast
 from pathlib import Path
@@ -69,3 +70,38 @@ def test_no_functools_cache_in_the_library():
                     if alias.name in FUNCTOOLS_CACHES
                 ]
     assert found == []
+
+
+def test_removed_duplicates_stay_removed():
+    defined = [
+        (module, node.name)
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in {"interior_mass_lu", "_deltac", "_jsonable"}
+    ]
+    assert defined == []
+
+
+def test_interior_indices_is_called_only_in_metric():
+    callers = {
+        module
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _callee(node) == "interior_indices"
+    }
+    assert callers == {"metric.py"}
+
+
+def test_closed_mesh_test_lives_in_metric():
+    # boundary_complex.num_simplices(0) == 0 is read once, as Metric.closed
+    readers = {
+        module
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "num_simplices"
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "boundary_complex"
+    }
+    assert readers == {"metric.py"}
