@@ -50,9 +50,7 @@ from .sim import SimulationConfig, initial_state, run
 from .stokesdirac import (
     StokesDiracSystem,
     extended_power_balance,
-    harmonic_flow_identity,
     integrability_check,
-    power_balance,
 )
 
 __all__ = ["main", "sd_verify_main"]
@@ -235,16 +233,11 @@ def _sd_states(args, metric, p, q):
     count = args.random_states if args.random_states is not None else 10
     if count < 1:
         raise ValueError("--random-states must be positive")
-    rng = np.random.default_rng(args.seed)
-    states = []
-    for i in range(count):
-        states.append(
-            (
-                f"random[{i}]",
-                random_cochain(metric.complex, p, rng),
-                random_cochain(metric.complex, q, rng),
-            )
-        )
+    rng, cx = np.random.default_rng(args.seed), metric.complex
+    states = [
+        (f"random[{i}]", random_cochain(cx, p, rng), random_cochain(cx, q, rng))
+        for i in range(count)
+    ]
     return states, rng
 
 
@@ -288,22 +281,12 @@ def cmd_sd_verify(args) -> int:
             dh_rel = _rel(ext.dH_dt, ext.scale)
             entry["closed_dH_dt_relative"] = dh_rel
             ok = ok and dh_rel <= tols["closed_dH_dt"]
-        identities = []
-        for row in harmonic_flow_identity(system):
-            rel = _rel(
-                row["residual"],
-                max(
-                    abs(row["flow_pairing"]),
-                    abs(row["boundary_pairing"]),
-                    row["flow_norm"],
-                    row["state_norm"],
-                ),
-            )
-            row = dict(row)
-            row["residual_relative"] = rel
-            identities.append(row)
-            ok = ok and rel <= tols["flow_identity"]
-        entry["harmonic_flow_identities"] = identities
+        for row in ext.flow_identity_rows:
+            floor = max(abs(row["flow_pairing"]), abs(row["boundary_pairing"]),
+                        row["flow_norm"], row["state_norm"])
+            row["residual_relative"] = _rel(row["residual"], floor)
+            ok = ok and row["residual_relative"] <= tols["flow_identity"]
+        entry["harmonic_flow_identities"] = ext.flow_identity_rows
         entry["passed"] = ok
         passed = passed and ok
         state_reports.append(entry)

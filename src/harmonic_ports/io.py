@@ -4,13 +4,15 @@ Mesh files hold top simplices only; the reader canonicalizes ordering
 and re-infers orientation, so writing and re-reading a complex is
 byte-stable.  All writers emit sorted-key, two-space-indented JSON with
 a trailing newline and refuse non-finite numbers; the readers reject
-NaN/Infinity tokens, numbers that overflow to infinity and integers
-beyond the float range as malformed input.
+NaN/Infinity tokens, numbers that overflow to infinity, integers beyond
+the float range, and strings, booleans or nulls where numbers belong as
+malformed input.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import sys
 
@@ -55,6 +57,15 @@ def _float_range_int(text: str) -> int:
     return value
 
 
+def _float_array(values, what: str) -> np.ndarray:
+    """values as floats, refusing the strings and booleans np.asarray reads as numbers."""
+    items = np.asarray(values, dtype=object)
+    kinds = set(map(type, items.flat))
+    if not all(issubclass(t, numbers.Real) and not issubclass(t, bool) for t in kinds):
+        raise ValueError(f"{what} must be numbers")
+    return items.astype(float)
+
+
 def load_json(path: str):
     with open(path, encoding="utf-8") as fh:
         return json.load(
@@ -92,7 +103,7 @@ def read_mesh(path: str, strict: bool = True) -> SimplicialComplex:
     n = obj["dimension"]
     if type(n) is not int or n < 1:  # bool is an int subclass
         raise ValueError("dimension must be a positive integer")
-    vertices = np.asarray(obj["vertices"], dtype=float)
+    vertices = _float_array(obj["vertices"], "vertex coordinates")
     if vertices.ndim != 2:
         raise ValueError("vertices must be a list of coordinate lists")
     simplices = obj["simplices"]
@@ -135,7 +146,7 @@ def cochain_from_obj(obj, cx: SimplicialComplex) -> Cochain:
     degree = obj["degree"]
     if type(degree) is not int:
         raise ValueError("cochain degree must be an integer")
-    values = np.asarray(obj["values"], dtype=float)
+    values = _float_array(obj["values"], "cochain values")
     if values.ndim != 1:
         raise ValueError("cochain values must be a flat list")
     return Cochain(cx, degree, values)
@@ -180,7 +191,7 @@ def field_from_obj(obj):
     field_type = obj["field_type"]
     if field_type not in ("vertex", "cell"):
         raise ValueError("field_type must be 'vertex' or 'cell'")
-    vectors = np.asarray(obj["vectors"], dtype=float)
+    vectors = _float_array(obj["vectors"], "field vectors")
     if vectors.ndim != 2 or vectors.shape[1] != 3:
         raise ValueError("vectors must be a list of 3-component rows")
     return field_type, vectors

@@ -15,9 +15,9 @@ one solve of a sparse block system K(|h|) (`_midpoint_operator`) in w and
 the port action at w, factored once per |dt| and refined to rounding by
 the one refinement policy, `metric._refine`.
 J = diag(I, -I) has J A J = -A, so a step back solves K(|h|) against J a
-and applies J to the unknowns.  run takes each step's power balance from
-the port action the solve returns and checks its flows against an
-independent port action at step 1 and at every snapshot.
+and applies J to the unknowns.  run reads each row's power terms from a
+port action (`stokesdirac._power_rate`) and checks the solve's flows
+against an independent port action at step 1 and at every snapshot.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .stokesdirac import (
     _port_action,
     _power_rate,
     hamiltonian,
-    power_balance,
     system_operators,
 )
 
@@ -172,8 +171,8 @@ def _midpoint_factors(metric: Metric, p: int, q: int, dt: float):
 
 def _midpoint(sys: StokesDiracSystem, dt: float):
     """(new, mid, port): the step 2 w - a, the midpoint w = (I - dt/2 A)^-1 a
-    and the port action at w, [z_p, z_q, e_p, e_q, f_p, f_q] as
-    `stokesdirac._port_action` lists it, from one refined solve."""
+    and the port action at w, the slot records of
+    `stokesdirac._port_action`, from one refined solve."""
     m, p, q = sys.metric, sys.p, sys.q
     K, abs_K, lu = _midpoint_factors(m, p, q, dt)
     ip, iq = m.free_indices(p - 1, "dirichlet"), m.free_indices(q - 1, "dirichlet")
@@ -188,10 +187,9 @@ def _midpoint(sys: StokesDiracSystem, dt: float):
     w_q, zi_q, e_q = sign * w_q, sign * zi_q, sign * e_q
     z_p, z_q = np.zeros(n(p - 1)), np.zeros(n(q - 1))
     z_p[ip], z_q[iq] = zi_p, zi_q
-    port = _port(m, p, q, z_p, z_q, e_p, e_q)
-    w = Cochain(m.complex, p, w_p), Cochain(m.complex, q, w_q)
-    new = sys.with_state(2.0 * w[0] - sys.alpha_p, 2.0 * w[1] - sys.alpha_q)
-    return new, sys.with_state(*w), port
+    mid = sys.with_state(Cochain(m.complex, p, w_p), Cochain(m.complex, q, w_q))
+    new = sys.with_state(2.0 * mid.alpha_p - sys.alpha_p, 2.0 * mid.alpha_q - sys.alpha_q)
+    return new, mid, _port(mid, z_p, z_q, e_p, e_q)
 
 
 def step_implicit_midpoint(sys: StokesDiracSystem, dt: float) -> StokesDiracSystem:
@@ -209,14 +207,14 @@ def step_implicit_midpoint(sys: StokesDiracSystem, dt: float) -> StokesDiracSyst
     return _midpoint(sys, dt)[0]
 
 
-def _check_flows(mid: StokesDiracSystem, port: list[Cochain], rho: float):
+def _check_flows(mid: StokesDiracSystem, port, rho: float):
     """Raise SolverFailure unless the solve's flows match an independent
     port action of the midpoint to FLOW_CHECK_TOL, relative to rho |w| +
     |f| in the Whitney norm (rho the spectral radius estimate)."""
-    m, ref = mid.metric, _port_action(mid)[4:]
-    err = sum(norm(m, got - want) for got, want in zip(port[4:], ref))
+    m, ref = mid.metric, _port_action(mid)
+    err = sum(norm(m, got.flow - want.flow) for got, want in zip(port, ref))
     scale = rho * (norm(m, mid.alpha_p) + norm(m, mid.alpha_q))
-    if not err <= FLOW_CHECK_TOL * (scale + sum(norm(m, f) for f in ref)):
+    if not err <= FLOW_CHECK_TOL * (scale + sum(norm(m, s.flow) for s in ref)):
         raise SolverFailure(f"midpoint flows differ from the port action by {err:.3e}")
 
 
@@ -287,7 +285,7 @@ def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
     state = sys
     H_prev = hamiltonian(state)
     trace.rows.append(
-        [0.0, H_prev, 0.0, power_balance(state).boundary_term] + coeffs(state)
+        [0.0, H_prev, 0.0, _power_rate(m, _port_action(state))[1]] + coeffs(state)
     )
     if config.stride:
         trace.snapshots.append((0, state.alpha_p.copy(), state.alpha_q.copy()))
@@ -297,7 +295,7 @@ def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
         snapshot = config.stride and k % config.stride == 0
         if k == 1 or snapshot:
             _check_flows(mid, port, rho)
-        dH_dt, boundary_term = _power_rate(mid, port)
+        dH_dt, boundary_term = _power_rate(m, port)
         H_new = hamiltonian(new)
         residual = abs((H_new - H_prev) / config.dt - dH_dt)
         trace.rows.append([k * config.dt, H_new, residual, boundary_term] + coeffs(new))

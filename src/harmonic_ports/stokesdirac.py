@@ -13,8 +13,9 @@ exact cochains.  The transpose coupling makes the interior d/delta
 pairing cancel identically, so the energy rate equals the constrained
 Green-defect boundary term on every mesh and vanishes on closed ones.
 
-These maps are applied by sparse solves, never formed: efforts, flows
-and every balance read one port action, which solves delta_c alpha once.
+These maps are applied by sparse solves, never formed.  Efforts, flows,
+every balance and the flow identity read one port action per state: a
+record per slot (`_Slot`) that pairs the slot with its effort once.
 """
 
 from __future__ import annotations
@@ -23,11 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ComplexMismatch,
-    DegreeMismatch,
-    SolverFailure,
-)
+from .errors import ComplexMismatch, DegreeMismatch, SolverFailure
 from .hodge import (
     _mixed_potential,
     harmonic_basis,
@@ -109,10 +106,33 @@ def system_operators(metric: Metric, p: int, q: int) -> dict:
     return metric.cached(("sd_ops", p, q), build)
 
 
-def _port_action(sys: StokesDiracSystem) -> list[Cochain]:
-    """[z_p, z_q, e_p, e_q, f_p, f_q]: z = delta_c alpha per slot (one
-    interior-mass solve each), the efforts (one mass solve each against
-    the coupling) and their flows (`_port`)."""
+@dataclass
+class _Slot:
+    """One slot of a port action: the state alpha at `degree`, z = delta_c
+    alpha, the effort that drives the slot (degree - 1), its flow
+    f = sign d(effort) and that sign (sigma for slot p, 1 for slot q)."""
+
+    degree: int
+    alpha: Cochain
+    z: Cochain
+    effort: Cochain
+    flow: Cochain
+    sign: int
+
+    def interior(self, m: Metric) -> float:
+        """sign <<effort, z>>, the slot's share of the internal term."""
+        return self.sign * inner_product(m, self.effort, self.z)
+
+    def boundary(self, m: Metric) -> float:
+        """sign times the constrained Green defect of the effort against
+        alpha, <<f, alpha>> - sign <<effort, z>> since f = sign d(effort)."""
+        return inner_product(m, self.flow, self.alpha) - self.interior(m)
+
+
+def _port_action(sys: StokesDiracSystem) -> tuple[_Slot, _Slot]:
+    """The slot records (p, q) of one state: z = delta_c alpha per slot
+    (one interior-mass solve each), the efforts (one mass solve each
+    against the coupling) and their flows (`_port`)."""
     m, p, q = sys.metric, sys.p, sys.q
     ops = system_operators(m, p, q)
     sigma, tau, Wd = ops["sigma"], ops["tau"], ops["coupling"]
@@ -120,16 +140,20 @@ def _port_action(sys: StokesDiracSystem) -> list[Cochain]:
     z_q = _delta(m, q, sys.alpha_q.values, "dirichlet")
     e_q = tau * m.mass_lu(p - 1).solve(Wd @ z_q)
     e_p = -sigma * tau * m.mass_lu(q - 1).solve(Wd.T @ z_p)
-    return _port(m, p, q, z_p, z_q, e_p, e_q)
+    return _port(sys, z_p, z_q, e_p, e_q)
 
 
-def _port(m: Metric, p: int, q: int, z_p, z_q, e_p, e_q) -> list[Cochain]:
-    """The port action list from z and the efforts, with the flows
-    f_p = sigma d e_q, f_q = d e_p."""
-    sigma, d = system_operators(m, p, q)["sigma"], m.complex.exterior_derivative_matrix
-    values = (z_p, z_q, e_p, e_q, sigma * (d(p - 1) @ e_q), d(q - 1) @ e_p)
-    degrees = (p - 1, q - 1, q - 1, p - 1, p, q)
-    return [Cochain(m.complex, k, v) for k, v in zip(degrees, values)]
+def _port(sys: StokesDiracSystem, z_p, z_q, e_p, e_q) -> tuple[_Slot, _Slot]:
+    """The slot records of a state from z and the efforts: slot p is driven
+    by e_q with sign sigma, slot q by e_p with sign 1."""
+    cx = sys.metric.complex
+    sigma = system_operators(sys.metric, sys.p, sys.q)["sigma"]
+
+    def slot(k, alpha, z, e, sign):
+        f = sign * (cx.exterior_derivative_matrix(k - 1) @ e)
+        return _Slot(k, alpha, Cochain(cx, k - 1, z), Cochain(cx, k - 1, e), Cochain(cx, k, f), sign)
+
+    return slot(sys.p, sys.alpha_p, z_p, e_q, sigma), slot(sys.q, sys.alpha_q, z_q, e_p, 1)
 
 
 def hamiltonian(sys: StokesDiracSystem) -> float:
@@ -141,12 +165,13 @@ def hamiltonian(sys: StokesDiracSystem) -> float:
 
 def efforts(sys: StokesDiracSystem):
     """(e_p, e_q) at degrees (q-1, p-1)."""
-    return tuple(_port_action(sys)[2:4])
+    slot_p, slot_q = _port_action(sys)
+    return slot_q.effort, slot_p.effort
 
 
 def flows(sys: StokesDiracSystem):
     """(f_p, f_q) at degrees (p, q); exact cochains by construction."""
-    return tuple(_port_action(sys)[4:])
+    return tuple(s.flow for s in _port_action(sys))
 
 
 @dataclass
@@ -165,58 +190,73 @@ class PowerBalance:
     scale: float
 
 
-def _defect(m: Metric, effort: Cochain, alpha: Cochain, z: Cochain) -> float:
-    """green_defect_constrained(m, effort, alpha), given z = delta_c alpha."""
-    de = exterior_derivative(m, effort)
-    return inner_product(m, de, alpha) - inner_product(m, effort, z)
+def _power_rate(m: Metric, port) -> tuple[float, float]:
+    """(dH/dt, boundary term) of one state from its slot records."""
+    slot_p, slot_q = port
+    dH = inner_product(m, slot_p.alpha, slot_p.flow) + inner_product(m, slot_q.alpha, slot_q.flow)
+    return dH, slot_p.boundary(m) + slot_q.boundary(m)
 
 
-def _power_rate(sys: StokesDiracSystem, port: list[Cochain]) -> tuple[float, float]:
-    """(dH/dt, boundary term) of one state from its port action."""
-    m = sys.metric
-    sigma = system_operators(m, sys.p, sys.q)["sigma"]
-    z_p, z_q, e_p, e_q, f_p, f_q = port
-    dH = inner_product(m, sys.alpha_p, f_p) + inner_product(m, sys.alpha_q, f_q)
-    boundary = sigma * _defect(m, e_q, sys.alpha_p, z_p) + _defect(m, e_p, sys.alpha_q, z_q)
-    return dH, boundary
-
-
-def _power_pieces(sys: StokesDiracSystem):
-    """The port action and the PowerBalance fields of one state."""
-    m = sys.metric
-    sigma = system_operators(m, sys.p, sys.q)["sigma"]
-    port = z_p, z_q, e_p, e_q, f_p, f_q = _port_action(sys)
-    dH, boundary = _power_rate(sys, port)
-    internal = sigma * inner_product(m, e_q, z_p) + inner_product(m, e_p, z_q)
+def _balance(m: Metric, port) -> PowerBalance:
+    """The PowerBalance of one state from its slot records."""
+    dH, boundary = _power_rate(m, port)
+    internal = port[0].interior(m) + port[1].interior(m)
     # Every term is a fixed linear image of the state, so rounding scales
     # with the state even when the flows cancel to zero; floor the scale
     # with the squared state norm so residual ratios stay meaningful.
-    state_norm = norm(m, sys.alpha_p) + norm(m, sys.alpha_q)
-    flow_norm = norm(m, f_p) + norm(m, f_q)
-    scale = max(state_norm * flow_norm, state_norm * state_norm, 1e-30)
-    fields = dict(
+    state_norm = norm(m, port[0].alpha) + norm(m, port[1].alpha)
+    flow_norm = norm(m, port[0].flow) + norm(m, port[1].flow)
+    return PowerBalance(
         dH_dt=dH,
         internal_term=internal,
         boundary_term=boundary,
         split_residual=abs(dH - internal - boundary),
-        scale=scale,
+        scale=max(state_norm * flow_norm, state_norm * state_norm, 1e-30),
     )
-    return port, sigma, fields
 
 
 def power_balance(sys: StokesDiracSystem) -> PowerBalance:
-    return PowerBalance(**_power_pieces(sys)[2])
+    return _balance(sys.metric, _port_action(sys))
+
+
+def _flow_identity(m: Metric, port) -> tuple[dict, list[dict]]:
+    """The flows' Dirichlet-harmonic coefficients per slot, and one row
+    per slot and basis element lambda: the flow pairing <<f, lambda>> (a
+    coefficient) against the boundary pairing, sign times the constrained
+    Green defect of the effort against lambda, <<f, lambda>> - sign
+    <<effort, delta_c lambda>> since f = sign d(effort); delta_c of the
+    whole basis is one block solve."""
+    state_norm = norm(m, port[0].alpha) + norm(m, port[1].alpha)
+    coeffs, rows = {}, []
+    for name, s in zip("pq", port):
+        basis = harmonic_basis(m, s.degree, "dirichlet")
+        coeffs[name] = pairing = harmonic_projection(basis, s.flow)[0]
+        if not basis.dim:
+            continue
+        dV = _delta(m, s.degree, basis.vectors, "dirichlet")
+        boundary = pairing - s.sign * (dV.T @ (m.mass_csr(s.degree - 1) @ s.effort.values))
+        common = {"slot": name, "degree": s.degree, "flow_norm": norm(m, s.flow), "state_norm": state_norm}
+        rows += [
+            {**common, "index": i, "flow_pairing": fp, "boundary_pairing": bp, "residual": abs(fp - bp)}
+            for i, (fp, bp) in enumerate(zip(pairing.tolist(), boundary.tolist()))
+        ]
+    return coeffs, rows
 
 
 @dataclass
 class ExtendedPowerBalance(PowerBalance):
     """Power balance with the boundary term split along the
-    Dirichlet-harmonic projections of the states.
+    Dirichlet-harmonic projections of the states, from one port action.
 
     The harmonic part collects the pairings against the topologically
-    informative projections (state degrees 1..n-1); the exact part is the
-    rest.  Flow diagnostics record how each flow sits against the same
-    harmonic spaces and how exactly it is closed.
+    informative projections (state degrees 1..n-1): the state
+    coefficients times the boundary pairings of flow_identity_rows.  The
+    exact part is the rest, a constrained Green defect against alpha -
+    proj by a fresh delta_c solve, so the bilinearity residual compares
+    separately solved codifferentials.  Flow diagnostics record how each
+    flow sits against the same harmonic spaces and how exactly it is
+    closed; flow_identity_rows are the rows `harmonic_flow_identity`
+    returns.
     """
 
     harmonic_boundary_part: float
@@ -225,80 +265,52 @@ class ExtendedPowerBalance(PowerBalance):
     state_harmonic_coefficients: dict
     flow_harmonic_coefficients: dict
     flow_closedness: dict
+    flow_identity_rows: list
 
 
 def extended_power_balance(sys: StokesDiracSystem) -> ExtendedPowerBalance:
     m = sys.metric
     n = m.complex.dimension
-    (z_p, z_q, e_p, e_q, f_p, f_q), sigma, fields = _power_pieces(sys)
+    port = _port_action(sys)
+    balance = _balance(m, port)
+    flow_coeffs, rows = _flow_identity(m, port)
 
-    state_coeffs: dict = {}
-    flow_coeffs: dict = {}
-    closedness: dict = {}
-    harmonic_part = 0.0
-    exact_part = 0.0
-    slots = [
-        ("p", sys.p, sys.alpha_p, z_p, e_q, f_p, float(sigma)),
-        ("q", sys.q, sys.alpha_q, z_q, e_p, f_q, 1.0),
-    ]
-    for name, deg, alpha, z, effort, flow, sgn in slots:
-        basis = harmonic_basis(m, deg, "dirichlet")
-        state_coeffs[name], proj = harmonic_projection(basis, alpha)
-        flow_coeffs[name] = harmonic_projection(basis, flow)[0]
-        closedness[name] = norm(m, exterior_derivative(m, flow)) if deg < n else 0.0
-        if 1 <= deg <= n - 1:
-            harmonic_part += sgn * green_defect_constrained(m, effort, proj)
-            exact_part += sgn * green_defect_constrained(m, effort, alpha - proj)
+    state_coeffs, closedness, exact_part = {}, {}, 0.0
+    for name, s in zip("pq", port):
+        basis = harmonic_basis(m, s.degree, "dirichlet")
+        state_coeffs[name], proj = harmonic_projection(basis, s.alpha)
+        closedness[name] = norm(m, exterior_derivative(m, s.flow)) if s.degree < n else 0.0
+        if s.degree < n:
+            exact_part += s.sign * green_defect_constrained(m, s.effort, s.alpha - proj)
         else:
-            exact_part += sgn * _defect(m, effort, alpha, z)
+            exact_part += s.boundary(m)
+    harmonic_part = float(sum(
+        (state_coeffs[r["slot"]][r["index"]] * r["boundary_pairing"] for r in rows if r["degree"] < n),
+        0.0,
+    ))
 
     return ExtendedPowerBalance(
-        **fields,
+        **vars(balance),
         harmonic_boundary_part=harmonic_part,
         exact_boundary_part=exact_part,
-        bilinearity_residual=abs(fields["boundary_term"] - harmonic_part - exact_part),
+        bilinearity_residual=abs(balance.boundary_term - harmonic_part - exact_part),
         state_harmonic_coefficients=state_coeffs,
         flow_harmonic_coefficients=flow_coeffs,
         flow_closedness=closedness,
+        flow_identity_rows=rows,
     )
 
 
 def harmonic_flow_identity(sys: StokesDiracSystem) -> list[dict]:
     """Pair each flow with the Dirichlet-harmonic basis of its degree and
-    compare against the boundary pairing of the matching effort.
+    compare against the boundary pairing of the matching effort, from one
+    port action; the rows of ExtendedPowerBalance.flow_identity_rows.
 
     Since delta_c annihilates Dirichlet-harmonic fields, the interior
     term drops and <<f, lambda>> must equal the constrained Green defect
     of the driving effort against lambda, for any state.
     """
-    m = sys.metric
-    sigma = system_operators(m, sys.p, sys.q)["sigma"]
-    _, _, e_p, e_q, f_p, f_q = _port_action(sys)
-    state_norm = norm(m, sys.alpha_p) + norm(m, sys.alpha_q)
-    rows = []
-    for name, deg, effort, flow, sgn in (
-        ("p", sys.p, e_q, f_p, float(sigma)),
-        ("q", sys.q, e_p, f_q, 1.0),
-    ):
-        basis = harmonic_basis(m, deg, "dirichlet")
-        flow_norm = norm(m, flow)
-        for i in range(basis.dim):
-            lam = basis.element(i)
-            fp = inner_product(m, flow, lam)
-            bp = sgn * green_defect_constrained(m, effort, lam)
-            rows.append(
-                {
-                    "slot": name,
-                    "degree": deg,
-                    "index": i,
-                    "flow_pairing": fp,
-                    "boundary_pairing": bp,
-                    "residual": abs(fp - bp),
-                    "flow_norm": flow_norm,
-                    "state_norm": state_norm,
-                }
-            )
-    return rows
+    return _flow_identity(sys.metric, _port_action(sys))[1]
 
 
 # -- integrability ------------------------------------------------------------
@@ -368,15 +380,8 @@ def integrability_check(
     else:
         trace_res = 0.0
 
-    basis = harmonic_basis(metric, k, "dirichlet")
-    harm_res = 0.0
-    for i in range(basis.dim):
-        lam = basis.element(i)
-        harm_res = max(
-            harm_res,
-            abs(inner_product(metric, f, lam) - inner_product(metric, d_ext, lam))
-            / scale,
-        )
+    obstruction = harmonic_projection(harmonic_basis(metric, k, "dirichlet"), f - d_ext)[0]
+    harm_res = float(np.abs(obstruction).max(initial=0.0)) / scale
 
     solvable = max(closed_res, trace_res, harm_res) <= CONDITION_TOL
     report = IntegrabilityReport(

@@ -13,6 +13,7 @@ from harmonic_ports import (
     hodge,
     initial_state,
     sim,
+    stokesdirac,
     write_mesh,
     write_state,
 )
@@ -349,6 +350,39 @@ def test_sd_verify_rejects_mismatched_state_degrees(tmp_path, capsys):
     assert code == 3
 
 
+def test_sd_verify_rejects_a_string_state_value_exit_3(tmp_path, capsys):
+    mesh = _write_torus(tmp_path)
+    cx = gen_mesh("torus", 4)
+    state = {
+        "alpha_p": {"degree": 1, "values": ["1.5"] + [0.0] * (cx.num_simplices(1) - 1)},
+        "alpha_q": {"degree": 2, "values": [0.0] * cx.num_simplices(2)},
+    }
+    spath = tmp_path / "strings.json"
+    spath.write_text(json.dumps(state))
+    code = main(["sd-verify", mesh, "--p", "1", "--q", "2", "--state", str(spath)])
+    assert code == 3
+    assert "cochain values must be numbers" in capsys.readouterr().err
+
+
+def test_sd_verify_computes_one_port_action_per_state(tmp_path, capsys, monkeypatch):
+    # the flow identity rows come with the extended balance, from its
+    # port action
+    calls = []
+    real = stokesdirac._port_action
+
+    def counted(system):
+        calls.append(system)
+        return real(system)
+
+    monkeypatch.setattr(stokesdirac, "_port_action", counted)
+    code, rep = _run(capsys, ["sd-verify", _write_torus(tmp_path), "--p", "1", "--q", "2",
+                              "--random-states", "3"])
+    assert code == 0
+    assert len(rep["states"]) == 3
+    assert all(entry["harmonic_flow_identities"] for entry in rep["states"])
+    assert len(calls) == 3
+
+
 def test_simulate_writes_trace_and_snapshots(tmp_path, capsys):
     mesh = _write_torus(tmp_path)
     out = tmp_path / "trace.csv"
@@ -423,8 +457,8 @@ def test_simulate_catches_wrong_boundary_power_at_small_amplitude(
     # run takes each step's balance from the solve's port action
     real = sim._power_rate
 
-    def doubled(system, port):
-        dH_dt, boundary_term = real(system, port)
+    def doubled(metric, port):
+        dH_dt, boundary_term = real(metric, port)
         return dH_dt, 2.0 * boundary_term
 
     monkeypatch.setattr(sim, "_power_rate", doubled)

@@ -8,6 +8,7 @@ from harmonic_ports.io import (
     cochain_from_obj,
     cochain_to_obj,
     dumps_report,
+    field_from_obj,
     is_field_obj,
     load_json,
     read_cochain,
@@ -43,6 +44,8 @@ def test_read_mesh_validates_structure(tmp_path):
         {"dimension": 2, "vertices": [0, 1], "simplices": [[0, 1, 2]]},
         {"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "simplices": [[0, 1]]},
         {"dimension": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "simplices": []},
+        {"dimension": 2, "vertices": [["0", 0], [1, 0], [0, 1]], "simplices": [[0, 1, 2]]},
+        {"dimension": 2, "vertices": [[0, 0], [1, False], [0, 1]], "simplices": [[0, 1, 2]]},
     ]:
         path.write_text(json.dumps(obj))
         with pytest.raises((ValueError, Exception)):
@@ -88,9 +91,18 @@ def test_cochain_from_obj_validates():
         {**good, "degree": "one"},
         {**good, "values": [0.0]},
         {"degree": 1},
+        {**good, "values": ["1.5"] + good["values"][1:]},
+        {**good, "values": [True] + good["values"][1:]},
     ]:
         with pytest.raises(Exception):
             cochain_from_obj(bad, cx)
+
+
+def test_field_from_obj_refuses_non_numbers():
+    assert field_from_obj({"field_type": "cell", "vectors": [[0, 1.5, 2]]})[1].shape == (1, 3)
+    for row in (["1.5", 0.0, 0.0], [True, 0.0, 0.0], [None, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="must be numbers"):
+            field_from_obj({"field_type": "cell", "vectors": [row]})
 
 
 def test_state_round_trip_checks_degrees(tmp_path):

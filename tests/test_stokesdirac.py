@@ -13,6 +13,7 @@ from harmonic_ports import (
     extended_power_balance,
     exterior_derivative,
     flows,
+    green_defect_constrained,
     hamiltonian,
     harmonic_basis,
     harmonic_flow_identity,
@@ -25,6 +26,7 @@ from harmonic_ports import (
     system_operators,
     tangential_trace,
 )
+from harmonic_ports import metric as metric_mod
 from harmonic_ports import stokesdirac as stokesdirac_mod
 
 from conftest import (
@@ -258,6 +260,58 @@ def test_harmonic_flow_identity_rows():
             row["state_norm"],
         )
         assert row["residual"] <= 1e-10 * denom
+
+
+def test_extended_balance_carries_the_flow_identity_rows():
+    m = metric_for("annulus", 2)
+    n = m.complex.dimension
+    for p, q in valid_pairs(n):
+        sys = _system("annulus", p, q, seed=11)
+        ext = extended_power_balance(sys)
+        rows = harmonic_flow_identity(sys)
+        assert len(ext.flow_identity_rows) == len(rows) > 0
+        for got, want in zip(ext.flow_identity_rows, rows):
+            assert {k: got[k] for k in ("slot", "degree", "index")} == {
+                k: want[k] for k in ("slot", "degree", "index")
+            }
+            for key in ("flow_pairing", "boundary_pairing", "flow_norm", "state_norm"):
+                assert abs(got[key] - want[key]) <= 1e-13 * ext.scale, key
+        # the harmonic part is the state coefficients times the boundary
+        # pairings of the basis elements, over the slots of degree 1..n-1
+        expect = sum(
+            ext.state_harmonic_coefficients[row["slot"]][row["index"]] * row["boundary_pairing"]
+            for row in rows
+            if 1 <= row["degree"] <= n - 1
+        )
+        assert abs(ext.harmonic_boundary_part - expect) <= 1e-13 * ext.scale
+        # each boundary pairing is the slot's sign times the constrained
+        # Green defect of its effort against the basis element
+        sigma = system_operators(m, p, q)["sigma"]
+        e_p, e_q = efforts(sys)
+        slots = {"p": (e_q, sigma), "q": (e_p, 1)}
+        for row in rows:
+            effort, sign = slots[row["slot"]]
+            lam = harmonic_basis(m, row["degree"], "dirichlet").element(row["index"])
+            defect = sign * green_defect_constrained(m, effort, lam)
+            assert abs(row["boundary_pairing"] - defect) <= 1e-13 * ext.scale
+
+
+def test_extended_balance_solves_delta_c_four_times_on_the_ball(monkeypatch):
+    # (2, 2) on the ball has no Dirichlet-harmonic field: two solves for the
+    # port action and one per slot for the exact part
+    sys = _system("ball", 2, 2, seed=5)
+    assert harmonic_basis(sys.metric, 2, "dirichlet").dim == 0
+    calls = []
+    real = metric_mod._delta
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(metric_mod, "_delta", counted)
+    monkeypatch.setattr(stokesdirac_mod, "_delta", counted)
+    extended_power_balance(sys)
+    assert calls == [2, 2, 2, 2]
 
 
 def test_state_harmonic_coefficients_report_the_seed():
