@@ -6,18 +6,18 @@ against the Whitney mass matrix.  Two boundary conditions are supported:
 (zero tangential trace; dimension = (n-k)-th Betti number).  A = K + B^T
 M_l^-1 B is never formed.  Its largest eigenvalue mu_max comes from
 Lanczos, its smallest eigenpairs from shift-invert Lanczos just below
-zero, through one kept factor per degree and condition of the
-saddle-point form of A - s M (spaces too small for ARPACK are solved
-densely).  The kernel is counted from the spectrum alone, never from the
-Betti numbers.  On a closed mesh both conditions give one operator, so
-the Dirichlet bases and factors are the Neumann ones.  Refinement on the
-same factor (`metric._refine`), the harmonic part projected out, solves
-the singular mixed system behind every projection onto an exact or
-coexact range: the HMF split, potentials of exact cochains and the
-integrability witness (see _mixed_potential).  The metric decides what
-a condition means: its free simplices (`Metric.free_indices`) and the
-one mass factor of each (k, condition) (`Metric.mass_lu`) are read
-here, never re-derived.
+zero, through a factor of the saddle-point form of A - s M (spaces too
+small for ARPACK are solved densely).  The kernel is counted from the
+spectrum alone, never from the Betti numbers.  On a closed mesh both
+conditions give one operator, so the Dirichlet bases and saddles are the
+Neumann ones.  Refinement on such a factor (`metric._refine`), the
+harmonic part projected out, solves the mixed system behind every
+projection onto an exact or coexact range (_mixed_potential, which keeps
+its factor; a basis build borrows that factor or drops its own): the HMF
+split, potentials of exact cochains and the integrability witness.  The
+metric decides what a condition means: its free simplices
+(`Metric.free_indices`) and the one mass factor of each (k, condition)
+(`Metric.mass_lu`) are read here, never re-derived.
 """
 
 from __future__ import annotations
@@ -151,11 +151,12 @@ def _build_harmonic_basis(metric: Metric, k: int, condition: str) -> HarmonicBas
         # closed mesh: both conditions give the same operator
         return replace(harmonic_basis(metric, k, "neumann"), condition="dirichlet")
     N = metric.complex.num_simplices(k)
+    sd = _saddle(metric, k, condition)
+    if len(sd.idx) == 0:
+        return HarmonicBasis(metric, k, condition, np.zeros((N, 0)), 0.0, math.inf)
+    kept = metric._memo.get(("saddle_lu", sd.k, sd.condition))
     try:
-        sd = _saddle(metric, k, condition)
-        if len(sd.idx) == 0:
-            return HarmonicBasis(metric, k, condition, np.zeros((N, 0)), 0.0, math.inf)
-        evals, kernel = _lanczos_pairs(sd) or _dense_pairs(sd)
+        evals, kernel = _lanczos_pairs(sd, kept) or _dense_pairs(sd)
     except (RuntimeError, sla.LinAlgError, FactorizationFailure) as exc:
         raise FactorizationFailure(f"harmonic eigenproblem at degree {k}: {exc}") from exc
     m = kernel.shape[1]
@@ -168,15 +169,16 @@ def _build_harmonic_basis(metric: Metric, k: int, condition: str) -> HarmonicBas
 
 @dataclass
 class _Saddle:
-    """The Hodge Laplacian A = K + B^T M_l^-1 B, A u = mu M u, of one (k,
-    condition) on the free simplices idx (degree k) and low (degree k-1):
-    M and S = [[K, B^T], [B, -M_l]] (S = K if low is empty), the blocks
-    divided by the mean mass diagonals (c for M and K, c_l for M_l,
+    """The Hodge Laplacian A = K + B^T M_l^-1 B, A u = mu M u, of degree k
+    under condition on the free simplices idx (degree k) and low (degree
+    k-1): M and S = [[K, B^T], [B, -M_l]] (S = K if low is empty), the
+    blocks divided by the mean mass diagonals (c for M and K, c_l for M_l,
     sqrt(c c_l) for B; the eigenvalues stay, the blocks become unit-free
-    and kernel vectors scale back by 1/sqrt(c)), A as an operator, its
-    largest eigenvalue mu_max and the saddle factor lu (None when the
-    space is empty or A = 0)."""
+    and kernel vectors scale back by 1/sqrt(c)), A as an operator through
+    S alone and its largest eigenvalue mu_max (0 for an empty space)."""
 
+    k: int
+    condition: str
     idx: np.ndarray
     low: np.ndarray
     c: float
@@ -185,23 +187,26 @@ class _Saddle:
     S: sp.csr_matrix
     A: spla.LinearOperator | None = None
     mu_max: float = 0.0
-    lu: spla.SuperLU | None = None
+
+    def factor(self) -> spla.SuperLU:
+        """A new SuperLU of S - s blkdiag(M, 0), s = -KERNEL_CUTOFF * mu_max:
+        symmetric quasi-definite for s < 0, so `_splu` factors it stably."""
+        nl, what = len(self.low), f"{self.condition} shift-invert saddle at degree {self.k}"
+        shift = sp.block_diag((KERNEL_CUTOFF * self.mu_max * self.M, sp.csr_matrix((nl, nl))))
+        return _splu(self.S + shift, what)
 
 
 def _saddle(metric: Metric, k: int, condition: str) -> _Saddle:
-    """The one factor of (k, condition), cached under ("saddle", k,
-    condition): SuperLU of S - s blkdiag(M, 0) = [[K - s M, B^T], [B,
-    -M_l]] (K - s M at k = 0), s = -KERNEL_CUTOFF * mu_max, whose Schur
-    complement is A - s M.  With s < 0 it is symmetric quasi-definite, so
-    `_splu`'s symmetric mode factors it stably.  idx and low are the
-    metric's free indices of the condition and A's mass solves use its
-    factors of (k, condition); K = D^T M_(k+1) D and B = d_(k-1)^T M_k.
-    On a closed mesh the Dirichlet entry is the Neumann object."""
+    """The saddle of (k, condition), cached under ("saddle", k, condition)
+    (FactorizationFailure if a mass factor or the mu_max eigensolve
+    fails).  idx and low are the metric's free indices of the condition
+    and A's mass solves use its factors of (k, condition); K = D^T M_(k+1)
+    D and B = d_(k-1)^T M_k.  On a closed mesh the Dirichlet saddle is the
+    Neumann object."""
+    condition = "neumann" if condition == "dirichlet" and metric.closed else condition
 
     def build():
         cx = metric.complex
-        if condition == "dirichlet" and metric.closed:
-            return _saddle(metric, k, "neumann")
         idx = metric.free_indices(k, condition)
         low = metric.free_indices(k - 1, condition) if k else np.arange(0)
         nk, nl = len(idx), len(low)
@@ -218,14 +223,16 @@ def _saddle(metric: Metric, k: int, condition: str) -> _Saddle:
             c_l = M_l.diagonal().mean()
         M, K, B, M_l = M / c, K / c, B / math.sqrt(c * c_l), M_l / c_l
         S = sp.bmat([[K, B.T], [B, -M_l]], format="csr") if nl else K
-        sd = _Saddle(idx, low, c, c_l, M, S)
+        sd = _Saddle(k, condition, idx, low, c, c_l, M, S)
         if nk == 0:
             return sd
         lu, lu_l = metric.mass_lu(k, condition), metric.mass_lu(k - 1, condition) if nl else None
-        solve_l = (lambda r: c_l * lu_l.solve(r)) if nl else (lambda r: r)
-        sd.A = spla.LinearOperator(
-            (nk, nk), matvec=lambda u: K @ u + B.T @ solve_l(B @ u), dtype=float
-        )
+
+        def apply(u):  # S (u, 0) = (K u, B u), then K u + B^T M_l^-1 B u
+            ku, bu = np.split(S @ np.concatenate([np.ravel(u), np.zeros(nl)]), [nk])
+            return ku + (S @ np.concatenate([np.zeros(nk), c_l * lu_l.solve(bu)]))[:nk] if nl else ku
+
+        sd.A = spla.LinearOperator((nk, nk), matvec=apply, dtype=float)
         if nk - 1 > FIRST_REQUEST:  # tolerance 1e-3: mu_max only places the cutoff
             Minv = spla.LinearOperator((nk, nk), matvec=lambda r: c * lu.solve(r), dtype=float)
             v0 = np.random.default_rng(0).standard_normal(nk)
@@ -235,28 +242,29 @@ def _saddle(metric: Metric, k: int, condition: str) -> _Saddle:
             )[0]
         else:
             sd.mu_max = sla.eigvalsh(sd.A @ np.eye(nk), M.toarray())[-1]
-        if sd.mu_max > 0:
-            shift = sp.block_diag((KERNEL_CUTOFF * sd.mu_max * M, sp.csr_matrix((nl, nl))))
-            sd.lu = _splu(S + shift, f"shift-invert saddle at degree {k}")
         return sd
 
-    return metric.cached(("saddle", k, condition), build)
+    try:
+        return metric.cached(("saddle", k, condition), build)
+    except (RuntimeError, sla.LinAlgError, FactorizationFailure) as exc:
+        raise FactorizationFailure(f"harmonic eigenproblem at degree {k}: {exc}") from exc
 
 
-def _lanczos_pairs(sd: _Saddle):
+def _lanczos_pairs(sd: _Saddle, lu: spla.SuperLU | None = None):
     """Ascending smallest eigenvalues of A u = mu M u and the M-orthonormal
     kernel vectors, by shift-invert Lanczos at s = -KERNEL_CUTOFF *
-    mu_max, (A - s M)^-1 applied by the saddle factor.  None once the
-    request reaches ARPACK's limit j < N - 1 (or when A = 0): _dense_pairs
-    then solves the space.  The request starts at j = FIRST_REQUEST pairs
-    and doubles while every pair is kernel.  Eigenvalues are the Rayleigh
-    quotients of the Ritz vectors; the values handed to _split_kernel end
-    with mu_max.
+    mu_max, (A - s M)^-1 applied by lu, or by a new saddle factor dropped
+    on return.  None once the request reaches ARPACK's limit j < N - 1
+    (or when A = 0): _dense_pairs then solves the space.  The request
+    starts at j = FIRST_REQUEST pairs and doubles while every pair is
+    kernel.  Eigenvalues are the Rayleigh quotients of the Ritz vectors;
+    the values handed to _split_kernel end with mu_max.
     """
     nk, j, A, M, pad = len(sd.idx), FIRST_REQUEST, sd.A, sd.M, np.zeros(len(sd.low))
-    if j >= nk - 1 or sd.lu is None:
+    if j >= nk - 1 or not sd.mu_max > 0:
         return None
-    solve = lambda f: sd.lu.solve(np.concatenate([np.ravel(f), pad]))[:nk]
+    lu = sd.factor() if lu is None else lu
+    solve = lambda f: lu.solve(np.concatenate([np.ravel(f), pad]))[:nk]
     OPinv = spla.LinearOperator((nk, nk), matvec=solve, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(nk)
     while j < nk - 1:
@@ -338,19 +346,21 @@ def _mixed_potential(metric: Metric, k: int, condition: str, f: np.ndarray) -> n
     the harmonic part projected out of every residual and correction: the
     error contracts by |s| / (lambda_1 + |s|) < 1/2 per solve (lambda_1
     the first non-kernel eigenvalue), until the componentwise backward
-    error, against the size of M f, reaches its bound.  sigma = 0 when
-    f_0 = 0 or the whole space is harmonic.
+    error, against the size of M f, reaches its bound.  The factor is kept
+    as ("saddle_lu", k, condition) and the basis borrows it.  sigma = 0
+    when f_0 = 0, low is empty or A = 0.
 
     Raises:
         SolverFailure: The bound is not reached, as when the basis holds
             a non-harmonic vector.
     """
-    basis = harmonic_basis(metric, k, condition)
     sd = _saddle(metric, k, condition)
     sigma = np.zeros(metric.complex.num_simplices(k - 1))
-    nk = len(sd.idx)
-    if len(sd.low) == 0 or basis.dim == nk:
+    if len(sd.low) == 0 or not sd.mu_max > 0:
         return sigma
+    lu = metric.cached(("saddle_lu", sd.k, sd.condition), sd.factor)
+    basis = harmonic_basis(metric, k, condition)
+    nk = len(sd.idx)
     V = basis.vectors[sd.idx] * math.sqrt(sd.c)
     MV = sd.M @ V
 
@@ -364,7 +374,7 @@ def _mixed_potential(metric: Metric, k: int, condition: str, f: np.ndarray) -> n
     x = _refine(
         np.zeros_like(b),
         lambda x: deflate(b - sd.S @ x, MV, V),
-        lambda r: deflate(sd.lu.solve(r), V, MV),
+        lambda r: deflate(lu.solve(r), V, MV),
         abs(sd.S), b_abs, f"mixed solve at degree {k}",
     )
     sigma[sd.low] = x[nk:] * math.sqrt(sd.c / sd.c_l)

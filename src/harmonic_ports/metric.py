@@ -141,10 +141,10 @@ class Metric:
     alone: `closed` once, the free simplices of each (k, condition)
     (free_indices) and one `_splu` factor of their mass block (mass_lu),
     shared by every solve against it.  Everything else, here and in the
-    layers above (index arrays, harmonic bases and their saddle factors, the
-    Stokes-Dirac coupling, the spectral radius estimate, the midpoint
-    factor), is built on first request through `cached` and kept in one
-    memo keyed by a tuple naming it, e.g. ("mass_csr", k).
+    layers above (index arrays, harmonic bases, saddles, mixed solves'
+    factors, the Stokes-Dirac coupling, the spectral radius estimate, the
+    midpoint factor), is built on first request through `cached` and kept
+    in one memo keyed by a tuple naming it, e.g. ("mass_csr", k).
 
     Args:
         complex: The oriented complex to equip.
@@ -335,8 +335,8 @@ def _splu(matrix, what: str) -> spla.SuperLU:
     break that ordering's fill) and no relaxed supernodes, so solves carry
     no explicit zeros.  Every matrix factored here is SPD (a mass block),
     symmetric quasi-definite (a shift-invert saddle; any symmetric
-    ordering factors those stably, Vanderbei 1995) or has I and mass
-    diagonal blocks (the midpoint operator).  A zero diagonal block would
+    ordering factors those stably, Vanderbei 1995) or has mass diagonal
+    blocks (the reduced midpoint operator).  A zero diagonal block would
     get a silently wrong factor.  Solves that must reach rounding refine
     on the factor through `_refine`, the one refinement policy.
 

@@ -12,12 +12,13 @@ coefficients per step as the conserved topological content.
 
 A is never formed: with h = dt/2 the midpoint w = (I - h A)^-1 a is
 one solve of a sparse block system K(|h|) (`_midpoint_operator`) in w and
-the port action at w, factored once per |dt| and refined to rounding by
-the one refinement policy, `metric._refine`.
-J = diag(I, -I) has J A J = -A, so a step back solves K(|h|) against J a
-and applies J to the unknowns.  run reads each row's power terms from a
-port action (`stokesdirac._power_rate`) and checks the solve's flows
-against an independent port action at step 1 and at every snapshot.
+the port action y = (z, e) at w; w is eliminated exactly, y's Schur
+complement factored once per |dt| and the solve refined to rounding
+against K by `metric._refine`.  J = diag(I, -I) has J A J = -A, so a
+step back solves K(|h|) against J a and applies J to the unknowns.  run
+reads each row's power terms from a port action (`_power_rate`) and
+checks the solve's flows against an independent port action at step 1
+and at every snapshot.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .stokesdirac import (
     _port,
     _port_action,
     _power_rate,
-    hamiltonian,
     system_operators,
 )
 
@@ -131,7 +131,7 @@ def initial_state(metric: Metric, p: int, q: int, spec: str, seed: int = 0):
     raise ValueError(f"unknown init spec {spec!r}")
 
 
-def _midpoint_operator(metric: Metric, p: int, q: int, h: float) -> sp.csc_matrix:
+def _midpoint_operator(metric: Metric, p: int, q: int, h: float) -> sp.csr_matrix:
     """K(h) in (w_p, w_q, z_p, z_q, e_p, e_q), z = delta_c w on the interior
     (p-1)/(q-1) simplices (rows R, interior mass block L), W d the coupling:
 
@@ -153,18 +153,26 @@ def _midpoint_operator(metric: Metric, p: int, q: int, h: float) -> sp.csc_matri
         [None, None, sigma * tau * Wd.T[:, ip], None, M(q - 1), None],
         [None, None, None, -tau * Wd[:, iq], None, M(p - 1)],
     ]
-    return sp.bmat(blocks, format="csc")
+    return sp.bmat(blocks, format="csr")
 
 
 def _midpoint_factors(metric: Metric, p: int, q: int, dt: float):
-    """(K, |K|, SuperLU factor of K) at h = |dt|/2, once per |dt|.  Every
-    diagonal block of K is I or a mass, so `_splu`'s symmetric mode
-    applies.  K and |K| stay, in CSR, for the residuals and backward
-    errors of the refinement (`metric._refine`)."""
+    """(K, |K|, lu, solve) at h = |dt|/2, once per |dt|: with K = [[I,
+    K_wy], [K_yw, K_yy]] in w and y = (z, e), lu factors K_yy - K_yw K_wy
+    (mass diagonal blocks, `_splu`'s symmetric mode), solve applies K^-1
+    exactly and K, |K| serve the refinement (`metric._refine`)."""
 
     def build():
         K = _midpoint_operator(metric, p, q, 0.5 * abs(dt))
-        return K.tocsr(), abs(K).tocsr(), _splu(K, "midpoint operator")
+        nw = metric.complex.num_simplices(p) + metric.complex.num_simplices(q)
+        K_wy, K_yw = K[:nw, nw:], K[nw:, :nw]
+        lu = _splu(K[nw:, nw:] - K_yw @ K_wy, "midpoint operator")
+
+        def solve(r):
+            y = lu.solve(r[nw:] - K_yw @ r[:nw])
+            return np.concatenate([r[:nw] - K_wy @ y, y])
+
+        return K, abs(K), lu, solve
 
     return metric.cached(("midpoint", p, q, abs(float(dt))), build)
 
@@ -174,15 +182,14 @@ def _midpoint(sys: StokesDiracSystem, dt: float):
     and the port action at w, the slot records of
     `stokesdirac._port_action`, from one refined solve."""
     m, p, q = sys.metric, sys.p, sys.q
-    K, abs_K, lu = _midpoint_factors(m, p, q, dt)
+    K, abs_K, _, solve = _midpoint_factors(m, p, q, dt)
     ip, iq = m.free_indices(p - 1, "dirichlet"), m.free_indices(q - 1, "dirichlet")
     n = m.complex.num_simplices
     cuts = np.cumsum([0, n(p), n(q), len(ip), len(iq), n(q - 1), n(p - 1)])
     sign = -1.0 if dt < 0 else 1.0  # J on the right-hand side and the unknowns
     b = np.zeros(cuts[-1])
     b[: cuts[1]], b[cuts[1] : cuts[2]] = sys.alpha_p.values, sign * sys.alpha_q.values
-    x = lu.solve(b)
-    x = _refine(x, lambda x: b - K @ x, lu.solve, abs_K, np.abs(b), "midpoint solve")
+    x = _refine(solve(b), lambda x: b - K @ x, solve, abs_K, np.abs(b), "midpoint solve")
     w_p, w_q, zi_p, zi_q, e_p, e_q = (x[i:j] for i, j in zip(cuts, cuts[1:]))
     w_q, zi_q, e_q = sign * w_q, sign * zi_q, sign * e_q
     z_p, z_q = np.zeros(n(p - 1)), np.zeros(n(q - 1))
@@ -199,7 +206,7 @@ def step_implicit_midpoint(sys: StokesDiracSystem, dt: float) -> StokesDiracSyst
     solve of K(|h|); a negative dt reuses the factor of |dt|.
 
     Raises:
-        FactorizationFailure: K is singular.
+        FactorizationFailure: K's Schur complement in (z, e) is singular.
         SolverFailure: Refinement (`metric._refine`) missed its bound.
     """
     if not np.isfinite(dt):
@@ -262,14 +269,13 @@ def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
     header += [f"harm_p_{i}" for i in range(basis_p.dim)]
     header += [f"harm_q_{i}" for i in range(basis_q.dim)]
 
-    def coeffs(state: StokesDiracSystem) -> list[float]:
-        out = []
+    def diagnostics(state: StokesDiracSystem):  # H and harmonic coefficients
+        energy, coeffs = [], []
         for basis, alpha in ((basis_p, state.alpha_p), (basis_q, state.alpha_q)):
-            out.extend(
-                float(c)
-                for c in basis.vectors.T @ (m.mass_csr(alpha.degree) @ alpha.values)
-            )
-        return out
+            M_alpha = m.mass_csr(alpha.degree) @ alpha.values
+            energy.append(float(alpha.values @ M_alpha))
+            coeffs.extend(float(c) for c in basis.vectors.T @ M_alpha)
+        return 0.5 * (energy[0] + energy[1]), coeffs
 
     rho = m.cached(
         ("spectral_radius", sys.p, sys.q),
@@ -283,10 +289,8 @@ def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
     )
 
     state = sys
-    H_prev = hamiltonian(state)
-    trace.rows.append(
-        [0.0, H_prev, 0.0, _power_rate(m, _port_action(state))[1]] + coeffs(state)
-    )
+    H_prev, coeffs = diagnostics(state)
+    trace.rows.append([0.0, H_prev, 0.0, _power_rate(m, _port_action(state))[1]] + coeffs)
     if config.stride:
         trace.snapshots.append((0, state.alpha_p.copy(), state.alpha_q.copy()))
 
@@ -296,9 +300,9 @@ def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
         if k == 1 or snapshot:
             _check_flows(mid, port, rho)
         dH_dt, boundary_term = _power_rate(m, port)
-        H_new = hamiltonian(new)
+        H_new, coeffs = diagnostics(new)
         residual = abs((H_new - H_prev) / config.dt - dH_dt)
-        trace.rows.append([k * config.dt, H_new, residual, boundary_term] + coeffs(new))
+        trace.rows.append([k * config.dt, H_new, residual, boundary_term] + coeffs)
         if snapshot:
             trace.snapshots.append((k, new.alpha_p.copy(), new.alpha_q.copy()))
         state, H_prev = new, H_new

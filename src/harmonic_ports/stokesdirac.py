@@ -123,11 +123,6 @@ class _Slot:
         """sign <<effort, z>>, the slot's share of the internal term."""
         return self.sign * inner_product(m, self.effort, self.z)
 
-    def boundary(self, m: Metric) -> float:
-        """sign times the constrained Green defect of the effort against
-        alpha, <<f, alpha>> - sign <<effort, z>> since f = sign d(effort)."""
-        return inner_product(m, self.flow, self.alpha) - self.interior(m)
-
 
 def _port_action(sys: StokesDiracSystem) -> tuple[_Slot, _Slot]:
     """The slot records (p, q) of one state: z = delta_c alpha per slot
@@ -191,16 +186,17 @@ class PowerBalance:
 
 
 def _power_rate(m: Metric, port) -> tuple[float, float]:
-    """(dH/dt, boundary term) of one state from its slot records."""
-    slot_p, slot_q = port
-    dH = inner_product(m, slot_p.alpha, slot_p.flow) + inner_product(m, slot_q.alpha, slot_q.flow)
-    return dH, slot_p.boundary(m) + slot_q.boundary(m)
+    """(dH/dt, boundary term) of one state from its slot records.  The
+    boundary term, the sum of <<f, alpha>> - sign <<effort, z>> (sign times
+    a constrained Green defect), is dH/dt minus the internal term."""
+    dH = sum(inner_product(m, s.alpha, s.flow) for s in port)
+    return dH, dH - sum(s.interior(m) for s in port)
 
 
 def _balance(m: Metric, port) -> PowerBalance:
     """The PowerBalance of one state from its slot records."""
     dH, boundary = _power_rate(m, port)
-    internal = port[0].interior(m) + port[1].interior(m)
+    internal = dH - boundary
     # Every term is a fixed linear image of the state, so rounding scales
     # with the state even when the flows cancel to zero; floor the scale
     # with the squared state norm so residual ratios stay meaningful.
@@ -283,7 +279,7 @@ def extended_power_balance(sys: StokesDiracSystem) -> ExtendedPowerBalance:
         if s.degree < n:
             exact_part += s.sign * green_defect_constrained(m, s.effort, s.alpha - proj)
         else:
-            exact_part += s.boundary(m)
+            exact_part += inner_product(m, s.flow, s.alpha) - s.interior(m)
     harmonic_part = float(sum(
         (state_coeffs[r["slot"]][r["index"]] * r["boundary_pairing"] for r in rows if r["degree"] < n),
         0.0,

@@ -4,6 +4,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from harmonic_ports import Metric, gen_mesh
 from harmonic_ports.mesh import _subsets
@@ -124,16 +125,22 @@ def dense_port_operators(metric, p, q):
     }
 
 
-def memo_arrays(value):
-    """Every ndarray in a memo value, through dicts, sequences and dataclasses."""
-    if isinstance(value, np.ndarray):
+def memo_arrays(value, kind=np.ndarray):
+    """Every ndarray (or instance of kind) in a memo value, through dicts,
+    sequences and dataclasses."""
+    if isinstance(value, kind):
         yield value
     elif isinstance(value, dict):
         for v in value.values():
-            yield from memo_arrays(v)
+            yield from memo_arrays(v, kind)
     elif isinstance(value, (tuple, list)):
         for v in value:
-            yield from memo_arrays(v)
+            yield from memo_arrays(v, kind)
     elif dataclasses.is_dataclass(value):
         for f in dataclasses.fields(value):
-            yield from memo_arrays(getattr(value, f.name))
+            yield from memo_arrays(getattr(value, f.name), kind)
+
+
+def factored_keys(metric):
+    """Memo keys whose value is, or holds, a SuperLU factor."""
+    return {key for key, value in metric._memo.items() if any(memo_arrays(value, spla.SuperLU))}

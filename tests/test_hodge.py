@@ -28,7 +28,7 @@ from harmonic_ports import (
 from harmonic_ports import hodge as hodge_mod
 from harmonic_ports.hodge import _split_kernel
 
-from conftest import ACCEPTANCE, CLOSED, SMALL, complex_for, metric_for
+from conftest import ACCEPTANCE, CLOSED, SMALL, complex_for, factored_keys, metric_for
 
 
 def test_kernel_beyond_every_lanczos_request_is_solved_densely():
@@ -292,33 +292,45 @@ def test_overcounted_harmonic_basis_makes_hmf_raise(monkeypatch):
         hodge_morrey_friedrichs(m, w)
 
 
+@pytest.mark.parametrize("shape, size", [("annulus", ACCEPTANCE["annulus"]), ("ball", 2)])
+def test_hmf_factors_each_saddle_at_most_once_per_call(monkeypatch, shape, size):
+    # a fresh metric per call: the call builds every basis it needs, and
+    # each borrows the factor its mixed solve keeps instead of factoring
+    genuine, labels = hodge_mod._splu, []
+
+    def counted(matrix, what):
+        labels.append(what)
+        return genuine(matrix, what)
+
+    monkeypatch.setattr(hodge_mod, "_splu", counted)
+    rng = np.random.default_rng(8)
+    for k in range(complex_for(shape, size).dimension + 1):
+        m = Metric(complex_for(shape, size))
+        labels.clear()
+        hodge_morrey_friedrichs(m, random_cochain(m.complex, k, rng))
+        assert labels and len(labels) == len(set(labels)), (k, labels)
+
+
 @pytest.mark.parametrize("shape", ["annulus", "torus"])
 def test_one_saddle_factor_per_degree_and_condition(shape):
-    # a fresh metric: every basis and one HMF per degree fill its memo
+    # a fresh metric: every basis, then one HMF per degree, fill its memo
     m = Metric(complex_for(shape, ACCEPTANCE[shape]))
     n = m.complex.dimension
-    conditions = ("neumann", "dirichlet")
     rng = np.random.default_rng(6)
     for k in range(n + 1):
-        for condition in conditions:
+        for condition in ("neumann", "dirichlet"):
             harmonic_basis(m, k, condition)
+    # the bases alone drop every shift-invert factor they make
+    assert {key[0] for key in factored_keys(m)} == {"mass_lu"}
+    for k in range(n + 1):
         hodge_morrey_friedrichs(m, random_cochain(m.complex, k, rng))
-    assert [key for key in m._memo if key[0] == "mixed"] == []
-    saddles = {key: value for key, value in m._memo.items() if key[0] == "saddle"}
-    # one factor per distinct operator: on the closed torus the Dirichlet
-    # entries (reached from degree 1 up by the HMF) hold the Neumann object
-    for (_, k, condition), value in saddles.items():
-        if condition == "dirichlet":
-            assert (value is saddles[("saddle", k, "neumann")]) == (shape in CLOSED)
-    assert [key for key in saddles if key[2] == "dirichlet"] != []
-    distinct = {id(value.lu) for value in saddles.values()}
-    assert len(distinct) == (n + 1) * (1 if shape in CLOSED else 2)
-    # every other SuperLU factor in the memo is a mass block's
-    factored = {
-        key[0]
-        for key, value in m._memo.items()
-        for lu in (value, getattr(value, "lu", None))
-        if isinstance(lu, spla.SuperLU)
-    }
-    assert "saddle" in factored
-    assert factored <= {"mass_lu", "saddle"}
+    # one kept factor per distinct operator a mixed solve used: (k,
+    # dirichlet) from degree 1 up and (k + 1, neumann) below the top; on
+    # the closed torus the Dirichlet saddle is the Neumann object
+    conditions = ("neumann",) if shape in CLOSED else ("neumann", "dirichlet")
+    kept = {key[1:] for key in factored_keys(m) if key[0] != "mass_lu"}
+    assert {key[0] for key in factored_keys(m)} == {"mass_lu", "saddle_lu"}
+    assert kept == {(k, c) for k in range(1, n + 1) for c in conditions}
+    for k in range(n + 1):
+        same = hodge_mod._saddle(m, k, "dirichlet") is hodge_mod._saddle(m, k, "neumann")
+        assert same == (shape in CLOSED)

@@ -30,6 +30,7 @@ from conftest import (
     SMALL,
     complex_for,
     dense_port_operators,
+    factored_keys,
     memo_arrays,
     metric_for,
     valid_pairs,
@@ -181,19 +182,38 @@ def test_run_keeps_no_array_larger_than_a_generator_block():
 
 
 def test_singular_midpoint_operator_raises(monkeypatch):
-    # a zero column makes K exactly singular
+    # a zero (z, e) column makes K and its factored Schur complement in
+    # (z, e) exactly singular; the w columns are eliminated, not factored
     metric = Metric(complex_for("torus", SMALL["torus"]))
     build = sim._midpoint_operator
+    first_y = metric.complex.num_simplices(1) + metric.complex.num_simplices(2)
 
     def singular(*args):
         K = build(*args).tolil()
-        K[:, 0] = 0.0
+        K[:, first_y] = 0.0
         return K.tocsc()
 
     monkeypatch.setattr(sim, "_midpoint_operator", singular)
     ap, aq = initial_state(metric, 1, 2, "random")
     with pytest.raises(FactorizationFailure, match="midpoint operator is singular"):
         step_implicit_midpoint(StokesDiracSystem(metric, 1, 2, ap, aq), 0.01)
+
+
+def test_midpoint_factor_eliminates_the_state_rows():
+    metric = Metric(complex_for("torus", SMALL["torus"]))
+    ap, aq = initial_state(metric, 1, 2, "random")
+    step_implicit_midpoint(StokesDiracSystem(metric, 1, 2, ap, aq), 0.01)
+    K, _, lu, _ = metric._memo[("midpoint", 1, 2, 0.01)]
+    size = metric.complex.num_simplices
+    assert lu.shape == (K.shape[0] - size(1) - size(2),) * 2
+
+
+def test_run_keeps_no_shift_invert_factor():
+    # simulate runs no mixed solve, so every basis drops its saddle factor
+    metric = Metric(complex_for("torus", 5))
+    ap, aq = initial_state(metric, 1, 2, "random")
+    run(StokesDiracSystem(metric, 1, 2, ap, aq), SimulationConfig(dt=0.01, steps=3))
+    assert {key[0] for key in factored_keys(metric)} == {"mass_lu", "midpoint"}
 
 
 def test_refined_midpoint_solves_the_cayley_equation():
