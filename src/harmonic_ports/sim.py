@@ -14,11 +14,12 @@ A is never formed: with h = dt/2 the midpoint w = (I - h A)^-1 a is
 one solve of a sparse block system K(|h|) (`_midpoint_operator`) in w and
 the port action y = (z, e) at w; w is eliminated exactly, y's Schur
 complement factored once per |dt| and the solve refined to rounding
-against K by `metric._refine`.  J = diag(I, -I) has J A J = -A, so a
-step back solves K(|h|) against J a and applies J to the unknowns.  run
-reads each row's power terms from a port action (`_power_rate`) and
-checks the solve's flows against an independent port action at step 1
-and at every snapshot.
+against K by `metric._refine`; K, its unpacking and the spectral radius
+read the per-slot port map of `stokesdirac.system_operators`.  J =
+diag(I, -I) has J A J = -A, so a step back solves K(|h|) against J a and
+applies J to the unknowns.  run reads each row's power terms from a port
+action (`_power_rate`) and checks the solve's flows against an
+independent port action at step 1 and at every snapshot.
 """
 
 from __future__ import annotations
@@ -95,10 +96,7 @@ def initial_state(metric: Metric, p: int, q: int, spec: str, seed: int = 0):
     np_, nq_ = cx.num_simplices(p), cx.num_simplices(q)
     if spec == "random":
         rng = np.random.default_rng(seed)
-        return (
-            Cochain(cx, p, rng.standard_normal(np_)),
-            Cochain(cx, q, rng.standard_normal(nq_)),
-        )
+        return Cochain(cx, p, rng.standard_normal(np_)), Cochain(cx, q, rng.standard_normal(nq_))
     parts = spec.split(":")
     if parts[0] == "harmonic":
         if len(parts) != 4:
@@ -132,27 +130,27 @@ def initial_state(metric: Metric, p: int, q: int, spec: str, seed: int = 0):
 
 
 def _midpoint_operator(metric: Metric, p: int, q: int, h: float) -> sp.csr_matrix:
-    """K(h) in (w_p, w_q, z_p, z_q, e_p, e_q), z = delta_c w on the interior
-    (p-1)/(q-1) simplices (rows R, interior mass block L), W d the coupling:
+    """K(h) in (w_p, w_q, z_p, z_q, e_p, e_q), by slot j of the port map
+    (`system_operators`) and its other slot k: z_j = delta_c w_j on the
+    interior (degree_j - 1)-simplices (rows R, interior mass block L) and
+    e_j the effort z_j drives, slot k's (so e_p drives slot q):
 
-        w_p - h sigma d_{p-1} e_q = a_p      L_{p-1} z_p - R B_p M_p w_p = 0
-        w_q - h d_{q-1} e_p = a_q            L_{q-1} z_q - R B_q M_q w_q = 0
-        M_{q-1} e_p + sigma tau (W d)^T R^T z_p = 0
-        M_{p-1} e_q - tau (W d) R^T z_q = 0
+        w_j - h sign_j d e_k = a_j
+        L z_j - R B_j M_j w_j = 0
+        M e_j - factor_k C_k R^T z_j = 0
     """
-    ops = system_operators(metric, p, q)
-    sigma, tau, Wd = ops["sigma"], ops["tau"], ops["coupling"]
+    slots = system_operators(metric, p, q)["slots"]
     cx, M = metric.complex, metric.mass_csr
-    d, B, eye = cx.exterior_derivative_matrix, cx.boundary_matrix, sp.identity
-    ip, iq = metric.free_indices(p - 1, "dirichlet"), metric.free_indices(q - 1, "dirichlet")
-    blocks = [
-        [eye(cx.num_simplices(p)), None, None, None, None, -h * sigma * d(p - 1)],
-        [None, eye(cx.num_simplices(q)), None, None, -h * d(q - 1), None],
-        [-(B(p) @ M(p))[ip], None, M(p - 1)[ip][:, ip], None, None, None],
-        [None, -(B(q) @ M(q))[iq], None, M(q - 1)[iq][:, iq], None, None],
-        [None, None, sigma * tau * Wd.T[:, ip], None, M(q - 1), None],
-        [None, None, None, -tau * Wd[:, iq], None, M(p - 1)],
-    ]
+    d, B = cx.exterior_derivative_matrix, cx.boundary_matrix
+    blocks = [[None] * 6 for _ in range(6)]
+    for j, (s, other) in enumerate(zip(slots, slots[::-1])):
+        free = metric.free_indices(s.degree - 1, "dirichlet")
+        blocks[j][j] = sp.identity(cx.num_simplices(s.degree))
+        blocks[j][5 - j] = -h * s.sign * d(s.degree - 1)
+        blocks[2 + j][j] = -(B(s.degree) @ M(s.degree))[free]
+        blocks[2 + j][2 + j] = M(s.degree - 1)[free][:, free]
+        blocks[4 + j][2 + j] = -other.factor * other.coupling[:, free]
+        blocks[4 + j][4 + j] = M(other.degree - 1)
     return sp.bmat(blocks, format="csr")
 
 
@@ -180,23 +178,27 @@ def _midpoint_factors(metric: Metric, p: int, q: int, dt: float):
 def _midpoint(sys: StokesDiracSystem, dt: float):
     """(new, mid, port): the step 2 w - a, the midpoint w = (I - dt/2 A)^-1 a
     and the port action at w, the slot records of
-    `stokesdirac._port_action`, from one refined solve."""
-    m, p, q = sys.metric, sys.p, sys.q
-    K, abs_K, _, solve = _midpoint_factors(m, p, q, dt)
-    ip, iq = m.free_indices(p - 1, "dirichlet"), m.free_indices(q - 1, "dirichlet")
+    `stokesdirac._port_action`, from one refined solve, unpacked per slot
+    in K's order.  J flips slot q's w and z and the effort they drive."""
+    m = sys.metric
+    K, abs_K, _, solve = _midpoint_factors(m, sys.p, sys.q, dt)
+    slots = system_operators(m, sys.p, sys.q)["slots"]
+    free = [m.free_indices(s.degree - 1, "dirichlet") for s in slots]
     n = m.complex.num_simplices
-    cuts = np.cumsum([0, n(p), n(q), len(ip), len(iq), n(q - 1), n(p - 1)])
-    sign = -1.0 if dt < 0 else 1.0  # J on the right-hand side and the unknowns
+    sizes = [n(s.degree) for s in slots] + [len(f) for f in free]
+    cuts = np.cumsum([0] + sizes + [n(s.degree - 1) for s in slots[::-1]])
+    J = (1.0, -1.0 if dt < 0 else 1.0)  # per slot, on the right-hand side and the unknowns
     b = np.zeros(cuts[-1])
-    b[: cuts[1]], b[cuts[1] : cuts[2]] = sys.alpha_p.values, sign * sys.alpha_q.values
+    b[: cuts[2]] = np.concatenate([J[0] * sys.alpha_p.values, J[1] * sys.alpha_q.values])
     x = _refine(solve(b), lambda x: b - K @ x, solve, abs_K, np.abs(b), "midpoint solve")
-    w_p, w_q, zi_p, zi_q, e_p, e_q = (x[i:j] for i, j in zip(cuts, cuts[1:]))
-    w_q, zi_q, e_q = sign * w_q, sign * zi_q, sign * e_q
-    z_p, z_q = np.zeros(n(p - 1)), np.zeros(n(q - 1))
-    z_p[ip], z_q[iq] = zi_p, zi_q
-    mid = sys.with_state(Cochain(m.complex, p, w_p), Cochain(m.complex, q, w_q))
+    parts = [J[i % 2] * x[lo:hi] for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
+    w, z_free, e = parts[:2], parts[2:4], parts[4:]
+    z = [np.zeros(n(s.degree - 1)) for s in slots]
+    for z_j, f, part in zip(z, free, z_free):
+        z_j[f] = part
+    mid = sys.with_state(*(Cochain(m.complex, s.degree, w_j) for s, w_j in zip(slots, w)))
     new = sys.with_state(2.0 * mid.alpha_p - sys.alpha_p, 2.0 * mid.alpha_q - sys.alpha_q)
-    return new, mid, _port(mid, z_p, z_q, e_p, e_q)
+    return new, mid, _port(mid, z, e[::-1])  # e_j drives the other slot
 
 
 def step_implicit_midpoint(sys: StokesDiracSystem, dt: float) -> StokesDiracSystem:
@@ -229,23 +231,22 @@ def _spectral_radius_estimate(metric: Metric, p: int, q: int) -> float:
     """Largest singular value of A = [[0, F_p], [F_q, 0]]: the square
     root of the largest eigenvalue of A^T A = diag(F_q^T F_q, F_p^T F_p),
     each block by Lanczos (eigsh, tolerance 1e-6) from a seeded start
-    vector, so the estimate is deterministic.  Up to sign, the block from
-    degree k is F = d_j M_j^-1 C delta_c, applied by the sparse products
-    and solves of the port action; F^T by their transposes, delta_c and
-    its transpose by the metric's Dirichlet codifferential kernels
-    (`_delta`, `_delta_transpose`)."""
-    Wd, cx = system_operators(metric, p, q)["coupling"], metric.complex
+    vector, so the estimate is deterministic.  Up to sign, a slot's block
+    F = d M^-1 C delta_c (its port map) takes the other slot's state to its
+    flow by the products and solves of the port action; F^T by their
+    transposes, delta_c and its transpose by the metric's Dirichlet
+    codifferential kernels (`_delta`, `_delta_transpose`)."""
+    slots, cx = system_operators(metric, p, q)["slots"], metric.complex
     top = 0.0
-    # F_p maps degree q through efforts at p-1; F_q maps degree p through q-1
-    for k, j, C in ((q, p - 1, Wd), (p, q - 1, Wd.T)):
-        d, lu = cx.exterior_derivative_matrix(j), metric.mass_lu(j)
+    for s, other in zip(slots, slots[::-1]):
+        d, lu = cx.exterior_derivative_matrix(s.degree - 1), metric.mass_lu(s.degree - 1)
 
-        def gram(v, k=k, C=C, d=d, lu=lu):
+        def gram(v, k=other.degree, C=s.coupling, d=d, lu=lu):
             z = _delta(metric, k, v, "dirichlet")
             y = C.T @ lu.solve(d.T @ (d @ lu.solve(C @ z)), trans="T")
             return _delta_transpose(metric, k, y, "dirichlet")
 
-        size = cx.num_simplices(k)
+        size = cx.num_simplices(other.degree)
         v0 = np.random.default_rng(0).standard_normal(size)
         if not gram(v0).any():
             continue  # an empty or zero block adds nothing (and stops ARPACK)
@@ -263,15 +264,13 @@ def _spectral_radius_estimate(metric: Metric, p: int, q: int) -> float:
 def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
     """Integrate from the system's current state; steps+1 trace rows."""
     m = sys.metric
-    basis_p = harmonic_basis(m, sys.p, "neumann")
-    basis_q = harmonic_basis(m, sys.q, "neumann")
+    bases = [harmonic_basis(m, k, "neumann") for k in (sys.p, sys.q)]
     header = ["t", "H", "dHdt_residual", "boundary_power"]
-    header += [f"harm_p_{i}" for i in range(basis_p.dim)]
-    header += [f"harm_q_{i}" for i in range(basis_q.dim)]
+    header += [f"harm_{slot}_{i}" for slot, b in zip("pq", bases) for i in range(b.dim)]
 
     def diagnostics(state: StokesDiracSystem):  # H and harmonic coefficients
         energy, coeffs = [], []
-        for basis, alpha in ((basis_p, state.alpha_p), (basis_q, state.alpha_q)):
+        for basis, alpha in zip(bases, (state.alpha_p, state.alpha_q)):
             M_alpha = m.mass_csr(alpha.degree) @ alpha.values
             energy.append(float(alpha.values @ M_alpha))
             coeffs.extend(float(c) for c in basis.vectors.T @ M_alpha)
@@ -281,12 +280,7 @@ def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
         ("spectral_radius", sys.p, sys.q),
         lambda: _spectral_radius_estimate(m, sys.p, sys.q),
     )
-    trace = Trace(
-        header=header,
-        rows=[],
-        spectral_radius_estimate=rho,
-        dt_spectral_radius=config.dt * rho,
-    )
+    trace = Trace(header, [], spectral_radius_estimate=rho, dt_spectral_radius=config.dt * rho)
 
     state = sys
     H_prev, coeffs = diagnostics(state)

@@ -13,13 +13,14 @@ exact cochains.  The transpose coupling makes the interior d/delta
 pairing cancel identically, so the energy rate equals the constrained
 Green-defect boundary term on every mesh and vanishes on closed ones.
 
-These maps are applied by sparse solves, never formed.  Efforts, flows,
-every balance and the flow identity read one port action per state: a
-record per slot (`_Slot`) that pairs the slot with its effort once.
+These maps are decided once, per slot (`system_operators`), and applied
+by sparse solves, never formed.  Efforts, flows, every balance and the
+flow identity read one port action per state, a `_Slot` record each.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,20 +89,23 @@ class StokesDiracSystem:
         return StokesDiracSystem(self.metric, self.p, self.q, alpha_p, alpha_q)
 
 
+_SlotMap = namedtuple("_SlotMap", "degree sign factor coupling")  # see system_operators
+
+
 def system_operators(metric: Metric, p: int, q: int) -> dict:
-    """Cached signs sigma, tau and the sparse wedge coupling W_{p-1,q}
-    d_{q-1} of one pair, the product of the metric's wedge_csr(p-1, q)
-    and the coboundary; no effort or flow matrix is formed."""
+    """Cached signs sigma, tau, the sparse coupling W d = wedge_csr(p-1, q)
+    d_{q-1} and the port map: a `_SlotMap` (degree, sign, factor, coupling)
+    per slot, (p, sigma, tau, W d) and (q, 1, -sigma tau, (W d)^T), a view.
+    A slot's effort, at degree - 1, is factor M^-1 coupling z with z =
+    delta_c of the other slot's state, its flow sign d(effort)."""
     validate_degree_pair(metric.complex.dimension, p, q)
 
     def build():
         n = metric.complex.dimension
-        return {
-            "sigma": -1 if (p * q + 1) % 2 else 1,
-            "tau": -1 if (q * (n - q)) % 2 else 1,
-            "coupling": metric.wedge_csr(p - 1, q)
-            @ metric.complex.exterior_derivative_matrix(q - 1),
-        }
+        sigma, tau = (-1) ** (p * q + 1), (-1) ** (q * (n - q))
+        Wd = metric.wedge_csr(p - 1, q) @ metric.complex.exterior_derivative_matrix(q - 1)
+        slots = (_SlotMap(p, sigma, tau, Wd), _SlotMap(q, 1, -sigma * tau, Wd.T))
+        return {"sigma": sigma, "tau": tau, "coupling": Wd, "slots": slots}
 
     return metric.cached(("sd_ops", p, q), build)
 
@@ -110,7 +114,7 @@ def system_operators(metric: Metric, p: int, q: int) -> dict:
 class _Slot:
     """One slot of a port action: the state alpha at `degree`, z = delta_c
     alpha, the effort that drives the slot (degree - 1), its flow
-    f = sign d(effort) and that sign (sigma for slot p, 1 for slot q)."""
+    f = sign d(effort) and that sign (`_SlotMap`)."""
 
     degree: int
     alpha: Cochain
@@ -126,42 +130,35 @@ class _Slot:
 
 def _port_action(sys: StokesDiracSystem) -> tuple[_Slot, _Slot]:
     """The slot records (p, q) of one state: z = delta_c alpha per slot
-    (one interior-mass solve each), the efforts (one mass solve each
-    against the coupling) and their flows (`_port`)."""
-    m, p, q = sys.metric, sys.p, sys.q
-    ops = system_operators(m, p, q)
-    sigma, tau, Wd = ops["sigma"], ops["tau"], ops["coupling"]
-    z_p = _delta(m, p, sys.alpha_p.values, "dirichlet")
-    z_q = _delta(m, q, sys.alpha_q.values, "dirichlet")
-    e_q = tau * m.mass_lu(p - 1).solve(Wd @ z_q)
-    e_p = -sigma * tau * m.mass_lu(q - 1).solve(Wd.T @ z_p)
-    return _port(sys, z_p, z_q, e_p, e_q)
+    (one interior-mass solve each), each slot's effort from the other's z
+    (one mass solve each against its coupling) and the flows (`_port`)."""
+    m, states = sys.metric, (sys.alpha_p, sys.alpha_q)
+    maps = system_operators(m, sys.p, sys.q)["slots"]
+    z = [_delta(m, s.degree, a.values, "dirichlet") for s, a in zip(maps, states)]
+    e = [s.factor * m.mass_lu(s.degree - 1).solve(s.coupling @ zo) for s, zo in zip(maps, z[::-1])]
+    return _port(sys, z, e)
 
 
-def _port(sys: StokesDiracSystem, z_p, z_q, e_p, e_q) -> tuple[_Slot, _Slot]:
-    """The slot records of a state from z and the efforts: slot p is driven
-    by e_q with sign sigma, slot q by e_p with sign 1."""
+def _port(sys: StokesDiracSystem, z, e) -> tuple[_Slot, _Slot]:
+    """The slot records of a state from z and the effort of each slot
+    (order (p, q)); each flow is the slot's sign times d of its effort."""
     cx = sys.metric.complex
-    sigma = system_operators(sys.metric, sys.p, sys.q)["sigma"]
-
-    def slot(k, alpha, z, e, sign):
-        f = sign * (cx.exterior_derivative_matrix(k - 1) @ e)
-        return _Slot(k, alpha, Cochain(cx, k - 1, z), Cochain(cx, k - 1, e), Cochain(cx, k, f), sign)
-
-    return slot(sys.p, sys.alpha_p, z_p, e_q, sigma), slot(sys.q, sys.alpha_q, z_q, e_p, 1)
-
-
-def hamiltonian(sys: StokesDiracSystem) -> float:
-    return 0.5 * (
-        inner_product(sys.metric, sys.alpha_p, sys.alpha_p)
-        + inner_product(sys.metric, sys.alpha_q, sys.alpha_q)
+    maps = system_operators(sys.metric, sys.p, sys.q)["slots"]
+    return tuple(
+        _Slot(s.degree, a, Cochain(cx, s.degree - 1, z_s), Cochain(cx, s.degree - 1, e_s),
+              Cochain(cx, s.degree, s.sign * (cx.exterior_derivative_matrix(s.degree - 1) @ e_s)),
+              s.sign)
+        for s, a, z_s, e_s in zip(maps, (sys.alpha_p, sys.alpha_q), z, e)
     )
 
 
+def hamiltonian(sys: StokesDiracSystem) -> float:
+    return 0.5 * sum(inner_product(sys.metric, a, a) for a in (sys.alpha_p, sys.alpha_q))
+
+
 def efforts(sys: StokesDiracSystem):
-    """(e_p, e_q) at degrees (q-1, p-1)."""
-    slot_p, slot_q = _port_action(sys)
-    return slot_q.effort, slot_p.effort
+    """(e_p, e_q) at degrees (q-1, p-1): the efforts of slots q and p."""
+    return tuple(s.effort for s in reversed(_port_action(sys)))
 
 
 def flows(sys: StokesDiracSystem):
@@ -176,6 +173,10 @@ class PowerBalance:
     dH_dt equals internal_term + boundary_term up to rounding; the
     internal term is the antisymmetric d/delta pairing and cancels
     identically, so on closed meshes dH_dt itself is zero to rounding.
+    boundary_term is dH_dt minus the internal term; split_residual
+    compares it with sum sign (<<d e_b, alpha>> - <<e_b, z>>) over the
+    slots, e_b the effort zeroed on the free simplices, which reads the
+    efforts' traces alone and agrees only if z = delta_c alpha.
     """
 
     dH_dt: float
@@ -196,7 +197,12 @@ def _power_rate(m: Metric, port) -> tuple[float, float]:
 def _balance(m: Metric, port) -> PowerBalance:
     """The PowerBalance of one state from its slot records."""
     dH, boundary = _power_rate(m, port)
-    internal = dH - boundary
+    internal, traced = dH - boundary, 0.0
+    for s in port:
+        e_b = s.effort.copy()
+        e_b.values[m.free_indices(s.degree - 1, "dirichlet")] = 0.0
+        d_e_b = exterior_derivative(m, e_b)
+        traced += s.sign * (inner_product(m, d_e_b, s.alpha) - inner_product(m, e_b, s.z))
     # Every term is a fixed linear image of the state, so rounding scales
     # with the state even when the flows cancel to zero; floor the scale
     # with the squared state norm so residual ratios stay meaningful.
@@ -206,7 +212,7 @@ def _balance(m: Metric, port) -> PowerBalance:
         dH_dt=dH,
         internal_term=internal,
         boundary_term=boundary,
-        split_residual=abs(dH - internal - boundary),
+        split_residual=abs(dH - internal - traced),
         scale=max(state_norm * flow_norm, state_norm * state_norm, 1e-30),
     )
 

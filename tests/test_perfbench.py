@@ -1,8 +1,10 @@
-"""The benchmark's traced mode (perfbench/job.py --trace 1) against this library.
+"""The benchmark's jobs (perfbench/job.py) against this library.
 
-job.py reads the library's public return values to count array sizes;
-this runs that count on every workload's smoke mesh, so an API change
-that would break the traced benchmark fails here first.
+Each workload's job runs in-process on its smoke mesh, generated as the
+benchmark generates it, and every check it counts must pass; job.py's
+traced mode also reads the library's public return values to count
+array sizes.  A library change that would make a benchmark run fail or
+count a failed check fails here first.
 """
 
 import math
@@ -20,6 +22,7 @@ PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 sys.path.insert(0, PERFBENCH)  # job.py imports its sibling tracing.py
 try:
     import job as perfbench_job
+    import run as perfbench_run
 finally:
     sys.path.remove(PERFBENCH)
 
@@ -31,3 +34,14 @@ def test_traced_counts_on_smoke_meshes(name):
     counts = perfbench_job.computed_counts(hp, spec, metric)
     assert counts
     assert all(math.isfinite(v) for v in counts.values())
+
+
+@pytest.mark.parametrize("name", sorted(perfbench_job.WORKLOADS))
+def test_job_checks_pass_on_smoke_meshes(name, tmp_path):
+    spec = perfbench_job.workload_spec(name, smoke=True)
+    mesh = perfbench_run.make_inputs(hp, spec, 7, str(tmp_path))
+    job = perfbench_job.Job()
+    report, *_ = perfbench_job.JOBS[spec["kind"]](hp, spec, mesh, 7, str(tmp_path), job)
+    assert job.checks
+    job.check("report_finite", all(math.isfinite(x) for x in perfbench_job._floats(report)))
+    assert [check for check, ok in job.checks if not ok] == []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,27 @@ def test_energy_rate_splits_into_boundary_power(shape):
                 m, sys.alpha_q, f_q
             )
             assert np.isclose(pb.dH_dt, direct, rtol=1e-10, atol=1e-12 * pb.scale)
+
+
+# solid_torus:5 has no interior vertex or edge, so every effort or z
+# that a perturbation could show in is zero
+@pytest.mark.parametrize("shape", sorted(set(ACCEPTANCE) - {"solid_torus"}))
+def test_split_residual_detects_a_z_that_is_not_delta_c(shape):
+    # the second boundary evaluation reads the efforts' boundary values
+    # alone, so it disagrees with dH/dt - internal once a slot's z stops
+    # pairing with the interior efforts as d does
+    m = metric_for(shape, ACCEPTANCE[shape])
+    rng = np.random.default_rng(6)
+    for p, q in valid_pairs(m.complex.dimension):
+        a_p, a_q = random_cochain(m.complex, p, rng), random_cochain(m.complex, q, rng)
+        port = stokesdirac_mod._port_action(StokesDiracSystem(m, p, q, a_p, a_q))
+        pb = stokesdirac_mod._balance(m, port)
+        assert pb.split_residual <= 1e-15 * pb.scale
+        for i in range(2):
+            bad = list(port)
+            bad[i] = dataclasses.replace(port[i], z=port[i].z * (1 + 1e-4))
+            pb = stokesdirac_mod._balance(m, bad)
+            assert pb.split_residual > 1e-10 * pb.scale, (p, q, i)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Structure guards on the library source: one SuperLU call site, one
-refinement bound and pass cap, one cache mechanism (Metric.cached), and
-the boundary condition decided in metric.py alone."""
+refinement bound and pass cap, one cache mechanism (Metric.cached), the
+boundary condition decided in metric.py alone and the Stokes-Dirac port
+map decided in stokesdirac.py alone."""
 
 import ast
 from pathlib import Path
@@ -105,3 +106,23 @@ def test_closed_mesh_test_lives_in_metric():
         and node.value.attr == "boundary_complex"
     }
     assert readers == {"metric.py"}
+
+
+def test_port_map_is_decided_in_stokesdirac():
+    # sigma, tau and the coupling are read by key only where they are
+    # built; every other module reads the per-slot port map
+    readers = {
+        module
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.slice, ast.Constant)
+        and node.slice.value in {"sigma", "tau", "coupling"}
+    }
+    assert readers <= {"stokesdirac.py"}
+    wedge_calls = [
+        node.lineno
+        for node in ast.walk(_modules()["sim.py"])
+        if isinstance(node, ast.Call) and _callee(node) == "wedge_csr"
+    ]
+    assert wedge_calls == []
