@@ -363,17 +363,12 @@ def cmd_simulate(args) -> int:
     H = rows[:, 1]
     h0 = max(abs(H[0]), 1e-30)
     drift = float(np.max(np.abs(H - H[0]))) / h0
-    harm = rows[:, 4:]
-    harm_drift = (
-        float(np.max(np.abs(harm - harm[0]))) if harm.shape[1] else 0.0
-    )
+    harm_drift = float(np.max(np.abs(rows[:, 4:] - rows[0, 4:]), initial=0.0))
     # relative to |dH/dt|, floored by H/dt: the rounding scale of the
     # finite difference, in the same units, so the check is unit-free
-    balance = 0.0
-    for k in range(1, rows.shape[0]):
-        dh = (H[k] - H[k - 1]) / config.dt
-        floor = max(abs(dh), H[k - 1] / config.dt, np.finfo(float).tiny)
-        balance = max(balance, abs(dh - rows[k, 3]) / floor)
+    dh = (H[1:] - H[:-1]) / config.dt
+    floor = np.maximum(np.maximum(np.abs(dh), H[:-1] / config.dt), np.finfo(float).tiny)
+    balance = float(np.max(np.abs(dh - rows[1:, 3]) / floor, initial=0.0))
     tols = {
         "closed_energy_drift": 1e-10 * scale,
         "harmonic_drift": 1e-8 * scale,

@@ -382,9 +382,10 @@ def _adjacent_incidences(facets: np.ndarray):
 def _orient_by_propagation(facets: np.ndarray):
     """Signs that cancel the two incidences of every interior face.
 
-    Each unsigned top in turn seeds +1; first in, first out, a neighbour
-    across a face with exactly two cofaces gets the sign that cancels
-    there.  Returns the signs and the faces where a signed neighbour
+    Each unsigned top in turn seeds +1; breadth first, one level per array
+    pass, a neighbour across a face with exactly two cofaces gets the sign
+    that cancels there from the first (top, face) of the level that reaches
+    it.  Returns the signs and the faces where a signed neighbour
     disagrees, each face once, in order of first detection.
     """
     num_tops, m = facets.shape
@@ -398,28 +399,24 @@ def _orient_by_propagation(facets: np.ndarray):
     slot = np.arange(num_tops * m) % m
     flip = np.where((slot + partner % m) % 2, 1, -1).reshape(num_tops, m)
 
-    neighbour, flip, faces = neighbour.tolist(), flip.tolist(), facets.tolist()
-    signs = [0] * num_tops
-    conflicts: list[int] = []
-    reported = set()
-    for seed in range(num_tops):
-        if signs[seed]:
-            continue
+    signs, detected, seed = np.zeros(num_tops, dtype=np.int64), [], 0
+    while seed < num_tops:
         signs[seed] = 1
-        queue = deque([seed])
-        while queue:
-            t = queue.popleft()
-            for other, rel, face in zip(neighbour[t], flip[t], faces[t]):
-                if other < 0:
-                    continue  # boundary or non-manifold face: no constraint
-                needed = signs[t] * rel
-                if not signs[other]:
-                    signs[other] = needed
-                    queue.append(other)
-                elif signs[other] != needed and face not in reported:
-                    reported.add(face)
-                    conflicts.append(face)
-    return np.array(signs, dtype=np.int64), conflicts
+        level = np.array([seed])
+        while len(level):
+            other, face = neighbour[level].ravel(), facets[level].ravel()
+            needed = (signs[level][:, None] * flip[level]).ravel()
+            linked = other >= 0
+            fresh = np.flatnonzero(linked & (signs[other] == 0))  # other -1: masked
+            first = np.sort(fresh[np.unique(other[fresh], return_index=True)[1]])
+            level = other[first]
+            signs[level] = needed[first]
+            linked[first] = False
+            detected.append(face[linked & (signs[other] != needed)])
+        unsigned = np.flatnonzero(signs[seed:] == 0)
+        seed += unsigned[0] if len(unsigned) else num_tops
+    faces = np.concatenate([facets[:0, 0]] + detected)
+    return signs, faces[np.sort(np.unique(faces, return_index=True)[1])].tolist()
 
 
 def extract_boundary(complex: SimplicialComplex) -> BoundaryComplex:

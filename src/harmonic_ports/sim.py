@@ -14,16 +14,18 @@ A is never formed: with h = dt/2 the midpoint w = (I - h A)^-1 a is
 one solve of a sparse block system K(|h|) (`_midpoint_operator`) in w and
 the port action y = (z, e) at w; w is eliminated exactly, y's Schur
 complement factored once per |dt| and the solve refined to rounding
-against K by `metric._refine`; K, its unpacking and the spectral radius
+against K by `metric._refine`; K, its layout and the spectral radius
 read the per-slot port map of `stokesdirac.system_operators`.  J =
 diag(I, -I) has J A J = -A, so a step back solves K(|h|) against J a and
-applies J to the unknowns.  run reads each row's power terms from a port
-action (`_power_rate`) and checks the solve's flows against an
-independent port action at step 1 and at every snapshot.
+applies J to the unknowns.  A step of run costs that one solve and four
+more sparse products on the stacked state (flows, dH/dt, boundary, H);
+cochains and port records are built only at the checks: row 0, the
+independent flow check at step 1 and at every snapshot, and snapshots.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,13 +35,7 @@ import scipy.sparse.linalg as spla
 from .errors import FactorizationFailure, SolverFailure
 from .hodge import harmonic_basis
 from .metric import Cochain, Metric, _delta, _delta_transpose, _refine, _splu, norm
-from .stokesdirac import (
-    StokesDiracSystem,
-    _port,
-    _port_action,
-    _power_rate,
-    system_operators,
-)
+from .stokesdirac import StokesDiracSystem, _port_action, _power_rate, system_operators
 
 __all__ = [
     "SimulationConfig",
@@ -154,15 +150,24 @@ def _midpoint_operator(metric: Metric, p: int, q: int, h: float) -> sp.csr_matri
     return sp.bmat(blocks, format="csr")
 
 
-def _midpoint_factors(metric: Metric, p: int, q: int, dt: float):
-    """(K, |K|, lu, solve) at h = |dt|/2, once per |dt|: with K = [[I,
-    K_wy], [K_yw, K_yy]] in w and y = (z, e), lu factors K_yy - K_yw K_wy
-    (mass diagonal blocks, `_splu`'s symmetric mode), solve applies K^-1
-    exactly and K, |K| serve the refinement (`metric._refine`)."""
+_Midpoint = namedtuple("_Midpoint", "K abs_K lu solve J nw e_at derivative mass mass_z slots")
+
+
+def _midpoint_factors(metric: Metric, p: int, q: int, dt: float) -> _Midpoint:
+    """K(|dt|/2), its factor and layout, once per |dt|: with K = [[I, K_wy],
+    [K_yw, K_yy]] in w and y = (z, e), lu factors K_yy - K_yw K_wy (mass
+    diagonal blocks, `_splu`'s symmetric mode), solve applies K^-1 exactly,
+    K, |K| serve `metric._refine`; J, D e = (f_p, f_q), the block masses of
+    (w_p, w_q) and the free (z_p, z_q), and per slot its sign and slices."""
 
     def build():
         K = _midpoint_operator(metric, p, q, 0.5 * abs(dt))
-        nw = metric.complex.num_simplices(p) + metric.complex.num_simplices(q)
+        slots, n = system_operators(metric, p, q)["slots"], metric.complex.num_simplices
+        free = [metric.free_indices(s.degree - 1, "dirichlet") for s in slots]
+        low = [n(s.degree - 1) for s in slots]
+        sizes = [n(s.degree) for s in slots] + [len(f) for f in free] + low[::-1]
+        cut = np.cumsum([0] + sizes).tolist()
+        nw, d = cut[2], [s.sign * metric.complex.exterior_derivative_matrix(s.degree - 1) for s in slots]
         K_wy, K_yw = K[:nw, nw:], K[nw:, :nw]
         lu = _splu(K[nw:, nw:] - K_yw @ K_wy, "midpoint operator")
 
@@ -170,42 +175,47 @@ def _midpoint_factors(metric: Metric, p: int, q: int, dt: float):
             y = lu.solve(r[nw:] - K_yw @ r[:nw])
             return np.concatenate([r[:nw] - K_wy @ y, y])
 
-        return K, abs(K), lu, solve
+        return _Midpoint(
+            K, abs(K), lu, solve, J=np.repeat(np.tile([1.0, -1.0], 3), sizes), nw=nw, e_at=cut[4],
+            derivative=sp.bmat([[None, d[0]], [d[1], None]], format="csr"),
+            mass=sp.block_diag([metric.mass_csr(s.degree) for s in slots], format="csr"),
+            mass_z=sp.block_diag(
+                [metric.mass_csr(s.degree - 1)[:, f] for s, f in zip(slots, free)], format="csr"
+            ),
+            slots=[(slots[0].sign, slice(0, cut[1]), slice(0, low[0]), slice(low[1], None)),
+                   (slots[1].sign, slice(cut[1], None), slice(low[0], None), slice(0, low[1]))],
+        )
 
     return metric.cached(("midpoint", p, q, abs(float(dt))), build)
 
 
-def _midpoint(sys: StokesDiracSystem, dt: float):
-    """(new, mid, port): the step 2 w - a, the midpoint w = (I - dt/2 A)^-1 a
-    and the port action at w, the slot records of
-    `stokesdirac._port_action`, from one refined solve, unpacked per slot
-    in K's order.  J flips slot q's w and z and the effort they drive."""
-    m = sys.metric
-    K, abs_K, _, solve = _midpoint_factors(m, sys.p, sys.q, dt)
-    slots = system_operators(m, sys.p, sys.q)["slots"]
-    free = [m.free_indices(s.degree - 1, "dirichlet") for s in slots]
-    n = m.complex.num_simplices
-    sizes = [n(s.degree) for s in slots] + [len(f) for f in free]
-    cuts = np.cumsum([0] + sizes + [n(s.degree - 1) for s in slots[::-1]])
-    J = (1.0, -1.0 if dt < 0 else 1.0)  # per slot, on the right-hand side and the unknowns
-    b = np.zeros(cuts[-1])
-    b[: cuts[2]] = np.concatenate([J[0] * sys.alpha_p.values, J[1] * sys.alpha_q.values])
-    x = _refine(solve(b), lambda x: b - K @ x, solve, abs_K, np.abs(b), "midpoint solve")
-    parts = [J[i % 2] * x[lo:hi] for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))]
-    w, z_free, e = parts[:2], parts[2:4], parts[4:]
-    z = [np.zeros(n(s.degree - 1)) for s in slots]
-    for z_j, f, part in zip(z, free, z_free):
-        z_j[f] = part
-    mid = sys.with_state(*(Cochain(m.complex, s.degree, w_j) for s, w_j in zip(slots, w)))
-    new = sys.with_state(2.0 * mid.alpha_p - sys.alpha_p, 2.0 * mid.alpha_q - sys.alpha_q)
-    return new, mid, _port(mid, z, e[::-1])  # e_j drives the other slot
+def _midpoint(metric: Metric, p: int, q: int, a: np.ndarray, dt: float):
+    """(new, w, z, e, f) of a stacked state a: the step 2 w - a, the
+    midpoint w = (I - dt/2 A)^-1 a and its port action, z (free rows) and
+    e in K's order and f = D e, from one refined solve and one product.
+    J flips slot q's w and z and the effort they drive."""
+    mp = _midpoint_factors(metric, p, q, dt)
+    b = np.zeros(len(mp.J))
+    b[: mp.nw] = mp.J[: mp.nw] * a if dt < 0 else a
+    x = _refine(mp.solve(b), lambda x: b - mp.K @ x, mp.solve, mp.abs_K, np.abs(b), "midpoint solve")
+    if dt < 0:
+        x *= mp.J
+    w, z, e = x[: mp.nw], x[mp.nw : mp.e_at], x[mp.e_at :]
+    return 2.0 * w - a, w, z, e, mp.derivative @ e
+
+
+def _cochains(sys: StokesDiracSystem, v: np.ndarray):
+    """The slot cochains (degrees p, q) of a stacked vector, as views."""
+    cx, n_p = sys.metric.complex, sys.metric.complex.num_simplices(sys.p)
+    return Cochain(cx, sys.p, v[:n_p]), Cochain(cx, sys.q, v[n_p:])
 
 
 def step_implicit_midpoint(sys: StokesDiracSystem, dt: float) -> StokesDiracSystem:
     """One midpoint step; dt may be negative (the exact inverse step).
 
     The Cayley step 2 w - a, w = (I - h A)^-1 a, h = dt/2, by one refined
-    solve of K(|h|); a negative dt reuses the factor of |dt|.
+    solve of K(|h|) and the flow product (`_midpoint`); a negative dt
+    reuses the factor of |dt|.  The new cochains are its only objects.
 
     Raises:
         FactorizationFailure: K's Schur complement in (z, e) is singular.
@@ -213,15 +223,24 @@ def step_implicit_midpoint(sys: StokesDiracSystem, dt: float) -> StokesDiracSyst
     """
     if not np.isfinite(dt):
         raise ValueError(f"dt must be finite, got {dt}")
-    return _midpoint(sys, dt)[0]
+    a = np.concatenate([sys.alpha_p.values, sys.alpha_q.values])
+    return sys.with_state(*_cochains(sys, _midpoint(sys.metric, sys.p, sys.q, a, dt)[0]))
 
 
-def _check_flows(mid: StokesDiracSystem, port, rho: float):
-    """Raise SolverFailure unless the solve's flows match an independent
-    port action of the midpoint to FLOW_CHECK_TOL, relative to rho |w| +
-    |f| in the Whitney norm (rho the spectral radius estimate)."""
+def _step_power(mp: _Midpoint, w, z, e, f) -> tuple[float, float]:
+    """(dH/dt, boundary term) of the kernel's arrays by the sums of
+    `stokesdirac._power_rate`, in its order, from two block products."""
+    Mf, Mz = mp.mass @ f, mp.mass_z @ z
+    dH = sum(float(w[ws] @ Mf[ws]) for _, ws, _, _ in mp.slots)
+    return dH, dH - sum(sign * float(e[es] @ Mz[zs]) for sign, _, zs, es in mp.slots)
+
+
+def _check_flows(mid: StokesDiracSystem, f: np.ndarray, rho: float):
+    """Raise SolverFailure unless the solve's stacked flows f match an
+    independent port action of the midpoint to FLOW_CHECK_TOL, relative
+    to rho |w| + |f| in the Whitney norm (rho the spectral radius estimate)."""
     m, ref = mid.metric, _port_action(mid)
-    err = sum(norm(m, got.flow - want.flow) for got, want in zip(port, ref))
+    err = sum(norm(m, g - s.flow) for g, s in zip(_cochains(mid, f), ref))
     scale = rho * (norm(m, mid.alpha_p) + norm(m, mid.alpha_q))
     if not err <= FLOW_CHECK_TOL * (scale + sum(norm(m, s.flow) for s in ref)):
         raise SolverFailure(f"midpoint flows differ from the port action by {err:.3e}")
@@ -262,42 +281,39 @@ def _spectral_radius_estimate(metric: Metric, p: int, q: int) -> float:
 
 
 def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
-    """Integrate from the system's current state; steps+1 trace rows."""
-    m = sys.metric
-    bases = [harmonic_basis(m, k, "neumann") for k in (sys.p, sys.q)]
+    """Integrate from the system's current state; steps+1 trace rows.  A
+    step is one refined solve and four more sparse products on the stacked
+    state; objects are built only at row 0, the flow checks and snapshots."""
+    m, p, q, dt = sys.metric, sys.p, sys.q, config.dt
+    bases = [harmonic_basis(m, k, "neumann") for k in (p, q)]
     header = ["t", "H", "dHdt_residual", "boundary_power"]
     header += [f"harm_{slot}_{i}" for slot, b in zip("pq", bases) for i in range(b.dim)]
 
-    def diagnostics(state: StokesDiracSystem):  # H and harmonic coefficients
-        energy, coeffs = [], []
-        for basis, alpha in zip(bases, (state.alpha_p, state.alpha_q)):
-            M_alpha = m.mass_csr(alpha.degree) @ alpha.values
-            energy.append(float(alpha.values @ M_alpha))
-            coeffs.extend(float(c) for c in basis.vectors.T @ M_alpha)
+    def diagnostics(a):  # H and harmonic coefficients of a stacked state
+        Ma = mp.mass @ a
+        energy = [float(a[ws] @ Ma[ws]) for _, ws, _, _ in mp.slots]
+        coeffs = [c for b, (_, ws, _, _) in zip(bases, mp.slots) for c in (b.vectors.T @ Ma[ws]).tolist()]
         return 0.5 * (energy[0] + energy[1]), coeffs
 
-    rho = m.cached(
-        ("spectral_radius", sys.p, sys.q),
-        lambda: _spectral_radius_estimate(m, sys.p, sys.q),
-    )
-    trace = Trace(header, [], spectral_radius_estimate=rho, dt_spectral_radius=config.dt * rho)
+    rho = m.cached(("spectral_radius", p, q), lambda: _spectral_radius_estimate(m, p, q))
+    trace = Trace(header, [], spectral_radius_estimate=rho, dt_spectral_radius=dt * rho)
+    mp = _midpoint_factors(m, p, q, dt)
 
-    state = sys
-    H_prev, coeffs = diagnostics(state)
-    trace.rows.append([0.0, H_prev, 0.0, _power_rate(m, _port_action(state))[1]] + coeffs)
+    a = np.concatenate([sys.alpha_p.values, sys.alpha_q.values])
+    H_prev, coeffs = diagnostics(a)
+    trace.rows.append([0.0, H_prev, 0.0, _power_rate(m, _port_action(sys))[1]] + coeffs)
     if config.stride:
-        trace.snapshots.append((0, state.alpha_p.copy(), state.alpha_q.copy()))
+        trace.snapshots.append((0, *_cochains(sys, a)))
 
     for k in range(1, config.steps + 1):
-        new, mid, port = _midpoint(state, config.dt)
-        snapshot = config.stride and k % config.stride == 0
-        if k == 1 or snapshot:
-            _check_flows(mid, port, rho)
-        dH_dt, boundary_term = _power_rate(m, port)
-        H_new, coeffs = diagnostics(new)
-        residual = abs((H_new - H_prev) / config.dt - dH_dt)
-        trace.rows.append([k * config.dt, H_new, residual, boundary_term] + coeffs)
-        if snapshot:
-            trace.snapshots.append((k, new.alpha_p.copy(), new.alpha_q.copy()))
-        state, H_prev = new, H_new
+        a, w, z, e, f = _midpoint(m, p, q, a, dt)
+        snap = config.stride and k % config.stride == 0
+        if k == 1 or snap:
+            _check_flows(sys.with_state(*_cochains(sys, w)), f, rho)
+        dH_dt, boundary_term = _step_power(mp, w, z, e, f)
+        H, coeffs = diagnostics(a)
+        trace.rows.append([k * dt, H, abs((H - H_prev) / dt - dH_dt), boundary_term] + coeffs)
+        if snap:
+            trace.snapshots.append((k, *_cochains(sys, a)))
+        H_prev = H
     return trace

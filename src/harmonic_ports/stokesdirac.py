@@ -131,24 +131,16 @@ class _Slot:
 def _port_action(sys: StokesDiracSystem) -> tuple[_Slot, _Slot]:
     """The slot records (p, q) of one state: z = delta_c alpha per slot
     (one interior-mass solve each), each slot's effort from the other's z
-    (one mass solve each against its coupling) and the flows (`_port`)."""
-    m, states = sys.metric, (sys.alpha_p, sys.alpha_q)
+    (one mass solve each against its coupling) and its flow."""
+    m, cx, states = sys.metric, sys.metric.complex, (sys.alpha_p, sys.alpha_q)
     maps = system_operators(m, sys.p, sys.q)["slots"]
     z = [_delta(m, s.degree, a.values, "dirichlet") for s, a in zip(maps, states)]
     e = [s.factor * m.mass_lu(s.degree - 1).solve(s.coupling @ zo) for s, zo in zip(maps, z[::-1])]
-    return _port(sys, z, e)
-
-
-def _port(sys: StokesDiracSystem, z, e) -> tuple[_Slot, _Slot]:
-    """The slot records of a state from z and the effort of each slot
-    (order (p, q)); each flow is the slot's sign times d of its effort."""
-    cx = sys.metric.complex
-    maps = system_operators(sys.metric, sys.p, sys.q)["slots"]
     return tuple(
         _Slot(s.degree, a, Cochain(cx, s.degree - 1, z_s), Cochain(cx, s.degree - 1, e_s),
               Cochain(cx, s.degree, s.sign * (cx.exterior_derivative_matrix(s.degree - 1) @ e_s)),
               s.sign)
-        for s, a, z_s, e_s in zip(maps, (sys.alpha_p, sys.alpha_q), z, e)
+        for s, a, z_s, e_s in zip(maps, states, z, e)
     )
 
 

@@ -144,3 +144,72 @@ def memo_arrays(value, kind=np.ndarray):
 def factored_keys(metric):
     """Memo keys whose value is, or holds, a SuperLU factor."""
     return {key for key, value in metric._memo.items() if any(memo_arrays(value, spla.SuperLU))}
+
+
+def reference_run(sys, config):
+    """The record-based run loop that sim.run replaced, as a test oracle:
+    each step unpacks the refined midpoint solve into cochains, builds the
+    midpoint's port records (`stokesdirac._Slot`) and reads the row's power
+    terms from them (`stokesdirac._power_rate`); snapshots are copies.
+    It runs no flow check, which changes no output."""
+    from harmonic_ports.hodge import harmonic_basis
+    from harmonic_ports.metric import Cochain, _refine
+    from harmonic_ports.sim import Trace, _midpoint_factors, _spectral_radius_estimate
+    from harmonic_ports.stokesdirac import _Slot, _port_action, _power_rate, system_operators
+
+    m, p, q, dt = sys.metric, sys.p, sys.q, config.dt
+    slots = system_operators(m, p, q)["slots"]
+    free = [m.free_indices(s.degree - 1, "dirichlet") for s in slots]
+    n = m.complex.num_simplices
+    sizes = [n(s.degree) for s in slots] + [len(f) for f in free]
+    cuts = np.cumsum([0] + sizes + [n(s.degree - 1) for s in slots[::-1]])
+
+    def midpoint(state):
+        K, abs_K, _, solve, *_ = _midpoint_factors(m, p, q, dt)
+        b = np.zeros(cuts[-1])
+        b[: cuts[2]] = np.concatenate([state.alpha_p.values, state.alpha_q.values])
+        x = _refine(solve(b), lambda x: b - K @ x, solve, abs_K, np.abs(b), "midpoint solve")
+        parts = [x[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+        w, z_free, e = parts[:2], parts[2:4], parts[4:]
+        z = [np.zeros(n(s.degree - 1)) for s in slots]
+        for z_j, f, part in zip(z, free, z_free):
+            z_j[f] = part
+        mid = state.with_state(*(Cochain(m.complex, s.degree, w_j) for s, w_j in zip(slots, w)))
+        new = state.with_state(2.0 * mid.alpha_p - state.alpha_p, 2.0 * mid.alpha_q - state.alpha_q)
+        d = m.complex.exterior_derivative_matrix
+        port = tuple(
+            _Slot(s.degree, a, Cochain(m.complex, s.degree - 1, z_s), Cochain(m.complex, s.degree - 1, e_s),
+                  Cochain(m.complex, s.degree, s.sign * (d(s.degree - 1) @ e_s)), s.sign)
+            for s, a, z_s, e_s in zip(slots, (mid.alpha_p, mid.alpha_q), z, e[::-1])  # e_j drives the other slot
+        )
+        return new, port
+
+    bases = [harmonic_basis(m, k, "neumann") for k in (p, q)]
+    header = ["t", "H", "dHdt_residual", "boundary_power"]
+    header += [f"harm_{slot}_{i}" for slot, b in zip("pq", bases) for i in range(b.dim)]
+
+    def diagnostics(state):
+        energy, coeffs = [], []
+        for basis, alpha in zip(bases, (state.alpha_p, state.alpha_q)):
+            M_alpha = m.mass_csr(alpha.degree) @ alpha.values
+            energy.append(float(alpha.values @ M_alpha))
+            coeffs.extend(float(c) for c in basis.vectors.T @ M_alpha)
+        return 0.5 * (energy[0] + energy[1]), coeffs
+
+    rho = _spectral_radius_estimate(m, p, q)
+    trace = Trace(header, [], spectral_radius_estimate=rho, dt_spectral_radius=dt * rho)
+    state = sys
+    H_prev, coeffs = diagnostics(state)
+    trace.rows.append([0.0, H_prev, 0.0, _power_rate(m, _port_action(state))[1]] + coeffs)
+    if config.stride:
+        trace.snapshots.append((0, state.alpha_p.copy(), state.alpha_q.copy()))
+    for k in range(1, config.steps + 1):
+        new, port = midpoint(state)
+        dH_dt, boundary_term = _power_rate(m, port)
+        H_new, coeffs = diagnostics(new)
+        residual = abs((H_new - H_prev) / dt - dH_dt)
+        trace.rows.append([k * dt, H_new, residual, boundary_term] + coeffs)
+        if config.stride and k % config.stride == 0:
+            trace.snapshots.append((k, new.alpha_p.copy(), new.alpha_q.copy()))
+        state, H_prev = new, H_new
+    return trace

@@ -451,17 +451,31 @@ def test_simulate_step_balance_is_unit_free(tmp_path, capsys, amplitude):
     assert rep["max_step_balance_residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("amplitude", [0.0, 1e-6, 1.0])
+def test_simulate_step_balance_matches_the_per_row_loop(tmp_path, capsys, amplitude):
+    # the element-wise residual against the per-row loop it replaced
+    mesh, state = _write_disk_state(tmp_path, amplitude)
+    code, rep = _simulate_state(tmp_path, capsys, mesh, state)
+    rows = np.loadtxt(rep["out"], delimiter=",", skiprows=1)
+    H, dt, balance = rows[:, 1], rep["dt"], 0.0
+    for k in range(1, rows.shape[0]):
+        dh = (H[k] - H[k - 1]) / dt
+        floor = max(abs(dh), H[k - 1] / dt, np.finfo(float).tiny)
+        balance = max(balance, abs(dh - rows[k, 3]) / floor)
+    assert code == 0 and rep["max_step_balance_residual"] == balance
+
+
 def test_simulate_catches_wrong_boundary_power_at_small_amplitude(
     tmp_path, capsys, monkeypatch
 ):
-    # run takes each step's balance from the solve's port action
-    real = sim._power_rate
+    # run takes each step's balance from the solve's arrays
+    real = sim._step_power
 
-    def doubled(metric, port):
-        dH_dt, boundary_term = real(metric, port)
+    def doubled(*args):
+        dH_dt, boundary_term = real(*args)
         return dH_dt, 2.0 * boundary_term
 
-    monkeypatch.setattr(sim, "_power_rate", doubled)
+    monkeypatch.setattr(sim, "_step_power", doubled)
     mesh, state = _write_disk_state(tmp_path, 1e-6)
     code, rep = _simulate_state(tmp_path, capsys, mesh, state)
     assert code == 1

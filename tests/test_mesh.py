@@ -426,3 +426,106 @@ def test_gen_mesh_resolution_scales_counts():
     big = gen_mesh("annulus", 4)
     assert big.num_simplices(2) > small.num_simplices(2)
     assert betti_numbers(big) == BETTI["annulus"]
+
+
+def _fifo_orientation(facets):
+    """The first-in-first-out propagation that `_orient_by_propagation`
+    replaced, as a test oracle: signs and conflict faces, each face once,
+    in order of first detection."""
+    from collections import deque
+
+    num_tops, m = facets.shape
+    a, b = mesh_mod._adjacent_incidences(facets)
+    interior = np.bincount(facets.ravel())[facets.ravel()[a]] == 2
+    a, b = a[interior], b[interior]
+    partner = np.full(num_tops * m, -1, dtype=np.int64)
+    partner[a], partner[b] = b, a
+    neighbour = np.where(partner >= 0, partner // m, -1).reshape(num_tops, m)
+    slot = np.arange(num_tops * m) % m
+    flip = np.where((slot + partner % m) % 2, 1, -1).reshape(num_tops, m)
+    neighbour, flip, faces = neighbour.tolist(), flip.tolist(), facets.tolist()
+    signs, conflicts, reported = [0] * num_tops, [], set()
+    for seed in range(num_tops):
+        if signs[seed]:
+            continue
+        signs[seed] = 1
+        queue = deque([seed])
+        while queue:
+            t = queue.popleft()
+            for other, rel, face in zip(neighbour[t], flip[t], faces[t]):
+                if other < 0:
+                    continue
+                needed = signs[t] * rel
+                if not signs[other]:
+                    signs[other] = needed
+                    queue.append(other)
+                elif signs[other] != needed and face not in reported:
+                    reported.add(face)
+                    conflicts.append(face)
+    return signs, conflicts
+
+
+def _assert_propagation_matches_the_fifo_loop(cx):
+    facets = mesh_mod._facets(cx._face_positions[cx.dimension - 1])
+    signs, conflicts = mesh_mod._orient_by_propagation(facets)
+    assert signs.dtype == np.int64
+    assert (signs.tolist(), conflicts) == _fifo_orientation(facets)
+    return conflicts
+
+
+@pytest.mark.parametrize(
+    "shape, resolution",
+    sorted({(s, r) for table in (SMALL, ACCEPTANCE) for s, r in table.items()} | {("torus", 40)}),
+)
+def test_propagation_matches_the_fifo_loop_on_generated_shapes(shape, resolution):
+    assert _assert_propagation_matches_the_fifo_loop(complex_for(shape, resolution)) == []
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_propagation_matches_the_fifo_loop_on_hand_built_complexes(name):
+    tops, count, _ = HAND_BUILT[name]
+    cx = build_complex(tops, _generic_vertices(count), strict=False)
+    conflicts = _assert_propagation_matches_the_fifo_loop(cx)
+    assert bool(conflicts) == (name in {"mobius", "rp2"})
+
+
+def _mobius_band(length, width):
+    """A Moebius band of length x width squares, two triangles each: the
+    column past the last is the first one upside down."""
+
+    def vertex(i, j):
+        return (i % length) * (width + 1) + (j if i < length else width - j)
+
+    tops = []
+    for i in range(length):
+        for j in range(width):
+            a, b, c, d = vertex(i, j), vertex(i + 1, j), vertex(i + 1, j + 1), vertex(i, j + 1)
+            tops += [(a, b, c), (a, c, d)]
+    return tops, length * (width + 1)
+
+
+def test_propagation_matches_the_fifo_loop_on_a_wide_mobius_band():
+    tops, count = _mobius_band(12, 4)
+    cx = build_complex(tops, _generic_vertices(count), strict=False)
+    assert _assert_propagation_matches_the_fifo_loop(cx)
+
+
+def test_propagation_matches_the_fifo_loop_on_random_subsets():
+    # subsets of a torus, a ball, Moebius strips and RP^2 with several
+    # components, boundary faces and, from the non-orientable ones,
+    # conflicts
+    rng = np.random.default_rng(7)
+    sources = [
+        (complex_for("torus", 6).simplices[2], complex_for("torus", 6).num_simplices(0)),
+        (complex_for("ball", 2).simplices[3], complex_for("ball", 2).num_simplices(0)),
+        HAND_BUILT["mobius"][:2],
+        HAND_BUILT["rp2"][:2],
+        _mobius_band(12, 4),
+    ]
+    for i in range(40):
+        tops, count = sources[i % len(sources)]
+        keep = rng.random(len(tops)) < rng.uniform(0.3, 0.95)
+        subset = [t for t, k in zip(tops, keep) if k] or [tops[0]]
+        order = rng.permutation(len(subset))
+        cx = build_complex([subset[j] for j in order], _generic_vertices(count), strict=False)
+        _assert_propagation_matches_the_fifo_loop(cx)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -21,8 +19,9 @@ from harmonic_ports import (
     step_implicit_midpoint,
 )
 from harmonic_ports import metric as metric_mod
+from harmonic_ports.metric import Cochain
 from harmonic_ports import sim
-from harmonic_ports.sim import _midpoint, _spectral_radius_estimate
+from harmonic_ports.sim import _cochains, _midpoint, _midpoint_factors, _spectral_radius_estimate
 from harmonic_ports.stokesdirac import _port_action
 
 from conftest import (
@@ -33,6 +32,7 @@ from conftest import (
     factored_keys,
     memo_arrays,
     metric_for,
+    reference_run,
     valid_pairs,
 )
 
@@ -203,7 +203,7 @@ def test_midpoint_factor_eliminates_the_state_rows():
     metric = Metric(complex_for("torus", SMALL["torus"]))
     ap, aq = initial_state(metric, 1, 2, "random")
     step_implicit_midpoint(StokesDiracSystem(metric, 1, 2, ap, aq), 0.01)
-    K, _, lu, _ = metric._memo[("midpoint", 1, 2, 0.01)]
+    K, _, lu, *_ = metric._memo[("midpoint", 1, 2, 0.01)]
     size = metric.complex.num_simplices
     assert lu.shape == (K.shape[0] - size(1) - size(2),) * 2
 
@@ -222,8 +222,9 @@ def test_refined_midpoint_solves_the_cayley_equation():
     metric = metric_for("ball", 5)
     ap, aq = initial_state(metric, 2, 2, "random", seed=5)
     sys = StokesDiracSystem(metric, 2, 2, ap, aq)
+    a = np.concatenate([ap.values, aq.values])
     for dt in (0.01, -0.01):
-        _, w, _ = _midpoint(sys, dt)
+        w = sys.with_state(*_cochains(sys, _midpoint(metric, 2, 2, a, dt)[1]))
         f_p, f_q = flows(w)
         r_p = w.alpha_p - 0.5 * dt * f_p - ap
         r_q = w.alpha_q - 0.5 * dt * f_q - aq
@@ -251,15 +252,12 @@ def test_run_checks_the_solve_flows_independently(monkeypatch, stride):
     # snapshot)
     calls = []
 
-    def corrupted(state, dt):
-        new, mid, port = _midpoint(state, dt)
+    def corrupted(metric, p, q, a, dt):
+        new, w, z, e, f = _midpoint(metric, p, q, a, dt)
         calls.append(dt)
         if stride == 0 or len(calls) >= stride:
-            port = [
-                dataclasses.replace(s, z=1.001 * s.z, effort=1.001 * s.effort, flow=1.001 * s.flow)
-                for s in port
-            ]
-        return new, mid, port
+            z, e, f = 1.001 * z, 1.001 * e, 1.001 * f
+        return new, w, z, e, f
 
     monkeypatch.setattr(sim, "_midpoint", corrupted)
     sys = _sys("torus", 1, 2)
@@ -364,11 +362,20 @@ def test_solve_returns_the_port_action_of_the_midpoint(shape):
     metric = metric_for(shape, SMALL[shape])
     for p, q in valid_pairs(metric.complex.dimension):
         ap, aq = initial_state(metric, p, q, "random", seed=3)
+        sys = StokesDiracSystem(metric, p, q, ap, aq)
+        a = np.concatenate([ap.values, aq.values])
+        free = [metric.free_indices(k - 1, "dirichlet") for k in (p, q)]
         for dt in (0.01, -0.01):
-            _, mid, port = _midpoint(StokesDiracSystem(metric, p, q, ap, aq), dt)
-            for got, expect in zip(port, _port_action(mid)):
-                _assert_same_column(got.z.values, expect.z.values)
-                _assert_same_column(got.effort.values, expect.effort.values)
+            _, w, z, e, f = _midpoint(metric, p, q, a, dt)
+            mid = sys.with_state(*_cochains(sys, w))
+            slots = _midpoint_factors(metric, p, q, dt).slots
+            z_free = np.split(z, [len(free[0])])  # z on the free rows, slot by slot
+            for (_, ws, _, es), expect, rows, z_j in zip(slots, _port_action(mid), free, z_free):
+                z_full = np.zeros_like(expect.z.values)
+                z_full[rows] = z_j
+                _assert_same_column(z_full, expect.z.values)
+                _assert_same_column(e[es], expect.effort.values)
+                _assert_same_column(f[ws], expect.flow.values)
 
 
 def test_spectral_radius_estimate_runs_once_per_pair(monkeypatch):
@@ -391,3 +398,44 @@ def test_spectral_radius_estimate_runs_once_per_pair(monkeypatch):
     second = run(sys, config)
     assert estimated > 0 and len(calls) == estimated
     assert second.spectral_radius_estimate == first.spectral_radius_estimate
+
+
+def _trace_bytes(trace):
+    """Rows (by repr, so the sign of a zero counts), snapshots and the
+    spectral radius estimate of a trace, bit for bit."""
+    snaps = [(k, a.values.tobytes(), b.values.tobytes()) for k, a, b in trace.snapshots]
+    return trace.csv_lines(), snaps, repr(trace.spectral_radius_estimate)
+
+
+@pytest.mark.parametrize("shape", sorted(SMALL))
+def test_run_matches_the_record_based_loop(shape):
+    metric = metric_for(shape, SMALL[shape])
+    for p, q in valid_pairs(metric.complex.dimension):
+        ap, aq = initial_state(metric, p, q, "random", seed=11)
+        sys = StokesDiracSystem(metric, p, q, ap, aq)
+        for stride in (0, 3):
+            config = SimulationConfig(dt=0.01, steps=7, stride=stride)
+            assert _trace_bytes(run(sys, config)) == _trace_bytes(reference_run(sys, config)), (
+                p, q, stride
+            )
+
+
+def test_run_builds_cochains_only_at_the_checks(monkeypatch):
+    # with the bases, estimate and factor cached, a run builds the same
+    # cochains whatever its length: row 0's and step 1's checks only
+    sys = _sys("disk", 1, 2, seed=2)
+    run(sys, SimulationConfig(dt=0.01, steps=2))
+    built = []
+    post_init = Cochain.__post_init__
+
+    def counted(self):
+        built.append(self.degree)
+        post_init(self)
+
+    monkeypatch.setattr(Cochain, "__post_init__", counted)
+    counts = []
+    for steps in (10, 40):
+        built.clear()
+        run(sys, SimulationConfig(dt=0.01, steps=steps))
+        counts.append(len(built))
+    assert counts[0] == counts[1] > 0

@@ -1,7 +1,7 @@
 """Structure guards on the library source: one SuperLU call site, one
 refinement bound and pass cap, one cache mechanism (Metric.cached), the
-boundary condition decided in metric.py alone and the Stokes-Dirac port
-map decided in stokesdirac.py alone."""
+boundary condition decided in metric.py alone, the Stokes-Dirac port
+map decided in stokesdirac.py alone and simulate's loop on flat arrays."""
 
 import ast
 from pathlib import Path
@@ -126,3 +126,34 @@ def test_port_map_is_decided_in_stokesdirac():
         if isinstance(node, ast.Call) and _callee(node) == "wedge_csr"
     ]
     assert wedge_calls == []
+
+
+def _function(module, name):
+    tree = _modules()[module]
+    return next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def _calls(node, name):
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call) and _callee(n) == name]
+
+
+def test_run_loop_calls_the_midpoint_kernel_once_per_step():
+    # one step loop, one unconditional kernel call in its body, and the
+    # kernel reached from run and step_implicit_midpoint alone
+    loops = [n for n in ast.walk(_function("sim.py", "run")) if isinstance(n, (ast.For, ast.While))]
+    assert len(loops) == 1
+    direct = [c for stmt in loops[0].body if not isinstance(stmt, (ast.If, ast.For, ast.While, ast.Try))
+              for c in _calls(stmt, "_midpoint")]
+    assert len(direct) == len(_calls(loops[0], "_midpoint")) == 1
+    callers = {function for node, function in _nodes_in_functions(_modules()["sim.py"])
+               if isinstance(node, ast.Call) and _callee(node) == "_midpoint"}
+    assert callers == {"run", "step_implicit_midpoint"}
+
+
+def test_port_records_are_built_only_at_row_0_and_the_flow_check():
+    callers = {function for node, function in _nodes_in_functions(_modules()["sim.py"])
+               if isinstance(node, ast.Call) and _callee(node) == "_port_action"}
+    assert callers == {"run", "_check_flows"}
+    run = _function("sim.py", "run")
+    loop = next(n for n in ast.walk(run) if isinstance(n, ast.For))
+    assert len(_calls(run, "_port_action")) == 1 and _calls(loop, "_port_action") == []
