@@ -124,7 +124,7 @@ def write_mesh(cx: SimplicialComplex, path: str):
     obj = {
         "dimension": n,
         "vertices": [[float(x) for x in row] for row in cx.vertices],
-        "simplices": [list(t) for t in cx.simplices[n]],
+        "simplices": cx._simplex_rows[n].tolist(),
         "counts": {str(k): cx.num_simplices(k) for k in range(n + 1)},
     }
     _write_json(obj, path)

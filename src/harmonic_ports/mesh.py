@@ -79,7 +79,7 @@ class SimplicialComplex:
         dimension: Top simplex degree n.
         vertices: (V, d) float array of vertex coordinates.
         simplices: Per degree k, the lexicographically ordered list of
-            sorted vertex tuples.
+            sorted vertex tuples, built from the face table on each read.
         orientation: (N_n,) array of +-1, the orientation of each top
             simplex relative to its sorted tuple.
     """
@@ -129,16 +129,20 @@ class SimplicialComplex:
         top = sp.csr_matrix((0, len(self._simplex_rows[n])), dtype=np.int64)
         self.coboundary = [b.T.tocsr() for b in self.boundary[1:]] + [top]
 
-        self.simplices: list[list[tuple]] = [
-            list(map(tuple, rows.tolist())) for rows in self._simplex_rows
-        ]
-
     # -- basic queries ---------------------------------------------------
+
+    @property
+    def simplices(self) -> list[list[tuple]]:
+        return [list(map(tuple, rows.tolist())) for rows in self._simplex_rows]
+
+    def _simplex(self, k: int, i: int) -> tuple:
+        """The sorted vertex tuple of k-simplex i."""
+        return tuple(self._simplex_rows[k][i].tolist())
 
     def num_simplices(self, k: int) -> int:
         if not 0 <= k <= self.dimension:
             raise DegreeOutOfRange(f"degree {k} outside 0..{self.dimension}")
-        return len(self.simplices[k])
+        return len(self._simplex_rows[k])
 
     def boundary_matrix(self, k: int) -> sp.csr_matrix:
         """Signed incidence matrix from degree k to degree k-1."""
@@ -154,7 +158,7 @@ class SimplicialComplex:
 
     def __repr__(self) -> str:
         counts = ", ".join(
-            f"{len(self.simplices[k])} x dim{k}" for k in range(self.dimension + 1)
+            f"{len(self._simplex_rows[k])} x dim{k}" for k in range(self.dimension + 1)
         )
         return f"<SimplicialComplex n={self.dimension}: {counts}>"
 
@@ -456,12 +460,11 @@ def validate_manifold(complex: SimplicialComplex) -> dict:
     top = complex.boundary[n]
     cofaces = np.diff(top.indptr)
     faces = _first_seen(facets)
-    names = complex.simplices[n - 1]
     for f in faces[cofaces[faces] > 2].tolist():
         findings.append(
             {
                 "kind": "face_with_excess_cofaces",
-                "detail": f"face {names[f]} has {cofaces[f]} cofaces",
+                "detail": f"face {complex._simplex(n - 1, f)} has {cofaces[f]} cofaces",
             }
         )
 
@@ -477,7 +480,7 @@ def validate_manifold(complex: SimplicialComplex) -> dict:
         findings.append(
             {
                 "kind": "non_orientable",
-                "detail": f"no consistent orientation across face {names[f]}",
+                "detail": f"no consistent orientation across face {complex._simplex(n - 1, f)}",
             }
         )
     if orientable:
@@ -485,7 +488,7 @@ def validate_manifold(complex: SimplicialComplex) -> dict:
             findings.append(
                 {
                     "kind": "orientation_conflict",
-                    "detail": f"stored orientations disagree at face {names[f]}",
+                    "detail": f"stored orientations disagree at face {complex._simplex(n - 1, f)}",
                 }
             )
 
@@ -560,7 +563,7 @@ def _check_links(complex, facets, cofaces, findings):
             problem = "is disconnected"
         order = _first_seen(positions)
         for s in order[bad[order]].tolist():
-            name = f"vertex {s}" if k == 0 else f"edge {complex.simplices[k][s]}"
+            name = f"vertex {s}" if k == 0 else f"edge {complex._simplex(k, s)}"
             findings.append({"kind": "bad_link", "detail": f"{name} link {problem}"})
 
 

@@ -60,7 +60,7 @@ def same_complex(a: SimplicialComplex, b: SimplicialComplex) -> bool:
         return True
     return (
         a.dimension == b.dimension
-        and a.simplices == b.simplices
+        and all(np.array_equal(x, y) for x, y in zip(a._simplex_rows, b._simplex_rows))
         and np.array_equal(a.orientation, b.orientation)
         and np.array_equal(a.vertices, b.vertices)
     )
@@ -142,8 +142,8 @@ class Metric:
     (free_indices) and one `_splu` factor of their mass block (mass_lu),
     shared by every solve against it.  Everything else, here and in the
     layers above (index arrays, harmonic bases, saddles, mixed solves'
-    factors, the Stokes-Dirac coupling, the spectral radius estimate, the
-    midpoint factor), is built on first request through `cached` and kept
+    factors, the Stokes-Dirac coupling and stacked port layout, the spectral
+    radius estimate, the midpoint factor), is built on first request through `cached` and kept
     in one memo keyed by a tuple naming it, e.g. ("mass_csr", k).
 
     Args:
@@ -179,7 +179,7 @@ class Metric:
         scale = np.abs(edges).max(axis=(1, 2)) ** n
         bad = np.flatnonzero(np.abs(det) <= 1e-13 * scale)
         if bad.size:
-            raise FactorizationFailure(f"degenerate element {cx.simplices[n][bad[0]]}")
+            raise FactorizationFailure(f"degenerate element {cx._simplex(n, bad[0])}")
         rinv = np.linalg.inv(r)  # row i: frame gradient of lambda_(i+1)
         self._vols_signed = det / math.factorial(n)
         self._gradients = np.concatenate([-rinv.sum(1, keepdims=True), rinv], axis=1)

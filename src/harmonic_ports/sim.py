@@ -14,13 +14,14 @@ A is never formed: with h = dt/2 the midpoint w = (I - h A)^-1 a is
 one solve of a sparse block system K(|h|) (`_midpoint_operator`) in w and
 the port action y = (z, e) at w; w is eliminated exactly, y's Schur
 complement factored once per |dt| and the solve refined to rounding
-against K by `metric._refine`; K, its layout and the spectral radius
-read the per-slot port map of `stokesdirac.system_operators`.  J =
-diag(I, -I) has J A J = -A, so a step back solves K(|h|) against J a and
-applies J to the unknowns.  A step of run costs that one solve and four
-more sparse products on the stacked state (flows, dH/dt, boundary, H);
-cochains and port records are built only at the checks: row 0, the
-independent flow check at step 1 and at every snapshot, and snapshots.
+against K by `metric._refine`.  K, the spectral radius and run read the
+port map and stacked layout of `stokesdirac.system_operators`; this module
+keeps K, its factor, J and the cut points.  J = diag(I, -I) has
+J A J = -A, so a step back solves K(|h|) against J a and applies J to the
+unknowns.  A step of run costs that one solve and four more sparse
+products on the stacked state (flows, dH/dt, boundary, H); one
+`stokesdirac._power_rate` sums the power terms of every row, and cochains
+are built only for snapshots.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import FactorizationFailure, SolverFailure
 from .hodge import harmonic_basis
-from .metric import Cochain, Metric, _delta, _delta_transpose, _refine, _splu, norm
-from .stokesdirac import StokesDiracSystem, _port_action, _power_rate, system_operators
+from .metric import Cochain, Metric, _delta, _delta_transpose, _refine, _splu
+from .stokesdirac import StokesDiracSystem, _norms, _port_action, _power_rate, system_operators
 
 __all__ = [
     "SimulationConfig",
@@ -98,6 +99,8 @@ def initial_state(metric: Metric, p: int, q: int, spec: str, seed: int = 0):
         if len(parts) != 4:
             raise ValueError("harmonic init spec is harmonic:DEG:IDX:AMP")
         deg, idx, amp = int(parts[1]), int(parts[2]), float(parts[3])
+        if not np.isfinite(amp):
+            raise ValueError(f"harmonic init amplitude must be finite, got {parts[3]!r}")
         if deg not in (p, q):
             raise ValueError(f"harmonic init degree {deg} is neither p nor q")
         basis = harmonic_basis(metric, deg, "neumann")
@@ -105,22 +108,24 @@ def initial_state(metric: Metric, p: int, q: int, spec: str, seed: int = 0):
             raise ValueError(
                 f"harmonic basis at degree {deg} has {basis.dim} elements"
             )
-        alpha_p = Cochain(cx, p, np.zeros(np_))
-        alpha_q = Cochain(cx, q, np.zeros(nq_))
-        target = alpha_p if deg == p else alpha_q
-        target.values += amp * basis.element(idx).values
-        return alpha_p, alpha_q
+        values = [np.zeros(np_), np.zeros(nq_)]
+        values[deg != p] += amp * basis.element(idx).values
+        return Cochain(cx, p, values[0]), Cochain(cx, q, values[1])
     if parts[0] == "gaussian":
         if len(parts) != 3:
             raise ValueError("gaussian init spec is gaussian:VERTEX:WIDTH")
         vertex, width = int(parts[1]), float(parts[2])
         if not (0 <= vertex < cx.num_simplices(0)):
             raise ValueError(f"vertex index {vertex} out of range")
-        if not (width > 0):
-            raise ValueError("gaussian width must be positive")
+        try:
+            square = width**2 if width > 0 else 0.0
+        except OverflowError:
+            square = np.inf
+        if not 0 < square < np.inf:
+            raise ValueError(f"gaussian width {parts[2]} must be positive with a finite nonzero square")
         bary = cx.vertices[cx._simplex_rows[p]].mean(axis=1)
         d2 = np.sum((bary - cx.vertices[vertex]) ** 2, axis=1)
-        values = np.exp(-d2 / (2.0 * width**2))
+        values = np.exp(-d2 / (2.0 * square))
         return Cochain(cx, p, values), Cochain(cx, q, np.zeros(nq_))
     raise ValueError(f"unknown init spec {spec!r}")
 
@@ -135,39 +140,37 @@ def _midpoint_operator(metric: Metric, p: int, q: int, h: float) -> sp.csr_matri
         L z_j - R B_j M_j w_j = 0
         M e_j - factor_k C_k R^T z_j = 0
     """
-    slots = system_operators(metric, p, q)["slots"]
+    slots = system_operators(metric, p, q)["layout"].slots
     cx, M = metric.complex, metric.mass_csr
     d, B = cx.exterior_derivative_matrix, cx.boundary_matrix
     blocks = [[None] * 6 for _ in range(6)]
     for j, (s, other) in enumerate(zip(slots, slots[::-1])):
-        free = metric.free_indices(s.degree - 1, "dirichlet")
         blocks[j][j] = sp.identity(cx.num_simplices(s.degree))
         blocks[j][5 - j] = -h * s.sign * d(s.degree - 1)
-        blocks[2 + j][j] = -(B(s.degree) @ M(s.degree))[free]
-        blocks[2 + j][2 + j] = M(s.degree - 1)[free][:, free]
-        blocks[4 + j][2 + j] = -other.factor * other.coupling[:, free]
+        blocks[2 + j][j] = -(B(s.degree) @ M(s.degree))[s.free]
+        blocks[2 + j][2 + j] = M(s.degree - 1)[s.free][:, s.free]
+        blocks[4 + j][2 + j] = -other.factor * other.coupling[:, s.free]
         blocks[4 + j][4 + j] = M(other.degree - 1)
     return sp.bmat(blocks, format="csr")
 
 
-_Midpoint = namedtuple("_Midpoint", "K abs_K lu solve J nw e_at derivative mass mass_z slots")
+_Midpoint = namedtuple("_Midpoint", "K abs_K lu solve J nw e_at D")
 
 
 def _midpoint_factors(metric: Metric, p: int, q: int, dt: float) -> _Midpoint:
-    """K(|dt|/2), its factor and layout, once per |dt|: with K = [[I, K_wy],
+    """K(|dt|/2) and its factor, once per |dt|: with K = [[I, K_wy],
     [K_yw, K_yy]] in w and y = (z, e), lu factors K_yy - K_yw K_wy (mass
     diagonal blocks, `_splu`'s symmetric mode), solve applies K^-1 exactly,
-    K, |K| serve `metric._refine`; J, D e = (f_p, f_q), the block masses of
-    (w_p, w_q) and the free (z_p, z_q), and per slot its sign and slices."""
+    K, |K| serve `metric._refine`; J, the cuts nw, e_at of (w, z, e) and
+    the layout's flow map D."""
 
     def build():
         K = _midpoint_operator(metric, p, q, 0.5 * abs(dt))
-        slots, n = system_operators(metric, p, q)["slots"], metric.complex.num_simplices
-        free = [metric.free_indices(s.degree - 1, "dirichlet") for s in slots]
-        low = [n(s.degree - 1) for s in slots]
-        sizes = [n(s.degree) for s in slots] + [len(f) for f in free] + low[::-1]
+        layout, n = system_operators(metric, p, q)["layout"], metric.complex.num_simplices
+        sizes = [n(s.degree) for s in layout.slots] + [len(s.free) for s in layout.slots]
+        sizes += [n(s.degree - 1) for s in layout.slots[::-1]]
         cut = np.cumsum([0] + sizes).tolist()
-        nw, d = cut[2], [s.sign * metric.complex.exterior_derivative_matrix(s.degree - 1) for s in slots]
+        nw, J = cut[2], np.repeat(np.tile([1.0, -1.0], 3), sizes)
         K_wy, K_yw = K[:nw, nw:], K[nw:, :nw]
         lu = _splu(K[nw:, nw:] - K_yw @ K_wy, "midpoint operator")
 
@@ -175,16 +178,7 @@ def _midpoint_factors(metric: Metric, p: int, q: int, dt: float) -> _Midpoint:
             y = lu.solve(r[nw:] - K_yw @ r[:nw])
             return np.concatenate([r[:nw] - K_wy @ y, y])
 
-        return _Midpoint(
-            K, abs(K), lu, solve, J=np.repeat(np.tile([1.0, -1.0], 3), sizes), nw=nw, e_at=cut[4],
-            derivative=sp.bmat([[None, d[0]], [d[1], None]], format="csr"),
-            mass=sp.block_diag([metric.mass_csr(s.degree) for s in slots], format="csr"),
-            mass_z=sp.block_diag(
-                [metric.mass_csr(s.degree - 1)[:, f] for s, f in zip(slots, free)], format="csr"
-            ),
-            slots=[(slots[0].sign, slice(0, cut[1]), slice(0, low[0]), slice(low[1], None)),
-                   (slots[1].sign, slice(cut[1], None), slice(low[0], None), slice(0, low[1]))],
-        )
+        return _Midpoint(K, abs(K), lu, solve, J, nw, cut[4], layout.D)
 
     return metric.cached(("midpoint", p, q, abs(float(dt))), build)
 
@@ -201,7 +195,7 @@ def _midpoint(metric: Metric, p: int, q: int, a: np.ndarray, dt: float):
     if dt < 0:
         x *= mp.J
     w, z, e = x[: mp.nw], x[mp.nw : mp.e_at], x[mp.e_at :]
-    return 2.0 * w - a, w, z, e, mp.derivative @ e
+    return 2.0 * w - a, w, z, e, mp.D @ e
 
 
 def _cochains(sys: StokesDiracSystem, v: np.ndarray):
@@ -227,22 +221,13 @@ def step_implicit_midpoint(sys: StokesDiracSystem, dt: float) -> StokesDiracSyst
     return sys.with_state(*_cochains(sys, _midpoint(sys.metric, sys.p, sys.q, a, dt)[0]))
 
 
-def _step_power(mp: _Midpoint, w, z, e, f) -> tuple[float, float]:
-    """(dH/dt, boundary term) of the kernel's arrays by the sums of
-    `stokesdirac._power_rate`, in its order, from two block products."""
-    Mf, Mz = mp.mass @ f, mp.mass_z @ z
-    dH = sum(float(w[ws] @ Mf[ws]) for _, ws, _, _ in mp.slots)
-    return dH, dH - sum(sign * float(e[es] @ Mz[zs]) for sign, _, zs, es in mp.slots)
-
-
-def _check_flows(mid: StokesDiracSystem, f: np.ndarray, rho: float):
-    """Raise SolverFailure unless the solve's stacked flows f match an
-    independent port action of the midpoint to FLOW_CHECK_TOL, relative
+def _check_flows(metric: Metric, p: int, q: int, w: np.ndarray, f: np.ndarray, rho: float):
+    """Raise SolverFailure unless the solve's flows f match those of an
+    independent port action of the midpoint w to FLOW_CHECK_TOL, relative
     to rho |w| + |f| in the Whitney norm (rho the spectral radius estimate)."""
-    m, ref = mid.metric, _port_action(mid)
-    err = sum(norm(m, g - s.flow) for g, s in zip(_cochains(mid, f), ref))
-    scale = rho * (norm(m, mid.alpha_p) + norm(m, mid.alpha_q))
-    if not err <= FLOW_CHECK_TOL * (scale + sum(norm(m, s.flow) for s in ref)):
+    layout, ref = system_operators(metric, p, q)["layout"], _port_action(metric, p, q, w)[2]
+    err = sum(_norms(layout, f - ref))
+    if not err <= FLOW_CHECK_TOL * (rho * sum(_norms(layout, w)) + sum(_norms(layout, ref))):
         raise SolverFailure(f"midpoint flows differ from the port action by {err:.3e}")
 
 
@@ -255,7 +240,7 @@ def _spectral_radius_estimate(metric: Metric, p: int, q: int) -> float:
     flow by the products and solves of the port action; F^T by their
     transposes, delta_c and its transpose by the metric's Dirichlet
     codifferential kernels (`_delta`, `_delta_transpose`)."""
-    slots, cx = system_operators(metric, p, q)["slots"], metric.complex
+    slots, cx = system_operators(metric, p, q)["layout"].slots, metric.complex
     top = 0.0
     for s, other in zip(slots, slots[::-1]):
         d, lu = cx.exterior_derivative_matrix(s.degree - 1), metric.mass_lu(s.degree - 1)
@@ -283,25 +268,25 @@ def _spectral_radius_estimate(metric: Metric, p: int, q: int) -> float:
 def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
     """Integrate from the system's current state; steps+1 trace rows.  A
     step is one refined solve and four more sparse products on the stacked
-    state; objects are built only at row 0, the flow checks and snapshots."""
+    state; cochains are built only for snapshots."""
     m, p, q, dt = sys.metric, sys.p, sys.q, config.dt
+    layout = system_operators(m, p, q)["layout"]
     bases = [harmonic_basis(m, k, "neumann") for k in (p, q)]
     header = ["t", "H", "dHdt_residual", "boundary_power"]
     header += [f"harm_{slot}_{i}" for slot, b in zip("pq", bases) for i in range(b.dim)]
 
     def diagnostics(a):  # H and harmonic coefficients of a stacked state
-        Ma = mp.mass @ a
-        energy = [float(a[ws] @ Ma[ws]) for _, ws, _, _ in mp.slots]
-        coeffs = [c for b, (_, ws, _, _) in zip(bases, mp.slots) for c in (b.vectors.T @ Ma[ws]).tolist()]
+        Ma = layout.mass @ a
+        energy = [float(a[s.a] @ Ma[s.a]) for s in layout.slots]
+        coeffs = [c for b, s in zip(bases, layout.slots) for c in (b.vectors.T @ Ma[s.a]).tolist()]
         return 0.5 * (energy[0] + energy[1]), coeffs
 
     rho = m.cached(("spectral_radius", p, q), lambda: _spectral_radius_estimate(m, p, q))
     trace = Trace(header, [], spectral_radius_estimate=rho, dt_spectral_radius=dt * rho)
-    mp = _midpoint_factors(m, p, q, dt)
 
     a = np.concatenate([sys.alpha_p.values, sys.alpha_q.values])
     H_prev, coeffs = diagnostics(a)
-    trace.rows.append([0.0, H_prev, 0.0, _power_rate(m, _port_action(sys))[1]] + coeffs)
+    trace.rows.append([0.0, H_prev, 0.0, _power_rate(layout, a, *_port_action(m, p, q, a))[1]] + coeffs)
     if config.stride:
         trace.snapshots.append((0, *_cochains(sys, a)))
 
@@ -309,8 +294,8 @@ def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
         a, w, z, e, f = _midpoint(m, p, q, a, dt)
         snap = config.stride and k % config.stride == 0
         if k == 1 or snap:
-            _check_flows(sys.with_state(*_cochains(sys, w)), f, rho)
-        dH_dt, boundary_term = _step_power(mp, w, z, e, f)
+            _check_flows(m, p, q, w, f, rho)
+        dH_dt, boundary_term = _power_rate(layout, w, z, e, f)
         H, coeffs = diagnostics(a)
         trace.rows.append([k * dt, H, abs((H - H_prev) / dt - dH_dt), boundary_term] + coeffs)
         if snap:

@@ -13,17 +13,21 @@ exact cochains.  The transpose coupling makes the interior d/delta
 pairing cancel identically, so the energy rate equals the constrained
 Green-defect boundary term on every mesh and vanishes on closed ones.
 
-These maps are decided once, per slot (`system_operators`), and applied
-by sparse solves, never formed.  Efforts, flows, every balance and the
-flow identity read one port action per state, a `_Slot` record each.
+These maps and the stacked layout of (alpha_p, alpha_q) are decided once,
+per slot (`system_operators`), and applied by sparse solves, never formed.
+Efforts, flows, every balance, the flow identity and each midpoint step
+read one port action per state, the arrays of `_port_action`, and sum its
+power terms by one `_power_rate`; cochains are built for public results.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ComplexMismatch, DegreeMismatch, SolverFailure
 from .hodge import (
@@ -89,59 +93,65 @@ class StokesDiracSystem:
         return StokesDiracSystem(self.metric, self.p, self.q, alpha_p, alpha_q)
 
 
-_SlotMap = namedtuple("_SlotMap", "degree sign factor coupling")  # see system_operators
+_SlotMap = namedtuple("_SlotMap", "degree sign factor coupling free a mz e")  # see system_operators
+_Layout = namedtuple("_Layout", "slots D mass mass_z")  # see system_operators
 
 
 def system_operators(metric: Metric, p: int, q: int) -> dict:
     """Cached signs sigma, tau, the sparse coupling W d = wedge_csr(p-1, q)
-    d_{q-1} and the port map: a `_SlotMap` (degree, sign, factor, coupling)
-    per slot, (p, sigma, tau, W d) and (q, 1, -sigma tau, (W d)^T), a view.
-    A slot's effort, at degree - 1, is factor M^-1 coupling z with z =
-    delta_c of the other slot's state, its flow sign d(effort)."""
+    d_{q-1} and the port map with its stacked layout ("layout", a `_Layout`):
+    per slot a `_SlotMap`, (p, sigma, tau, W d) and (q, 1, -sigma tau, (W d)^T),
+    whose effort, at degree - 1, is factor M^-1 coupling z with z = delta_c of
+    the other slot's state, its flow sign d(effort); its free (interior)
+    (degree - 1)-rows and its slices of a = (alpha_p, alpha_q), M z and
+    e = (e_p, e_q).  D e = (f_p, f_q); mass, mass_z: the block masses of a, z."""
     validate_degree_pair(metric.complex.dimension, p, q)
 
     def build():
-        n = metric.complex.dimension
+        cx, M = metric.complex, metric.mass_csr
+        n, (na, nz, ne) = cx.dimension, (cx.num_simplices(k) for k in (p, p - 1, q - 1))
         sigma, tau = (-1) ** (p * q + 1), (-1) ** (q * (n - q))
-        Wd = metric.wedge_csr(p - 1, q) @ metric.complex.exterior_derivative_matrix(q - 1)
-        slots = (_SlotMap(p, sigma, tau, Wd), _SlotMap(q, 1, -sigma * tau, Wd.T))
-        return {"sigma": sigma, "tau": tau, "coupling": Wd, "slots": slots}
+        Wd = metric.wedge_csr(p - 1, q) @ cx.exterior_derivative_matrix(q - 1)
+        fp, fq = (metric.free_indices(k - 1, "dirichlet") for k in (p, q))
+        slots = (
+            _SlotMap(p, sigma, tau, Wd, fp, slice(0, na), slice(0, nz), slice(ne, None)),
+            _SlotMap(q, 1, -sigma * tau, Wd.T, fq, slice(na, None), slice(nz, None), slice(0, ne)),
+        )
+        d = [s.sign * cx.exterior_derivative_matrix(s.degree - 1) for s in slots]
+        layout = _Layout(
+            slots,
+            D=sp.bmat([[None, d[0]], [d[1], None]], format="csr"),
+            mass=sp.block_diag([M(s.degree) for s in slots], format="csr"),
+            mass_z=sp.block_diag([M(s.degree - 1)[:, s.free] for s in slots], format="csr"),
+        )
+        return {"sigma": sigma, "tau": tau, "coupling": Wd, "layout": layout}
 
     return metric.cached(("sd_ops", p, q), build)
 
 
-@dataclass
-class _Slot:
-    """One slot of a port action: the state alpha at `degree`, z = delta_c
-    alpha, the effort that drives the slot (degree - 1), its flow
-    f = sign d(effort) and that sign (`_SlotMap`)."""
-
-    degree: int
-    alpha: Cochain
-    z: Cochain
-    effort: Cochain
-    flow: Cochain
-    sign: int
-
-    def interior(self, m: Metric) -> float:
-        """sign <<effort, z>>, the slot's share of the internal term."""
-        return self.sign * inner_product(m, self.effort, self.z)
+def _port_action(metric: Metric, p: int, q: int, a: np.ndarray):
+    """(z, e, f) of a stacked state a, in the midpoint unknowns' order:
+    z = delta_c alpha per slot on its free rows (one interior-mass solve
+    each), e = (e_p, e_q), each slot's effort from the other's z (one mass
+    solve each against its coupling), and the flows f = D e."""
+    layout = system_operators(metric, p, q)["layout"]
+    z = [_delta(metric, s.degree, a[s.a], "dirichlet") for s in layout.slots]
+    e = np.concatenate([s.factor * metric.mass_lu(s.degree - 1).solve(s.coupling @ z_o)
+                        for s, z_o in zip(layout.slots[::-1], z)])
+    return np.concatenate([z_s[s.free] for s, z_s in zip(layout.slots, z)]), e, layout.D @ e
 
 
-def _port_action(sys: StokesDiracSystem) -> tuple[_Slot, _Slot]:
-    """The slot records (p, q) of one state: z = delta_c alpha per slot
-    (one interior-mass solve each), each slot's effort from the other's z
-    (one mass solve each against its coupling) and its flow."""
-    m, cx, states = sys.metric, sys.metric.complex, (sys.alpha_p, sys.alpha_q)
-    maps = system_operators(m, sys.p, sys.q)["slots"]
-    z = [_delta(m, s.degree, a.values, "dirichlet") for s, a in zip(maps, states)]
-    e = [s.factor * m.mass_lu(s.degree - 1).solve(s.coupling @ zo) for s, zo in zip(maps, z[::-1])]
-    return tuple(
-        _Slot(s.degree, a, Cochain(cx, s.degree - 1, z_s), Cochain(cx, s.degree - 1, e_s),
-              Cochain(cx, s.degree, s.sign * (cx.exterior_derivative_matrix(s.degree - 1) @ e_s)),
-              s.sign)
-        for s, a, z_s, e_s in zip(maps, states, z, e)
-    )
+def _act(sys: StokesDiracSystem):
+    """(layout, a, z, e, f): the stacked state of sys and its port action."""
+    a = np.concatenate([sys.alpha_p.values, sys.alpha_q.values])
+    return (system_operators(sys.metric, sys.p, sys.q)["layout"], a,
+            *_port_action(sys.metric, sys.p, sys.q, a))
+
+
+def _norms(layout: _Layout, v: np.ndarray) -> list[float]:
+    """The Whitney norms of a stacked vector's slots (degrees p, q)."""
+    Mv = layout.mass @ v
+    return [math.sqrt(max(float(v[s.a] @ Mv[s.a]), 0.0)) for s in layout.slots]
 
 
 def hamiltonian(sys: StokesDiracSystem) -> float:
@@ -150,12 +160,14 @@ def hamiltonian(sys: StokesDiracSystem) -> float:
 
 def efforts(sys: StokesDiracSystem):
     """(e_p, e_q) at degrees (q-1, p-1): the efforts of slots q and p."""
-    return tuple(s.effort for s in reversed(_port_action(sys)))
+    layout, _, _, e, _ = _act(sys)
+    return tuple(Cochain(sys.metric.complex, s.degree - 1, e[s.e]) for s in layout.slots[::-1])
 
 
 def flows(sys: StokesDiracSystem):
     """(f_p, f_q) at degrees (p, q); exact cochains by construction."""
-    return tuple(s.flow for s in _port_action(sys))
+    layout, _, _, _, f = _act(sys)
+    return tuple(Cochain(sys.metric.complex, s.degree, f[s.a]) for s in layout.slots)
 
 
 @dataclass
@@ -178,28 +190,29 @@ class PowerBalance:
     scale: float
 
 
-def _power_rate(m: Metric, port) -> tuple[float, float]:
-    """(dH/dt, boundary term) of one state from its slot records.  The
-    boundary term, the sum of <<f, alpha>> - sign <<effort, z>> (sign times
-    a constrained Green defect), is dH/dt minus the internal term."""
-    dH = sum(inner_product(m, s.alpha, s.flow) for s in port)
-    return dH, dH - sum(s.interior(m) for s in port)
+def _power_rate(layout: _Layout, a, z, e, f) -> tuple[float, float]:
+    """(dH/dt, boundary term) of a stacked state a and its port action, by
+    two block products.  The boundary term, the sum of <<f, alpha>> - sign
+    <<effort, z>> over the slots, is dH/dt minus the internal term."""
+    Mf, Mz = layout.mass @ f, layout.mass_z @ z
+    dH = sum(float(a[s.a] @ Mf[s.a]) for s in layout.slots)
+    return dH, dH - sum(s.sign * float(e[s.e] @ Mz[s.mz]) for s in layout.slots)
 
 
-def _balance(m: Metric, port) -> PowerBalance:
-    """The PowerBalance of one state from its slot records."""
-    dH, boundary = _power_rate(m, port)
+def _balance(m: Metric, layout: _Layout, a, z, e, f) -> PowerBalance:
+    """The PowerBalance of a stacked state a and its port action."""
+    dH, boundary = _power_rate(layout, a, z, e, f)
     internal, traced = dH - boundary, 0.0
-    for s in port:
-        e_b = s.effort.copy()
-        e_b.values[m.free_indices(s.degree - 1, "dirichlet")] = 0.0
-        d_e_b = exterior_derivative(m, e_b)
-        traced += s.sign * (inner_product(m, d_e_b, s.alpha) - inner_product(m, e_b, s.z))
+    Ma, Mz = layout.mass @ a, layout.mass_z @ z
+    for s in layout.slots:
+        e_b = e[s.e].copy()
+        e_b[s.free] = 0.0
+        d_e_b = m.complex.exterior_derivative_matrix(s.degree - 1) @ e_b
+        traced += s.sign * (float(d_e_b @ Ma[s.a]) - float(e_b @ Mz[s.mz]))
     # Every term is a fixed linear image of the state, so rounding scales
     # with the state even when the flows cancel to zero; floor the scale
     # with the squared state norm so residual ratios stay meaningful.
-    state_norm = norm(m, port[0].alpha) + norm(m, port[1].alpha)
-    flow_norm = norm(m, port[0].flow) + norm(m, port[1].flow)
+    state_norm, flow_norm = sum(_norms(layout, a)), sum(_norms(layout, f))
     return PowerBalance(
         dH_dt=dH,
         internal_term=internal,
@@ -210,26 +223,26 @@ def _balance(m: Metric, port) -> PowerBalance:
 
 
 def power_balance(sys: StokesDiracSystem) -> PowerBalance:
-    return _balance(sys.metric, _port_action(sys))
+    return _balance(sys.metric, *_act(sys))
 
 
-def _flow_identity(m: Metric, port) -> tuple[dict, list[dict]]:
+def _flow_identity(m: Metric, layout: _Layout, a, z, e, f) -> tuple[dict, list[dict]]:
     """The flows' Dirichlet-harmonic coefficients per slot, and one row
     per slot and basis element lambda: the flow pairing <<f, lambda>> (a
     coefficient) against the boundary pairing, sign times the constrained
     Green defect of the effort against lambda, <<f, lambda>> - sign
     <<effort, delta_c lambda>> since f = sign d(effort); delta_c of the
     whole basis is one block solve."""
-    state_norm = norm(m, port[0].alpha) + norm(m, port[1].alpha)
+    state_norm, Mf = sum(_norms(layout, a)), layout.mass @ f
     coeffs, rows = {}, []
-    for name, s in zip("pq", port):
+    for name, s, flow_norm in zip("pq", layout.slots, _norms(layout, f)):
         basis = harmonic_basis(m, s.degree, "dirichlet")
-        coeffs[name] = pairing = harmonic_projection(basis, s.flow)[0]
+        coeffs[name] = pairing = basis.vectors.T @ Mf[s.a]
         if not basis.dim:
             continue
         dV = _delta(m, s.degree, basis.vectors, "dirichlet")
-        boundary = pairing - s.sign * (dV.T @ (m.mass_csr(s.degree - 1) @ s.effort.values))
-        common = {"slot": name, "degree": s.degree, "flow_norm": norm(m, s.flow), "state_norm": state_norm}
+        boundary = pairing - s.sign * (dV.T @ (m.mass_csr(s.degree - 1) @ e[s.e]))
+        common = {"slot": name, "degree": s.degree, "flow_norm": flow_norm, "state_norm": state_norm}
         rows += [
             {**common, "index": i, "flow_pairing": fp, "boundary_pairing": bp, "residual": abs(fp - bp)}
             for i, (fp, bp) in enumerate(zip(pairing.tolist(), boundary.tolist()))
@@ -263,21 +276,22 @@ class ExtendedPowerBalance(PowerBalance):
 
 
 def extended_power_balance(sys: StokesDiracSystem) -> ExtendedPowerBalance:
-    m = sys.metric
-    n = m.complex.dimension
-    port = _port_action(sys)
-    balance = _balance(m, port)
-    flow_coeffs, rows = _flow_identity(m, port)
+    m, cx = sys.metric, sys.metric.complex
+    n = cx.dimension
+    layout, a, z, e, f = port = _act(sys)
+    balance = _balance(m, *port)
+    flow_coeffs, rows = _flow_identity(m, *port)
 
-    state_coeffs, closedness, exact_part = {}, {}, 0.0
-    for name, s in zip("pq", port):
-        basis = harmonic_basis(m, s.degree, "dirichlet")
-        state_coeffs[name], proj = harmonic_projection(basis, s.alpha)
-        closedness[name] = norm(m, exterior_derivative(m, s.flow)) if s.degree < n else 0.0
+    state_coeffs, closedness, exact_part, Mz = {}, {}, 0.0, layout.mass_z @ z
+    for name, s in zip("pq", layout.slots):
+        alpha, flow = Cochain(cx, s.degree, a[s.a]), Cochain(cx, s.degree, f[s.a])
+        state_coeffs[name], proj = harmonic_projection(harmonic_basis(m, s.degree, "dirichlet"), alpha)
+        closedness[name] = norm(m, exterior_derivative(m, flow)) if s.degree < n else 0.0
         if s.degree < n:
-            exact_part += s.sign * green_defect_constrained(m, s.effort, s.alpha - proj)
+            effort = Cochain(cx, s.degree - 1, e[s.e])
+            exact_part += s.sign * green_defect_constrained(m, effort, alpha - proj)
         else:
-            exact_part += inner_product(m, s.flow, s.alpha) - s.interior(m)
+            exact_part += inner_product(m, flow, alpha) - s.sign * float(e[s.e] @ Mz[s.mz])
     harmonic_part = float(sum(
         (state_coeffs[r["slot"]][r["index"]] * r["boundary_pairing"] for r in rows if r["degree"] < n),
         0.0,
@@ -304,7 +318,7 @@ def harmonic_flow_identity(sys: StokesDiracSystem) -> list[dict]:
     term drops and <<f, lambda>> must equal the constrained Green defect
     of the driving effort against lambda, for any state.
     """
-    return _flow_identity(sys.metric, _port_action(sys))[1]
+    return _flow_identity(sys.metric, *_act(sys))[1]
 
 
 # -- integrability ------------------------------------------------------------

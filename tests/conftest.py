@@ -148,21 +148,42 @@ def factored_keys(metric):
 
 def reference_run(sys, config):
     """The record-based run loop that sim.run replaced, as a test oracle:
-    each step unpacks the refined midpoint solve into cochains, builds the
-    midpoint's port records (`stokesdirac._Slot`) and reads the row's power
-    terms from them (`stokesdirac._power_rate`); snapshots are copies.
-    It runs no flow check, which changes no output."""
+    each row's power terms are sums over per-slot port records (sign,
+    state, z = delta_c state, the effort driving the slot, its flow
+    sign d effort), by public inner products of cochains.  Row 0's records
+    come from codifferential and mass solves of the state, each step's
+    from the refined midpoint solve unpacked into cochains; snapshots are
+    copies.  It runs no flow check, which changes no output."""
     from harmonic_ports.hodge import harmonic_basis
-    from harmonic_ports.metric import Cochain, _refine
+    from harmonic_ports.metric import Cochain, _refine, codifferential_constrained, inner_product
     from harmonic_ports.sim import Trace, _midpoint_factors, _spectral_radius_estimate
-    from harmonic_ports.stokesdirac import _Slot, _port_action, _power_rate, system_operators
+    from harmonic_ports.stokesdirac import system_operators
 
     m, p, q, dt = sys.metric, sys.p, sys.q, config.dt
-    slots = system_operators(m, p, q)["slots"]
+    cx, n = m.complex, m.complex.num_simplices
+    slots = system_operators(m, p, q)["layout"].slots
     free = [m.free_indices(s.degree - 1, "dirichlet") for s in slots]
-    n = m.complex.num_simplices
     sizes = [n(s.degree) for s in slots] + [len(f) for f in free]
     cuts = np.cumsum([0] + sizes + [n(s.degree - 1) for s in slots[::-1]])
+
+    def records(alphas, z, e):  # e[j] is the effort driving slot j
+        d = cx.exterior_derivative_matrix
+        return [
+            (s.sign, a, Cochain(cx, s.degree - 1, z_s), Cochain(cx, s.degree - 1, e_s),
+             Cochain(cx, s.degree, s.sign * (d(s.degree - 1) @ e_s)))
+            for s, a, z_s, e_s in zip(slots, alphas, z, e)
+        ]
+
+    def power(port):  # (dH/dt, boundary term) of one state's records
+        dH = sum(inner_product(m, alpha, flow) for _, alpha, _, _, flow in port)
+        return dH, dH - sum(sign * inner_product(m, effort, z) for sign, _, z, effort, _ in port)
+
+    def port_action(state):
+        alphas = (state.alpha_p, state.alpha_q)
+        z = [codifferential_constrained(m, alpha).values for alpha in alphas]
+        e = [s.factor * m.mass_lu(s.degree - 1).solve(s.coupling @ z_o)
+             for s, z_o in zip(slots, z[::-1])]
+        return records(alphas, z, e)
 
     def midpoint(state):
         K, abs_K, _, solve, *_ = _midpoint_factors(m, p, q, dt)
@@ -174,15 +195,9 @@ def reference_run(sys, config):
         z = [np.zeros(n(s.degree - 1)) for s in slots]
         for z_j, f, part in zip(z, free, z_free):
             z_j[f] = part
-        mid = state.with_state(*(Cochain(m.complex, s.degree, w_j) for s, w_j in zip(slots, w)))
+        mid = state.with_state(*(Cochain(cx, s.degree, w_j) for s, w_j in zip(slots, w)))
         new = state.with_state(2.0 * mid.alpha_p - state.alpha_p, 2.0 * mid.alpha_q - state.alpha_q)
-        d = m.complex.exterior_derivative_matrix
-        port = tuple(
-            _Slot(s.degree, a, Cochain(m.complex, s.degree - 1, z_s), Cochain(m.complex, s.degree - 1, e_s),
-                  Cochain(m.complex, s.degree, s.sign * (d(s.degree - 1) @ e_s)), s.sign)
-            for s, a, z_s, e_s in zip(slots, (mid.alpha_p, mid.alpha_q), z, e[::-1])  # e_j drives the other slot
-        )
-        return new, port
+        return new, records((mid.alpha_p, mid.alpha_q), z, e[::-1])  # e_j drives the other slot
 
     bases = [harmonic_basis(m, k, "neumann") for k in (p, q)]
     header = ["t", "H", "dHdt_residual", "boundary_power"]
@@ -200,12 +215,12 @@ def reference_run(sys, config):
     trace = Trace(header, [], spectral_radius_estimate=rho, dt_spectral_radius=dt * rho)
     state = sys
     H_prev, coeffs = diagnostics(state)
-    trace.rows.append([0.0, H_prev, 0.0, _power_rate(m, _port_action(state))[1]] + coeffs)
+    trace.rows.append([0.0, H_prev, 0.0, power(port_action(state))[1]] + coeffs)
     if config.stride:
         trace.snapshots.append((0, state.alpha_p.copy(), state.alpha_q.copy()))
     for k in range(1, config.steps + 1):
         new, port = midpoint(state)
-        dH_dt, boundary_term = _power_rate(m, port)
+        dH_dt, boundary_term = power(port)
         H_new, coeffs = diagnostics(new)
         residual = abs((H_new - H_prev) / dt - dH_dt)
         trace.rows.append([k * dt, H_new, residual, boundary_term] + coeffs)

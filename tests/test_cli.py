@@ -370,9 +370,9 @@ def test_sd_verify_computes_one_port_action_per_state(tmp_path, capsys, monkeypa
     calls = []
     real = stokesdirac._port_action
 
-    def counted(system):
-        calls.append(system)
-        return real(system)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(stokesdirac, "_port_action", counted)
     code, rep = _run(capsys, ["sd-verify", _write_torus(tmp_path), "--p", "1", "--q", "2",
@@ -468,14 +468,15 @@ def test_simulate_step_balance_matches_the_per_row_loop(tmp_path, capsys, amplit
 def test_simulate_catches_wrong_boundary_power_at_small_amplitude(
     tmp_path, capsys, monkeypatch
 ):
-    # run takes each step's balance from the solve's arrays
-    real = sim._step_power
+    # run takes row 0's and each step's balance from the port action's
+    # arrays, through one sum
+    real = sim._power_rate
 
     def doubled(*args):
         dH_dt, boundary_term = real(*args)
         return dH_dt, 2.0 * boundary_term
 
-    monkeypatch.setattr(sim, "_step_power", doubled)
+    monkeypatch.setattr(sim, "_power_rate", doubled)
     mesh, state = _write_disk_state(tmp_path, 1e-6)
     code, rep = _simulate_state(tmp_path, capsys, mesh, state)
     assert code == 1
@@ -489,6 +490,17 @@ def test_simulate_rejects_non_finite_dt_exit_3(tmp_path, capsys):
                      "--steps", "3", "--out", str(tmp_path / "t.csv")])
         assert code == 3, dt
         assert "dt must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("init, message", [
+    ("harmonic:1:0:inf", "amplitude must be finite"), ("gaussian:0:1e200", "finite nonzero square"),
+])
+def test_simulate_rejects_non_finite_init_numbers_exit_3(tmp_path, capsys, init, message):
+    code = main(["simulate", _write_torus(tmp_path), "--p", "1", "--q", "2", "--init", init,
+                 "--steps", "3", "--out", str(tmp_path / "t.csv")])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert message in captured.err
 
 
 def test_usage_errors_exit_3(tmp_path, capsys):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -164,13 +162,14 @@ def test_split_residual_detects_a_z_that_is_not_delta_c(shape):
     rng = np.random.default_rng(6)
     for p, q in valid_pairs(m.complex.dimension):
         a_p, a_q = random_cochain(m.complex, p, rng), random_cochain(m.complex, q, rng)
-        port = stokesdirac_mod._port_action(StokesDiracSystem(m, p, q, a_p, a_q))
-        pb = stokesdirac_mod._balance(m, port)
+        layout, a, z, e, f = stokesdirac_mod._act(StokesDiracSystem(m, p, q, a_p, a_q))
+        pb = stokesdirac_mod._balance(m, layout, a, z, e, f)
         assert pb.split_residual <= 1e-15 * pb.scale
-        for i in range(2):
-            bad = list(port)
-            bad[i] = dataclasses.replace(port[i], z=port[i].z * (1 + 1e-4))
-            pb = stokesdirac_mod._balance(m, bad)
+        cut = len(layout.slots[0].free)  # z holds slot p's free rows, then slot q's
+        for i, rows in enumerate((slice(0, cut), slice(cut, None))):
+            bad = z.copy()
+            bad[rows] *= 1 + 1e-4
+            pb = stokesdirac_mod._balance(m, layout, a, bad, e, f)
             assert pb.split_residual > 1e-10 * pb.scale, (p, q, i)
 
 

@@ -1,7 +1,8 @@
 """Structure guards on the library source: one SuperLU call site, one
 refinement bound and pass cap, one cache mechanism (Metric.cached), the
 boundary condition decided in metric.py alone, the Stokes-Dirac port
-map decided in stokesdirac.py alone and simulate's loop on flat arrays."""
+map and its stacked layout decided in stokesdirac.py alone and
+simulate's loop on flat arrays."""
 
 import ast
 from pathlib import Path
@@ -79,9 +80,17 @@ def test_removed_duplicates_stay_removed():
         for module, tree in _modules().items()
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name in {"interior_mass_lu", "_deltac", "_jsonable", "_defect", "_power_pieces"}
+        and node.name in {
+            "interior_mass_lu", "_deltac", "_jsonable", "_defect", "_power_pieces", "_step_power"
+        }
     ]
-    assert defined == []
+    classes = [
+        (module, node.name)
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "_Slot"
+    ]
+    assert defined == classes == []
 
 
 def test_interior_indices_is_called_only_in_metric():
@@ -150,7 +159,20 @@ def test_run_loop_calls_the_midpoint_kernel_once_per_step():
     assert callers == {"run", "step_implicit_midpoint"}
 
 
+def test_stacked_layout_is_decided_in_stokesdirac():
+    # sim.py builds K alone; the slots' free rows, block masses and flow
+    # map come from the layout in system_operators
+    sites = {
+        (function, _callee(node))
+        for node, function in _nodes_in_functions(_modules()["sim.py"])
+        if isinstance(node, ast.Call) and _callee(node) in {"block_diag", "free_indices", "bmat"}
+    }
+    assert sites == {("_midpoint_operator", "bmat")}
+
+
 def test_port_records_are_built_only_at_row_0_and_the_flow_check():
+    # the array port action (two delta_c and two mass solves) runs for
+    # row 0 and the independent flow check, never in the step loop
     callers = {function for node, function in _nodes_in_functions(_modules()["sim.py"])
                if isinstance(node, ast.Call) and _callee(node) == "_port_action"}
     assert callers == {"run", "_check_flows"}
