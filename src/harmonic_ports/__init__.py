@@ -15,9 +15,11 @@ from .errors import (
     InvalidDegrees,
     NonOrientable,
     NotInHarmonicComplement,
+    NumericalFailure,
     OverflowInExactArithmetic,
     SolverFailure,
     UnsupportedResolution,
+    UsageError,
     WrongDimension,
 )
 from .mesh import (

@@ -2,9 +2,11 @@
 
 Subcommands: gen, analyze, decompose, sd-verify, simulate.  Every
 command prints a JSON report (sorted keys, deterministic for a fixed
-seed) and echoes the seed.  Exit codes: 0 all checks passed, 1
-validation or identity failure, 2 numerical failure, 3 I/O or usage
-error.  The environment variable HARMONIC_PORTS_TOL_SCALE (default 1)
+seed) and echoes the seed.  Exit codes: 0 all checks passed, 1 a
+check failed, 2 out of memory, 3 an I/O or malformed-input error; a
+library error exits with its type's ``exit_code`` (see errors.py: 1
+validation or identity failure, 2 numerical failure, 3 usage error).
+The environment variable HARMONIC_PORTS_TOL_SCALE (default 1)
 multiplies the reporting tolerances; it exists for diagnostics and does
 not change any computation.
 """
@@ -18,19 +20,7 @@ import sys
 import numpy as np
 
 from . import io as hio
-from .errors import (
-    AmbiguousKernel,
-    DegreeMismatch,
-    DegreeOutOfRange,
-    ComplexMismatch,
-    FactorizationFailure,
-    HarmonicPortsError,
-    InvalidDegrees,
-    OverflowInExactArithmetic,
-    SolverFailure,
-    UnsupportedResolution,
-    WrongDimension,
-)
+from .errors import HarmonicPortsError
 from .generators import SHAPES, gen_mesh
 from .hodge import (
     decompose_vector_field_3d,
@@ -55,21 +45,6 @@ from .stokesdirac import (
 
 __all__ = ["main", "sd_verify_main"]
 
-NUMERICAL_ERRORS = (
-    FactorizationFailure,
-    AmbiguousKernel,
-    OverflowInExactArithmetic,
-    SolverFailure,
-)
-USAGE_ERRORS = (
-    DegreeMismatch,
-    ComplexMismatch,
-    DegreeOutOfRange,
-    InvalidDegrees,
-    UnsupportedResolution,
-    WrongDimension,
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract wants 3."""
@@ -87,8 +62,10 @@ def _tol_scale() -> float:
     return scale
 
 
-def _emit(report: dict):
-    sys.stdout.write(hio.dumps_report(report))
+def _header(command: str, args) -> dict:
+    """The fields every mesh command's report echoes."""
+    return {"command": command, "seed": args.seed, "mesh": args.mesh,
+            "tolerance_scale": _tol_scale()}
 
 
 def _rel(value: float, floor: float) -> float:
@@ -98,10 +75,10 @@ def _rel(value: float, floor: float) -> float:
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_gen(args) -> int:
+def cmd_gen(args) -> dict:
     cx = gen_mesh(args.shape, args.resolution)
     hio.write_mesh(cx, args.out)
-    report = {
+    return {
         "command": "gen",
         "seed": args.seed,
         "shape": args.shape,
@@ -111,19 +88,14 @@ def cmd_gen(args) -> int:
         "counts": {str(k): cx.num_simplices(k) for k in range(cx.dimension + 1)},
         "euler_characteristic": euler_characteristic(cx),
     }
-    _emit(report)
-    return 0
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> dict:
     cx = hio.read_mesh(args.mesh, strict=False)
     validation = validate_manifold(cx)
     betti = betti_numbers(cx)
     report = {
-        "command": "analyze",
-        "seed": args.seed,
-        "mesh": args.mesh,
-        "tolerance_scale": _tol_scale(),
+        **_header("analyze", args),
         "dimension": cx.dimension,
         "counts": {str(k): cx.num_simplices(k) for k in range(cx.dimension + 1)},
         "validation": validation,
@@ -134,8 +106,7 @@ def cmd_analyze(args) -> int:
         report["harmonic_dimensions"] = None
         report["hodge_isomorphism"] = None
         report["passed"] = False
-        _emit(report)
-        return 1
+        return report
 
     metric = Metric(cx)
     n = cx.dimension
@@ -148,11 +119,10 @@ def cmd_analyze(args) -> int:
     report["harmonic_dimensions"] = {"neumann": neumann, "dirichlet": dirichlet}
     report["hodge_isomorphism"] = iso
     report["passed"] = all(iso.values())
-    _emit(report)
-    return 0 if report["passed"] else 1
+    return report
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> dict:
     tol = 1e-8 * _tol_scale()
     cx = hio.read_mesh(args.mesh)
     metric = Metric(cx)
@@ -161,28 +131,26 @@ def cmd_decompose(args) -> int:
     if hio.is_field_obj(obj):
         field_type, vectors = hio.field_from_obj(obj)
         result = decompose_vector_field_3d(metric, vectors, field_type)
-        omega = result["cochain"]
-        recon = omega - result["knot_part"] - result["gradient_part"]
-        residual = _rel(norm(metric, recon), norm(metric, omega))
-        report = {
-            "command": "decompose",
-            "seed": args.seed,
-            "mesh": args.mesh,
+        omega, knot = result["cochain"], result["knot_part"]
+        gradient = result["gradient_part"]
+        in_norm = norm(metric, omega)
+        residual = _rel(norm(metric, omega - knot - gradient), in_norm)
+        orth = _rel(inner_product(metric, knot, gradient), in_norm * in_norm)
+        return {
+            **_header("decompose", args),
             "input": args.input,
-            "tolerance_scale": _tol_scale(),
             "kind": "vector_field",
             "field_type": field_type,
-            "knot_part": hio.cochain_to_obj(result["knot_part"]),
-            "gradient_part": hio.cochain_to_obj(result["gradient_part"]),
+            "knot_part": hio.cochain_to_obj(knot),
+            "gradient_part": hio.cochain_to_obj(gradient),
             "knot_norm": result["knot_norm"],
             "gradient_norm": result["gradient_norm"],
             "dim_harmonic_knots": result["knot_dim"],
             "dim_harmonic_gradients": result["gradient_dim"],
             "reconstruction_residual": residual,
-            "passed": residual <= tol,
+            "orthogonality_residual": orth,
+            "passed": residual <= tol and orth <= tol,
         }
-        _emit(report)
-        return 0 if report["passed"] else 1
 
     c = hio.cochain_from_obj(obj, cx)
     dec = hodge_morrey_friedrichs(metric, c)
@@ -207,12 +175,9 @@ def cmd_decompose(args) -> int:
         ),
         default=0.0,
     )
-    report = {
-        "command": "decompose",
-        "seed": args.seed,
-        "mesh": args.mesh,
+    return {
+        **_header("decompose", args),
         "input": args.input,
-        "tolerance_scale": _tol_scale(),
         "kind": "cochain",
         "degree": c.degree,
         "components": {name: hio.cochain_to_obj(part) for name, part in parts},
@@ -222,8 +187,6 @@ def cmd_decompose(args) -> int:
         "orthogonality_residual": orth,
         "passed": recon <= tol and orth <= tol,
     }
-    _emit(report)
-    return 0 if report["passed"] else 1
 
 
 def _sd_states(args, metric, p, q):
@@ -241,7 +204,7 @@ def _sd_states(args, metric, p, q):
     return states, rng
 
 
-def cmd_sd_verify(args) -> int:
+def cmd_sd_verify(args) -> dict:
     scale = _tol_scale()
     tols = {
         "closed_dH_dt": 1e-12 * scale,
@@ -320,24 +283,19 @@ def cmd_sd_verify(args) -> int:
         )
         passed = passed and not rep2.solvable
 
-    report = {
-        "command": "sd-verify",
-        "seed": args.seed,
-        "mesh": args.mesh,
+    return {
+        **_header("sd-verify", args),
         "p": p,
         "q": q,
         "closed": metric.closed,
-        "tolerance_scale": scale,
         "tolerances": tols,
         "states": state_reports,
         "integrability_spot_checks": spot_checks,
         "passed": passed,
     }
-    _emit(report)
-    return 0 if passed else 1
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     scale = _tol_scale()
     cx = hio.read_mesh(args.mesh)
     metric = Metric(cx)
@@ -380,10 +338,8 @@ def cmd_simulate(args) -> int:
         )
     else:
         passed = balance <= tols["step_balance"]
-    report = {
-        "command": "simulate",
-        "seed": args.seed,
-        "mesh": args.mesh,
+    return {
+        **_header("simulate", args),
         "p": p,
         "q": q,
         "closed": metric.closed,
@@ -393,7 +349,6 @@ def cmd_simulate(args) -> int:
         "stride": config.stride,
         "out": args.out,
         "snapshot_dir": snapshot_dir,
-        "tolerance_scale": scale,
         "tolerances": tols,
         "rows": len(trace.rows),
         "H_initial": float(H[0]),
@@ -406,8 +361,6 @@ def cmd_simulate(args) -> int:
         "dt_spectral_radius": trace.dt_spectral_radius,
         "passed": passed,
     }
-    _emit(report)
-    return 0 if passed else 1
 
 
 # -- wiring ------------------------------------------------------------------
@@ -477,23 +430,19 @@ def build_parser() -> _Parser:
 
 def _dispatch(func, args) -> int:
     try:
-        return func(args)
-    except NUMERICAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        report = func(args)
+        sys.stdout.write(hio.dumps_report(report))
+        return 0 if report.get("passed", True) else 1
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except HarmonicPortsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 def main(argv=None) -> int:

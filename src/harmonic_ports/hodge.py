@@ -32,6 +32,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (
     AmbiguousKernel,
+    DegreeMismatch,
     DegreeOutOfRange,
     FactorizationFailure,
     InvalidDegrees,
@@ -300,7 +301,7 @@ def harmonic_projection(basis: HarmonicBasis, c: Cochain):
     metric = basis.metric
     _check_metric(metric, c)
     if c.degree != basis.degree:
-        raise DegreeOutOfRange(
+        raise DegreeMismatch(
             f"cochain degree {c.degree} against basis degree {basis.degree}"
         )
     coeffs = basis.vectors.T @ (metric.mass_csr(c.degree) @ c.values)

@@ -60,6 +60,9 @@ __all__ = [
 _EXACT_RANK_NNZ_BUDGET = 2_000_000
 # ... and if intermediate integer entries ever exceed this magnitude.
 _EXACT_RANK_ENTRY_LIMIT = 10**80
+# An element is degenerate when |det| of its edge vectors is at most this
+# fraction of its largest edge coordinate to the n-th power.
+_DEGENERATE_VOLUME = 1e-12
 
 
 def permutation_sign(seq: Sequence[int]) -> int:
@@ -361,7 +364,7 @@ def _orient_by_volume(tops, verts, strict):
     edges = verts[tops[:, 1:]] - verts[tops[:, :1]]  # (T, n, n)
     det = np.linalg.det(edges)
     scale = np.abs(edges).max(axis=(1, 2)) ** (tops.shape[1] - 1)
-    degenerate = np.abs(det) <= 1e-12 * scale
+    degenerate = np.abs(det) <= _DEGENERATE_VOLUME * scale
     if strict and degenerate.any():
         element = tuple(tops[np.argmax(degenerate)].tolist())
         raise FactorizationFailure(f"degenerate element {element}")

@@ -30,7 +30,13 @@ from .errors import (
     FactorizationFailure,
     SolverFailure,
 )
-from .mesh import BoundaryComplex, SimplicialComplex, _subsets, extract_boundary
+from .mesh import (
+    _DEGENERATE_VOLUME,
+    BoundaryComplex,
+    SimplicialComplex,
+    _subsets,
+    extract_boundary,
+)
 
 __all__ = [
     "Cochain",
@@ -177,7 +183,7 @@ class Metric:
         r = np.linalg.qr(edges.transpose(0, 2, 1), mode="r")  # (T, n, n)
         det = np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1)
         scale = np.abs(edges).max(axis=(1, 2)) ** n
-        bad = np.flatnonzero(np.abs(det) <= 1e-13 * scale)
+        bad = np.flatnonzero(np.abs(det) <= _DEGENERATE_VOLUME * scale)
         if bad.size:
             raise FactorizationFailure(f"degenerate element {cx._simplex(n, bad[0])}")
         rinv = np.linalg.inv(r)  # row i: frame gradient of lambda_(i+1)

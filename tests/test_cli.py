@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import scipy.sparse.linalg as spla
 
 from harmonic_ports import (
     Metric,
+    cli,
+    errors,
     build_complex,
     gen_mesh,
     hodge,
@@ -18,6 +22,8 @@ from harmonic_ports import (
     write_state,
 )
 from harmonic_ports.cli import main, sd_verify_main
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
 def _run(capsys, argv):
@@ -232,6 +238,34 @@ def test_eigensolver_failures_exit_2(tmp_path, capsys, monkeypatch, name, failur
     assert "harmonic eigenproblem at degree 0" in capsys.readouterr().err
 
 
+# Today's exit code of every library error and of the builtin errors
+# _dispatch handles.
+EXIT_CODES = {
+    "HarmonicPortsError": 1, "DuplicateSimplex": 1, "DanglingVertexIndex": 1,
+    "NonOrientable": 1, "NotInHarmonicComplement": 1,
+    "NumericalFailure": 2, "FactorizationFailure": 2, "AmbiguousKernel": 2,
+    "OverflowInExactArithmetic": 2, "SolverFailure": 2, "MemoryError": 2,
+    "UsageError": 3, "DegreeMismatch": 3, "ComplexMismatch": 3, "DegreeOutOfRange": 3,
+    "InvalidDegrees": 3, "UnsupportedResolution": 3, "WrongDimension": 3,
+    "OSError": 3, "ValueError": 3,
+}
+ERROR_TYPES = [obj for obj in vars(errors).values() if isinstance(obj, type)]
+
+
+@pytest.mark.parametrize(
+    "error", ERROR_TYPES + [MemoryError, OSError, ValueError], ids=lambda e: e.__name__
+)
+def test_every_error_exits_with_its_code(capsys, error):
+    def fail(args):
+        raise error("boom")
+
+    assert cli._dispatch(fail, None) == EXIT_CODES[error.__name__]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    prefix = "error: out of memory: " if error is MemoryError else "error: "
+    assert captured.err == prefix + "boom\n"
+
+
 def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     def fail(self, k):
         raise MemoryError("Unable to allocate 11.9 GiB for an array")
@@ -277,6 +311,34 @@ def test_decompose_vector_field(tmp_path, capsys):
     assert rep["dim_harmonic_knots"] == 1
     assert rep["dim_harmonic_gradients"] == 0
     assert rep["knot_norm"] > rep["gradient_norm"]
+    assert rep["orthogonality_residual"] <= 1e-8
+
+
+def test_decompose_vector_field_fails_on_parts_that_are_not_orthogonal(
+    tmp_path, capsys, monkeypatch
+):
+    # the parts still sum to the field, so only the orthogonality check
+    # can catch a knot part shifted by 1e-3 of the field
+    real = cli.decompose_vector_field_3d
+
+    def skewed(metric, vectors, field_type):
+        result = real(metric, vectors, field_type)
+        omega = result["cochain"]
+        knot = result["knot_part"] + 1e-3 * omega
+        return {**result, "knot_part": knot, "gradient_part": omega - knot}
+
+    monkeypatch.setattr(cli, "decompose_vector_field_3d", skewed)
+    mesh_path = tmp_path / "ball.json"
+    cx = gen_mesh("ball", 2)
+    write_mesh(cx, mesh_path)
+    vec = np.random.default_rng(0).normal(size=(cx.num_simplices(0), 3))
+    fpath = tmp_path / "field.json"
+    fpath.write_text(json.dumps({"field_type": "vertex", "vectors": vec.tolist()}))
+    code, rep = _run(capsys, ["decompose", str(mesh_path), str(fpath)])
+    assert code == 1
+    assert rep["passed"] is False
+    assert rep["reconstruction_residual"] == 0.0
+    assert rep["orthogonality_residual"] > 1e-8
 
 
 def test_overflowing_vector_field_exits_3(tmp_path, capsys):
@@ -559,6 +621,23 @@ def test_reports_are_deterministic(tmp_path, capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_cli_battery_writes_identical_trees(tmp_path):
+    # every subcommand, error exit and written file, twice in one process
+    spec = importlib.util.spec_from_file_location("cli_battery", TOOLS / "cli_battery.py")
+    battery = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(battery)
+    names = battery.run_battery(tmp_path / "a")
+    assert battery.run_battery(tmp_path / "b") == names
+    files = sorted(p.relative_to(tmp_path / "a") for p in (tmp_path / "a").rglob("*")
+                   if p.is_file())
+    assert files == sorted(p.relative_to(tmp_path / "b") for p in (tmp_path / "b").rglob("*")
+                           if p.is_file())
+    for rel in files:
+        assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
+    codes = {(tmp_path / "a" / name / "exit_code").read_text() for name in names}
+    assert codes == {"0\n", "1\n", "2\n", "3\n"}
 
 
 def test_mesh_files_round_trip_bytewise(tmp_path, capsys):

@@ -6,6 +6,7 @@ import scipy.sparse.linalg as spla
 
 from harmonic_ports import (
     AmbiguousKernel,
+    DegreeMismatch,
     DegreeOutOfRange,
     InvalidDegrees,
     Metric,
@@ -206,6 +207,14 @@ def test_harmonic_projection_returns_coefficients():
     # projection is idempotent
     coeffs2, proj2 = harmonic_projection(hb, proj)
     assert np.allclose(coeffs, coeffs2, atol=1e-12)
+
+
+def test_harmonic_projection_rejects_a_cochain_of_another_degree():
+    m = metric_for("torus", 4)
+    hb = harmonic_basis(m, 1, "neumann")
+    c = random_cochain(m.complex, 2, np.random.default_rng(0))
+    with pytest.raises(DegreeMismatch, match="cochain degree 2 against basis degree 1"):
+        harmonic_projection(hb, c)
 
 
 def test_validate_degree_pair():

@@ -56,6 +56,15 @@ def test_underflowed_mass_raises():
         m.mass_csr(3)
 
 
+def test_frames_use_the_degenerate_bound_of_the_orientation_check():
+    # a flat square whose centre sits 5e-13 above the edge (0, 1): the
+    # lenient read keeps the sliver (0, 1, 4), and the frames reject it
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 5e-13]])
+    tops = [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)]
+    with pytest.raises(FactorizationFailure, match=r"degenerate element \(0, 1, 4\)"):
+        Metric(build_complex(tops, verts, strict=False))
+
+
 def test_mass_matrices_on_reference_triangle():
     # Analytic integrals of hat-function products over the unit right
     # triangle (area 1/2), edges ordered (0,1), (0,2), (1,2).

@@ -1,8 +1,9 @@
 """Structure guards on the library source: one SuperLU call site, one
 refinement bound and pass cap, one cache mechanism (Metric.cached), the
 boundary condition decided in metric.py alone, the Stokes-Dirac port
-map and its stacked layout decided in stokesdirac.py alone and
-simulate's loop on flat arrays."""
+map and its stacked layout decided in stokesdirac.py alone,
+simulate's loop on flat arrays and exit codes decided by the error
+types."""
 
 import ast
 from pathlib import Path
@@ -168,6 +169,31 @@ def test_stacked_layout_is_decided_in_stokesdirac():
         if isinstance(node, ast.Call) and _callee(node) in {"block_diag", "free_indices", "bmat"}
     }
     assert sites == {("_midpoint_operator", "bmat")}
+
+
+def test_exit_codes_are_decided_by_the_error_types():
+    # cli.py catches the base class and returns its exit_code; no module
+    # but errors.py assigns one
+    trees = _modules()
+    subclasses = {
+        node.name for node in ast.walk(trees["errors.py"]) if isinstance(node, ast.ClassDef)
+    } - {"HarmonicPortsError"}
+    imported = {
+        alias.name
+        for node in ast.walk(trees["cli.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert "HarmonicPortsError" in imported and imported & subclasses == set()
+    assigners = {
+        module
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if getattr(target, "id", getattr(target, "attr", None)) == "exit_code"
+    }
+    assert assigners == {"errors.py"}
 
 
 def test_port_records_are_built_only_at_row_0_and_the_flow_check():

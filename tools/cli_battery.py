@@ -1,0 +1,168 @@
+"""Run a fixed battery of CLI invocations and record everything they print
+and write, so that two checkouts can be compared byte for byte.
+
+    PYTHONPATH=<checkout>/src python tools/cli_battery.py OUTDIR
+    diff -r OUTDIR_A OUTDIR_B
+
+Every case runs in-process through ``harmonic_ports.cli.main`` (taken from
+PYTHONPATH) with OUTDIR/<case>/ as its working directory, and leaves there
+``stdout``, ``stderr``, ``exit_code`` and the files the command wrote.
+Every path a command sees is relative, so reports do not depend on OUTDIR,
+and HARMONIC_PORTS_TOL_SCALE is unset unless the case sets it.
+The battery covers every subcommand on the six acceptance shapes, malformed
+meshes, usage errors and an invalid HARMONIC_PORTS_TOL_SCALE.  Warnings are
+always shown, so a case prints the same whatever the caller's warning filters.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+from harmonic_ports.cli import main
+
+SHAPES = {"sphere": 2, "torus": 5, "disk": 3, "annulus": 3, "ball": 2, "solid_torus": 5}
+PAIRS = {2: [(1, 2), (2, 1)], 3: [(1, 3), (2, 2), (3, 1)]}
+SOLID = {"ball", "solid_torus"}
+TOL_ENV = "HARMONIC_PORTS_TOL_SCALE"
+
+# Hand-written meshes: a top simplex naming vertex 3 of 3, a vertex in no
+# top simplex, and a flat square whose centre sits 5e-13 above the edge
+# (0, 1), so the element (0, 1, 4) is degenerate.
+MALFORMED = {
+    "dangling_index": {"dimension": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                       "simplices": [[0, 1, 2], [1, 2, 3]]},
+    "isolated_vertex": {"dimension": 2,
+                        "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]],
+                        "simplices": [[0, 1, 2]]},
+    "degenerate": {"dimension": 2,
+                   "vertices": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 5e-13]],
+                   "simplices": [[0, 1, 4], [1, 2, 4], [2, 3, 4], [0, 3, 4]]},
+}
+
+
+def _mesh(shape):
+    return f"../gen-{shape}/mesh.json"
+
+
+def _write_inputs(root: Path):
+    """Malformed meshes, one random 1-cochain per shape and a vertex and a
+    cell vector field per solid, from a fixed seed."""
+    inputs = root / "inputs"
+    inputs.mkdir()
+    for name, obj in MALFORMED.items():
+        (inputs / f"{name}.json").write_text(json.dumps(obj))
+    (inputs / "not_json.json").write_text("{not json")
+    rng = np.random.default_rng(20)
+    for shape in SHAPES:
+        counts = json.loads((root / f"gen-{shape}" / "mesh.json").read_text())["counts"]
+        values = rng.normal(size=counts["1"]).tolist()
+        (inputs / f"{shape}-cochain.json").write_text(json.dumps({"degree": 1, "values": values}))
+        if shape in SOLID:
+            for field_type, key in (("vertex", "0"), ("cell", "3")):
+                vectors = rng.normal(size=(counts[key], 3)).tolist()
+                field = {"field_type": field_type, "vectors": vectors}
+                (inputs / f"{shape}-{field_type}.json").write_text(json.dumps(field))
+
+
+def _cases():
+    """(name, argv, HARMONIC_PORTS_TOL_SCALE or None) after the gen cases."""
+    cases = []
+    for shape in SHAPES:
+        n = 3 if shape in SOLID else 2
+        mesh = _mesh(shape)
+        cases.append((f"analyze-{shape}", ["analyze", mesh], None))
+        cases.append((f"decompose-{shape}-cochain",
+                      ["decompose", mesh, f"../inputs/{shape}-cochain.json"], None))
+        for p, q in PAIRS[n]:
+            cases.append((f"sd-verify-{shape}-{p}{q}",
+                          ["sd-verify", mesh, "--p", str(p), "--q", str(q),
+                           "--random-states", "2", "--seed", "3"], None))
+        p, q = PAIRS[n][0]
+        cases.append((f"simulate-{shape}",
+                      ["simulate", mesh, "--p", str(p), "--q", str(q), "--steps", "4",
+                       "--stride", "2", "--seed", "1", "--out", "trace.csv"], None))
+        if shape in SOLID:
+            for field_type in ("vertex", "cell"):
+                cases.append((f"decompose-{shape}-{field_type}",
+                              ["decompose", mesh, f"../inputs/{shape}-{field_type}.json"], None))
+    for name in MALFORMED:
+        for command in ("analyze", "sd-verify"):
+            argv = [command, f"../inputs/{name}.json"]
+            if command == "sd-verify":
+                argv += ["--p", "1", "--q", "2", "--random-states", "1"]
+            cases.append((f"{command}-{name}", argv, None))
+    torus = _mesh("torus")
+    cases += [
+        ("usage-gen-resolution", ["gen", "--shape", "torus", "--resolution", "2",
+                                  "--out", "mesh.json"], None),
+        ("usage-missing-mesh", ["analyze", "missing.json"], None),
+        ("usage-not-json", ["analyze", "../inputs/not_json.json"], None),
+        ("usage-degrees", ["sd-verify", torus, "--p", "1", "--q", "1"], None),
+        ("usage-init-index", ["simulate", torus, "--p", "1", "--q", "2", "--steps", "2",
+                              "--init", "harmonic:1:99:1.0", "--out", "trace.csv"], None),
+        ("usage-field-on-surface", ["decompose", torus, "../inputs/ball-vertex.json"], None),
+        ("usage-unknown-command", ["frobnicate"], None),
+        ("usage-missing-option", ["simulate", torus, "--p", "1", "--q", "2"], None),
+        ("tol-scale-invalid", ["analyze", torus], "banana"),
+        ("tol-scale-negative", ["sd-verify", torus, "--p", "1", "--q", "2"], "-1"),
+        ("tol-scale-ten", ["sd-verify", torus, "--p", "1", "--q", "2",
+                           "--random-states", "2"], "10"),
+    ]
+    return cases
+
+
+def _run_case(root: Path, name: str, argv: list, tol_scale):
+    case = root / name
+    case.mkdir()
+    out, err = io.StringIO(), io.StringIO()
+    cwd, saved = os.getcwd(), os.environ.pop(TOL_ENV, None)
+    if tol_scale is not None:
+        os.environ[TOL_ENV] = tol_scale
+    try:
+        os.chdir(case)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("always")
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+        os.environ.pop(TOL_ENV, None)
+        if saved is not None:
+            os.environ[TOL_ENV] = saved
+    (case / "stdout").write_text(out.getvalue())
+    (case / "stderr").write_text(err.getvalue())
+    (case / "exit_code").write_text(f"{code}\n")
+
+
+def run_battery(outdir) -> list:
+    """Run every case into outdir, which must not exist; return the case names."""
+    root = Path(outdir)
+    root.mkdir(parents=True)
+    cases = [(f"gen-{shape}", ["gen", "--shape", shape, "--resolution", str(res),
+                               "--out", "mesh.json"], None)
+             for shape, res in SHAPES.items()]
+    for case in cases:
+        _run_case(root, *case)
+    _write_inputs(root)
+    for case in _cases():
+        _run_case(root, *case)
+        cases.append(case)
+    return [name for name, _, _ in cases]
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUTDIR")
+    names = run_battery(sys.argv[1])
+    print(f"{len(names)} cases written to {sys.argv[1]}")
