@@ -13,6 +13,7 @@ from .errors import (
     FactorizationFailure,
     HarmonicPortsError,
     InvalidDegrees,
+    IsolatedVertex,
     NonOrientable,
     NotInHarmonicComplement,
     NumericalFailure,

@@ -36,6 +36,10 @@ class DanglingVertexIndex(HarmonicPortsError):
     """A simplex references a vertex index outside the coordinate array."""
 
 
+class IsolatedVertex(UsageError):
+    """A vertex lies in no top simplex, so no Whitney form lives on it."""
+
+
 class NonOrientable(HarmonicPortsError):
     """No consistent orientation of the top simplices exists."""
 

@@ -3,12 +3,18 @@
 Harmonic bases are kernels of degree-k Hodge Laplacians A u = mu M u
 against the Whitney mass matrix.  Two boundary conditions are supported:
 "neumann" (no constraint; dimension = k-th Betti number) and "dirichlet"
-(zero tangential trace; dimension = (n-k)-th Betti number).  A = K + B^T
-M_l^-1 B is never formed.  Its largest eigenvalue mu_max comes from
-Lanczos, its smallest eigenpairs from shift-invert Lanczos just below
-zero, through a factor of the saddle-point form of A - s M (spaces too
-small for ARPACK are solved densely).  The kernel is counted from the
-spectrum alone, never from the Betti numbers.  On a closed mesh both
+(zero tangential trace; dimension = (n-k)-th Betti number).  At degrees
+0 and n the kernel is known in closed form, one vector per connected
+component (`Metric.components`): the constant at degree 0 and the
+constant density at degree n, with the components that touch the
+boundary left out of H^0_D and H^n_N.  The top degree takes it only
+where every (n-1)-face has at most two cofaces, oriented oppositely
+where it has two; elsewhere, and at every degree in between, the kernel
+is counted from the spectrum alone, never from the Betti numbers.
+A = K + B^T M_l^-1 B is never formed.  Its largest eigenvalue mu_max
+comes from Lanczos, its smallest eigenpairs from shift-invert Lanczos
+just below zero, through a factor of the saddle-point form of A - s M
+(spaces too small for ARPACK are solved densely).  On a closed mesh both
 conditions give one operator, so the Dirichlet bases and saddles are the
 Neumann ones.  Refinement on such a factor (`metric._refine`), the
 harmonic part projected out, solves the mixed system behind every
@@ -81,8 +87,9 @@ class HarmonicBasis:
     vectors (dense eigenvalues on spaces too small for ARPACK).  The
     kernel holds the eigenvalues below KERNEL_CUTOFF * mu_max, with mu_max
     the largest eigenvalue, and must be separated from the rest by
-    KERNEL_GAP_FACTOR.  On a closed mesh the Dirichlet basis carries the
-    Neumann vectors and eigenvalues.
+    KERNEL_GAP_FACTOR.  A basis built in closed form (degrees 0 and n)
+    computes no eigenvalue: its gap fields read 0.0 and nan.  On a closed
+    mesh the Dirichlet basis carries the Neumann vectors and eigenvalues.
 
     Attributes:
         metric: The metric the basis is orthonormal against.
@@ -90,9 +97,10 @@ class HarmonicBasis:
         condition: "neumann" or "dirichlet".
         vectors: (N_k, dim) array of basis cochain values.
         last_kernel_eigenvalue: Largest eigenvalue counted into the kernel
-            (0.0 when the kernel is empty).
+            (0.0 when the kernel is empty or the basis is in closed form).
         first_nonkernel_eigenvalue: Smallest eigenvalue above the cutoff
-            (inf when everything is kernel).
+            (inf when everything is kernel, nan when the basis is in
+            closed form: not computed).
     """
 
     metric: Metric
@@ -151,6 +159,8 @@ def _build_harmonic_basis(metric: Metric, k: int, condition: str) -> HarmonicBas
     if condition == "dirichlet" and metric.closed:
         # closed mesh: both conditions give the same operator
         return replace(harmonic_basis(metric, k, "neumann"), condition="dirichlet")
+    if k == 0 or (k == metric.complex.dimension and _tops_pair_up(metric.complex)):
+        return _component_basis(metric, k, condition)
     N = metric.complex.num_simplices(k)
     sd = _saddle(metric, k, condition)
     if len(sd.idx) == 0:
@@ -166,6 +176,36 @@ def _build_harmonic_basis(metric: Metric, k: int, condition: str) -> HarmonicBas
     last = float(evals[m - 1]) if m else 0.0
     first = float(evals[m]) if m < len(evals) else math.inf
     return HarmonicBasis(metric, k, condition, vectors, last, first)
+
+
+def _tops_pair_up(cx) -> bool:
+    """True when every (n-1)-face has at most two cofaces, oriented
+    oppositely where it has two: the top-degree kernel is then constant
+    density on each component (_component_basis)."""
+    top = cx.boundary[cx.dimension]
+    cofaces = np.diff(top.indptr)
+    sums = np.asarray(top.sum(axis=1)).ravel()
+    return bool((cofaces <= 2).all() and (sums[cofaces == 2] == 0).all())
+
+
+def _component_basis(metric: Metric, k: int, condition: str) -> HarmonicBasis:
+    """The harmonic basis at k = 0 or n in closed form, one vector per
+    component of `Metric.components`, each M-normalised by one mass
+    product: the constant at degree 0, and at degree n the constant
+    density M_n^-1 1 of the diagonal M_n.  That is the |vol| cochain as
+    the assembled M_n sees it; on squashed elements its diagonal differs
+    from 1/|vol| in the eighth digit, and only its own inverse is a kernel
+    vector to rounding.  Components with boundary drop out of H^0_D and
+    H^n_N, where the constant would have to vanish on the boundary."""
+    labels, has_boundary = metric.components(k)
+    kept = ~has_boundary if (k == 0) == (condition == "dirichlet") else np.ones_like(has_boundary)
+    column = np.cumsum(kept) - 1
+    rows = np.flatnonzero(kept[labels])
+    M = metric.mass_csr(k)
+    vectors = np.zeros((len(labels), int(kept.sum())))
+    vectors[rows, column[labels[rows]]] = 1.0 if k == 0 else 1.0 / M.diagonal()[rows]
+    vectors /= np.sqrt(np.sum(vectors * (M @ vectors), axis=0))
+    return HarmonicBasis(metric, k, condition, vectors, 0.0, math.nan)
 
 
 @dataclass
@@ -333,7 +373,9 @@ class HMFDecomposition:
         return self.lambda_T + self.delta_gamma
 
 
-def _mixed_potential(metric: Metric, k: int, condition: str, f: np.ndarray) -> np.ndarray:
+def _mixed_potential(
+    metric: Metric, k: int, condition: str, f: np.ndarray, f_abs: np.ndarray | None = None
+) -> np.ndarray:
     """sigma of the mixed Hodge-Laplacian system of (k, condition) (_saddle)
 
         S (u, sigma) = (M f_0, 0),   f_0 = f - V V^T M f,
@@ -347,7 +389,12 @@ def _mixed_potential(metric: Metric, k: int, condition: str, f: np.ndarray) -> n
     the harmonic part projected out of every residual and correction: the
     error contracts by |s| / (lambda_1 + |s|) < 1/2 per solve (lambda_1
     the first non-kernel eigenvalue), until the componentwise backward
-    error, against the size of M f, reaches its bound.  The factor is kept
+    error reaches its bound.  It is measured against the size of M f, or
+    against max(|M f|, |M| f_abs) when f_abs gives the componentwise size
+    of the data f was formed from (|d| |omega| for f = d omega): still an
+    Oettli-Prager backward error (Higham, Accuracy and Stability of
+    Numerical Algorithms, 7.1), which does not stall when f is rounding
+    noise, as d omega is for an exact omega.  The factor is kept
     as ("saddle_lu", k, condition) and the basis borrows it.  sigma = 0
     when f_0 = 0, low is empty or A = 0.
 
@@ -372,6 +419,9 @@ def _mixed_potential(metric: Metric, k: int, condition: str, f: np.ndarray) -> n
     b = np.zeros(sd.S.shape[0])
     b[:nk] = (metric.mass_csr(k) @ f)[sd.idx] / sd.c
     b_abs, b = np.abs(b), deflate(b, MV, V)
+    if f_abs is not None:
+        data = (abs(metric.mass_csr(k)) @ f_abs)[sd.idx] / sd.c
+        b_abs[:nk] = np.maximum(b_abs[:nk], data)
     x = _refine(
         np.zeros_like(b),
         lambda x: deflate(b - sd.S @ x, MV, V),
@@ -391,8 +441,9 @@ def hodge_morrey_friedrichs(metric: Metric, omega: Cochain) -> HMFDecomposition:
     exact piece is zero, at the top degree the coexact piece is zero.
     The exact piece is d sigma of the Dirichlet mixed solve at degree k
     with right-hand side omega; the coexact piece is sigma of the Neumann
-    mixed solve at degree k+1 with right-hand side d omega, so degrees
-    k < n also need the Neumann harmonic basis at k+1.
+    mixed solve at degree k+1 with right-hand side d omega, its backward
+    error measured against the size |d| |omega| of its data too, so
+    degrees k < n also need the Neumann harmonic basis at k+1.
 
     Raises:
         SolverFailure: A mixed solve misses its backward-error bound, or
@@ -408,8 +459,9 @@ def hodge_morrey_friedrichs(metric: Metric, omega: Cochain) -> HMFDecomposition:
         sigma = _mixed_potential(metric, k, "dirichlet", omega.values)
         d_alpha = exterior_derivative(metric, Cochain(cx, k - 1, sigma))
     if k < cx.dimension:
-        d_omega = exterior_derivative(metric, omega).values
-        delta_beta = Cochain(cx, k, _mixed_potential(metric, k + 1, "neumann", d_omega))
+        d = cx.exterior_derivative_matrix(k)
+        d_omega, d_abs = d @ omega.values, abs(d) @ np.abs(omega.values)
+        delta_beta = Cochain(cx, k, _mixed_potential(metric, k + 1, "neumann", d_omega, d_abs))
 
     h = omega - d_alpha - delta_beta
     basis = harmonic_basis(metric, k, "dirichlet")

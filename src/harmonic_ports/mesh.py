@@ -39,6 +39,7 @@ from .errors import (
     DegreeOutOfRange,
     DuplicateSimplex,
     FactorizationFailure,
+    IsolatedVertex,
     NonOrientable,
     OverflowInExactArithmetic,
     WrongDimension,
@@ -289,14 +290,15 @@ def build_complex(
             lexicographically first top simplex of each component),
             "from_order" (the parity of each given tuple relative to its
             sorted order), or an explicit array of +-1 per given simplex.
-        strict: If True raise on inference conflicts or degenerate
-            elements; if False record a best effort and let
+        strict: If True raise on isolated vertices, inference conflicts
+            or degenerate elements; if False record a best effort and let
             validate_manifold report the findings.
 
     Raises:
         DuplicateSimplex: A repeated top simplex, or a repeated vertex
             inside one simplex.
         DanglingVertexIndex: A vertex index outside the coordinate array.
+        IsolatedVertex: A vertex in no top simplex (strict only).
         WrongDimension: Mixed tuple lengths, or fewer ambient coordinates
             than the simplex dimension.
         NonOrientable: No consistent orientation exists (strict only).
@@ -339,6 +341,9 @@ def build_complex(
             raise DanglingVertexIndex(f"vertex {v} of simplex {t}")
         raise DuplicateSimplex(f"simplex {tuple(ordered[i].tolist())} appears twice")
     sorted_tops = ordered[rank]  # canonical order of the top simplices
+    isolated = np.setdiff1d(np.arange(len(verts)), sorted_tops)
+    if strict and len(isolated):
+        raise IsolatedVertex(f"vertex {isolated[0]} lies in no top simplex")
 
     if isinstance(orientation, str) and orientation == "from_order":
         signs = np.array([permutation_sign(tops[i]) for i in rank], dtype=np.int64)
@@ -384,6 +389,28 @@ def _adjacent_incidences(facets: np.ndarray):
     order = np.argsort(flat, kind="stable")
     same = flat[order[1:]] == flat[order[:-1]]
     return order[:-1][same], order[1:][same]
+
+
+def _component_labels(num: int, pairs: np.ndarray) -> np.ndarray:
+    """Connected component of each node of the graph on range(num) with
+    edges pairs (E, 2), numbered in order of each component's smallest
+    node.  Every node points to a node no larger than itself; each pass
+    hooks the larger of the two roots an edge joins onto the smallest root
+    it meets, then jumps pointers until every node points to its root."""
+    parent = np.arange(num)
+    a, b = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    while True:
+        ra, rb = parent[a], parent[b]
+        split = ra != rb
+        if not split.any():
+            return np.unique(parent, return_inverse=True)[1]
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
 
 
 def _orient_by_propagation(facets: np.ndarray):
@@ -527,9 +554,6 @@ def _check_links(complex, facets, cofaces, findings):
     nodes are the pairs (s, top containing s), and at every s inside an
     (n-1)-face the cofaces of that face are joined in a chain.
     """
-    # Imported here: loading csgraph adds about 1 MiB to every process.
-    from scipy.sparse.csgraph import connected_components
-
     n = complex.dimension
     num_tops = len(facets)
     a, b = _adjacent_incidences(facets)
@@ -545,11 +569,9 @@ def _check_links(complex, facets, cofaces, findings):
         heads.append((offsets[-1] + ta[:, None] * width + inside[ia]).ravel())
         tails.append((offsets[-1] + tb[:, None] * width + inside[ib]).ravel())
         offsets.append(offsets[-1] + num_tops * width)
-    heads, tails = np.concatenate(heads), np.concatenate(tails)
-    flags = sp.csr_matrix(
-        (np.ones(len(heads), np.int8), (heads, tails)), shape=(offsets[-1],) * 2
-    )
-    num_labels, labels = connected_components(flags, directed=False)
+    flags = np.stack([np.concatenate(heads), np.concatenate(tails)], axis=1)
+    labels = _component_labels(offsets[-1], flags)
+    num_labels = labels.max(initial=-1) + 1
 
     # A face with excess cofaces spoils the links of its (n-2)-faces.
     spoiled = abs(complex.boundary[n - 1]) @ (cofaces > 2).astype(np.int64) > 0
@@ -689,15 +711,8 @@ def _coreduce(complex: SimplicialComplex) -> tuple[int, list[np.ndarray]]:
     co_ptr, co_idx = incidence.indptr.tolist(), incidence.indices.tolist()
     present_faces = np.diff(faces.indptr).tolist()
 
-    # Imported here: loading csgraph adds about 1 MiB to every process.
-    from scipy.sparse.csgraph import connected_components
-
     ends = complex.coboundary[0].indices.reshape(-1, 2)  # two vertices per edge
-    graph = sp.csr_matrix(
-        (np.ones(len(ends), np.int8), (ends[:, 0], ends[:, 1])),
-        shape=(sizes[0], sizes[0]),
-    )
-    _, labels = connected_components(graph, directed=False)
+    labels = _component_labels(sizes[0], ends)
     seeds = np.unique(labels, return_index=True)[1].tolist()
 
     alive = bytearray(b"\x01") * total

@@ -34,6 +34,7 @@ from .mesh import (
     _DEGENERATE_VOLUME,
     BoundaryComplex,
     SimplicialComplex,
+    _component_labels,
     _subsets,
     extract_boundary,
 )
@@ -145,9 +146,10 @@ class Metric:
     read dense arrays (the benchmark's traced byte counts); the library
     itself never calls them.  The boundary condition is decided here
     alone: `closed` once, the free simplices of each (k, condition)
-    (free_indices) and one `_splu` factor of their mass block (mass_lu),
-    shared by every solve against it.  Everything else, here and in the
-    layers above (index arrays, harmonic bases, saddles, mixed solves'
+    (free_indices), one `_splu` factor of their mass block (mass_lu),
+    shared by every solve against it, and the components at degrees 0
+    and n with their boundary flags (components).  Everything else, here
+    and in the layers above (index arrays, harmonic bases, saddles, mixed solves'
     factors, the Stokes-Dirac coupling and stacked port layout, the spectral
     radius estimate, the midpoint factor), is built on first request through `cached` and kept
     in one memo keyed by a tuple naming it, e.g. ("mass_csr", k).
@@ -322,6 +324,34 @@ class Metric:
         return self.cached(
             ("free_indices", k), lambda: _read_only(np.arange(self.complex.num_simplices(k)))
         )
+
+    def components(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, has_boundary) at degree k = 0 or n (cached, read-only).
+        labels[i] numbers the connected component of k-simplex i, in order
+        of each component's first simplex: vertices joined by edges at
+        k = 0, top simplices joined across (n-1)-faces with two cofaces at
+        k = n.  has_boundary[c] flags a component that holds a boundary
+        vertex (k = 0) or a top simplex with a boundary face (k = n)."""
+        n = self.complex.dimension
+        if k not in (0, n):
+            raise DegreeOutOfRange(f"components are labelled at degrees 0 and {n}, not {k}")
+
+        def build():
+            top = self.complex.boundary[n]
+            if k == 0:
+                labels = _component_labels(len(self.complex.vertices), self.complex._simplex_rows[1])
+                touching = self.boundary_indices(0)
+            else:
+                two = np.flatnonzero(np.diff(top.indptr) == 2)
+                labels = _component_labels(
+                    top.shape[1], top.indices[top.indptr[two][:, None] + np.arange(2)]
+                )
+                touching = top.indices[top.indptr[self.boundary_indices(n - 1)]]
+            has_boundary = np.zeros(labels.max(initial=-1) + 1, dtype=bool)
+            has_boundary[labels[touching]] = True
+            return _read_only(labels), _read_only(has_boundary)
+
+        return self.cached(("components", k), build)
 
     def boundary_metric(self):
         """Metric on the boundary complex, or None when it is empty."""

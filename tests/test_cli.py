@@ -102,6 +102,23 @@ def test_analyze_flags_isolated_vertex(tmp_path, capsys):
     assert any(f["kind"] == "isolated_vertex" for f in findings)
 
 
+@pytest.mark.parametrize("argv", [
+    ["sd-verify", "MESH", "--p", "1", "--q", "2"],
+    ["simulate", "MESH", "--p", "1", "--q", "2", "--steps", "1", "--out", "unwritten.csv"],
+    ["decompose", "MESH", "unread.json"],
+], ids=lambda argv: argv[0])
+def test_strict_commands_refuse_an_isolated_vertex(tmp_path, capsys, argv):
+    # a usage error (exit 3), not a zero mass diagonal (exit 2)
+    path = tmp_path / "disk.json"
+    write_mesh(gen_mesh("disk", 2), path)
+    obj = json.loads(path.read_text())
+    obj["vertices"].append([5.0, 5.0])
+    path.write_text(json.dumps(obj))
+    code = main([str(path) if a == "MESH" else a for a in argv])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: vertex {len(obj['vertices']) - 1} lies in no top simplex\n"
+
+
 def test_analyze_rejects_degenerate_geometry(tmp_path, capsys):
     # a numerically flat triangle defeats the frame factorization
     obj = {
@@ -232,17 +249,18 @@ def test_eigensolver_failures_exit_2(tmp_path, capsys, monkeypatch, name, failur
     def fail(*args, **kwargs):
         raise failure
 
+    # degrees 0 and 2 are built in closed form, so degree 1 meets the failure
     monkeypatch.setattr(hodge.spla, name, fail)
     code = main(["analyze", _write_torus(tmp_path)])
     assert code == 2
-    assert "harmonic eigenproblem at degree 0" in capsys.readouterr().err
+    assert "harmonic eigenproblem at degree 1" in capsys.readouterr().err
 
 
 # Today's exit code of every library error and of the builtin errors
 # _dispatch handles.
 EXIT_CODES = {
     "HarmonicPortsError": 1, "DuplicateSimplex": 1, "DanglingVertexIndex": 1,
-    "NonOrientable": 1, "NotInHarmonicComplement": 1,
+    "NonOrientable": 1, "IsolatedVertex": 3, "NotInHarmonicComplement": 1,
     "NumericalFailure": 2, "FactorizationFailure": 2, "AmbiguousKernel": 2,
     "OverflowInExactArithmetic": 2, "SolverFailure": 2, "MemoryError": 2,
     "UsageError": 3, "DegreeMismatch": 3, "ComplexMismatch": 3, "DegreeOutOfRange": 3,

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -35,15 +36,20 @@ from conftest import ACCEPTANCE, CLOSED, SMALL, complex_for, factored_keys, metr
 def test_kernel_beyond_every_lanczos_request_is_solved_densely():
     # sixteen disjoint edges: H^0 has dimension 16 of N = 32, so each
     # doubled request (4, 8, 16 pairs) is all kernel until it reaches
-    # ARPACK's limit N - 1 and the dense solve takes over
+    # ARPACK's limit N - 1 and the dense solve takes over; it spans the
+    # closed-form basis of the sixteen constants
     vertices = np.array([[float(i), float(j)] for i in range(16) for j in (0, 1)])
     cx = build_complex([(2 * i, 2 * i + 1) for i in range(16)], vertices)
     m = Metric(cx)
-    assert hodge_mod._lanczos_pairs(hodge_mod._saddle(m, 0, "neumann")) is None
+    sd = hodge_mod._saddle(m, 0, "neumann")
+    assert hodge_mod._lanczos_pairs(sd) is None
+    _, kernel = hodge_mod._dense_pairs(sd)
     basis = harmonic_basis(m, 0, "neumann")
-    assert basis.dim == betti_numbers(cx)[0] == 16
+    assert basis.dim == kernel.shape[1] == betti_numbers(cx)[0] == 16
     gram = basis.vectors.T @ (m.mass_csr(0) @ basis.vectors)
     assert np.allclose(gram, np.eye(16), atol=1e-10)
+    overlap = basis.vectors.T @ (sd.M @ kernel) * math.sqrt(sd.c)
+    assert np.allclose(np.linalg.svd(overlap, compute_uv=False), 1.0, atol=1e-10)
 
 
 def test_harmonic_basis_rejects_a_degree_out_of_range():
@@ -318,6 +324,58 @@ def test_hmf_factors_each_saddle_at_most_once_per_call(monkeypatch, shape, size)
         labels.clear()
         hodge_morrey_friedrichs(m, random_cochain(m.complex, k, rng))
         assert labels and len(labels) == len(set(labels)), (k, labels)
+
+
+@pytest.mark.parametrize("shape", ["torus", "ball"])
+def test_bases_at_degrees_0_and_n_need_no_eigensolver(monkeypatch, shape):
+    calls = []
+
+    def counted(genuine):
+        def call(*args, **kwargs):
+            calls.append(genuine.__name__)
+            return genuine(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(hodge_mod.spla, "eigsh", counted(spla.eigsh))
+    monkeypatch.setattr(hodge_mod, "_splu", counted(hodge_mod._splu))
+    m = Metric(complex_for(shape, ACCEPTANCE[shape]))
+    n = m.complex.dimension
+    for k in (0, n):
+        for condition in ("neumann", "dirichlet"):
+            harmonic_basis(m, k, condition)
+    assert calls == []
+    harmonic_basis(m, 1, "neumann")
+    assert "eigsh" in calls
+
+
+def test_coexact_solve_of_an_exact_cochain_does_not_stall(monkeypatch):
+    # criterion 3 at seed 103 on torus:5, degree 1, cochain 30: d omega of
+    # its exact piece is rounding noise.  Measured against |M d omega|
+    # alone, the coexact solve's backward error sat just under the bound
+    # (6.7e-15 here, and 1.4e-14 after refinement with another rounding
+    # of the degree-2 basis); against the data |M| |d| |omega| too it
+    # ends at rounding level.
+    genuine, ends = hodge_mod._refine, {}
+
+    def recorded(x, residual, correct, abs_S, b_abs, what):
+        x = genuine(x, residual, correct, abs_S, b_abs, what)
+        scale = np.maximum(abs_S @ np.abs(x) + b_abs, np.finfo(float).tiny)
+        ends[what] = (np.abs(residual(x)) / scale).max()
+        return x
+
+    monkeypatch.setattr(hodge_mod, "_refine", recorded)
+    m = Metric(complex_for("torus", ACCEPTANCE["torus"]))
+    rng = np.random.default_rng(103)
+    for k, count in ((0, 100), (1, 31)):
+        cochains = [random_cochain(m.complex, k, rng) for _ in range(count)]
+    w = cochains[-1]
+    exact = hodge_morrey_friedrichs(m, w).d_alpha
+    ends.clear()
+    redec = hodge_morrey_friedrichs(m, exact)
+    assert ends["mixed solve at degree 2"] <= 1e-15
+    s = norm(m, w)
+    assert norm(m, redec.d_alpha - exact) <= 1e-8 * s
+    assert norm(m, redec.delta_beta) <= 1e-8 * s
 
 
 @pytest.mark.parametrize("shape", ["annulus", "torus"])

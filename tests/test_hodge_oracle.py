@@ -20,6 +20,7 @@ from harmonic_ports import (
     potential_for_exact,
     random_cochain,
 )
+from harmonic_ports import hodge as hodge_mod
 from harmonic_ports.hodge import _split_kernel
 
 from conftest import ACCEPTANCE, SMALL, complex_for, metric_for
@@ -72,18 +73,33 @@ def _largest_angle_sine(metric, k, V, W):
 
 
 def _assert_matches_oracle(metric):
+    # degrees 0 and n are built in closed form, with no spectrum: their
+    # gap reads nan, and the dense eigensolve stays their witness
+    n = metric.complex.dimension
     for condition in ("neumann", "dirichlet"):
-        for k in range(metric.complex.dimension + 1):
+        for k in range(n + 1):
             hb = harmonic_basis(metric, k, condition)
             V, first = dense_harmonic_basis(metric, k, condition)
             assert hb.dim == V.shape[1]
-            if math.isinf(first):
+            if k in (0, n):
+                assert math.isnan(hb.first_nonkernel_eigenvalue)
+                assert hb.last_kernel_eigenvalue == 0.0
+                _assert_in_kernel(metric, hb)
+            elif math.isinf(first):
                 assert math.isinf(hb.first_nonkernel_eigenvalue)
             else:
                 assert abs(hb.first_nonkernel_eigenvalue - first) <= 1e-8 * first
             assert _largest_angle_sine(metric, k, V, hb.vectors) <= 1e-10
             gram = hb.vectors.T @ metric.mass(k) @ hb.vectors
             assert np.abs(gram - np.eye(hb.dim)).max(initial=0.0) <= 1e-12
+
+
+def _assert_in_kernel(metric, hb):
+    """|A u| <= 1e-12 mu_max |u| for every basis vector u, on the free
+    simplices, with A and mu_max of the unit-free saddle."""
+    sd = hodge_mod._saddle(metric, hb.degree, hb.condition)
+    for u in (hb.vectors[sd.idx] * math.sqrt(sd.c)).T:
+        assert np.linalg.norm(sd.A @ u) <= 1e-12 * sd.mu_max * np.linalg.norm(u)
 
 
 @pytest.mark.parametrize("shape", sorted(ACCEPTANCE))
@@ -104,6 +120,55 @@ def test_kernel_larger_than_the_first_lanczos_request():
     assert [harmonic_basis(metric, k).dim for k in range(3)] == betti
     assert [harmonic_basis(metric, k, "dirichlet").dim for k in range(3)] == betti[::-1]
     _assert_matches_oracle(metric)
+
+
+def test_spheres_pinched_at_a_vertex_match_the_oracle():
+    # one vertex component, two top components: b_0 = 1, b_2 = 2
+    s = complex_for("sphere", SMALL["sphere"])
+    nv = s.num_simplices(0)
+    shift = np.array([v + nv - 1 if v else 0 for v in range(nv)])
+    tops = list(s.simplices[2]) + [tuple(shift[list(t)]) for t in s.simplices[2]]
+    verts = np.vstack([s.vertices, (s.vertices - s.vertices[0])[1:] * [-1.0, 1.0, 1.0]
+                       + s.vertices[0]])
+    metric = Metric(build_complex(tops, verts))
+    assert betti_numbers(metric.complex) == [1, 0, 2]
+    assert [harmonic_basis(metric, k).dim for k in range(3)] == [1, 0, 2]
+    _assert_matches_oracle(metric)
+
+
+def test_squashed_annulus_has_one_constant():
+    # y x 1e-4: mu_max grows to 1.3e10 and its cutoff 12.7 lies above the
+    # two lowest non-constant modes (0.84 and 3.88), so the spectrum alone
+    # counted H^0_N as 3; the closed form counts one component.  At degree
+    # 2 the vector is the assembled M_2's constant density: the |vol|
+    # cochain itself leaves |A u| at 9e-10 mu_max |u|, since the Gram
+    # determinants of the squashed elements carry relative errors of 1e-8
+    a = complex_for("annulus", ACCEPTANCE["annulus"])
+    metric = Metric(build_complex(a.simplices[2], a.vertices * [1.0, 1e-4]))
+    for condition, dims in (("neumann", (1, 0)), ("dirichlet", (0, 1))):
+        for k, dim in zip((0, 2), dims):
+            hb = harmonic_basis(metric, k, condition)
+            assert hb.dim == dim
+            _assert_in_kernel(metric, hb)
+
+
+@pytest.mark.parametrize("tops, count", [
+    ([(0, 1, 2), (0, 1, 3), (0, 1, 4)], 5),  # three triangles on an edge
+    ([(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)], 5),  # Moebius strip
+    ([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1), (1, 2, 4), (2, 3, 5),
+      (3, 4, 1), (4, 5, 2), (5, 1, 3)], 6),  # projective plane
+], ids=["fin", "mobius", "rp2"])
+def test_top_degree_keeps_the_spectrum_where_faces_do_not_pair_up(tops, count):
+    # an edge with three cofaces, or two cofaces of one orientation, breaks
+    # the constant density, so the top degree is solved spectrally
+    verts = np.random.default_rng(count).standard_normal((count, 3))
+    metric = Metric(build_complex(tops, verts, strict=False))
+    for condition in ("neumann", "dirichlet"):
+        hb = harmonic_basis(metric, 2, condition)
+        V, _ = dense_harmonic_basis(metric, 2, condition)
+        assert not math.isnan(hb.first_nonkernel_eigenvalue)
+        assert hb.dim == V.shape[1]
+        assert _largest_angle_sine(metric, 2, V, hb.vectors) <= 1e-10
 
 
 # -- HMF, potentials and integrability against dense least squares -----------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from harmonic_ports import (
     BoundaryComplex,
     DanglingVertexIndex,
+    IsolatedVertex,
     DuplicateSimplex,
     FactorizationFailure,
     NonOrientable,
@@ -21,7 +22,7 @@ from harmonic_ports import (
     validate_manifold,
 )
 from harmonic_ports import mesh as mesh_mod
-from harmonic_ports.mesh import permutation_sign
+from harmonic_ports.mesh import _component_labels, permutation_sign
 
 from conftest import ACCEPTANCE, CLOSED, SMALL, complex_for
 
@@ -73,6 +74,8 @@ def test_build_complex_rejects_bad_input():
         build_complex([(0, 1, 1)], TRIANGLE)
     with pytest.raises(DanglingVertexIndex):
         build_complex([(0, 1, 5)], TRIANGLE)
+    with pytest.raises(IsolatedVertex, match="vertex 3 lies in no top simplex"):
+        build_complex([(0, 1, 2)], np.vstack([TRIANGLE, [5.0, 5.0]]))
     with pytest.raises(WrongDimension):
         build_complex([(0, 1, 2), (0, 1)], TRIANGLE)
     with pytest.raises(WrongDimension):
@@ -142,6 +145,25 @@ def test_degenerate_element_is_a_factorization_failure_when_strict():
     with pytest.raises(FactorizationFailure, match=r"degenerate element \(0, 1, 3\)"):
         build_complex(tops, verts)
     build_complex(tops, verts, strict=False)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_component_labels_match_a_union_find(seed):
+    # sparse random graphs in shuffled order, with isolated nodes
+    rng = np.random.default_rng(seed)
+    num = 200
+    pairs = rng.integers(0, num, size=(int(rng.integers(0, 300)), 2))
+    root = list(range(num))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for a, b in pairs.tolist():
+        root[max(find(a), find(b))] = min(find(a), find(b))
+    expect = np.unique([find(i) for i in range(num)], return_inverse=True)[1]
+    assert np.array_equal(_component_labels(num, pairs), expect)
 
 
 def test_zero_dimensional_complexes_build_but_are_not_validated():

@@ -165,16 +165,20 @@ def test_rigid_motion_keeps_harmonic_dimensions(shape, seed, embed):
 @PROPERTY
 @given(shape=SHAPES, exponent=st.floats(-8.0, 8.0))
 def test_uniform_scaling_keeps_harmonic_dimensions_and_scales_the_gap(shape, exponent):
-    # Hodge Laplacian eigenvalues scale as s^-2
+    # Hodge Laplacian eigenvalues scale as s^-2; degrees 0 and n are built
+    # in closed form and compute no gap at any scale
     base = metric_for(shape, SMALL[shape])
     s = 10.0**exponent
     scaled = _moved(base, base.complex.vertices * s)
     assert _harmonic_dims(scaled) == _harmonic_dims(base)
+    n = base.complex.dimension
     for condition in ("neumann", "dirichlet"):
-        for k in range(base.complex.dimension + 1):
+        for k in range(n + 1):
             got = harmonic_basis(scaled, k, condition).first_nonkernel_eigenvalue
             expect = harmonic_basis(base, k, condition).first_nonkernel_eigenvalue
-            if np.isinf(expect):
+            if k in (0, n):
+                assert np.isnan(got) and np.isnan(expect)
+            elif np.isinf(expect):
                 assert np.isinf(got)
             else:
                 assert abs(got * s**2 - expect) <= 1e-8 * expect
