@@ -394,9 +394,10 @@ def _mixed_potential(
     of the data f was formed from (|d| |omega| for f = d omega): still an
     Oettli-Prager backward error (Higham, Accuracy and Stability of
     Numerical Algorithms, 7.1), which does not stall when f is rounding
-    noise, as d omega is for an exact omega.  The factor is kept
-    as ("saddle_lu", k, condition) and the basis borrows it.  sigma = 0
-    when f_0 = 0, low is empty or A = 0.
+    noise, as d omega is for an exact omega.  The factor is kept as
+    ("saddle_lu", k, condition), which the basis borrows, and |S| with its
+    row maxima as ("saddle_abs", k, condition).  sigma = 0 when f_0 = 0,
+    low is empty or A = 0.
 
     Raises:
         SolverFailure: The bound is not reached, as when the basis holds
@@ -407,6 +408,8 @@ def _mixed_potential(
     if len(sd.low) == 0 or not sd.mu_max > 0:
         return sigma
     lu = metric.cached(("saddle_lu", sd.k, sd.condition), sd.factor)
+    abs_S, row_max = metric.cached(("saddle_abs", sd.k, sd.condition),
+                                   lambda: (abs(sd.S), abs(sd.S).max(1).toarray().ravel()))
     basis = harmonic_basis(metric, k, condition)
     nk = len(sd.idx)
     V = basis.vectors[sd.idx] * math.sqrt(sd.c)
@@ -426,7 +429,7 @@ def _mixed_potential(
         np.zeros_like(b),
         lambda x: deflate(b - sd.S @ x, MV, V),
         lambda r: deflate(lu.solve(r), V, MV),
-        abs(sd.S), b_abs, f"mixed solve at degree {k}",
+        abs_S, b_abs, f"mixed solve at degree {k}", row_max,
     )
     sigma[sd.low] = x[nk:] * math.sqrt(sd.c / sd.c_l)
     return sigma

@@ -38,7 +38,6 @@ from .errors import (
     DanglingVertexIndex,
     DegreeOutOfRange,
     DuplicateSimplex,
-    FactorizationFailure,
     IsolatedVertex,
     NonOrientable,
     OverflowInExactArithmetic,
@@ -61,9 +60,6 @@ __all__ = [
 _EXACT_RANK_NNZ_BUDGET = 2_000_000
 # ... and if intermediate integer entries ever exceed this magnitude.
 _EXACT_RANK_ENTRY_LIMIT = 10**80
-# An element is degenerate when |det| of its edge vectors is at most this
-# fraction of its largest edge coordinate to the n-th power.
-_DEGENERATE_VOLUME = 1e-12
 
 
 def permutation_sign(seq: Sequence[int]) -> int:
@@ -285,14 +281,14 @@ def build_complex(
     Args:
         top_simplices: Sequences of vertex indices, all of one length n+1.
         vertices: (V, d) coordinate array with d >= n.
-        orientation: One of None (infer: signed volume when d == n, else
-            propagation across interior faces seeded at the
-            lexicographically first top simplex of each component),
+        orientation: One of None (infer by propagation across the
+            interior faces, each component seeded at its lexicographically
+            first top simplex: +1, or the sign of its volume when d == n),
             "from_order" (the parity of each given tuple relative to its
             sorted order), or an explicit array of +-1 per given simplex.
-        strict: If True raise on isolated vertices, inference conflicts
-            or degenerate elements; if False record a best effort and let
-            validate_manifold report the findings.
+        strict: If True raise on isolated vertices or inference conflicts;
+            if False record a best effort and let validate_manifold report
+            the findings.  Degenerate elements are the metric's to refuse.
 
     Raises:
         DuplicateSimplex: A repeated top simplex, or a repeated vertex
@@ -302,8 +298,6 @@ def build_complex(
         WrongDimension: Mixed tuple lengths, or fewer ambient coordinates
             than the simplex dimension.
         NonOrientable: No consistent orientation exists (strict only).
-        FactorizationFailure: A degenerate element met by the signed-volume
-            orientation (strict only), as in the metric's frame check.
     """
     tops = [tuple(int(v) for v in t) for t in top_simplices]
     if not tops:
@@ -348,14 +342,15 @@ def build_complex(
     if isinstance(orientation, str) and orientation == "from_order":
         signs = np.array([permutation_sign(tops[i]) for i in rank], dtype=np.int64)
     elif orientation is None:
+        seeds = None
         if d == n:
-            signs = _orient_by_volume(sorted_tops, verts, strict)
-        else:
-            faces, positions, _ = _faces(sorted_tops, n - 1)
-            signs, conflicts = _orient_by_propagation(_facets(positions))
-            if conflicts and strict:
-                face = tuple(faces[conflicts[0]].tolist())
-                raise NonOrientable(f"orientation conflict across face {face}")
+            edges = verts[sorted_tops[:, 1:]] - verts[sorted_tops[:, :1]]
+            seeds = np.where(np.linalg.det(edges) < 0, -1, 1)
+        faces, positions, _ = _faces(sorted_tops, n - 1)
+        signs, conflicts = _orient_by_propagation(_facets(positions), seeds)
+        if conflicts and strict:
+            face = tuple(faces[conflicts[0]].tolist())
+            raise NonOrientable(f"orientation conflict across face {face}")
     else:
         arr = np.asarray(orientation, dtype=np.int64)
         if arr.shape != (len(tops),) or not np.all(np.abs(arr) == 1):
@@ -363,17 +358,6 @@ def build_complex(
         signs = arr[rank]
 
     return SimplicialComplex(n, verts, sorted_tops, signs)
-
-
-def _orient_by_volume(tops, verts, strict):
-    edges = verts[tops[:, 1:]] - verts[tops[:, :1]]  # (T, n, n)
-    det = np.linalg.det(edges)
-    scale = np.abs(edges).max(axis=(1, 2)) ** (tops.shape[1] - 1)
-    degenerate = np.abs(det) <= _DEGENERATE_VOLUME * scale
-    if strict and degenerate.any():
-        element = tuple(tops[np.argmax(degenerate)].tolist())
-        raise FactorizationFailure(f"degenerate element {element}")
-    return np.where((det > 0) | degenerate, 1, -1)  # degenerate elements keep +1
 
 
 def _facets(positions: np.ndarray) -> np.ndarray:
@@ -413,14 +397,14 @@ def _component_labels(num: int, pairs: np.ndarray) -> np.ndarray:
             parent = up
 
 
-def _orient_by_propagation(facets: np.ndarray):
+def _orient_by_propagation(facets: np.ndarray, seeds: np.ndarray | None = None):
     """Signs that cancel the two incidences of every interior face.
 
-    Each unsigned top in turn seeds +1; breadth first, one level per array
-    pass, a neighbour across a face with exactly two cofaces gets the sign
-    that cancels there from the first (top, face) of the level that reaches
-    it.  Returns the signs and the faces where a signed neighbour
-    disagrees, each face once, in order of first detection.
+    Each unsigned top in turn seeds +1, or its entry of seeds; breadth
+    first, one level per array pass, a neighbour across a face with exactly
+    two cofaces gets the sign that cancels there from the first (top, face)
+    of the level that reaches it.  Returns the signs and the faces where a
+    signed neighbour disagrees, each face once, in order of first detection.
     """
     num_tops, m = facets.shape
     a, b = _adjacent_incidences(facets)
@@ -435,7 +419,7 @@ def _orient_by_propagation(facets: np.ndarray):
 
     signs, detected, seed = np.zeros(num_tops, dtype=np.int64), [], 0
     while seed < num_tops:
-        signs[seed] = 1
+        signs[seed] = 1 if seeds is None else seeds[seed]
         level = np.array([seed])
         while len(level):
             other, face = neighbour[level].ravel(), facets[level].ravel()

@@ -154,15 +154,15 @@ def _midpoint_operator(metric: Metric, p: int, q: int, h: float) -> sp.csr_matri
     return sp.bmat(blocks, format="csr")
 
 
-_Midpoint = namedtuple("_Midpoint", "K abs_K lu solve J nw e_at D")
+_Midpoint = namedtuple("_Midpoint", "K abs_K lu solve J nw e_at D row_max")
 
 
 def _midpoint_factors(metric: Metric, p: int, q: int, dt: float) -> _Midpoint:
     """K(|dt|/2) and its factor, once per |dt|: with K = [[I, K_wy],
     [K_yw, K_yy]] in w and y = (z, e), lu factors K_yy - K_yw K_wy (mass
     diagonal blocks, `_splu`'s symmetric mode), solve applies K^-1 exactly,
-    K, |K| serve `metric._refine`; J, the cuts nw, e_at of (w, z, e) and
-    the layout's flow map D."""
+    K, |K| and its row maxima serve `metric._refine`; J, the cuts nw, e_at
+    of (w, z, e) and the layout's flow map D."""
 
     def build():
         K = _midpoint_operator(metric, p, q, 0.5 * abs(dt))
@@ -178,7 +178,7 @@ def _midpoint_factors(metric: Metric, p: int, q: int, dt: float) -> _Midpoint:
             y = lu.solve(r[nw:] - K_yw @ r[:nw])
             return np.concatenate([r[:nw] - K_wy @ y, y])
 
-        return _Midpoint(K, abs(K), lu, solve, J, nw, cut[4], layout.D)
+        return _Midpoint(K, abs(K), lu, solve, J, nw, cut[4], layout.D, abs(K).max(1).toarray().ravel())
 
     return metric.cached(("midpoint", p, q, abs(float(dt))), build)
 
@@ -191,7 +191,8 @@ def _midpoint(metric: Metric, p: int, q: int, a: np.ndarray, dt: float):
     mp = _midpoint_factors(metric, p, q, dt)
     b = np.zeros(len(mp.J))
     b[: mp.nw] = mp.J[: mp.nw] * a if dt < 0 else a
-    x = _refine(mp.solve(b), lambda x: b - mp.K @ x, mp.solve, mp.abs_K, np.abs(b), "midpoint solve")
+    x = _refine(mp.solve(b), lambda x: b - mp.K @ x, mp.solve, mp.abs_K, np.abs(b),
+                "midpoint solve", mp.row_max)
     if dt < 0:
         x *= mp.J
     w, z, e = x[: mp.nw], x[mp.nw : mp.e_at], x[mp.e_at :]

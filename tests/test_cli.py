@@ -86,6 +86,16 @@ def test_analyze_flags_non_orientable_input(tmp_path, capsys):
     assert any(f["kind"] == "non_orientable" for f in findings)
 
 
+def test_sd_verify_refuses_a_planar_mobius_strip(tmp_path, capsys):
+    # the strict read checks orientability whatever the embedding dimension
+    obj = json.loads(Path(_write_mobius(tmp_path)).read_text())
+    obj["vertices"] = [v[:2] for v in obj["vertices"]]
+    path = tmp_path / "planar.json"
+    path.write_text(json.dumps(obj))
+    assert main(["sd-verify", str(path), "--p", "1", "--q", "2"]) == 1
+    assert capsys.readouterr().err == "error: orientation conflict across face (3, 4)\n"
+
+
 def test_analyze_flags_isolated_vertex(tmp_path, capsys):
     # a vertex in no top simplex is a validation finding, not a numerical failure
     path = tmp_path / "disk.json"
@@ -135,8 +145,8 @@ def test_analyze_rejects_degenerate_geometry(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["analyze", "sd-verify", "simulate", "decompose"])
 def test_degenerate_element_exits_2_from_every_subcommand(tmp_path, capsys, command):
-    # the second triangle (0, 1, 3) has zero area: analyze reads leniently
-    # and the metric's frame check raises, the others fail on the strict read
+    # the second triangle (0, 1, 3) has zero area: every command's metric
+    # frame check raises, after a lenient (analyze) or strict read
     obj = {"dimension": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]],
            "simplices": [[0, 1, 2], [0, 1, 3]]}
     mesh = tmp_path / "flat.json"
@@ -493,6 +503,23 @@ def test_simulate_harmonic_init_reports_conserved_charge(tmp_path, capsys):
     assert rep["max_abs_harmonic_drift"] <= 1e-8
     first = out.read_text().splitlines()[1].split(",")
     assert float(first[4]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("resolution, extra", [
+    (50, ["--init", "harmonic:1:0:1.0"]),
+    (20, ["--init", "harmonic:1:1:1.0", "--dt", "0.02"]),
+])
+def test_simulate_harmonic_state_reaches_the_backward_error_bound(
+    tmp_path, capsys, resolution, extra
+):
+    # a harmonic state is a fixed point of the flow: its (z, e) rows of the
+    # midpoint system are rounding noise, which omega_1 alone cannot pass
+    mesh = _write_torus(tmp_path, resolution)
+    code, rep = _run(capsys, ["simulate", mesh, "--p", "1", "--q", "2", "--steps", "20",
+                              "--out", str(tmp_path / "h.csv")] + extra)
+    assert code == 0
+    assert rep["relative_energy_drift"] <= 1e-10
+    assert rep["max_abs_harmonic_drift"] <= 1e-8
 
 
 def test_simulate_balance_gate_on_bounded_mesh(tmp_path, capsys):

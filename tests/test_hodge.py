@@ -357,8 +357,8 @@ def test_coexact_solve_of_an_exact_cochain_does_not_stall(monkeypatch):
     # ends at rounding level.
     genuine, ends = hodge_mod._refine, {}
 
-    def recorded(x, residual, correct, abs_S, b_abs, what):
-        x = genuine(x, residual, correct, abs_S, b_abs, what)
+    def recorded(x, residual, correct, abs_S, b_abs, what, row_max):
+        x = genuine(x, residual, correct, abs_S, b_abs, what, row_max)
         scale = np.maximum(abs_S @ np.abs(x) + b_abs, np.finfo(float).tiny)
         ends[what] = (np.abs(residual(x)) / scale).max()
         return x

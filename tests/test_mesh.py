@@ -9,6 +9,7 @@ from harmonic_ports import (
     IsolatedVertex,
     DuplicateSimplex,
     FactorizationFailure,
+    Metric,
     NonOrientable,
     OverflowInExactArithmetic,
     UnsupportedResolution,
@@ -19,6 +20,8 @@ from harmonic_ports import (
     extract_boundary,
     gen_mesh,
     integer_matrix_rank,
+    random_cochain,
+    stokes_check,
     validate_manifold,
 )
 from harmonic_ports import mesh as mesh_mod
@@ -138,13 +141,67 @@ def test_mobius_strip_is_rejected_when_strict():
 
 
 def test_degenerate_element_is_a_factorization_failure_when_strict():
-    # the second triangle (0, 1, 3) has zero area; the metric's frame check
-    # raises the same error for it on a lenient read
+    # the second triangle (0, 1, 3) has zero area; the metric's frame check,
+    # which every strict command runs right after the read, refuses it
     tops = [(0, 1, 2), (0, 1, 3)]
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 0.0]])
     with pytest.raises(FactorizationFailure, match=r"degenerate element \(0, 1, 3\)"):
-        build_complex(tops, verts)
+        Metric(build_complex(tops, verts))
     build_complex(tops, verts, strict=False)
+
+
+# Five triangles (i, i+1, i+2) mod 5 in the plane: the minimal Moebius strip.
+PLANAR_MOBIUS = (
+    [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)],
+    [[np.cos(2 * np.pi * i / 5), np.sin(2 * np.pi * i / 5)] for i in range(5)],
+)
+# Two flat triangles folded onto the same side of their shared edge (0, 1).
+FOLDED_PAIR = ([(0, 1, 2), (0, 1, 3)], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+def test_planar_mobius_strip_is_rejected_when_strict():
+    # a flat embedding does not bypass the consistency check
+    with pytest.raises(NonOrientable, match=r"across face \(3, 4\)"):
+        build_complex(*PLANAR_MOBIUS)
+    report = validate_manifold(build_complex(*PLANAR_MOBIUS, strict=False))
+    assert report["orientable"] is False
+
+
+def test_folded_pair_is_oriented_so_interior_faces_cancel():
+    cx = build_complex(*FOLDED_PAIR)
+    assert cx.orientation.tolist() == [1, -1]  # the seed keeps its positive volume
+    assert not [f for f in validate_manifold(cx)["findings"] if f["kind"] == "orientation_conflict"]
+    m = Metric(cx)
+    c = random_cochain(cx, 1, np.random.default_rng(0))
+    assert stokes_check(m, c)["residual"] == 0.0
+
+
+def _volume_orientation(cx):
+    """The signed-volume rule that propagation seeded by volume replaced
+    for flat meshes, as a test oracle: +1 where the sorted tuple's edge
+    determinant is positive."""
+    tops = cx._face_positions[0]
+    det = np.linalg.det(cx.vertices[tops[:, 1:]] - cx.vertices[tops[:, :1]])
+    return np.where(det > 0, 1, -1)
+
+
+FLAT_RESOLUTIONS = (
+    [("disk", r) for r in range(1, 21)]
+    + [("annulus", r) for r in range(1, 21)]
+    + [("ball", r) for r in range(1, 15)]
+    + [("solid_torus", r) for r in range(1, 31)]
+)
+
+
+@pytest.mark.parametrize("shape, resolution", FLAT_RESOLUTIONS)
+def test_flat_orientation_matches_the_volume_rule(shape, resolution):
+    cx = gen_mesh(shape, resolution)
+    assert np.array_equal(cx.orientation, _volume_orientation(cx))
+    # a vertex relabelling reorders the tops and moves every seed
+    perm = np.random.default_rng(resolution).permutation(len(cx.vertices))
+    tops = np.argsort(perm)[cx._face_positions[0]]
+    relabelled = build_complex(tops, cx.vertices[perm])
+    assert np.array_equal(relabelled.orientation, _volume_orientation(relabelled))
 
 
 @pytest.mark.parametrize("seed", range(5))

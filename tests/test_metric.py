@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from harmonic_ports import (
     Cochain,
@@ -10,6 +11,7 @@ from harmonic_ports import (
     DegreeOutOfRange,
     FactorizationFailure,
     Metric,
+    SolverFailure,
     build_complex,
     codifferential,
     codifferential_constrained,
@@ -23,6 +25,7 @@ from harmonic_ports import (
     stokes_check,
     tangential_trace,
 )
+from harmonic_ports.metric import _refine
 
 from conftest import (
     ACCEPTANCE,
@@ -422,3 +425,24 @@ def test_index_arrays_are_cached_and_read_only():
             assert indices(k) is idx
             with pytest.raises(ValueError):
                 idx[:1] = 0
+
+
+@pytest.mark.parametrize("row, residual, accepted", [
+    (1, 1e-25, True),  # rounding noise in a row whose |S| |x| + |b| is noise
+    (1, 1e-12 * 2.0, False),  # 1e-12 ||S_1||_inf ||x||_inf in that row
+    (0, 1e-13, False),  # a row of full scale keeps omega_1
+])
+def test_refine_measures_rows_of_rounding_noise_normwise(row, residual, accepted):
+    # S x = b with b_1 = b_2 = 0 and x_1, x_2 at 1e-20 while ||x||_inf = 1:
+    # (|S| |x|)_1 = 3e-20 is below tau_1 = 1000 N eps ||S_1||_inf ||x||_inf
+    S = sp.csr_matrix([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+    x, b_abs = np.array([1.0, 1e-20, -1e-20]), np.array([1.0, 0.0, 0.0])
+    r = np.zeros(3)
+    r[row] = residual
+    row_max = abs(S).max(axis=1).toarray().ravel()
+    args = (x.copy(), lambda x: r, lambda r: np.zeros(3), abs(S), b_abs, "toy solve", row_max)
+    if accepted:
+        assert np.array_equal(_refine(*args), x)
+    else:
+        with pytest.raises(SolverFailure, match="toy solve: backward error"):
+            _refine(*args)

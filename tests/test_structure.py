@@ -1,7 +1,8 @@
 """Structure guards on the library source: one SuperLU call site, one
 refinement bound and pass cap, one cache mechanism (Metric.cached), the
 boundary condition decided in metric.py alone, the Stokes-Dirac port
-map and its stacked layout decided in stokesdirac.py alone,
+map and its stacked layout decided in stokesdirac.py alone, the
+degenerate-element bound read in metric.py alone,
 simulate's loop on flat arrays and exit codes decided by the error
 types."""
 
@@ -82,7 +83,8 @@ def test_removed_duplicates_stay_removed():
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node.name in {
-            "interior_mass_lu", "_deltac", "_jsonable", "_defect", "_power_pieces", "_step_power"
+            "interior_mass_lu", "_deltac", "_jsonable", "_defect", "_power_pieces", "_step_power",
+            "_orient_by_volume",
         }
     ]
     classes = [
@@ -92,6 +94,20 @@ def test_removed_duplicates_stay_removed():
         if isinstance(node, ast.ClassDef) and node.name == "_Slot"
     ]
     assert defined == classes == []
+
+
+def test_degenerate_element_bound_lives_in_metric():
+    # one degenerate-element test, the metric's frame check; no module
+    # imports, reads or assigns the bound but metric.py
+    users = {
+        module
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "_DEGENERATE_VOLUME")
+        or (isinstance(node, ast.Attribute) and node.attr == "_DEGENERATE_VOLUME")
+        or (isinstance(node, ast.alias) and node.name == "_DEGENERATE_VOLUME")
+    }
+    assert users == {"metric.py"}
 
 
 def test_interior_indices_is_called_only_in_metric():

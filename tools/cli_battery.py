@@ -9,9 +9,10 @@ PYTHONPATH) with OUTDIR/<case>/ as its working directory, and leaves there
 ``stdout``, ``stderr``, ``exit_code`` and the files the command wrote.
 Every path a command sees is relative, so reports do not depend on OUTDIR,
 and HARMONIC_PORTS_TOL_SCALE is unset unless the case sets it.
-The battery covers every subcommand on the six acceptance shapes, malformed
-meshes, usage errors and an invalid HARMONIC_PORTS_TOL_SCALE.  Warnings are
-always shown, so a case prints the same whatever the caller's warning filters.
+The battery covers every subcommand on the six acceptance shapes, a harmonic
+initial state, malformed and hand-written meshes, usage errors and an
+invalid HARMONIC_PORTS_TOL_SCALE.  Warnings are always shown, so a case
+prints the same whatever the caller's warning filters.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 import warnings
@@ -33,18 +35,30 @@ PAIRS = {2: [(1, 2), (2, 1)], 3: [(1, 3), (2, 2), (3, 1)]}
 SOLID = {"ball", "solid_torus"}
 TOL_ENV = "HARMONIC_PORTS_TOL_SCALE"
 
-# Hand-written meshes: a top simplex naming vertex 3 of 3, a vertex in no
-# top simplex, and a flat square whose centre sits 5e-13 above the edge
-# (0, 1), so the element (0, 1, 4) is degenerate.
-MALFORMED = {
-    "dangling_index": {"dimension": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
-                       "simplices": [[0, 1, 2], [1, 2, 3]]},
-    "isolated_vertex": {"dimension": 2,
-                        "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]],
-                        "simplices": [[0, 1, 2]]},
-    "degenerate": {"dimension": 2,
-                   "vertices": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.5, 5e-13]],
-                   "simplices": [[0, 1, 4], [1, 2, 4], [2, 3, 4], [0, 3, 4]]},
+# Hand-written meshes and the commands each is given: a top simplex naming
+# vertex 3 of 3, a vertex in no top simplex, a flat square whose centre sits
+# 5e-13 above the edge (0, 1), so the element (0, 1, 4) is degenerate, the
+# five-triangle Moebius strip in the plane, and two flat triangles folded
+# onto the same side of their shared edge (0, 1).
+BOTH = ("analyze", "sd-verify")
+HAND_WRITTEN = {
+    "dangling_index": (BOTH, {"dimension": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                              "simplices": [[0, 1, 2], [1, 2, 3]]}),
+    "isolated_vertex": (BOTH, {"dimension": 2,
+                               "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]],
+                               "simplices": [[0, 1, 2]]}),
+    "degenerate": (BOTH, {"dimension": 2,
+                          "vertices": [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0],
+                                       [0.5, 5e-13]],
+                          "simplices": [[0, 1, 4], [1, 2, 4], [2, 3, 4], [0, 3, 4]]}),
+    "planar_mobius": (("sd-verify",), {
+        "dimension": 2,
+        "vertices": [[math.cos(2 * math.pi * i / 5), math.sin(2 * math.pi * i / 5)]
+                     for i in range(5)],
+        "simplices": [[0, 1, 2], [1, 2, 3], [2, 3, 4], [0, 3, 4], [0, 1, 4]]}),
+    "folded_pair": (BOTH, {"dimension": 2,
+                           "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+                           "simplices": [[0, 1, 2], [0, 1, 3]]}),
 }
 
 
@@ -53,11 +67,11 @@ def _mesh(shape):
 
 
 def _write_inputs(root: Path):
-    """Malformed meshes, one random 1-cochain per shape and a vertex and a
+    """Hand-written meshes, one random 1-cochain per shape and a vertex and a
     cell vector field per solid, from a fixed seed."""
     inputs = root / "inputs"
     inputs.mkdir()
-    for name, obj in MALFORMED.items():
+    for name, (_, obj) in HAND_WRITTEN.items():
         (inputs / f"{name}.json").write_text(json.dumps(obj))
     (inputs / "not_json.json").write_text("{not json")
     rng = np.random.default_rng(20)
@@ -93,8 +107,8 @@ def _cases():
             for field_type in ("vertex", "cell"):
                 cases.append((f"decompose-{shape}-{field_type}",
                               ["decompose", mesh, f"../inputs/{shape}-{field_type}.json"], None))
-    for name in MALFORMED:
-        for command in ("analyze", "sd-verify"):
+    for name, (commands, _) in HAND_WRITTEN.items():
+        for command in commands:
             argv = [command, f"../inputs/{name}.json"]
             if command == "sd-verify":
                 argv += ["--p", "1", "--q", "2", "--random-states", "1"]
@@ -106,6 +120,8 @@ def _cases():
         ("usage-missing-mesh", ["analyze", "missing.json"], None),
         ("usage-not-json", ["analyze", "../inputs/not_json.json"], None),
         ("usage-degrees", ["sd-verify", torus, "--p", "1", "--q", "1"], None),
+        ("simulate-torus-harmonic", ["simulate", torus, "--p", "1", "--q", "2", "--steps", "4",
+                                     "--init", "harmonic:1:0:1.0", "--out", "trace.csv"], None),
         ("usage-init-index", ["simulate", torus, "--p", "1", "--q", "2", "--steps", "2",
                               "--init", "harmonic:1:99:1.0", "--out", "trace.csv"], None),
         ("usage-field-on-surface", ["decompose", torus, "../inputs/ball-vertex.json"], None),
