@@ -14,6 +14,7 @@ from .errors import (
     HarmonicPortsError,
     InvalidDegrees,
     IsolatedVertex,
+    NonManifold,
     NonOrientable,
     NotInHarmonicComplement,
     NumericalFailure,

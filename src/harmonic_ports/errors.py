@@ -41,7 +41,11 @@ class IsolatedVertex(UsageError):
 
 
 class NonOrientable(HarmonicPortsError):
-    """No consistent orientation of the top simplices exists."""
+    """No consistent orientation exists, or the given one is inconsistent."""
+
+
+class NonManifold(HarmonicPortsError):
+    """A face with more than two cofaces, or a vertex or edge with a bad link."""
 
 
 class OverflowInExactArithmetic(NumericalFailure):

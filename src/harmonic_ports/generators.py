@@ -1,9 +1,10 @@
 """Deterministic generators for the six reference shapes.
 
 Every generator returns an oriented complex.  Flat shapes (disk, annulus,
-ball, solid torus) are oriented by `build_complex` from signed volume; the
-two closed surfaces (sphere, torus) carry the orientation of their
-construction (outward for the sphere, chart-consistent for the torus).
+ball, solid torus) are oriented by `build_complex`, propagating across
+interior faces from a seed with positive volume; the two closed surfaces
+(sphere, torus) carry the orientation of their construction (outward for
+the sphere, chart-consistent for the torus).
 """
 
 from __future__ import annotations

@@ -16,11 +16,11 @@ comes from Lanczos, its smallest eigenpairs from shift-invert Lanczos
 just below zero, through a factor of the saddle-point form of A - s M
 (spaces too small for ARPACK are solved densely).  On a closed mesh both
 conditions give one operator, so the Dirichlet bases and saddles are the
-Neumann ones.  Refinement on such a factor (`metric._refine`), the
-harmonic part projected out, solves the mixed system behind every
-projection onto an exact or coexact range (_mixed_potential, which keeps
-its factor; a basis build borrows that factor or drops its own): the HMF
-split, potentials of exact cochains and the integrability witness.  The
+Neumann ones.  One refined system per saddle (`metric._refined_system`, the
+harmonic part projected out) solves the mixed system behind every
+projection onto an exact or coexact range (_mixed_potential): the HMF
+split, potentials of exact cochains and the integrability witness.  A
+basis borrows its factor when built with it, else drops its own.  The
 metric decides what a condition means: its free simplices
 (`Metric.free_indices`) and the one mass factor of each (k, condition)
 (`Metric.mass_lu`) are read here, never re-derived.
@@ -51,6 +51,7 @@ from .metric import (
     Metric,
     _check_metric,
     _refine,
+    _refined_system,
     _splu,
     exterior_derivative,
     norm,
@@ -155,7 +156,7 @@ def harmonic_basis(metric: Metric, k: int, condition: str = "neumann") -> Harmon
     )
 
 
-def _build_harmonic_basis(metric: Metric, k: int, condition: str) -> HarmonicBasis:
+def _build_harmonic_basis(metric: Metric, k: int, condition: str, lu=None) -> HarmonicBasis:
     if condition == "dirichlet" and metric.closed:
         # closed mesh: both conditions give the same operator
         return replace(harmonic_basis(metric, k, "neumann"), condition="dirichlet")
@@ -165,9 +166,8 @@ def _build_harmonic_basis(metric: Metric, k: int, condition: str) -> HarmonicBas
     sd = _saddle(metric, k, condition)
     if len(sd.idx) == 0:
         return HarmonicBasis(metric, k, condition, np.zeros((N, 0)), 0.0, math.inf)
-    kept = metric._memo.get(("saddle_lu", sd.k, sd.condition))
     try:
-        evals, kernel = _lanczos_pairs(sd, kept) or _dense_pairs(sd)
+        evals, kernel = _lanczos_pairs(sd, lu) or _dense_pairs(sd)
     except (RuntimeError, sla.LinAlgError, FactorizationFailure) as exc:
         raise FactorizationFailure(f"harmonic eigenproblem at degree {k}: {exc}") from exc
     m = kernel.shape[1]
@@ -374,7 +374,7 @@ class HMFDecomposition:
 
 
 def _mixed_potential(
-    metric: Metric, k: int, condition: str, f: np.ndarray, f_abs: np.ndarray | None = None
+    metric: Metric, k: int, condition: str, f: np.ndarray, omega: np.ndarray | None = None
 ) -> np.ndarray:
     """sigma of the mixed Hodge-Laplacian system of (k, condition) (_saddle)
 
@@ -389,15 +389,12 @@ def _mixed_potential(
     the harmonic part projected out of every residual and correction: the
     error contracts by |s| / (lambda_1 + |s|) < 1/2 per solve (lambda_1
     the first non-kernel eigenvalue), until the componentwise backward
-    error reaches its bound.  It is measured against the size of M f, or
-    against max(|M f|, |M| f_abs) when f_abs gives the componentwise size
-    of the data f was formed from (|d| |omega| for f = d omega): still an
-    Oettli-Prager backward error (Higham, Accuracy and Stability of
-    Numerical Algorithms, 7.1), which does not stall when f is rounding
-    noise, as d omega is for an exact omega.  The factor is kept as
-    ("saddle_lu", k, condition), which the basis borrows, and |S| with its
-    row maxima as ("saddle_abs", k, condition).  sigma = 0 when f_0 = 0,
-    low is empty or A = 0.
+    error reaches its bound.  It is measured against the size of M f, and
+    for f = d omega (omega given, at degree k-1) against the size of its
+    data too, max(|M f|, |M| |d| |omega|): still an Oettli-Prager backward
+    error (Higham, Accuracy and Stability of Numerical Algorithms, 7.1),
+    which does not stall when f is rounding noise, as d omega is for an
+    exact omega.  sigma = 0 when f_0 = 0, low is empty or A = 0.
 
     Raises:
         SolverFailure: The bound is not reached, as when the basis holds
@@ -407,10 +404,27 @@ def _mixed_potential(
     sigma = np.zeros(metric.complex.num_simplices(k - 1))
     if len(sd.low) == 0 or not sd.mu_max > 0:
         return sigma
-    lu = metric.cached(("saddle_lu", sd.k, sd.condition), sd.factor)
-    abs_S, row_max = metric.cached(("saddle_abs", sd.k, sd.condition),
-                                   lambda: (abs(sd.S), abs(sd.S).max(1).toarray().ravel()))
-    basis = harmonic_basis(metric, k, condition)
+    key = ("mixed", sd.k, sd.condition)
+    system, abs_M, abs_d = metric.cached(key, lambda: _mixed_system(metric, sd))
+    nk = len(sd.idx)
+    b = np.zeros(sd.S.shape[0])
+    b[:nk] = (metric.mass_csr(k) @ f)[sd.idx] / sd.c
+    b_abs, b = np.abs(b), system.project(b)
+    if omega is not None:
+        b_abs[:nk] = np.maximum(b_abs[:nk], (abs_M @ (abs_d @ np.abs(omega))) / sd.c)
+    x = _refine(system, np.zeros_like(b), b, b_abs, f"mixed solve at degree {k}")
+    sigma[sd.low] = x[nk:] * math.sqrt(sd.c / sd.c_l)
+    return sigma
+
+
+def _mixed_system(metric: Metric, sd: _Saddle):
+    """The memo entry ("mixed", k, condition) of a saddle: its refined
+    system on a new saddle factor (lent to the basis if built here), the
+    harmonic part V V^T M projected out of every residual and correction,
+    and the free rows of |M_k| and |d_(k-1)|, which size f = d omega."""
+    lu = sd.factor()
+    basis = metric.cached(("harmonic", sd.k, sd.condition),
+                          lambda: _build_harmonic_basis(metric, sd.k, sd.condition, lu))
     nk = len(sd.idx)
     V = basis.vectors[sd.idx] * math.sqrt(sd.c)
     MV = sd.M @ V
@@ -419,20 +433,10 @@ def _mixed_potential(
         y[:nk] -= P @ (Q.T @ y[:nk])
         return y
 
-    b = np.zeros(sd.S.shape[0])
-    b[:nk] = (metric.mass_csr(k) @ f)[sd.idx] / sd.c
-    b_abs, b = np.abs(b), deflate(b, MV, V)
-    if f_abs is not None:
-        data = (abs(metric.mass_csr(k)) @ f_abs)[sd.idx] / sd.c
-        b_abs[:nk] = np.maximum(b_abs[:nk], data)
-    x = _refine(
-        np.zeros_like(b),
-        lambda x: deflate(b - sd.S @ x, MV, V),
-        lambda r: deflate(lu.solve(r), V, MV),
-        abs_S, b_abs, f"mixed solve at degree {k}", row_max,
-    )
-    sigma[sd.low] = x[nk:] * math.sqrt(sd.c / sd.c_l)
-    return sigma
+    system = _refined_system(
+        sd.S, lu, lambda r: deflate(lu.solve(r), V, MV), lambda y: deflate(y, MV, V))
+    d = metric.complex.exterior_derivative_matrix(sd.k - 1)
+    return system, abs(metric.mass_csr(sd.k)[sd.idx]), abs(d)
 
 
 def hodge_morrey_friedrichs(metric: Metric, omega: Cochain) -> HMFDecomposition:
@@ -462,9 +466,8 @@ def hodge_morrey_friedrichs(metric: Metric, omega: Cochain) -> HMFDecomposition:
         sigma = _mixed_potential(metric, k, "dirichlet", omega.values)
         d_alpha = exterior_derivative(metric, Cochain(cx, k - 1, sigma))
     if k < cx.dimension:
-        d = cx.exterior_derivative_matrix(k)
-        d_omega, d_abs = d @ omega.values, abs(d) @ np.abs(omega.values)
-        delta_beta = Cochain(cx, k, _mixed_potential(metric, k + 1, "neumann", d_omega, d_abs))
+        d_omega = cx.exterior_derivative_matrix(k) @ omega.values
+        delta_beta = Cochain(cx, k, _mixed_potential(metric, k + 1, "neumann", d_omega, omega.values))
 
     h = omega - d_alpha - delta_beta
     basis = harmonic_basis(metric, k, "dirichlet")

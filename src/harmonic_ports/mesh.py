@@ -39,6 +39,7 @@ from .errors import (
     DegreeOutOfRange,
     DuplicateSimplex,
     IsolatedVertex,
+    NonManifold,
     NonOrientable,
     OverflowInExactArithmetic,
     WrongDimension,
@@ -81,7 +82,8 @@ class SimplicialComplex:
         simplices: Per degree k, the lexicographically ordered list of
             sorted vertex tuples, built from the face table on each read.
         orientation: (N_n,) array of +-1, the orientation of each top
-            simplex relative to its sorted tuple.
+            simplex relative to its sorted tuple; given as None, inferred
+            from the face table as build_complex describes (+1 at n = 0).
     """
 
     def __init__(
@@ -89,7 +91,7 @@ class SimplicialComplex:
         dimension: int,
         vertices: np.ndarray,
         top_simplices: Sequence[tuple],
-        orientation: np.ndarray,
+        orientation: np.ndarray | None,
     ):
         self.dimension = int(dimension)
         self.vertices = np.asarray(vertices, dtype=float)
@@ -97,11 +99,11 @@ class SimplicialComplex:
             self.vertices = self.vertices.reshape(len(self.vertices), -1)
         n = self.dimension
 
-        signs = np.asarray(orientation, dtype=np.int64)
         tops = np.asarray(top_simplices, dtype=np.int64).reshape(-1, n + 1)
+        signs = np.asarray(np.ones(len(tops)) if orientation is None else orientation, np.int64)
         if len(signs) != len(tops):
             raise ValueError("orientation array does not match top simplex count")
-        order = np.lexsort((signs, *tops.T[::-1]))
+        order = np.lexsort(tops.T[::-1])
         tops = tops[order]
         self.orientation = signs[order]
 
@@ -122,6 +124,12 @@ class SimplicialComplex:
             faces = self._face_positions[k - 1][owner[:, None], dropped]
             vals = np.tile((-1) ** np.arange(k + 1), len(rows))
             if k == n:
+                if orientation is None:  # seeds +1, or volume signs if d = n
+                    if self.vertices.shape[1] == n:
+                        edges = self.vertices[tops[:, 1:]] - self.vertices[tops[:, :1]]
+                        signs = np.where(np.linalg.det(edges) < 0, -1, 1)
+                    facets = _facets(self._face_positions[n - 1])
+                    self.orientation = _orient_by_propagation(facets, signs)[0]
                 vals *= np.repeat(self.orientation, k + 1)
             cols = np.repeat(np.arange(len(rows)), k + 1)
             shape = (len(self._simplex_rows[k - 1]), len(rows))
@@ -286,18 +294,19 @@ def build_complex(
             first top simplex: +1, or the sign of its volume when d == n),
             "from_order" (the parity of each given tuple relative to its
             sorted order), or an explicit array of +-1 per given simplex.
-        strict: If True raise on isolated vertices or inference conflicts;
-            if False record a best effort and let validate_manifold report
-            the findings.  Degenerate elements are the metric's to refuse.
+        strict: If True raise the error of validate_manifold's first
+            finding; if False return a best effort and let validate_manifold
+            report the findings.  Degenerate elements are the metric's to refuse.
 
     Raises:
         DuplicateSimplex: A repeated top simplex, or a repeated vertex
             inside one simplex.
         DanglingVertexIndex: A vertex index outside the coordinate array.
-        IsolatedVertex: A vertex in no top simplex (strict only).
-        WrongDimension: Mixed tuple lengths, or fewer ambient coordinates
-            than the simplex dimension.
-        NonOrientable: No consistent orientation exists (strict only).
+        WrongDimension: Mixed tuple lengths, fewer ambient coordinates
+            than the simplex dimension, or n = 0 when strict.
+        IsolatedVertex, NonManifold, NonOrientable: Strict only, by the
+            first finding: a vertex in no top simplex; a face with excess
+            cofaces or a bad link; an orientation conflict.
     """
     tops = [tuple(int(v) for v in t) for t in top_simplices]
     if not tops:
@@ -335,29 +344,23 @@ def build_complex(
             raise DanglingVertexIndex(f"vertex {v} of simplex {t}")
         raise DuplicateSimplex(f"simplex {tuple(ordered[i].tolist())} appears twice")
     sorted_tops = ordered[rank]  # canonical order of the top simplices
-    isolated = np.setdiff1d(np.arange(len(verts)), sorted_tops)
-    if strict and len(isolated):
-        raise IsolatedVertex(f"vertex {isolated[0]} lies in no top simplex")
-
+    signs = None
     if isinstance(orientation, str) and orientation == "from_order":
         signs = np.array([permutation_sign(tops[i]) for i in rank], dtype=np.int64)
-    elif orientation is None:
-        seeds = None
-        if d == n:
-            edges = verts[sorted_tops[:, 1:]] - verts[sorted_tops[:, :1]]
-            seeds = np.where(np.linalg.det(edges) < 0, -1, 1)
-        faces, positions, _ = _faces(sorted_tops, n - 1)
-        signs, conflicts = _orient_by_propagation(_facets(positions), seeds)
-        if conflicts and strict:
-            face = tuple(faces[conflicts[0]].tolist())
-            raise NonOrientable(f"orientation conflict across face {face}")
-    else:
+    elif orientation is not None:
         arr = np.asarray(orientation, dtype=np.int64)
         if arr.shape != (len(tops),) or not np.all(np.abs(arr) == 1):
             raise ValueError("orientation must be +-1 per top simplex")
         signs = arr[rank]
 
-    return SimplicialComplex(n, verts, sorted_tops, signs)
+    cx = SimplicialComplex(n, verts, sorted_tops, signs)
+    findings = validate_manifold(cx)["findings"] if strict else []
+    if findings:  # a conflict is named "orientation conflict across face F"
+        kind, detail = findings[0]["kind"], findings[0]["detail"]
+        error = {"isolated_vertex": IsolatedVertex, "non_orientable": NonOrientable,
+                 "orientation_conflict": NonOrientable}.get(kind, NonManifold)
+        raise error(detail.replace("no consistent orientation", "orientation conflict"))
+    return cx
 
 
 def _facets(positions: np.ndarray) -> np.ndarray:
@@ -475,12 +478,8 @@ def validate_manifold(complex: SimplicialComplex) -> dict:
     cofaces = np.diff(top.indptr)
     faces = _first_seen(facets)
     for f in faces[cofaces[faces] > 2].tolist():
-        findings.append(
-            {
-                "kind": "face_with_excess_cofaces",
-                "detail": f"face {complex._simplex(n - 1, f)} has {cofaces[f]} cofaces",
-            }
-        )
+        detail = f"face {complex._simplex(n - 1, f)} has {cofaces[f]} cofaces"
+        findings.append({"kind": "face_with_excess_cofaces", "detail": detail})
 
     # Interior faces are the rows of the top boundary matrix with two
     # nonzeros; the stored orientations agree where such a row sums to 0.
@@ -491,28 +490,17 @@ def validate_manifold(complex: SimplicialComplex) -> dict:
     conflicts = _orient_by_propagation(facets)[1] if len(disagree) else []
     orientable = not conflicts
     for f in conflicts:
-        findings.append(
-            {
-                "kind": "non_orientable",
-                "detail": f"no consistent orientation across face {complex._simplex(n - 1, f)}",
-            }
-        )
-    if orientable:
-        for f in disagree.tolist():
-            findings.append(
-                {
-                    "kind": "orientation_conflict",
-                    "detail": f"stored orientations disagree at face {complex._simplex(n - 1, f)}",
-                }
-            )
+        detail = f"no consistent orientation across face {complex._simplex(n - 1, f)}"
+        findings.append({"kind": "non_orientable", "detail": detail})
+    for f in disagree.tolist() if orientable else []:
+        detail = f"stored orientations disagree at face {complex._simplex(n - 1, f)}"
+        findings.append({"kind": "orientation_conflict", "detail": detail})
 
     if n in (2, 3):
         _check_links(complex, facets, cofaces, findings)
 
-    manifold = not any(
-        f["kind"] in ("isolated_vertex", "face_with_excess_cofaces", "bad_link")
-        for f in findings
-    )
+    kinds = {f["kind"] for f in findings}
+    manifold = not kinds & {"isolated_vertex", "face_with_excess_cofaces", "bad_link"}
     return {
         "manifold": manifold,
         "orientable": orientable,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,10 +151,11 @@ class Metric:
     (free_indices), one `_splu` factor of their mass block (mass_lu),
     shared by every solve against it, and the components at degrees 0
     and n with their boundary flags (components).  Everything else, here
-    and in the layers above (index arrays, harmonic bases, saddles, mixed solves'
-    factors, the Stokes-Dirac coupling and stacked port layout, the spectral
-    radius estimate, the midpoint factor), is built on first request through `cached` and kept
-    in one memo keyed by a tuple naming it, e.g. ("mass_csr", k).
+    and in the layers above (index arrays, harmonic bases, saddles, the
+    refined systems of mixed solves and midpoint steps, the Stokes-Dirac
+    coupling and stacked port layout, the spectral radius estimate), is
+    built on first request through `cached` and kept in one memo keyed by
+    a tuple naming it, e.g. ("mass_csr", k).
 
     Args:
         complex: The oriented complex to equip.
@@ -392,8 +394,19 @@ def _splu(matrix, what: str) -> spla.SuperLU:
         raise FactorizationFailure(f"{what} is singular") from exc
 
 
-def _refine(x, residual, correct, abs_S, b_abs, what: str, row_max) -> np.ndarray:
-    """x refined in place by x += correct(r), r = residual(x) (b - S x),
+_Refined = namedtuple("_Refined", "S lu solve project abs_S row_max")
+
+
+def _refined_system(S, lu, solve, project=lambda r: r) -> _Refined:
+    """The record of a system S x = b that `_refine` solves to rounding: S,
+    its SuperLU factor lu, solve(r) the exact solve through lu, project a
+    map applied to every residual, and |S| with its row maxima."""
+    abs_S = abs(S)
+    return _Refined(S, lu, solve, project, abs_S, abs_S.max(1).toarray().ravel())
+
+
+def _refine(system: _Refined, x, b, b_abs, what: str) -> np.ndarray:
+    """x refined in place by x += system.solve(r), r = b - S x (projected),
     while its backward error exceeds the bound: per row the componentwise
     (Oettli-Prager) |r_i| / (|S| |x| + b_abs)_i, b_abs the size of b,
     except a row above the bound whose scale is rounding noise, below
@@ -406,12 +419,12 @@ def _refine(x, residual, correct, abs_S, b_abs, what: str, row_max) -> np.ndarra
         SolverFailure: The bound is not reached in REFINE_PASSES passes.
     """
     for done in range(REFINE_PASSES + 1):
-        r, x_abs = residual(x), np.abs(x)
-        sx = abs_S @ x_abs
+        r, x_abs = system.project(b - system.S @ x), np.abs(x)
+        sx = system.abs_S @ x_abs
         omega = np.abs(r) / np.maximum(sx + b_abs, np.finfo(float).tiny)
         worst = omega.max()
         if worst > BACKWARD_ERROR_BOUND:
-            wide = row_max * x_abs.max()  # ||S_i||_inf ||x||_inf
+            wide = system.row_max * x_abs.max()  # ||S_i||_inf ||x||_inf
             tau = 1000 * len(x) * np.finfo(float).eps * (wide + b_abs)
             noise = (omega > BACKWARD_ERROR_BOUND) & (sx + b_abs < tau)
             omega[noise] = np.abs(r[noise]) / (sx + wide)[noise]  # wide > 0 there
@@ -419,7 +432,7 @@ def _refine(x, residual, correct, abs_S, b_abs, what: str, row_max) -> np.ndarra
         if worst <= BACKWARD_ERROR_BOUND:
             return x
         if done < REFINE_PASSES:
-            x += correct(r)
+            x += system.solve(r)
     raise SolverFailure(f"{what}: backward error {worst:.3e} after refinement")
 
 

@@ -11,22 +11,20 @@ M-orthogonal to the Neumann-harmonic spaces; the trace records those
 coefficients per step as the conserved topological content.
 
 A is never formed: with h = dt/2 the midpoint w = (I - h A)^-1 a is
-one solve of a sparse block system K(|h|) (`_midpoint_operator`) in w and
+one solve of a sparse block system K(h) (`_midpoint_operator`) in w and
 the port action y = (z, e) at w; w is eliminated exactly, y's Schur
-complement factored once per |dt| and the solve refined to rounding
+complement factored once per dt and the solve refined to rounding
 against K by `metric._refine`.  K, the spectral radius and run read the
-port map and stacked layout of `stokesdirac.system_operators`; this module
-keeps K, its factor, J and the cut points.  J = diag(I, -I) has
-J A J = -A, so a step back solves K(|h|) against J a and applies J to the
-unknowns.  A step of run costs that one solve and four more sparse
-products on the stacked state (flows, dH/dt, boundary, H); one
+port map and stacked layout of `stokesdirac.system_operators`; this
+module keeps K's refined system (`metric._refined_system`) per dt, a step
+back (dt < 0) included.  A step of run costs that one solve and four more
+sparse products on the stacked state (flows, dH/dt, boundary, H); one
 `stokesdirac._power_rate` sums the power terms of every row, and cochains
 are built only for snapshots.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +33,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import FactorizationFailure, SolverFailure
 from .hodge import harmonic_basis
-from .metric import Cochain, Metric, _delta, _delta_transpose, _refine, _splu
+from .metric import Cochain, Metric, _delta, _delta_transpose, _refine, _refined_system, _splu
 from .stokesdirac import StokesDiracSystem, _norms, _port_action, _power_rate, system_operators
 
 __all__ = [
@@ -154,23 +152,16 @@ def _midpoint_operator(metric: Metric, p: int, q: int, h: float) -> sp.csr_matri
     return sp.bmat(blocks, format="csr")
 
 
-_Midpoint = namedtuple("_Midpoint", "K abs_K lu solve J nw e_at D row_max")
-
-
-def _midpoint_factors(metric: Metric, p: int, q: int, dt: float) -> _Midpoint:
-    """K(|dt|/2) and its factor, once per |dt|: with K = [[I, K_wy],
-    [K_yw, K_yy]] in w and y = (z, e), lu factors K_yy - K_yw K_wy (mass
-    diagonal blocks, `_splu`'s symmetric mode), solve applies K^-1 exactly,
-    K, |K| and its row maxima serve `metric._refine`; J, the cuts nw, e_at
-    of (w, z, e) and the layout's flow map D."""
+def _midpoint_factors(metric: Metric, p: int, q: int, dt: float):
+    """The refined system of K(dt/2) (`metric._refined_system`) and the
+    layout's flow map D, once per dt: with K = [[I, K_wy], [K_yw, K_yy]]
+    in w and y = (z, e), lu factors K_yy - K_yw K_wy (mass diagonal
+    blocks, `_splu`'s symmetric mode) and solve applies K^-1 exactly."""
 
     def build():
-        K = _midpoint_operator(metric, p, q, 0.5 * abs(dt))
-        layout, n = system_operators(metric, p, q)["layout"], metric.complex.num_simplices
-        sizes = [n(s.degree) for s in layout.slots] + [len(s.free) for s in layout.slots]
-        sizes += [n(s.degree - 1) for s in layout.slots[::-1]]
-        cut = np.cumsum([0] + sizes).tolist()
-        nw, J = cut[2], np.repeat(np.tile([1.0, -1.0], 3), sizes)
+        K = _midpoint_operator(metric, p, q, 0.5 * dt)
+        D = system_operators(metric, p, q)["layout"].D
+        nw = D.shape[0]
         K_wy, K_yw = K[:nw, nw:], K[nw:, :nw]
         lu = _splu(K[nw:, nw:] - K_yw @ K_wy, "midpoint operator")
 
@@ -178,25 +169,21 @@ def _midpoint_factors(metric: Metric, p: int, q: int, dt: float) -> _Midpoint:
             y = lu.solve(r[nw:] - K_yw @ r[:nw])
             return np.concatenate([r[:nw] - K_wy @ y, y])
 
-        return _Midpoint(K, abs(K), lu, solve, J, nw, cut[4], layout.D, abs(K).max(1).toarray().ravel())
+        return _refined_system(K, lu, solve), D
 
-    return metric.cached(("midpoint", p, q, abs(float(dt))), build)
+    return metric.cached(("midpoint", p, q, float(dt)), build)
 
 
 def _midpoint(metric: Metric, p: int, q: int, a: np.ndarray, dt: float):
     """(new, w, z, e, f) of a stacked state a: the step 2 w - a, the
     midpoint w = (I - dt/2 A)^-1 a and its port action, z (free rows) and
-    e in K's order and f = D e, from one refined solve and one product.
-    J flips slot q's w and z and the effort they drive."""
-    mp = _midpoint_factors(metric, p, q, dt)
-    b = np.zeros(len(mp.J))
-    b[: mp.nw] = mp.J[: mp.nw] * a if dt < 0 else a
-    x = _refine(mp.solve(b), lambda x: b - mp.K @ x, mp.solve, mp.abs_K, np.abs(b),
-                "midpoint solve", mp.row_max)
-    if dt < 0:
-        x *= mp.J
-    w, z, e = x[: mp.nw], x[mp.nw : mp.e_at], x[mp.e_at :]
-    return 2.0 * w - a, w, z, e, mp.D @ e
+    e in K's order and f = D e, from one refined solve and one product."""
+    system, D = _midpoint_factors(metric, p, q, dt)
+    b = np.zeros(system.S.shape[0])
+    b[: len(a)] = a
+    x = _refine(system, system.solve(b), b, np.abs(b), "midpoint solve")
+    w, z, e = np.split(x, [len(a), len(x) - D.shape[1]])
+    return 2.0 * w - a, w, z, e, D @ e
 
 
 def _cochains(sys: StokesDiracSystem, v: np.ndarray):
@@ -209,8 +196,8 @@ def step_implicit_midpoint(sys: StokesDiracSystem, dt: float) -> StokesDiracSyst
     """One midpoint step; dt may be negative (the exact inverse step).
 
     The Cayley step 2 w - a, w = (I - h A)^-1 a, h = dt/2, by one refined
-    solve of K(|h|) and the flow product (`_midpoint`); a negative dt
-    reuses the factor of |dt|.  The new cochains are its only objects.
+    solve of K(h) and the flow product (`_midpoint`).  The new cochains
+    are its only objects.
 
     Raises:
         FactorizationFailure: K's Schur complement in (z, e) is singular.

@@ -186,10 +186,10 @@ def reference_run(sys, config):
         return records(alphas, z, e)
 
     def midpoint(state):
-        K, abs_K, _, solve, *_, row_max = _midpoint_factors(m, p, q, dt)
+        system, _ = _midpoint_factors(m, p, q, dt)
         b = np.zeros(cuts[-1])
         b[: cuts[2]] = np.concatenate([state.alpha_p.values, state.alpha_q.values])
-        x = _refine(solve(b), lambda x: b - K @ x, solve, abs_K, np.abs(b), "midpoint solve", row_max)
+        x = _refine(system, system.solve(b), b, np.abs(b), "midpoint solve")
         parts = [x[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
         w, z_free, e = parts[:2], parts[2:4], parts[4:]
         z = [np.zeros(n(s.degree - 1)) for s in slots]

@@ -96,6 +96,22 @@ def test_sd_verify_refuses_a_planar_mobius_strip(tmp_path, capsys):
     assert capsys.readouterr().err == "error: orientation conflict across face (3, 4)\n"
 
 
+@pytest.mark.parametrize("mesh, error", [
+    ({"dimension": 2, "vertices": [[0, 0, 0], [1, 0, 0], [0.5, 1, 0], [0.5, -0.5, 0.8],
+                                   [0.5, -0.5, -0.8]],
+      "simplices": [[0, 1, 2], [0, 1, 3], [0, 1, 4]]}, "face (0, 1) has 3 cofaces"),
+    ({"dimension": 2, "vertices": [[0, 0], [1, -1], [1, 1], [-1, 1], [-1, -1]],
+      "simplices": [[0, 1, 2], [0, 3, 4]]}, "vertex 0 link is not a path or cycle"),
+], ids=["fin", "bowtie"])
+def test_sd_verify_refuses_non_manifold_input(tmp_path, capsys, mesh, error):
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(mesh))
+    assert main(["sd-verify", str(path), "--p", "1", "--q", "2"]) == 1
+    assert capsys.readouterr().err == f"error: {error}\n"
+    code, rep = _run(capsys, ["analyze", str(path)])
+    assert code == 1 and rep["validation"]["manifold"] is False
+
+
 def test_analyze_flags_isolated_vertex(tmp_path, capsys):
     # a vertex in no top simplex is a validation finding, not a numerical failure
     path = tmp_path / "disk.json"
@@ -270,7 +286,7 @@ def test_eigensolver_failures_exit_2(tmp_path, capsys, monkeypatch, name, failur
 # _dispatch handles.
 EXIT_CODES = {
     "HarmonicPortsError": 1, "DuplicateSimplex": 1, "DanglingVertexIndex": 1,
-    "NonOrientable": 1, "IsolatedVertex": 3, "NotInHarmonicComplement": 1,
+    "NonOrientable": 1, "NonManifold": 1, "IsolatedVertex": 3, "NotInHarmonicComplement": 1,
     "NumericalFailure": 2, "FactorizationFailure": 2, "AmbiguousKernel": 2,
     "OverflowInExactArithmetic": 2, "SolverFailure": 2, "MemoryError": 2,
     "UsageError": 3, "DegreeMismatch": 3, "ComplexMismatch": 3, "DegreeOutOfRange": 3,

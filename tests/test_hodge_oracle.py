@@ -130,7 +130,7 @@ def test_spheres_pinched_at_a_vertex_match_the_oracle():
     tops = list(s.simplices[2]) + [tuple(shift[list(t)]) for t in s.simplices[2]]
     verts = np.vstack([s.vertices, (s.vertices - s.vertices[0])[1:] * [-1.0, 1.0, 1.0]
                        + s.vertices[0]])
-    metric = Metric(build_complex(tops, verts))
+    metric = Metric(build_complex(tops, verts, strict=False))  # the pinch is a bad link
     assert betti_numbers(metric.complex) == [1, 0, 2]
     assert [harmonic_basis(metric, k).dim for k in range(3)] == [1, 0, 2]
     _assert_matches_oracle(metric)

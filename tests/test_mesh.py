@@ -10,6 +10,7 @@ from harmonic_ports import (
     DuplicateSimplex,
     FactorizationFailure,
     Metric,
+    NonManifold,
     NonOrientable,
     OverflowInExactArithmetic,
     UnsupportedResolution,
@@ -165,6 +166,50 @@ def test_planar_mobius_strip_is_rejected_when_strict():
         build_complex(*PLANAR_MOBIUS)
     report = validate_manifold(build_complex(*PLANAR_MOBIUS, strict=False))
     assert report["orientable"] is False
+
+
+# Three triangles on the edge (0, 1) in R^3, and two planar triangles
+# sharing only vertex 0.
+FIN = (
+    [(0, 1, 2), (0, 1, 3), (0, 1, 4)],
+    [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.5, -0.5, 0.8], [0.5, -0.5, -0.8]],
+)
+BOWTIE = ([(0, 1, 2), (0, 3, 4)], [[0.0, 0.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])
+
+
+@pytest.mark.parametrize("mesh, message", [
+    (FIN, r"face \(0, 1\) has 3 cofaces"),
+    (BOWTIE, r"vertex 0 link is not a path or cycle"),
+], ids=["fin", "bowtie"])
+def test_non_manifold_input_is_rejected_when_strict(mesh, message):
+    # the strict read refuses what validate_manifold flags, by its first finding
+    with pytest.raises(NonManifold, match=message):
+        build_complex(*mesh)
+    report = validate_manifold(build_complex(*mesh, strict=False))
+    assert report["manifold"] is False
+    assert message.replace("\\", "") == report["findings"][0]["detail"]
+
+
+def test_inconsistent_given_orientation_is_rejected_when_strict():
+    # both tops induce +1 on their shared face (1, 2)
+    tops, verts = [(0, 1, 2), (1, 2, 3)], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    with pytest.raises(NonOrientable, match=r"stored orientations disagree at face \(1, 2\)"):
+        build_complex(tops, verts, orientation=[1, 1])
+    assert build_complex(tops, verts, orientation=[1, -1]).orientation.tolist() == [1, -1]
+
+
+@pytest.mark.parametrize("mesh", ["folded_pair", "ball", "torus"])
+def test_each_face_table_is_built_once(monkeypatch, mesh):
+    # inferred orientation reads the complex's own (n-1)-face table
+    if mesh == "folded_pair":
+        tops, verts = FOLDED_PAIR
+    else:
+        cx = complex_for(mesh, SMALL[mesh])
+        tops, verts = cx._face_positions[0], cx.vertices
+    degrees, genuine = [], mesh_mod._faces
+    monkeypatch.setattr(mesh_mod, "_faces", lambda t, k: degrees.append(k) or genuine(t, k))
+    cx = build_complex(tops, verts)
+    assert degrees == list(range(1, cx.dimension + 1))
 
 
 def test_folded_pair_is_oriented_so_interior_faces_cancel():

@@ -25,7 +25,7 @@ from harmonic_ports import (
     stokes_check,
     tangential_trace,
 )
-from harmonic_ports.metric import _refine
+from harmonic_ports.metric import _refine, _refined_system
 
 from conftest import (
     ACCEPTANCE,
@@ -439,8 +439,9 @@ def test_refine_measures_rows_of_rounding_noise_normwise(row, residual, accepted
     x, b_abs = np.array([1.0, 1e-20, -1e-20]), np.array([1.0, 0.0, 0.0])
     r = np.zeros(3)
     r[row] = residual
-    row_max = abs(S).max(axis=1).toarray().ravel()
-    args = (x.copy(), lambda x: r, lambda r: np.zeros(3), abs(S), b_abs, "toy solve", row_max)
+    # b - S x = r (to rounding far below the bound), and no correction moves x
+    system = _refined_system(S, None, lambda r: np.zeros(3))
+    args = (system, x.copy(), S @ x + r, b_abs, "toy solve")
     if accepted:
         assert np.array_equal(_refine(*args), x)
     else:

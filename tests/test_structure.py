@@ -1,5 +1,6 @@
 """Structure guards on the library source: one SuperLU call site, one
-refinement bound and pass cap, one cache mechanism (Metric.cached), the
+refinement bound and pass cap, one refined-solve record (|S| and its row
+maxima named in metric.py alone), one cache mechanism (Metric.cached), the
 boundary condition decided in metric.py alone, the Stokes-Dirac port
 map and its stacked layout decided in stokesdirac.py alone, the
 degenerate-element bound read in metric.py alone,
@@ -94,6 +95,45 @@ def test_removed_duplicates_stay_removed():
         if isinstance(node, ast.ClassDef) and node.name == "_Slot"
     ]
     assert defined == classes == []
+    # the midpoint's sign flip J (a field, attribute or namedtuple field)
+    # and the second saddle memo entry
+    found = [
+        (module, node.lineno)
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "J")
+        or (isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "J")
+        or (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and ("J" in node.value.split() or node.value == "saddle_abs"))
+    ]
+    assert found == []
+
+
+def test_refinement_scales_are_named_in_metric_alone():
+    # |S| and its row maxima are built and read by metric.py's record and
+    # _refine; no caller builds or names them
+    names = {"abs_S", "abs_K", "row_max"}
+    users = {
+        module
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.arg) and node.arg in names)
+        or (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and names & set(node.value.split()))
+    }
+    assert users == {"metric.py"}
+
+
+def test_refine_is_called_only_by_the_two_refined_solves():
+    callers = {
+        (module, function)
+        for module, tree in _modules().items()
+        for node, function in _nodes_in_functions(tree)
+        if isinstance(node, ast.Call) and _callee(node) == "_refine"
+    }
+    assert callers == {("sim.py", "_midpoint"), ("hodge.py", "_mixed_potential")}
 
 
 def test_degenerate_element_bound_lives_in_metric():

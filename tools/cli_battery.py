@@ -9,10 +9,10 @@ PYTHONPATH) with OUTDIR/<case>/ as its working directory, and leaves there
 ``stdout``, ``stderr``, ``exit_code`` and the files the command wrote.
 Every path a command sees is relative, so reports do not depend on OUTDIR,
 and HARMONIC_PORTS_TOL_SCALE is unset unless the case sets it.
-The battery covers every subcommand on the six acceptance shapes, a harmonic
-initial state, malformed and hand-written meshes, usage errors and an
-invalid HARMONIC_PORTS_TOL_SCALE.  Warnings are always shown, so a case
-prints the same whatever the caller's warning filters.
+The battery covers every subcommand on the six acceptance shapes,
+harmonic initial states in either slot, malformed and hand-written meshes,
+usage errors and an invalid HARMONIC_PORTS_TOL_SCALE.  Warnings are always
+shown, so a case prints the same whatever the caller's warning filters.
 """
 
 from __future__ import annotations
@@ -38,8 +38,10 @@ TOL_ENV = "HARMONIC_PORTS_TOL_SCALE"
 # Hand-written meshes and the commands each is given: a top simplex naming
 # vertex 3 of 3, a vertex in no top simplex, a flat square whose centre sits
 # 5e-13 above the edge (0, 1), so the element (0, 1, 4) is degenerate, the
-# five-triangle Moebius strip in the plane, and two flat triangles folded
-# onto the same side of their shared edge (0, 1).
+# five-triangle Moebius strip in the plane, two flat triangles folded
+# onto the same side of their shared edge (0, 1), a fin of three triangles
+# on the edge (0, 1) in R^3, and a planar bowtie of two triangles sharing
+# only vertex 0.
 BOTH = ("analyze", "sd-verify")
 HAND_WRITTEN = {
     "dangling_index": (BOTH, {"dimension": 2, "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
@@ -59,6 +61,13 @@ HAND_WRITTEN = {
     "folded_pair": (BOTH, {"dimension": 2,
                            "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
                            "simplices": [[0, 1, 2], [0, 1, 3]]}),
+    "fin": (BOTH, {"dimension": 2,
+                   "vertices": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 1.0, 0.0],
+                                [0.5, -0.5, 0.8], [0.5, -0.5, -0.8]],
+                   "simplices": [[0, 1, 2], [0, 1, 3], [0, 1, 4]]}),
+    "bowtie": (BOTH, {"dimension": 2,
+                      "vertices": [[0.0, 0.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]],
+                      "simplices": [[0, 1, 2], [0, 3, 4]]}),
 }
 
 
@@ -122,6 +131,8 @@ def _cases():
         ("usage-degrees", ["sd-verify", torus, "--p", "1", "--q", "1"], None),
         ("simulate-torus-harmonic", ["simulate", torus, "--p", "1", "--q", "2", "--steps", "4",
                                      "--init", "harmonic:1:0:1.0", "--out", "trace.csv"], None),
+        ("simulate-torus-harmonic-q", ["simulate", torus, "--p", "1", "--q", "2", "--steps", "4",
+                                       "--init", "harmonic:2:0:1.0", "--out", "trace.csv"], None),
         ("usage-init-index", ["simulate", torus, "--p", "1", "--q", "2", "--steps", "2",
                               "--init", "harmonic:1:99:1.0", "--out", "trace.csv"], None),
         ("usage-field-on-surface", ["decompose", torus, "../inputs/ball-vertex.json"], None),
