@@ -217,7 +217,38 @@ def cmd_sd_verify(args) -> dict:
     p, q = args.p, args.q
     states, rng = _sd_states(args, metric, p, q)
 
-    passed = True
+    # the spot checks run first: the integrability witness builds the
+    # Dirichlet basis the states read on the saddle factor it keeps, and
+    # _sd_states has drawn every state from rng already
+    spot_checks = []
+    e0 = random_cochain(cx, p - 1, rng)
+    f_ok = exterior_derivative(metric, e0)
+    psi = None if metric.closed else tangential_trace(metric, e0)
+    rep = integrability_check(metric, f_ok, psi)
+    spot_checks.append(
+        {
+            "case": "constructed_exact",
+            "expected_solvable": True,
+            "solvable": rep.solvable,
+            "witness_residual": rep.witness_residual,
+        }
+    )
+    passed = rep.solvable
+    obstruction = harmonic_basis(metric, p, "dirichlet")
+    if obstruction.dim:
+        rep2 = integrability_check(
+            metric, f_ok + obstruction.element(0), psi
+        )
+        spot_checks.append(
+            {
+                "case": "harmonic_obstruction",
+                "expected_solvable": False,
+                "solvable": rep2.solvable,
+                "harmonic_residual": rep2.harmonic_residual,
+            }
+        )
+        passed = passed and not rep2.solvable
+
     state_reports = []
     for label, alpha_p, alpha_q in states:
         system = StokesDiracSystem(metric, p, q, alpha_p, alpha_q)
@@ -253,35 +284,6 @@ def cmd_sd_verify(args) -> dict:
         entry["passed"] = ok
         passed = passed and ok
         state_reports.append(entry)
-
-    spot_checks = []
-    e0 = random_cochain(cx, p - 1, rng)
-    f_ok = exterior_derivative(metric, e0)
-    psi = None if metric.closed else tangential_trace(metric, e0)
-    rep = integrability_check(metric, f_ok, psi)
-    spot_checks.append(
-        {
-            "case": "constructed_exact",
-            "expected_solvable": True,
-            "solvable": rep.solvable,
-            "witness_residual": rep.witness_residual,
-        }
-    )
-    passed = passed and rep.solvable
-    obstruction = harmonic_basis(metric, p, "dirichlet")
-    if obstruction.dim:
-        rep2 = integrability_check(
-            metric, f_ok + obstruction.element(0), psi
-        )
-        spot_checks.append(
-            {
-                "case": "harmonic_obstruction",
-                "expected_solvable": False,
-                "solvable": rep2.solvable,
-                "harmonic_residual": rep2.harmonic_residual,
-            }
-        )
-        passed = passed and not rep2.solvable
 
     return {
         **_header("sd-verify", args),

@@ -1,10 +1,11 @@
 """Deterministic generators for the six reference shapes.
 
-Every generator returns an oriented complex.  Flat shapes (disk, annulus,
-ball, solid torus) are oriented by `build_complex`, propagating across
-interior faces from a seed with positive volume; the two closed surfaces
-(sphere, torus) carry the orientation of their construction (outward for
-the sphere, chart-consistent for the torus).
+Every generator returns a complex oriented by `build_complex` alone, as
+its mesh file is when read back: propagation across interior faces from
+the lexicographically first top simplex of each component, seeded with
+the sign of its volume for the flat shapes (disk, annulus, ball, solid
+torus) and with +1 for the closed surfaces (sphere, torus).  The order of
+the vertices inside a generated tuple does not orient it.
 """
 
 from __future__ import annotations
@@ -29,13 +30,15 @@ def sphere(resolution: int) -> SimplicialComplex:
     ]
     tris = []
     for a, b, c in itertools.combinations(range(4), 3):
-        # positive determinant = outward normal (origin is inside)
+        # outward vertex order (positive determinant, the origin inside):
+        # it fixes the midpoint numbering of _subdivide_projected, not the
+        # orientation
         if np.linalg.det(np.array([verts[a], verts[b], verts[c]])) < 0:
             b, c = c, b
         tris.append((a, b, c))
     for _ in range(resolution - 1):
         verts, tris = _subdivide_projected(verts, tris)
-    return build_complex(tris, np.array(verts), orientation="from_order")
+    return build_complex(tris, np.array(verts))
 
 
 def _subdivide_projected(verts, tris):
@@ -76,7 +79,7 @@ def torus(resolution: int) -> SimplicialComplex:
         for j in range(m):
             a, b, c, d = idx(i, j), idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1)
             tris += [(a, b, c), (a, c, d)]
-    return build_complex(tris, verts, orientation="from_order")
+    return build_complex(tris, verts)
 
 
 def disk(resolution: int) -> SimplicialComplex:
@@ -97,7 +100,7 @@ def disk(resolution: int) -> SimplicialComplex:
     tris = [(0, rings[0][t], rings[0][(t + 1) % nt]) for t in range(nt)]
     for inner, outer in zip(rings, rings[1:]):
         tris += _band(inner, outer)
-    return build_complex(tris, np.array(verts), orientation=None)
+    return build_complex(tris, np.array(verts))
 
 
 def _band(inner, outer):
@@ -130,7 +133,7 @@ def annulus(resolution: int) -> SimplicialComplex:
     tris = []
     for inner, outer in zip(rings, rings[1:]):
         tris += _band(inner, outer)
-    return build_complex(tris, np.array(verts), orientation=None)
+    return build_complex(tris, np.array(verts))
 
 
 def ball(resolution: int) -> SimplicialComplex:
@@ -157,7 +160,7 @@ def ball(resolution: int) -> SimplicialComplex:
                 cur[axis] += 1
                 corners.append(cur)
             tets.append(tuple(idx(c) for c in corners))
-    return build_complex(tets, verts, orientation=None)
+    return build_complex(tets, verts)
 
 
 def solid_torus(resolution: int) -> SimplicialComplex:
@@ -178,7 +181,7 @@ def solid_torus(resolution: int) -> SimplicialComplex:
         near = [3 * s + t for t in range(3)]
         far = [3 * ((s + 1) % m) + t for t in range(3)]
         tets += _split_prism(near, far)
-    return build_complex(tets, verts, orientation=None)
+    return build_complex(tets, verts)
 
 
 def _split_prism(a, b):

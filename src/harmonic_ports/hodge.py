@@ -404,13 +404,14 @@ def _mixed_potential(
     sigma = np.zeros(metric.complex.num_simplices(k - 1))
     if len(sd.low) == 0 or not sd.mu_max > 0:
         return sigma
-    key = ("mixed", sd.k, sd.condition)
-    system, abs_M, abs_d = metric.cached(key, lambda: _mixed_system(metric, sd))
+    system = metric.cached(("mixed", sd.k, sd.condition), lambda: _mixed_system(metric, sd))
     nk = len(sd.idx)
     b = np.zeros(sd.S.shape[0])
     b[:nk] = (metric.mass_csr(k) @ f)[sd.idx] / sd.c
     b_abs, b = np.abs(b), system.project(b)
-    if omega is not None:
+    if omega is not None:  # the free rows of |M_k| and |d_(k-1)| size f = d omega
+        abs_M, abs_d = metric.cached(("mixed_data", sd.k, sd.condition), lambda: (
+            abs(metric.mass_csr(k)[sd.idx]), abs(metric.complex.exterior_derivative_matrix(k - 1))))
         b_abs[:nk] = np.maximum(b_abs[:nk], (abs_M @ (abs_d @ np.abs(omega))) / sd.c)
     x = _refine(system, np.zeros_like(b), b, b_abs, f"mixed solve at degree {k}")
     sigma[sd.low] = x[nk:] * math.sqrt(sd.c / sd.c_l)
@@ -420,8 +421,7 @@ def _mixed_potential(
 def _mixed_system(metric: Metric, sd: _Saddle):
     """The memo entry ("mixed", k, condition) of a saddle: its refined
     system on a new saddle factor (lent to the basis if built here), the
-    harmonic part V V^T M projected out of every residual and correction,
-    and the free rows of |M_k| and |d_(k-1)|, which size f = d omega."""
+    harmonic part V V^T M projected out of every residual and correction."""
     lu = sd.factor()
     basis = metric.cached(("harmonic", sd.k, sd.condition),
                           lambda: _build_harmonic_basis(metric, sd.k, sd.condition, lu))
@@ -433,10 +433,8 @@ def _mixed_system(metric: Metric, sd: _Saddle):
         y[:nk] -= P @ (Q.T @ y[:nk])
         return y
 
-    system = _refined_system(
+    return _refined_system(
         sd.S, lu, lambda r: deflate(lu.solve(r), V, MV), lambda y: deflate(y, MV, V))
-    d = metric.complex.exterior_derivative_matrix(sd.k - 1)
-    return system, abs(metric.mass_csr(sd.k)[sd.idx]), abs(d)
 
 
 def hodge_morrey_friedrichs(metric: Metric, omega: Cochain) -> HMFDecomposition:

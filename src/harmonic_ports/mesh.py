@@ -54,23 +54,12 @@ __all__ = [
     "betti_numbers",
     "euler_characteristic",
     "integer_matrix_rank",
-    "permutation_sign",
 ]
 
 # Exact elimination is refused beyond this many stored nonzeros plus fill.
 _EXACT_RANK_NNZ_BUDGET = 2_000_000
 # ... and if intermediate integer entries ever exceed this magnitude.
 _EXACT_RANK_ENTRY_LIMIT = 10**80
-
-
-def permutation_sign(seq: Sequence[int]) -> int:
-    """Sign of the permutation that sorts ``seq`` increasingly."""
-    inversions = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
 
 
 class SimplicialComplex:
@@ -223,8 +212,6 @@ class BoundaryComplex(SimplicialComplex):
     Attributes:
         parent: The complex whose boundary this is.
         vertex_map: (V_b,) parent vertex index of each boundary vertex.
-        inclusion: Per degree k <= n-1, a (N_k_parent, N_k_boundary) 0/1
-            matrix sending boundary simplices to their parent copies.
     """
 
     def __init__(self, parent: SimplicialComplex, faces: np.ndarray, signs):
@@ -246,14 +233,6 @@ class BoundaryComplex(SimplicialComplex):
         local_faces = to_local[parent._simplex_rows[n - 1][on[-1]]]
         verts = parent.vertices[self.vertex_map]
         super().__init__(n - 1, verts, local_faces, np.asarray(signs, np.int64))
-
-        self.inclusion = [
-            sp.csr_matrix(
-                (np.ones(len(rows), dtype=np.int64), (rows, np.arange(len(rows)))),
-                shape=(parent.num_simplices(k), len(rows)),
-            )
-            for k, rows in enumerate(on)
-        ]
         for rows in on:
             rows.setflags(write=False)
         self._parent_indices = on
@@ -267,10 +246,10 @@ class BoundaryComplex(SimplicialComplex):
         """
         if not 0 <= k <= self.dimension:
             raise DegreeOutOfRange(f"degree {k} outside 0..{self.dimension}")
-        tr = self.inclusion[k].T.tocsr()
-        if k == self.dimension:
-            tr = sp.diags(self.orientation, dtype=np.int64) @ tr
-        return tr.tocsr()
+        rows = self._parent_indices[k]
+        vals = self.orientation if k == self.dimension else np.ones(len(rows), dtype=np.int64)
+        shape = (len(rows), self.parent.num_simplices(k))
+        return sp.csr_matrix((vals, (np.arange(len(rows)), rows)), shape=shape)
 
     def parent_indices(self, k: int) -> np.ndarray:
         """Parent indices of the boundary k-simplices (canonical order, so
@@ -279,21 +258,19 @@ class BoundaryComplex(SimplicialComplex):
 
 
 def build_complex(
-    top_simplices: Iterable[Sequence[int]],
-    vertices,
-    orientation=None,
-    strict: bool = True,
+    top_simplices: Iterable[Sequence[int]], vertices, strict: bool = True
 ) -> SimplicialComplex:
     """Build a complex from top simplices and vertex coordinates.
+
+    The orientation comes from the mesh alone, never from the order of the
+    vertices in a tuple: propagation across the interior faces, each
+    component seeded at its lexicographically first top simplex with +1,
+    or with the sign of its volume when d == n.  So a generated complex
+    and its mesh file, read back, are oriented alike.
 
     Args:
         top_simplices: Sequences of vertex indices, all of one length n+1.
         vertices: (V, d) coordinate array with d >= n.
-        orientation: One of None (infer by propagation across the
-            interior faces, each component seeded at its lexicographically
-            first top simplex: +1, or the sign of its volume when d == n),
-            "from_order" (the parity of each given tuple relative to its
-            sorted order), or an explicit array of +-1 per given simplex.
         strict: If True raise the error of validate_manifold's first
             finding; if False return a best effort and let validate_manifold
             report the findings.  Degenerate elements are the metric's to refuse.
@@ -343,23 +320,13 @@ def build_complex(
             v = t[np.argmax(dangling[i])]
             raise DanglingVertexIndex(f"vertex {v} of simplex {t}")
         raise DuplicateSimplex(f"simplex {tuple(ordered[i].tolist())} appears twice")
-    sorted_tops = ordered[rank]  # canonical order of the top simplices
-    signs = None
-    if isinstance(orientation, str) and orientation == "from_order":
-        signs = np.array([permutation_sign(tops[i]) for i in rank], dtype=np.int64)
-    elif orientation is not None:
-        arr = np.asarray(orientation, dtype=np.int64)
-        if arr.shape != (len(tops),) or not np.all(np.abs(arr) == 1):
-            raise ValueError("orientation must be +-1 per top simplex")
-        signs = arr[rank]
-
-    cx = SimplicialComplex(n, verts, sorted_tops, signs)
+    cx = SimplicialComplex(n, verts, ordered[rank], None)
     findings = validate_manifold(cx)["findings"] if strict else []
     if findings:  # a conflict is named "orientation conflict across face F"
         kind, detail = findings[0]["kind"], findings[0]["detail"]
-        error = {"isolated_vertex": IsolatedVertex, "non_orientable": NonOrientable,
-                 "orientation_conflict": NonOrientable}.get(kind, NonManifold)
-        raise error(detail.replace("no consistent orientation", "orientation conflict"))
+        error = {"isolated_vertex": IsolatedVertex, "non_orientable": NonOrientable}
+        detail = detail.replace("no consistent orientation", "orientation conflict")
+        raise error.get(kind, NonManifold)(detail)
     return cx
 
 

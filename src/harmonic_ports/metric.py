@@ -564,9 +564,8 @@ def stokes_check(metric: Metric, c: Cochain) -> dict:
     bc = metric.boundary_complex
     rhs = 0.0
     if not metric.closed:
-        inc = bc.inclusion[n - 1].tocoo()
         rhs = math.fsum(
-            float(bc.orientation[j]) * c.values[parent]
-            for parent, j in zip(inc.row, inc.col)
+            float(s) * c.values[parent]
+            for parent, s in zip(bc.parent_indices(n - 1), bc.orientation)
         )
     return {"lhs": lhs, "rhs": rhs, "residual": lhs - rhs}

@@ -388,6 +388,9 @@ def integrability_check(
     else:
         trace_res = 0.0
 
+    # the witness solve runs first, so the Dirichlet basis it needs is
+    # built on the saddle factor its record keeps
+    sigma = _mixed_potential(metric, k, "dirichlet", f.values - d_ext.values)
     obstruction = harmonic_projection(harmonic_basis(metric, k, "dirichlet"), f - d_ext)[0]
     harm_res = float(np.abs(obstruction).max(initial=0.0)) / scale
 
@@ -402,7 +405,6 @@ def integrability_check(
     if not solvable:
         return report
 
-    sigma = _mixed_potential(metric, k, "dirichlet", f.values - d_ext.values)
     witness = ext + Cochain(metric.complex, k - 1, sigma)
     resid = norm(metric, exterior_derivative(metric, witness) - f) / scale
     if resid > WITNESS_TOL:

@@ -21,7 +21,10 @@ from harmonic_ports import (
     write_mesh,
     write_state,
 )
+from harmonic_ports import metric as metric_mod
 from harmonic_ports.cli import main, sd_verify_main
+
+from conftest import ACCEPTANCE
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -487,6 +490,38 @@ def test_sd_verify_computes_one_port_action_per_state(tmp_path, capsys, monkeypa
     assert len(rep["states"]) == 3
     assert all(entry["harmonic_flow_identities"] for entry in rep["states"])
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("shape", sorted(ACCEPTANCE))
+def test_each_command_factors_each_matrix_once(tmp_path, capsys, monkeypatch, shape):
+    # every factor a command needs is kept and shared: the spot checks of
+    # sd-verify build the Dirichlet basis on the saddle factor of their
+    # witness solve, which the states then read
+    genuine, labels = metric_mod._splu, []
+
+    def counted(matrix, what):
+        labels.append(what)
+        return genuine(matrix, what)
+
+    for module in (metric_mod, hodge, sim):
+        monkeypatch.setattr(module, "_splu", counted)
+    cx = gen_mesh(shape, ACCEPTANCE[shape])
+    n, mesh = cx.dimension, str(tmp_path / "mesh.json")
+    write_mesh(cx, mesh)
+    commands = [["analyze", mesh]]
+    for k in range(n + 1):
+        values = np.random.default_rng(k).normal(size=cx.num_simplices(k)).tolist()
+        (tmp_path / f"c{k}.json").write_text(json.dumps({"degree": k, "values": values}))
+        commands.append(["decompose", mesh, str(tmp_path / f"c{k}.json")])
+    for p in range(1, n + 1):
+        pair = ["--p", str(p), "--q", str(n + 1 - p)]
+        commands += [["sd-verify", mesh, *pair, "--random-states", "2"],
+                     ["simulate", mesh, *pair, "--steps", "2", "--out", str(tmp_path / "t.csv")]]
+    for argv in commands:
+        labels.clear()
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert len(labels) == len(set(labels)), (argv, labels)
 
 
 def test_simulate_writes_trace_and_snapshots(tmp_path, capsys):

@@ -19,7 +19,7 @@ from harmonic_ports.io import (
     write_state,
 )
 
-from conftest import complex_for
+from conftest import ACCEPTANCE, SMALL, complex_for
 
 
 def test_mesh_round_trip_is_bytewise_stable(tmp_path):
@@ -33,6 +33,18 @@ def test_mesh_round_trip_is_bytewise_stable(tmp_path):
     assert np.array_equal(back.vertices, cx.vertices)
     write_mesh(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("shape", sorted(ACCEPTANCE))
+def test_round_trip_keeps_the_generated_orientation(tmp_path, shape):
+    # a generated complex and its mesh file, read back, are one oriented
+    # complex: every command reads the orientation the library builds
+    for resolution in (SMALL[shape], ACCEPTANCE[shape]):
+        cx = gen_mesh(shape, resolution)
+        write_mesh(cx, tmp_path / "mesh.json")
+        back = read_mesh(tmp_path / "mesh.json")
+        assert back.simplices[cx.dimension] == cx.simplices[cx.dimension]
+        assert back.orientation.tolist() == cx.orientation.tolist(), resolution
 
 
 def test_read_mesh_validates_structure(tmp_path):

@@ -13,6 +13,7 @@ from harmonic_ports import (
     NonManifold,
     NonOrientable,
     OverflowInExactArithmetic,
+    SimplicialComplex,
     UnsupportedResolution,
     WrongDimension,
     betti_numbers,
@@ -26,7 +27,7 @@ from harmonic_ports import (
     validate_manifold,
 )
 from harmonic_ports import mesh as mesh_mod
-from harmonic_ports.mesh import _component_labels, permutation_sign
+from harmonic_ports.mesh import _component_labels
 
 from conftest import ACCEPTANCE, CLOSED, SMALL, complex_for
 
@@ -49,13 +50,6 @@ BOUNDARY_BETTI = {
 }
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-
-def test_permutation_sign():
-    assert permutation_sign((0, 1, 2)) == 1
-    assert permutation_sign((1, 0, 2)) == -1
-    assert permutation_sign((2, 0, 1)) == 1
-    assert permutation_sign((5,)) == 1
 
 
 def test_build_complex_enumerates_and_sorts_faces():
@@ -190,12 +184,17 @@ def test_non_manifold_input_is_rejected_when_strict(mesh, message):
     assert message.replace("\\", "") == report["findings"][0]["detail"]
 
 
-def test_inconsistent_given_orientation_is_rejected_when_strict():
-    # both tops induce +1 on their shared face (1, 2)
+def test_inconsistent_given_orientation_is_flagged():
+    # both tops induce +1 on their shared face (1, 2); only a complex built
+    # directly with signs, as BoundaryComplex builds one, can carry them
     tops, verts = [(0, 1, 2), (1, 2, 3)], [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
-    with pytest.raises(NonOrientable, match=r"stored orientations disagree at face \(1, 2\)"):
-        build_complex(tops, verts, orientation=[1, 1])
-    assert build_complex(tops, verts, orientation=[1, -1]).orientation.tolist() == [1, -1]
+    report = validate_manifold(SimplicialComplex(2, verts, tops, [1, 1]))
+    assert report["orientable"] and report["manifold"]
+    assert [(f["kind"], f["detail"]) for f in report["findings"]] == [
+        ("orientation_conflict", "stored orientations disagree at face (1, 2)")
+    ]
+    assert validate_manifold(SimplicialComplex(2, verts, tops, [1, -1]))["findings"] == []
+    assert build_complex(tops, verts).orientation.tolist() == [1, -1]
 
 
 @pytest.mark.parametrize("mesh", ["folded_pair", "ball", "torus"])

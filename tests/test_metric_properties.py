@@ -3,6 +3,8 @@ spaces and of the accuracy of the solves built on them (HMF split,
 potentials, integrability witness), under rigid motion, uniform scaling
 and vertex relabelling, on the SMALL meshes."""
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,7 @@ from harmonic_ports import (
     random_cochain,
     tangential_trace,
 )
-from harmonic_ports.mesh import permutation_sign
+from harmonic_ports.mesh import SimplicialComplex
 
 from conftest import SMALL, metric_for
 
@@ -48,7 +50,7 @@ def _moved(metric, vertices):
     """The same oriented complex on new vertex coordinates."""
     cx = metric.complex
     tops = cx.simplices[cx.dimension]
-    return Metric(build_complex(tops, vertices, orientation=cx.orientation))
+    return Metric(SimplicialComplex(cx.dimension, vertices, tops, cx.orientation))
 
 
 def _rigidly_moved(metric, seed, embed):
@@ -150,7 +152,8 @@ def test_vertex_relabelling_permutes_masses(shape, seed):
         index = {s: i for i, s in enumerate(relabelled.complex.simplices[k])}
         for i, s in enumerate(cx.simplices[k]):
             image = [int(perm[v]) for v in s]
-            P[index[tuple(sorted(image))], i] = permutation_sign(image)
+            inversions = sum(a > b for a, b in itertools.combinations(image, 2))
+            P[index[tuple(sorted(image))], i] = (-1) ** inversions
         assert _rel(relabelled.mass(k), P @ base.mass(k) @ P.T) <= TOL
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from harmonic_ports import (
     ComplexMismatch,
@@ -382,6 +383,24 @@ def test_integrability_raises_on_a_wrong_witness(monkeypatch):
     e = random_cochain(m.complex, 0, np.random.default_rng(13))
     with pytest.raises(SolverFailure, match="witness residual"):
         integrability_check(m, exterior_derivative(m, e), tangential_trace(m, e))
+
+
+def test_integrability_forms_no_mass_or_derivative_moduli(monkeypatch):
+    # the witness is the mixed solve of f - d ext, which sizes its
+    # right-hand side by |M f| alone: the free rows of |M_k| and |d_(k-1)|
+    # are built for the coexact HMF solve only
+    m = Metric(complex_for("annulus", ACCEPTANCE["annulus"]))
+    owner = next(c for c in sp.csr_matrix.__mro__ if "__abs__" in vars(c))
+    formed, genuine = [], owner.__abs__
+    monkeypatch.setattr(owner, "__abs__", lambda self: formed.append(self.shape) or genuine(self))
+    rng = np.random.default_rng(2)
+    for k in (1, 2):
+        e = random_cochain(m.complex, k - 1, rng)
+        assert integrability_check(m, exterior_derivative(m, e), tangential_trace(m, e)).solvable
+        moduli = {(len(m.free_indices(k, "dirichlet")), m.complex.num_simplices(k)),
+                  (m.complex.num_simplices(k), m.complex.num_simplices(k - 1))}
+        assert formed and not moduli & set(formed), (k, formed)
+        formed.clear()
 
 
 def test_integrability_rejects_harmonic_obstruction():

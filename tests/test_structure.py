@@ -85,7 +85,7 @@ def test_removed_duplicates_stay_removed():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node.name in {
             "interior_mass_lu", "_deltac", "_jsonable", "_defect", "_power_pieces", "_step_power",
-            "_orient_by_volume",
+            "_orient_by_volume", "permutation_sign",
         }
     ]
     classes = [
@@ -95,16 +95,19 @@ def test_removed_duplicates_stay_removed():
         if isinstance(node, ast.ClassDef) and node.name == "_Slot"
     ]
     assert defined == classes == []
-    # the midpoint's sign flip J (a field, attribute or namedtuple field)
-    # and the second saddle memo entry
+    # the midpoint's sign flip J (a field, attribute or namedtuple field),
+    # the second saddle memo entry, the boundary's 0/1 inclusion matrices
+    # and every orientation build_complex took besides the mesh's own
     found = [
         (module, node.lineno)
         for module, tree in _modules().items()
         for node in ast.walk(tree)
-        if (isinstance(node, ast.Attribute) and node.attr == "J")
+        if (isinstance(node, ast.Attribute) and node.attr in ("J", "inclusion"))
         or (isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "J")
         or (isinstance(node, ast.Constant) and isinstance(node.value, str)
-            and ("J" in node.value.split() or node.value == "saddle_abs"))
+            and ("J" in node.value.split() or node.value in ("saddle_abs", "from_order")))
+        or (isinstance(node, ast.Call) and _callee(node) == "build_complex"
+            and any(kw.arg == "orientation" for kw in node.keywords))
     ]
     assert found == []
 
