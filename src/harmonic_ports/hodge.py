@@ -11,10 +11,10 @@ boundary left out of H^0_D and H^n_N.  The top degree takes it only
 where every (n-1)-face has at most two cofaces, oriented oppositely
 where it has two; elsewhere, and at every degree in between, the kernel
 is counted from the spectrum alone, never from the Betti numbers.
-A = K + B^T M_l^-1 B is never formed.  Its largest eigenvalue mu_max
-comes from Lanczos, its smallest eigenpairs from shift-invert Lanczos
-just below zero, through a factor of the saddle-point form of A - s M
-(spaces too small for ARPACK are solved densely).  On a closed mesh both
+A = K + B^T M_l^-1 B is never formed.  Its scale comes from the diagonals
+of its saddle-point form (`_Saddle`), its kernel from shift-invert Lanczos
+just below zero through a factor of that form (dense on spaces too small
+for ARPACK), fixed to a basis of the span alone.  On a closed mesh both
 conditions give one operator, so the Dirichlet bases and saddles are the
 Neumann ones.  One refined system per saddle (`metric._refined_system`, the
 harmonic part projected out) solves the mixed system behind every
@@ -68,15 +68,15 @@ __all__ = [
     "decompose_vector_field_3d",
 ]
 
-# Relative eigenvalue cutoff separating the kernel from the rest, and the
-# minimum ratio required between the first non-kernel eigenvalue and the
-# last kernel eigenvalue.
+# Eigenvalue cutoff separating the kernel from the rest, relative to the
+# saddle's scale (_Saddle), and the minimum ratio required between the
+# first non-kernel eigenvalue and the last kernel eigenvalue.
 KERNEL_CUTOFF = 1e-9
 KERNEL_GAP_FACTOR = 10.0
 # Largest M-inner product between two HMF pieces, relative to |omega|_M^2
 # (the bound of the integrability witness residual).
 HMF_ORTHOGONALITY_TOL = 1e-8
-# Pairs the first shift-invert Lanczos request asks for (_lanczos_pairs).
+# Pairs the first shift-invert Lanczos request asks for (_lanczos_pairs only).
 FIRST_REQUEST = 4
 
 
@@ -86,11 +86,12 @@ class HarmonicBasis:
 
     The eigenvalues below are Rayleigh quotients of shift-invert Lanczos
     vectors (dense eigenvalues on spaces too small for ARPACK).  The
-    kernel holds the eigenvalues below KERNEL_CUTOFF * mu_max, with mu_max
-    the largest eigenvalue, and must be separated from the rest by
-    KERNEL_GAP_FACTOR.  A basis built in closed form (degrees 0 and n)
-    computes no eigenvalue: its gap fields read 0.0 and nan.  On a closed
-    mesh the Dirichlet basis carries the Neumann vectors and eigenvalues.
+    kernel holds the eigenvalues below KERNEL_CUTOFF * scale (`_Saddle`),
+    separated from the rest by KERNEL_GAP_FACTOR; its vectors are seeded
+    random vectors projected onto it, so they depend on its span alone.  A
+    basis built in closed form (degrees 0 and n) computes no eigenvalue:
+    its gap fields read 0.0 and nan.  On a closed mesh the Dirichlet basis
+    carries the Neumann vectors and eigenvalues.
 
     Attributes:
         metric: The metric the basis is orthonormal against.
@@ -119,15 +120,12 @@ class HarmonicBasis:
         return Cochain(self.metric.complex, self.degree, self.vectors[:, i].copy())
 
 
-def _split_kernel(evals: np.ndarray) -> int:
-    """Number of leading eigenvalues forming the kernel, with a gap check."""
-    if len(evals) == 0:
-        return 0
-    mu_max = float(np.abs(evals).max())
-    if mu_max == 0.0:
+def _split_kernel(evals: np.ndarray, scale: float) -> int:
+    """Number of leading eigenvalues below KERNEL_CUTOFF * scale (all of
+    them for scale 0, where A = 0), with a gap check."""
+    if scale == 0.0:
         return len(evals)
-    cut = KERNEL_CUTOFF * mu_max
-    m = int(np.sum(evals < cut))
+    m = int(np.sum(evals < KERNEL_CUTOFF * scale))
     if 0 < m < len(evals):
         last_kernel = max(float(evals[m - 1]), 0.0)
         first_non = float(evals[m])
@@ -167,7 +165,9 @@ def _build_harmonic_basis(metric: Metric, k: int, condition: str, lu=None) -> Ha
     if len(sd.idx) == 0:
         return HarmonicBasis(metric, k, condition, np.zeros((N, 0)), 0.0, math.inf)
     try:
-        evals, kernel = _lanczos_pairs(sd, lu) or _dense_pairs(sd)
+        evals, V = _lanczos_pairs(sd, lu) or _dense_pairs(sd)
+        R = np.random.default_rng(0).standard_normal(V.shape)  # span(V) alone picks the basis
+        kernel = _orthonormalize(V @ (V.T @ (sd.M @ R)), sd.M)
     except (RuntimeError, sla.LinAlgError, FactorizationFailure) as exc:
         raise FactorizationFailure(f"harmonic eigenproblem at degree {k}: {exc}") from exc
     m = kernel.shape[1]
@@ -216,7 +216,11 @@ class _Saddle:
     blocks divided by the mean mass diagonals (c for M and K, c_l for M_l,
     sqrt(c c_l) for B; the eigenvalues stay, the blocks become unit-free
     and kernel vectors scale back by 1/sqrt(c)), A as an operator through
-    S alone and its largest eigenvalue mu_max (0 for an empty space)."""
+    S alone, and the scale max_i (K_ii + |B e_i|^2 / |M_l|_inf) / M_ii that
+    places the kernel cutoff and the shift: A's largest diagonal Rayleigh
+    quotient with M_l's top eigenvalue bounded by its largest absolute row
+    sum (Gershgorin), so at most A's largest eigenvalue, and 0 exactly when
+    A = 0 or the space is empty."""
 
     k: int
     condition: str
@@ -227,22 +231,22 @@ class _Saddle:
     M: sp.csr_matrix
     S: sp.csr_matrix
     A: spla.LinearOperator | None = None
-    mu_max: float = 0.0
+    scale: float = 0.0
 
     def factor(self) -> spla.SuperLU:
-        """A new SuperLU of S - s blkdiag(M, 0), s = -KERNEL_CUTOFF * mu_max:
+        """A new SuperLU of S - s blkdiag(M, 0), s = -KERNEL_CUTOFF * scale:
         symmetric quasi-definite for s < 0, so `_splu` factors it stably."""
         nl, what = len(self.low), f"{self.condition} shift-invert saddle at degree {self.k}"
-        shift = sp.block_diag((KERNEL_CUTOFF * self.mu_max * self.M, sp.csr_matrix((nl, nl))))
+        shift = sp.block_diag((KERNEL_CUTOFF * self.scale * self.M, sp.csr_matrix((nl, nl))))
         return _splu(self.S + shift, what)
 
 
 def _saddle(metric: Metric, k: int, condition: str) -> _Saddle:
     """The saddle of (k, condition), cached under ("saddle", k, condition)
-    (FactorizationFailure if a mass factor or the mu_max eigensolve
-    fails).  idx and low are the metric's free indices of the condition
-    and A's mass solves use its factors of (k, condition); K = D^T M_(k+1)
-    D and B = d_(k-1)^T M_k.  On a closed mesh the Dirichlet saddle is the
+    (FactorizationFailure if the mass factor of its low simplices fails).
+    idx and low are the metric's free indices of the condition and A's
+    mass solves use its factor of (k-1, condition); K = D^T M_(k+1) D and
+    B = d_(k-1)^T M_k.  On a closed mesh the Dirichlet saddle is the
     Neumann object."""
     condition = "neumann" if condition == "dirichlet" and metric.closed else condition
 
@@ -267,53 +271,46 @@ def _saddle(metric: Metric, k: int, condition: str) -> _Saddle:
         sd = _Saddle(k, condition, idx, low, c, c_l, M, S)
         if nk == 0:
             return sd
-        lu, lu_l = metric.mass_lu(k, condition), metric.mass_lu(k - 1, condition) if nl else None
+        lu_l = metric.mass_lu(k - 1, condition) if nl else None
+        rows = abs(M_l).sum(axis=1).max() if nl else 1.0  # |M_l|_inf
+        diag = K.diagonal() + np.ravel(B.multiply(B).sum(axis=0)) / rows
+        sd.scale = float((diag / M.diagonal()).max())
 
         def apply(u):  # S (u, 0) = (K u, B u), then K u + B^T M_l^-1 B u
             ku, bu = np.split(S @ np.concatenate([np.ravel(u), np.zeros(nl)]), [nk])
             return ku + (S @ np.concatenate([np.zeros(nk), c_l * lu_l.solve(bu)]))[:nk] if nl else ku
 
         sd.A = spla.LinearOperator((nk, nk), matvec=apply, dtype=float)
-        if nk - 1 > FIRST_REQUEST:  # tolerance 1e-3: mu_max only places the cutoff
-            Minv = spla.LinearOperator((nk, nk), matvec=lambda r: c * lu.solve(r), dtype=float)
-            v0 = np.random.default_rng(0).standard_normal(nk)
-            sd.mu_max = spla.eigsh(
-                sd.A, k=1, M=M, Minv=Minv, which="LA", v0=v0, tol=1e-3,
-                return_eigenvectors=False,
-            )[0]
-        else:
-            sd.mu_max = sla.eigvalsh(sd.A @ np.eye(nk), M.toarray())[-1]
         return sd
 
     try:
         return metric.cached(("saddle", k, condition), build)
-    except (RuntimeError, sla.LinAlgError, FactorizationFailure) as exc:
+    except FactorizationFailure as exc:
         raise FactorizationFailure(f"harmonic eigenproblem at degree {k}: {exc}") from exc
 
 
 def _lanczos_pairs(sd: _Saddle, lu: spla.SuperLU | None = None):
     """Ascending smallest eigenvalues of A u = mu M u and the M-orthonormal
     kernel vectors, by shift-invert Lanczos at s = -KERNEL_CUTOFF *
-    mu_max, (A - s M)^-1 applied by lu, or by a new saddle factor dropped
+    scale, (A - s M)^-1 applied by lu, or by a new saddle factor dropped
     on return.  None once the request reaches ARPACK's limit j < N - 1
     (or when A = 0): _dense_pairs then solves the space.  The request
     starts at j = FIRST_REQUEST pairs and doubles while every pair is
-    kernel.  Eigenvalues are the Rayleigh quotients of the Ritz vectors;
-    the values handed to _split_kernel end with mu_max.
+    kernel.  Eigenvalues are the Rayleigh quotients of the Ritz vectors.
     """
     nk, j, A, M, pad = len(sd.idx), FIRST_REQUEST, sd.A, sd.M, np.zeros(len(sd.low))
-    if j >= nk - 1 or not sd.mu_max > 0:
+    if j >= nk - 1 or not sd.scale > 0:
         return None
     lu = sd.factor() if lu is None else lu
     solve = lambda f: lu.solve(np.concatenate([np.ravel(f), pad]))[:nk]
     OPinv = spla.LinearOperator((nk, nk), matvec=solve, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(nk)
     while j < nk - 1:
-        _, V = spla.eigsh(A, k=j, M=M, sigma=-KERNEL_CUTOFF * sd.mu_max, OPinv=OPinv, v0=v0)
+        _, V = spla.eigsh(A, k=j, M=M, sigma=-KERNEL_CUTOFF * sd.scale, OPinv=OPinv, v0=v0)
         rayleigh = np.sum(V * (A @ V), axis=0) / np.sum(V * (M @ V), axis=0)
         order = np.argsort(rayleigh)
-        evals = np.append(rayleigh[order], sd.mu_max)
-        m = _split_kernel(evals)
+        evals = rayleigh[order]
+        m = _split_kernel(evals, sd.scale)
         if m < j:
             return evals, _orthonormalize(V[:, order[:m]], M)
         j *= 2
@@ -324,7 +321,7 @@ def _dense_pairs(sd: _Saddle):
     """All eigenvalues and the kernel vectors from sla.eigh on A and M,
     densified."""
     evals, evecs = sla.eigh(sd.A @ np.eye(len(sd.idx)), sd.M.toarray())
-    m = _split_kernel(evals)
+    m = _split_kernel(evals, sd.scale)
     return evals, _orthonormalize(evecs[:, :m], sd.M)
 
 
@@ -402,7 +399,7 @@ def _mixed_potential(
     """
     sd = _saddle(metric, k, condition)
     sigma = np.zeros(metric.complex.num_simplices(k - 1))
-    if len(sd.low) == 0 or not sd.mu_max > 0:
+    if len(sd.low) == 0 or not sd.scale > 0:
         return sigma
     system = metric.cached(("mixed", sd.k, sd.condition), lambda: _mixed_system(metric, sd))
     nk = len(sd.idx)

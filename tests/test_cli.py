@@ -496,7 +496,9 @@ def test_sd_verify_computes_one_port_action_per_state(tmp_path, capsys, monkeypa
 def test_each_command_factors_each_matrix_once(tmp_path, capsys, monkeypatch, shape):
     # every factor a command needs is kept and shared: the spot checks of
     # sd-verify build the Dirichlet basis on the saddle factor of their
-    # witness solve, which the states then read
+    # witness solve, which the states then read.  A saddle of degree k
+    # solves with the mass factor of degree k - 1 alone, so analyze, which
+    # builds no saddle at degree n, factors no mass block at degree n - 1
     genuine, labels = metric_mod._splu, []
 
     def counted(matrix, what):
@@ -522,6 +524,9 @@ def test_each_command_factors_each_matrix_once(tmp_path, capsys, monkeypatch, sh
         assert main(argv) == 0, argv
         capsys.readouterr()
         assert len(labels) == len(set(labels)), (argv, labels)
+        if argv[0] == "analyze":
+            below_top = {f"mass matrix at degree {n - 1}", f"interior mass at degree {n - 1}"}
+            assert not below_top & set(labels), labels
 
 
 def test_simulate_writes_trace_and_snapshots(tmp_path, capsys):

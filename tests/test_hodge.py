@@ -233,12 +233,12 @@ def test_validate_degree_pair():
 
 
 def test_kernel_split_gap_check():
-    assert _split_kernel(np.array([])) == 0
-    assert _split_kernel(np.zeros(3)) == 3
-    assert _split_kernel(np.array([1e-13, 1e-5, 1.0])) == 1
-    assert _split_kernel(np.array([0.5, 1.0])) == 0
+    assert _split_kernel(np.array([]), 1.0) == 0
+    assert _split_kernel(np.zeros(3), 0.0) == 3
+    assert _split_kernel(np.array([1e-13, 1e-5, 1.0]), 1.0) == 1
+    assert _split_kernel(np.array([0.5, 1.0]), 1.0) == 0
     with pytest.raises(AmbiguousKernel):
-        _split_kernel(np.array([5e-10, 2e-9, 1.0]))
+        _split_kernel(np.array([5e-10, 2e-9, 1.0]), 1.0)
 
 
 def test_vector_field_split_on_solid_torus():
@@ -347,6 +347,32 @@ def test_bases_at_degrees_0_and_n_need_no_eigensolver(monkeypatch, shape):
     assert calls == []
     harmonic_basis(m, 1, "neumann")
     assert "eigsh" in calls
+
+
+@pytest.mark.parametrize("shape", ["annulus", "torus", "ball"])
+def test_building_a_saddle_runs_no_eigensolver(monkeypatch, shape):
+    # the scale comes from the saddle's diagonals, not from a solve for
+    # the largest eigenvalue
+    def fail(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(hodge_mod.spla, "eigsh", fail)
+    monkeypatch.setattr(hodge_mod.sla, "eigvalsh", fail)
+    m = Metric(complex_for(shape, ACCEPTANCE[shape]))
+    for k in range(m.complex.dimension + 1):
+        for condition in ("neumann", "dirichlet"):
+            assert hodge_mod._saddle(m, k, condition).scale > 0
+
+
+def test_spectral_basis_depends_on_the_span_alone(monkeypatch):
+    # a ten times larger cutoff moves the shift-invert shift, and Lanczos
+    # returns another orthonormal basis of the same two-dimensional kernel;
+    # the seeded projection maps both to one basis
+    before = harmonic_basis(Metric(complex_for("torus", 5)), 1).vectors
+    monkeypatch.setattr(hodge_mod, "KERNEL_CUTOFF", 10 * hodge_mod.KERNEL_CUTOFF)
+    after = harmonic_basis(Metric(complex_for("torus", 5)), 1).vectors
+    assert before.shape[1] == 2
+    assert np.abs(after - before).max() <= 1e-10
 
 
 def test_coexact_solve_of_an_exact_cochain_does_not_stall(monkeypatch):

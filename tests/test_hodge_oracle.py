@@ -2,6 +2,7 @@
 replaced (generalized eigensolve, thin-SVD least squares on whitened
 matrices), kept here as test-only oracles for small meshes."""
 
+import functools
 import math
 
 import numpy as np
@@ -57,7 +58,7 @@ def dense_harmonic_basis(metric, k, condition):
         A += C @ sla.solve(metric.mass(k - 1)[np.ix_(low, low)], C.T, assume_a="pos")
     evals, evecs = sla.eigh(A, M)
 
-    m = _split_kernel(evals)
+    m = _split_kernel(evals, evals[-1])
     vectors = np.zeros((metric.complex.num_simplices(k), m))
     vectors[idx, :] = evecs[:, :m]
     return vectors, float(evals[m]) if m < len(evals) else math.inf
@@ -94,12 +95,18 @@ def _assert_matches_oracle(metric):
             assert np.abs(gram - np.eye(hb.dim)).max(initial=0.0) <= 1e-12
 
 
+def dense_mu_max(sd):
+    """Largest eigenvalue of the unit-free saddle's A u = mu M u, densely."""
+    return sla.eigh(sd.A @ np.eye(len(sd.idx)), sd.M.toarray(), eigvals_only=True)[-1]
+
+
 def _assert_in_kernel(metric, hb):
     """|A u| <= 1e-12 mu_max |u| for every basis vector u, on the free
-    simplices, with A and mu_max of the unit-free saddle."""
+    simplices, with A and the dense mu_max of the unit-free saddle."""
     sd = hodge_mod._saddle(metric, hb.degree, hb.condition)
+    mu_max = dense_mu_max(sd) if hb.dim else 0.0
     for u in (hb.vectors[sd.idx] * math.sqrt(sd.c)).T:
-        assert np.linalg.norm(sd.A @ u) <= 1e-12 * sd.mu_max * np.linalg.norm(u)
+        assert np.linalg.norm(sd.A @ u) <= 1e-12 * mu_max * np.linalg.norm(u)
 
 
 @pytest.mark.parametrize("shape", sorted(ACCEPTANCE))
@@ -107,14 +114,47 @@ def test_sparse_bases_match_the_dense_oracle(shape):
     _assert_matches_oracle(metric_for(shape, ACCEPTANCE[shape]))
 
 
-def test_kernel_larger_than_the_first_lanczos_request():
-    # five disjoint annuli: five-dimensional kernels at degrees 0 and 1,
-    # more than the four pairs asked for first
+def five_annuli():
+    """Five disjoint copies of the small annulus."""
     a = complex_for("annulus", SMALL["annulus"])
     nv = a.num_simplices(0)
     tops = [tuple(v + i * nv for v in t) for i in range(5) for t in a.simplices[2]]
     verts = np.vstack([a.vertices + [10.0 * i, 0.0] for i in range(5)])
-    metric = Metric(build_complex(tops, verts))
+    return Metric(build_complex(tops, verts))
+
+
+def pinched_spheres():
+    """Two small spheres sharing one vertex, built without the strict
+    checks: the pinch is a bad link."""
+    s = complex_for("sphere", SMALL["sphere"])
+    nv = s.num_simplices(0)
+    shift = np.array([v + nv - 1 if v else 0 for v in range(nv)])
+    tops = list(s.simplices[2]) + [tuple(shift[list(t)]) for t in s.simplices[2]]
+    verts = np.vstack([s.vertices, (s.vertices - s.vertices[0])[1:] * [-1.0, 1.0, 1.0]
+                       + s.vertices[0]])
+    return Metric(build_complex(tops, verts, strict=False))
+
+
+# Surfaces in R^3 whose top degree is solved spectrally, with the number of
+# their vertices (placed at random, seeded by that number).
+UNPAIRED_TOPS = {
+    "fin": ([(0, 1, 2), (0, 1, 3), (0, 1, 4)], 5),  # three triangles on an edge
+    "mobius": ([(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)], 5),
+    "rp2": ([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1), (1, 2, 4), (2, 3, 5),
+             (3, 4, 1), (4, 5, 2), (5, 1, 3)], 6),  # projective plane
+}
+
+
+def unpaired(name):
+    tops, count = UNPAIRED_TOPS[name]
+    verts = np.random.default_rng(count).standard_normal((count, 3))
+    return Metric(build_complex(tops, verts, strict=False))
+
+
+def test_kernel_larger_than_the_first_lanczos_request():
+    # five disjoint annuli: five-dimensional kernels at degrees 0 and 1,
+    # more than the four pairs asked for first
+    metric = five_annuli()
     betti = betti_numbers(metric.complex)
     assert betti == [5, 5, 0]
     assert [harmonic_basis(metric, k).dim for k in range(3)] == betti
@@ -124,13 +164,7 @@ def test_kernel_larger_than_the_first_lanczos_request():
 
 def test_spheres_pinched_at_a_vertex_match_the_oracle():
     # one vertex component, two top components: b_0 = 1, b_2 = 2
-    s = complex_for("sphere", SMALL["sphere"])
-    nv = s.num_simplices(0)
-    shift = np.array([v + nv - 1 if v else 0 for v in range(nv)])
-    tops = list(s.simplices[2]) + [tuple(shift[list(t)]) for t in s.simplices[2]]
-    verts = np.vstack([s.vertices, (s.vertices - s.vertices[0])[1:] * [-1.0, 1.0, 1.0]
-                       + s.vertices[0]])
-    metric = Metric(build_complex(tops, verts, strict=False))  # the pinch is a bad link
+    metric = pinched_spheres()
     assert betti_numbers(metric.complex) == [1, 0, 2]
     assert [harmonic_basis(metric, k).dim for k in range(3)] == [1, 0, 2]
     _assert_matches_oracle(metric)
@@ -152,23 +186,40 @@ def test_squashed_annulus_has_one_constant():
             _assert_in_kernel(metric, hb)
 
 
-@pytest.mark.parametrize("tops, count", [
-    ([(0, 1, 2), (0, 1, 3), (0, 1, 4)], 5),  # three triangles on an edge
-    ([(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)], 5),  # Moebius strip
-    ([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1), (1, 2, 4), (2, 3, 5),
-      (3, 4, 1), (4, 5, 2), (5, 1, 3)], 6),  # projective plane
-], ids=["fin", "mobius", "rp2"])
-def test_top_degree_keeps_the_spectrum_where_faces_do_not_pair_up(tops, count):
+@pytest.mark.parametrize("name", sorted(UNPAIRED_TOPS))
+def test_top_degree_keeps_the_spectrum_where_faces_do_not_pair_up(name):
     # an edge with three cofaces, or two cofaces of one orientation, breaks
     # the constant density, so the top degree is solved spectrally
-    verts = np.random.default_rng(count).standard_normal((count, 3))
-    metric = Metric(build_complex(tops, verts, strict=False))
+    metric = unpaired(name)
     for condition in ("neumann", "dirichlet"):
         hb = harmonic_basis(metric, 2, condition)
         V, _ = dense_harmonic_basis(metric, 2, condition)
         assert not math.isnan(hb.first_nonkernel_eigenvalue)
         assert hb.dim == V.shape[1]
         assert _largest_angle_sine(metric, 2, V, hb.vectors) <= 1e-10
+
+
+SCALE_MESHES = {
+    **{shape: functools.partial(metric_for, shape, r) for shape, r in ACCEPTANCE.items()},
+    "fin": functools.partial(unpaired, "fin"),
+    "mobius": functools.partial(unpaired, "mobius"),
+    "pinched": pinched_spheres,
+    "annuli": five_annuli,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALE_MESHES))
+def test_saddle_scale_is_within_a_hundredth_of_the_largest_eigenvalue(name):
+    # the scale read off the saddle's diagonals bounds mu_max from below
+    # (Rayleigh and Gershgorin) and, on these meshes, lies within 1/100 of
+    # it, so the kernel cutoff moves by less than two decades
+    metric = SCALE_MESHES[name]()
+    for k in range(metric.complex.dimension + 1):
+        for condition in ("neumann", "dirichlet"):
+            sd = hodge_mod._saddle(metric, k, condition)
+            if len(sd.idx):
+                mu_max = dense_mu_max(sd)
+                assert mu_max / 100 <= sd.scale <= mu_max * (1 + 1e-12), (k, condition)
 
 
 # -- HMF, potentials and integrability against dense least squares -----------
