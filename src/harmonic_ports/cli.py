@@ -163,18 +163,7 @@ def cmd_decompose(args) -> dict:
     total = dec.d_alpha + dec.delta_beta + dec.lambda_T + dec.delta_gamma
     in_norm = norm(metric, c)
     recon = _rel(norm(metric, c - total), in_norm)
-    gram = [
-        [inner_product(metric, a, b) for _, b in parts] for _, a in parts
-    ]
-    orth = max(
-        (
-            _rel(gram[i][j], in_norm * in_norm)
-            for i in range(4)
-            for j in range(4)
-            if i != j
-        ),
-        default=0.0,
-    )
+    orth = _rel(np.abs(dec.gram[~np.eye(4, dtype=bool)]).max(), in_norm * in_norm)
     return {
         **_header("decompose", args),
         "input": args.input,
@@ -182,7 +171,7 @@ def cmd_decompose(args) -> dict:
         "degree": c.degree,
         "components": {name: hio.cochain_to_obj(part) for name, part in parts},
         "component_norms": {name: norm(metric, part) for name, part in parts},
-        "gram": gram,
+        "gram": dec.gram.tolist(),
         "reconstruction_residual": recon,
         "orthogonality_residual": orth,
         "passed": recon <= tol and orth <= tol,

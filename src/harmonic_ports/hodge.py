@@ -12,11 +12,12 @@ where every (n-1)-face has at most two cofaces, oriented oppositely
 where it has two; elsewhere, and at every degree in between, the kernel
 is counted from the spectrum alone, never from the Betti numbers.
 A = K + B^T M_l^-1 B is never formed.  Its scale comes from the diagonals
-of its saddle-point form (`_Saddle`), its kernel from shift-invert Lanczos
-just below zero through a factor of that form (dense on spaces too small
-for ARPACK), fixed to a basis of the span alone.  On a closed mesh both
-conditions give one operator, so the Dirichlet bases and saddles are the
-Neumann ones.  One refined system per saddle (`metric._refined_system`, the
+of its saddle-point form (`_Saddle`), its kernel from one Rayleigh-Ritz
+step on shift-invert Lanczos vectors just below zero, through a factor of
+that form (on the whole space once the request reaches ARPACK's limit),
+fixed to a basis of the span alone.  On a closed mesh both conditions
+give one operator, so the Dirichlet bases and saddles are the Neumann
+ones.  One refined system per saddle (`metric._refined_system`, the
 harmonic part projected out) solves the mixed system behind every
 projection onto an exact or coexact range (_mixed_potential): the HMF
 split, potentials of exact cochains and the integrability witness.  A
@@ -76,7 +77,7 @@ KERNEL_GAP_FACTOR = 10.0
 # Largest M-inner product between two HMF pieces, relative to |omega|_M^2
 # (the bound of the integrability witness residual).
 HMF_ORTHOGONALITY_TOL = 1e-8
-# Pairs the first shift-invert Lanczos request asks for (_lanczos_pairs only).
+# Pairs the first shift-invert Lanczos request asks for (_ritz_pairs only).
 FIRST_REQUEST = 4
 
 
@@ -84,8 +85,8 @@ FIRST_REQUEST = 4
 class HarmonicBasis:
     """M-orthonormal basis of a discrete harmonic space.
 
-    The eigenvalues below are Rayleigh quotients of shift-invert Lanczos
-    vectors (dense eigenvalues on spaces too small for ARPACK).  The
+    The eigenvalues below are the Ritz values of one Rayleigh-Ritz step
+    (`_ritz_pairs`) on shift-invert Lanczos vectors or the whole space.  The
     kernel holds the eigenvalues below KERNEL_CUTOFF * scale (`_Saddle`),
     separated from the rest by KERNEL_GAP_FACTOR; its vectors are seeded
     random vectors projected onto it, so they depend on its span alone.  A
@@ -165,12 +166,13 @@ def _build_harmonic_basis(metric: Metric, k: int, condition: str, lu=None) -> Ha
     if len(sd.idx) == 0:
         return HarmonicBasis(metric, k, condition, np.zeros((N, 0)), 0.0, math.inf)
     try:
-        evals, V = _lanczos_pairs(sd, lu) or _dense_pairs(sd)
+        evals, V = _ritz_pairs(sd, lu)
+        m = _split_kernel(evals, sd.scale)
+        V = V[:, :m]
         R = np.random.default_rng(0).standard_normal(V.shape)  # span(V) alone picks the basis
         kernel = _orthonormalize(V @ (V.T @ (sd.M @ R)), sd.M)
     except (RuntimeError, sla.LinAlgError, FactorizationFailure) as exc:
         raise FactorizationFailure(f"harmonic eigenproblem at degree {k}: {exc}") from exc
-    m = kernel.shape[1]
     vectors = np.zeros((N, m))
     vectors[sd.idx, :] = kernel / math.sqrt(sd.c)
     last = float(evals[m - 1]) if m else 0.0
@@ -289,40 +291,29 @@ def _saddle(metric: Metric, k: int, condition: str) -> _Saddle:
         raise FactorizationFailure(f"harmonic eigenproblem at degree {k}: {exc}") from exc
 
 
-def _lanczos_pairs(sd: _Saddle, lu: spla.SuperLU | None = None):
-    """Ascending smallest eigenvalues of A u = mu M u and the M-orthonormal
-    kernel vectors, by shift-invert Lanczos at s = -KERNEL_CUTOFF *
-    scale, (A - s M)^-1 applied by lu, or by a new saddle factor dropped
-    on return.  None once the request reaches ARPACK's limit j < N - 1
-    (or when A = 0): _dense_pairs then solves the space.  The request
-    starts at j = FIRST_REQUEST pairs and doubles while every pair is
-    kernel.  Eigenvalues are the Rayleigh quotients of the Ritz vectors.
-    """
-    nk, j, A, M, pad = len(sd.idx), FIRST_REQUEST, sd.A, sd.M, np.zeros(len(sd.low))
-    if j >= nk - 1 or not sd.scale > 0:
-        return None
-    lu = sd.factor() if lu is None else lu
-    solve = lambda f: lu.solve(np.concatenate([np.ravel(f), pad]))[:nk]
-    OPinv = spla.LinearOperator((nk, nk), matvec=solve, dtype=float)
-    v0 = np.random.default_rng(0).standard_normal(nk)
-    while j < nk - 1:
-        _, V = spla.eigsh(A, k=j, M=M, sigma=-KERNEL_CUTOFF * sd.scale, OPinv=OPinv, v0=v0)
-        rayleigh = np.sum(V * (A @ V), axis=0) / np.sum(V * (M @ V), axis=0)
-        order = np.argsort(rayleigh)
-        evals = rayleigh[order]
-        m = _split_kernel(evals, sd.scale)
-        if m < j:
-            return evals, _orthonormalize(V[:, order[:m]], M)
+def _ritz_pairs(sd: _Saddle, lu: spla.SuperLU | None = None):
+    """Ascending Ritz values and M-orthonormal Ritz vectors of A u = mu M u
+    from one Rayleigh-Ritz step, eigh(Q^T A Q, Q^T M Q), on a search space
+    Q: the j shift-invert Lanczos vectors at s = -KERNEL_CUTOFF * scale,
+    (A - s M)^-1 applied by lu or by a new saddle factor dropped on return,
+    where j starts at FIRST_REQUEST and doubles while every Ritz value is
+    kernel; or the whole free space, Q = I, once j reaches ARPACK's limit
+    j < N - 1 (at once when A = 0)."""
+    nk, A, M = len(sd.idx), sd.A, sd.M
+    j = FIRST_REQUEST if sd.scale > 0 else nk
+    if j < nk - 1:
+        lu, pad = sd.factor() if lu is None else lu, np.zeros(len(sd.low))
+        OPinv = spla.LinearOperator((nk, nk), dtype=float, matvec=lambda f: lu.solve(
+            np.concatenate([np.ravel(f), pad]))[:nk])
+        v0 = np.random.default_rng(0).standard_normal(nk)
+    while True:
+        whole = j >= nk - 1
+        Q = np.eye(nk) if whole else spla.eigsh(
+            A, k=j, M=M, sigma=-KERNEL_CUTOFF * sd.scale, OPinv=OPinv, v0=v0)[1]
+        evals, Y = sla.eigh(Q.T @ (A @ Q), Q.T @ (M @ Q))
+        if whole or _split_kernel(evals, sd.scale) < j:
+            return evals, Q @ Y
         j *= 2
-    return None
-
-
-def _dense_pairs(sd: _Saddle):
-    """All eigenvalues and the kernel vectors from sla.eigh on A and M,
-    densified."""
-    evals, evecs = sla.eigh(sd.A @ np.eye(len(sd.idx)), sd.M.toarray())
-    m = _split_kernel(evals, sd.scale)
-    return evals, _orthonormalize(evecs[:, :m], sd.M)
 
 
 def _orthonormalize(V: np.ndarray, M) -> np.ndarray:
@@ -356,7 +347,9 @@ class HMFDecomposition:
     d_alpha:    exact piece with a zero-trace potential,
     delta_beta: coexact piece (adjoint-codifferential image),
     lambda_T:   Dirichlet-harmonic piece,
-    delta_gamma: the remaining harmonic piece.
+    delta_gamma: the remaining harmonic piece,
+
+    and gram, the 4 x 4 matrix of their M-inner products in that order.
     """
 
     input: Cochain
@@ -364,6 +357,7 @@ class HMFDecomposition:
     delta_beta: Cochain
     lambda_T: Cochain
     delta_gamma: Cochain
+    gram: np.ndarray
 
     @property
     def harmonic(self) -> Cochain:
@@ -472,14 +466,15 @@ def hodge_morrey_friedrichs(metric: Metric, omega: Cochain) -> HMFDecomposition:
     pieces = np.column_stack(
         [x.values for x in (d_alpha, delta_beta, lambda_T, delta_gamma)]
     )
-    overlap = np.abs(np.triu(pieces.T @ (M @ pieces), 1)).max()
+    gram = pieces.T @ (M @ pieces)
+    overlap = np.abs(np.triu(gram, 1)).max()
     scale = omega.values @ (M @ omega.values)
     if overlap > HMF_ORTHOGONALITY_TOL * scale:
         raise SolverFailure(
             f"HMF pieces overlap by {overlap / scale:.3e} of |omega|^2"
             " (a harmonic basis of the wrong dimension?)"
         )
-    return HMFDecomposition(omega, d_alpha, delta_beta, lambda_T, delta_gamma)
+    return HMFDecomposition(omega, d_alpha, delta_beta, lambda_T, delta_gamma, gram)
 
 
 def potential_for_exact(

@@ -344,6 +344,27 @@ def test_decompose_cochain_round_trip(tmp_path, capsys):
     assert np.allclose(total, coch["values"], atol=1e-8)
 
 
+def test_decompose_reports_the_gram_of_its_decomposition(tmp_path, capsys, monkeypatch):
+    # the report reads the one Gram the decomposition formed for its own check
+    real, decompositions = cli.hodge_morrey_friedrichs, []
+
+    def kept(metric, c):
+        decompositions.append(real(metric, c))
+        return decompositions[-1]
+
+    monkeypatch.setattr(cli, "hodge_morrey_friedrichs", kept)
+    mesh = _write_torus(tmp_path)
+    values = np.random.default_rng(0).normal(size=gen_mesh("torus", 4).num_simplices(1))
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps({"degree": 1, "values": values.tolist()}))
+    code, rep = _run(capsys, ["decompose", mesh, str(cpath)])
+    (dec,) = decompositions
+    assert code == 0
+    assert rep["gram"] == dec.gram.tolist()
+    off = np.abs(dec.gram[~np.eye(4, dtype=bool)]).max()
+    assert rep["orthogonality_residual"] == pytest.approx(off / dec.gram.trace(), rel=1e-9)
+
+
 def test_decompose_vector_field(tmp_path, capsys):
     mesh_path = tmp_path / "st.json"
     cx = gen_mesh("solid_torus", 3)

@@ -34,17 +34,26 @@ from harmonic_ports.hodge import _split_kernel
 from conftest import ACCEPTANCE, CLOSED, SMALL, complex_for, factored_keys, metric_for
 
 
-def test_kernel_beyond_every_lanczos_request_is_solved_densely():
+def test_kernel_beyond_every_lanczos_request_is_solved_densely(monkeypatch):
     # sixteen disjoint edges: H^0 has dimension 16 of N = 32, so each
     # doubled request (4, 8, 16 pairs) is all kernel until it reaches
-    # ARPACK's limit N - 1 and the dense solve takes over; it spans the
-    # closed-form basis of the sixteen constants
+    # ARPACK's limit N - 1 and the Ritz step takes the whole space; it
+    # spans the closed-form basis of the sixteen constants
     vertices = np.array([[float(i), float(j)] for i in range(16) for j in (0, 1)])
     cx = build_complex([(2 * i, 2 * i + 1) for i in range(16)], vertices)
     m = Metric(cx)
     sd = hodge_mod._saddle(m, 0, "neumann")
-    assert hodge_mod._lanczos_pairs(sd) is None
-    _, kernel = hodge_mod._dense_pairs(sd)
+    real, requests = spla.eigsh, []
+
+    def eigsh(*args, **kwargs):
+        requests.append(kwargs["k"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hodge_mod.spla, "eigsh", eigsh)
+    evals, V = hodge_mod._ritz_pairs(sd)
+    assert requests == [4, 8, 16]
+    assert len(evals) == V.shape[1] == 32
+    kernel = V[:, :_split_kernel(evals, sd.scale)]
     basis = harmonic_basis(m, 0, "neumann")
     assert basis.dim == kernel.shape[1] == betti_numbers(cx)[0] == 16
     gram = basis.vectors.T @ (m.mass_csr(0) @ basis.vectors)

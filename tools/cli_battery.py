@@ -10,7 +10,8 @@ PYTHONPATH) with OUTDIR/<case>/ as its working directory, and leaves there
 Every path a command sees is relative, so reports do not depend on OUTDIR,
 and HARMONIC_PORTS_TOL_SCALE is unset unless the case sets it.
 The battery covers every subcommand on the six acceptance shapes,
-harmonic initial states in either slot, malformed and hand-written meshes,
+harmonic initial states in either slot, two disjoint tori (whose H^1
+outgrows the first Lanczos request), malformed and hand-written meshes,
 usage errors and an invalid HARMONIC_PORTS_TOL_SCALE.  Warnings are always
 shown, so a case prints the same whatever the caller's warning filters.
 """
@@ -76,12 +77,20 @@ def _mesh(shape):
 
 
 def _write_inputs(root: Path):
-    """Hand-written meshes, one random 1-cochain per shape and a vertex and a
-    cell vector field per solid, from a fixed seed."""
+    """Hand-written meshes, two disjoint copies of gen-torus (the second
+    shifted by 10 in x: H^1 of dimension 4, all of the first Lanczos
+    request), one random 1-cochain per shape and a vertex and a cell vector
+    field per solid, from a fixed seed."""
     inputs = root / "inputs"
     inputs.mkdir()
     for name, (_, obj) in HAND_WRITTEN.items():
         (inputs / f"{name}.json").write_text(json.dumps(obj))
+    torus = json.loads((root / "gen-torus" / "mesh.json").read_text())
+    shifted = [[x + 10.0, *rest] for x, *rest in torus["vertices"]]
+    offset = len(torus["vertices"])
+    (inputs / "two_tori.json").write_text(json.dumps({
+        "dimension": 2, "vertices": torus["vertices"] + shifted,
+        "simplices": torus["simplices"] + [[v + offset for v in s] for s in torus["simplices"]]}))
     (inputs / "not_json.json").write_text("{not json")
     rng = np.random.default_rng(20)
     for shape in SHAPES:
@@ -133,6 +142,10 @@ def _cases():
                                      "--init", "harmonic:1:0:1.0", "--out", "trace.csv"], None),
         ("simulate-torus-harmonic-q", ["simulate", torus, "--p", "1", "--q", "2", "--steps", "4",
                                        "--init", "harmonic:2:0:1.0", "--out", "trace.csv"], None),
+        ("analyze-two_tori", ["analyze", "../inputs/two_tori.json"], None),
+        ("simulate-two_tori-harmonic", ["simulate", "../inputs/two_tori.json", "--p", "1",
+                                        "--q", "2", "--steps", "4", "--init", "harmonic:1:3:1.0",
+                                        "--out", "trace.csv"], None),
         ("usage-init-index", ["simulate", torus, "--p", "1", "--q", "2", "--steps", "2",
                               "--init", "harmonic:1:99:1.0", "--out", "trace.csv"], None),
         ("usage-field-on-surface", ["decompose", torus, "../inputs/ball-vertex.json"], None),
