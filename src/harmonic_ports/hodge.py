@@ -13,18 +13,19 @@ where it has two; elsewhere, and at every degree in between, the kernel
 is counted from the spectrum alone, never from the Betti numbers.
 A = K + B^T M_l^-1 B is never formed.  Its scale comes from the diagonals
 of its saddle-point form (`_Saddle`), its kernel from one Rayleigh-Ritz
-step on shift-invert Lanczos vectors just below zero, through a factor of
-that form (on the whole space once the request reaches ARPACK's limit),
-fixed to a basis of the span alone.  On a closed mesh both conditions
-give one operator, so the Dirichlet bases and saddles are the Neumann
-ones.  One refined system per saddle (`metric._refined_system`, the
-harmonic part projected out) solves the mixed system behind every
-projection onto an exact or coexact range (_mixed_potential): the HMF
-split, potentials of exact cochains and the integrability witness.  A
-basis borrows its factor when built with it, else drops its own.  The
-metric decides what a condition means: its free simplices
-(`Metric.free_indices`) and the one mass factor of each (k, condition)
-(`Metric.mass_lu`) are read here, never re-derived.
+step through A on shift-invert Lanczos vectors just below zero, through a
+factor of that form (on the whole space once the request reaches ARPACK's
+limit), fixed to a basis of the span alone.  Lanczos converges only to
+LANCZOS_TOL: it supplies the search space, the step the eigenvalues.  On
+a closed mesh both conditions give one operator, so the Dirichlet bases
+and saddles are the Neumann ones.  One refined system per saddle
+(`metric._refined_system`, the harmonic part projected out) solves the
+mixed system behind every projection onto an exact or coexact range
+(_mixed_potential): the HMF split, potentials of exact cochains and the
+integrability witness.  A basis borrows its factor when built with it,
+else drops its own.  The metric decides what a condition means: its free
+simplices (`Metric.free_indices`) and the one mass factor of each
+(k, condition) (`Metric.mass_lu`) are read here, never re-derived.
 """
 
 from __future__ import annotations
@@ -79,6 +80,10 @@ KERNEL_GAP_FACTOR = 10.0
 HMF_ORTHOGONALITY_TOL = 1e-8
 # Pairs the first shift-invert Lanczos request asks for (_ritz_pairs only).
 FIRST_REQUEST = 4
+# ARPACK's relative residual test for those pairs: Lanczos only supplies
+# the search space, and a Rayleigh quotient's error is quadratic in its
+# vector's, so the Ritz values through A land near LANCZOS_TOL^2.
+LANCZOS_TOL = 1e-6
 
 
 @dataclass
@@ -86,13 +91,14 @@ class HarmonicBasis:
     """M-orthonormal basis of a discrete harmonic space.
 
     The eigenvalues below are the Ritz values of one Rayleigh-Ritz step
-    (`_ritz_pairs`) on shift-invert Lanczos vectors or the whole space.  The
-    kernel holds the eigenvalues below KERNEL_CUTOFF * scale (`_Saddle`),
-    separated from the rest by KERNEL_GAP_FACTOR; its vectors are seeded
-    random vectors projected onto it, so they depend on its span alone.  A
-    basis built in closed form (degrees 0 and n) computes no eigenvalue:
-    its gap fields read 0.0 and nan.  On a closed mesh the Dirichlet basis
-    carries the Neumann vectors and eigenvalues.
+    through A (`_ritz_pairs`) on shift-invert Lanczos vectors, converged
+    only to LANCZOS_TOL, or on the whole space.  The kernel holds the
+    eigenvalues below KERNEL_CUTOFF * scale (`_Saddle`), separated from the
+    rest by KERNEL_GAP_FACTOR; its vectors are seeded random vectors
+    projected onto it, so they depend on its span alone.  A basis built in
+    closed form (degrees 0 and n) computes no eigenvalue: its gap fields
+    read 0.0 and nan.  On a closed mesh the Dirichlet basis carries the
+    Neumann vectors and eigenvalues.
 
     Attributes:
         metric: The metric the basis is orthonormal against.
@@ -298,7 +304,8 @@ def _ritz_pairs(sd: _Saddle, lu: spla.SuperLU | None = None):
     (A - s M)^-1 applied by lu or by a new saddle factor dropped on return,
     where j starts at FIRST_REQUEST and doubles while every Ritz value is
     kernel; or the whole free space, Q = I, once j reaches ARPACK's limit
-    j < N - 1 (at once when A = 0)."""
+    j < N - 1 (at once when A = 0).  ARPACK stops at LANCZOS_TOL with
+    min(2j + 2, N - 1) Krylov vectors; the step through A sets the values."""
     nk, A, M = len(sd.idx), sd.A, sd.M
     j = FIRST_REQUEST if sd.scale > 0 else nk
     if j < nk - 1:
@@ -309,7 +316,8 @@ def _ritz_pairs(sd: _Saddle, lu: spla.SuperLU | None = None):
     while True:
         whole = j >= nk - 1
         Q = np.eye(nk) if whole else spla.eigsh(
-            A, k=j, M=M, sigma=-KERNEL_CUTOFF * sd.scale, OPinv=OPinv, v0=v0)[1]
+            A, k=j, M=M, sigma=-KERNEL_CUTOFF * sd.scale, OPinv=OPinv, v0=v0,
+            ncv=min(2 * j + 2, nk - 1), tol=LANCZOS_TOL)[1]
         evals, Y = sla.eigh(Q.T @ (A @ Q), Q.T @ (M @ Q))
         if whole or _split_kernel(evals, sd.scale) < j:
             return evals, Q @ Y

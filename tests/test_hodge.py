@@ -62,6 +62,40 @@ def test_kernel_beyond_every_lanczos_request_is_solved_densely(monkeypatch):
     assert np.allclose(np.linalg.svd(overlap, compute_uv=False), 1.0, atol=1e-10)
 
 
+# Shift-invert solves that the harmonic bases of a cold metric cost per
+# (degree, condition), at most, with ARPACK stopped at LANCZOS_TOL on a
+# Krylov space of 2j + 2 vectors: a tighter stop or a larger space raises
+# them.
+LANCZOS_SOLVES = {
+    ("torus", 5): {(1, "neumann"): 15},
+    ("ball", 2): {(1, "neumann"): 28, (1, "dirichlet"): 18, (2, "neumann"): 29,
+                  (2, "dirichlet"): 30},
+    ("annulus", 3): {(1, "neumann"): 16, (1, "dirichlet"): 17},
+}
+
+
+@pytest.mark.parametrize("shape, resolution", sorted(LANCZOS_SOLVES))
+def test_lanczos_solves_per_basis_stay_within_their_counts(monkeypatch, shape, resolution):
+    real, solves = hodge_mod._Saddle.factor, {}
+
+    class Counting:  # the saddle's factor, counting the columns it solves
+        def __init__(self, sd):
+            self.lu, self.key = real(sd), (sd.k, sd.condition)
+
+        def solve(self, b):
+            solves[self.key] = solves.get(self.key, 0) + (1 if b.ndim == 1 else b.shape[1])
+            return self.lu.solve(b)
+
+    monkeypatch.setattr(hodge_mod._Saddle, "factor", lambda sd: Counting(sd))
+    m = Metric(complex_for(shape, resolution))
+    for condition in ("neumann", "dirichlet"):
+        for k in range(m.complex.dimension + 1):
+            harmonic_basis(m, k, condition)
+    bounds = LANCZOS_SOLVES[shape, resolution]
+    assert solves.keys() == bounds.keys()
+    assert all(solves[key] <= bounds[key] for key in bounds), solves
+
+
 def test_harmonic_basis_rejects_a_degree_out_of_range():
     m = metric_for("disk", 2)
     for k in (-1, 3):

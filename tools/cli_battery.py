@@ -11,9 +11,11 @@ Every path a command sees is relative, so reports do not depend on OUTDIR,
 and HARMONIC_PORTS_TOL_SCALE is unset unless the case sets it.
 The battery covers every subcommand on the six acceptance shapes,
 harmonic initial states in either slot, two disjoint tori (whose H^1
-outgrows the first Lanczos request), malformed and hand-written meshes,
-usage errors and an invalid HARMONIC_PORTS_TOL_SCALE.  Warnings are always
-shown, so a case prints the same whatever the caller's warning filters.
+outgrows the first Lanczos request), the smallest sphere and ball (where
+that request's Krylov space is clipped to the free simplices), malformed
+and hand-written meshes, usage errors and an invalid
+HARMONIC_PORTS_TOL_SCALE.  Warnings are always shown, so a case prints the
+same whatever the caller's warning filters.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ SHAPES = {"sphere": 2, "torus": 5, "disk": 3, "annulus": 3, "ball": 2, "solid_to
 PAIRS = {2: [(1, 2), (2, 1)], 3: [(1, 3), (2, 2), (3, 1)]}
 SOLID = {"ball", "solid_torus"}
 TOL_ENV = "HARMONIC_PORTS_TOL_SCALE"
+# Meshes whose six free simplices at sphere (1, neumann) and ball
+# (2, dirichlet) clip the first Lanczos request's Krylov space to N - 1.
+CLIP = {"sphere": 1, "ball": 1}
 
 # Hand-written meshes and the commands each is given: a top simplex naming
 # vertex 3 of 3, a vertex in no top simplex, a flat square whose centre sits
@@ -131,6 +136,10 @@ def _cases():
             if command == "sd-verify":
                 argv += ["--p", "1", "--q", "2", "--random-states", "1"]
             cases.append((f"{command}-{name}", argv, None))
+    for shape, res in CLIP.items():
+        cases.append((f"analyze-{shape}-{res}", ["analyze", _mesh(f"{shape}-{res}")], None))
+    cases.append(("sd-verify-ball-1-22", ["sd-verify", _mesh("ball-1"), "--p", "2", "--q", "2",
+                                          "--random-states", "2", "--seed", "3"], None))
     torus = _mesh("torus")
     cases += [
         ("usage-gen-resolution", ["gen", "--shape", "torus", "--resolution", "2",
@@ -192,6 +201,9 @@ def run_battery(outdir) -> list:
     cases = [(f"gen-{shape}", ["gen", "--shape", shape, "--resolution", str(res),
                                "--out", "mesh.json"], None)
              for shape, res in SHAPES.items()]
+    cases += [(f"gen-{shape}-{res}", ["gen", "--shape", shape, "--resolution", str(res),
+                                      "--out", "mesh.json"], None)
+              for shape, res in CLIP.items()]
     for case in cases:
         _run_case(root, *case)
     _write_inputs(root)
