@@ -250,12 +250,13 @@ class _Saddle:
 
 
 def _saddle(metric: Metric, k: int, condition: str) -> _Saddle:
-    """The saddle of (k, condition), cached under ("saddle", k, condition)
-    (FactorizationFailure if the mass factor of its low simplices fails).
-    idx and low are the metric's free indices of the condition and A's
-    mass solves use its factor of (k-1, condition); K = D^T M_(k+1) D and
-    B = d_(k-1)^T M_k.  On a closed mesh the Dirichlet saddle is the
-    Neumann object."""
+    """The saddle of (k, condition), cached under ("saddle", k, condition).
+    idx and low are the metric's free indices of the condition; A's mass
+    solves factor (k-1, condition) on A's first application, so a saddle
+    serving only mixed solves factors no mass block, and a failed factor
+    surfaces in the harmonic basis as FactorizationFailure("harmonic
+    eigenproblem at degree k: ...").  K = D^T M_(k+1) D and B = d_(k-1)^T
+    M_k.  On a closed mesh the Dirichlet saddle is the Neumann object."""
     condition = "neumann" if condition == "dirichlet" and metric.closed else condition
 
     def build():
@@ -279,22 +280,19 @@ def _saddle(metric: Metric, k: int, condition: str) -> _Saddle:
         sd = _Saddle(k, condition, idx, low, c, c_l, M, S)
         if nk == 0:
             return sd
-        lu_l = metric.mass_lu(k - 1, condition) if nl else None
         rows = abs(M_l).sum(axis=1).max() if nl else 1.0  # |M_l|_inf
         diag = K.diagonal() + np.ravel(B.multiply(B).sum(axis=0)) / rows
         sd.scale = float((diag / M.diagonal()).max())
 
         def apply(u):  # S (u, 0) = (K u, B u), then K u + B^T M_l^-1 B u
             ku, bu = np.split(S @ np.concatenate([np.ravel(u), np.zeros(nl)]), [nk])
+            lu_l = metric.mass_lu(k - 1, condition) if nl else None  # factored on first use
             return ku + (S @ np.concatenate([np.zeros(nk), c_l * lu_l.solve(bu)]))[:nk] if nl else ku
 
         sd.A = spla.LinearOperator((nk, nk), matvec=apply, dtype=float)
         return sd
 
-    try:
-        return metric.cached(("saddle", k, condition), build)
-    except FactorizationFailure as exc:
-        raise FactorizationFailure(f"harmonic eigenproblem at degree {k}: {exc}") from exc
+    return metric.cached(("saddle", k, condition), build)
 
 
 def _ritz_pairs(sd: _Saddle, lu: spla.SuperLU | None = None):

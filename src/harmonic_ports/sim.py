@@ -214,8 +214,8 @@ def _check_flows(metric: Metric, p: int, q: int, w: np.ndarray, f: np.ndarray, r
     independent port action of the midpoint w to FLOW_CHECK_TOL, relative
     to rho |w| + |f| in the Whitney norm (rho the spectral radius estimate)."""
     layout, ref = system_operators(metric, p, q)["layout"], _port_action(metric, p, q, w)[2]
-    err = sum(_norms(layout, f - ref))
-    if not err <= FLOW_CHECK_TOL * (rho * sum(_norms(layout, w)) + sum(_norms(layout, ref))):
+    err, size_w, size_ref = (sum(_norms(layout, v, layout.mass @ v)) for v in (f - ref, w, ref))
+    if not err <= FLOW_CHECK_TOL * (rho * size_w + size_ref):
         raise SolverFailure(f"midpoint flows differ from the port action by {err:.3e}")
 
 
@@ -274,7 +274,9 @@ def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
 
     a = np.concatenate([sys.alpha_p.values, sys.alpha_q.values])
     H_prev, coeffs = diagnostics(a)
-    trace.rows.append([0.0, H_prev, 0.0, _power_rate(layout, a, *_port_action(m, p, q, a))[1]] + coeffs)
+    z, e, f = _port_action(m, p, q, a)
+    boundary_term = _power_rate(layout, a, e, layout.mass @ f, layout.mass_z @ z)[1]
+    trace.rows.append([0.0, H_prev, 0.0, boundary_term] + coeffs)
     if config.stride:
         trace.snapshots.append((0, *_cochains(sys, a)))
 
@@ -283,7 +285,7 @@ def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
         snap = config.stride and k % config.stride == 0
         if k == 1 or snap:
             _check_flows(m, p, q, w, f, rho)
-        dH_dt, boundary_term = _power_rate(layout, w, z, e, f)
+        dH_dt, boundary_term = _power_rate(layout, w, e, layout.mass @ f, layout.mass_z @ z)
         H, coeffs = diagnostics(a)
         trace.rows.append([k * dt, H, abs((H - H_prev) / dt - dH_dt), boundary_term] + coeffs)
         if snap:

@@ -15,9 +15,10 @@ Green-defect boundary term on every mesh and vanishes on closed ones.
 
 These maps and the stacked layout of (alpha_p, alpha_q) are decided once,
 per slot (`system_operators`), and applied by sparse solves, never formed.
-Efforts, flows, every balance, the flow identity and each midpoint step
-read one port action per state, the arrays of `_port_action`, and sum its
-power terms by one `_power_rate`; cochains are built for public results.
+Each midpoint step reads the arrays of `_port_action`; efforts, flows,
+every balance and the flow identity read one record per state, `_port`:
+that port action with its block products and slot norms.  One
+`_power_rate` sums the power terms; cochains are built for public results.
 """
 
 from __future__ import annotations
@@ -30,12 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ComplexMismatch, DegreeMismatch, SolverFailure
-from .hodge import (
-    _mixed_potential,
-    harmonic_basis,
-    harmonic_projection,
-    validate_degree_pair,
-)
+from .hodge import _mixed_potential, harmonic_basis, harmonic_projection, validate_degree_pair
 from .metric import (
     Cochain,
     Metric,
@@ -43,7 +39,6 @@ from .metric import (
     _delta,
     extend_by_zero,
     exterior_derivative,
-    green_defect_constrained,
     inner_product,
     norm,
     same_complex,
@@ -141,16 +136,21 @@ def _port_action(metric: Metric, p: int, q: int, a: np.ndarray):
     return np.concatenate([z_s[s.free] for s, z_s in zip(layout.slots, z)]), e, layout.D @ e
 
 
-def _act(sys: StokesDiracSystem):
-    """(layout, a, z, e, f): the stacked state of sys and its port action."""
+_Port = namedtuple("_Port", "metric layout a z e f Ma Mf Mz state_norms flow_norms")  # see _port
+
+
+def _port(sys: StokesDiracSystem) -> _Port:
+    """The record of a state: a = (alpha_p, alpha_q), its port action (z, e,
+    f), the block products M a, M f, M_z z and the slot norms of a and f."""
+    m, layout = sys.metric, system_operators(sys.metric, sys.p, sys.q)["layout"]
     a = np.concatenate([sys.alpha_p.values, sys.alpha_q.values])
-    return (system_operators(sys.metric, sys.p, sys.q)["layout"], a,
-            *_port_action(sys.metric, sys.p, sys.q, a))
+    z, e, f = _port_action(m, sys.p, sys.q, a)
+    Ma, Mf, Mz = layout.mass @ a, layout.mass @ f, layout.mass_z @ z
+    return _Port(m, layout, a, z, e, f, Ma, Mf, Mz, _norms(layout, a, Ma), _norms(layout, f, Mf))
 
 
-def _norms(layout: _Layout, v: np.ndarray) -> list[float]:
-    """The Whitney norms of a stacked vector's slots (degrees p, q)."""
-    Mv = layout.mass @ v
+def _norms(layout: _Layout, v: np.ndarray, Mv: np.ndarray) -> list[float]:
+    """The Whitney norms of v's slots (degrees p, q); Mv = layout.mass @ v."""
     return [math.sqrt(max(float(v[s.a] @ Mv[s.a]), 0.0)) for s in layout.slots]
 
 
@@ -160,14 +160,14 @@ def hamiltonian(sys: StokesDiracSystem) -> float:
 
 def efforts(sys: StokesDiracSystem):
     """(e_p, e_q) at degrees (q-1, p-1): the efforts of slots q and p."""
-    layout, _, _, e, _ = _act(sys)
-    return tuple(Cochain(sys.metric.complex, s.degree - 1, e[s.e]) for s in layout.slots[::-1])
+    r = _port(sys)
+    return tuple(Cochain(r.metric.complex, s.degree - 1, r.e[s.e]) for s in r.layout.slots[::-1])
 
 
 def flows(sys: StokesDiracSystem):
     """(f_p, f_q) at degrees (p, q); exact cochains by construction."""
-    layout, _, _, _, f = _act(sys)
-    return tuple(Cochain(sys.metric.complex, s.degree, f[s.a]) for s in layout.slots)
+    r = _port(sys)
+    return tuple(Cochain(r.metric.complex, s.degree, r.f[s.a]) for s in r.layout.slots)
 
 
 @dataclass
@@ -190,29 +190,28 @@ class PowerBalance:
     scale: float
 
 
-def _power_rate(layout: _Layout, a, z, e, f) -> tuple[float, float]:
-    """(dH/dt, boundary term) of a stacked state a and its port action, by
-    two block products.  The boundary term, the sum of <<f, alpha>> - sign
-    <<effort, z>> over the slots, is dH/dt minus the internal term."""
-    Mf, Mz = layout.mass @ f, layout.mass_z @ z
+def _power_rate(layout: _Layout, a, e, Mf, Mz) -> tuple[float, float]:
+    """(dH/dt, boundary term) of a stacked state a from its port action's
+    e, Mf = layout.mass @ f and Mz = layout.mass_z @ z.  The boundary term,
+    sum of <<f, alpha>> - sign <<effort, z>> over the slots, is dH/dt minus
+    the internal term."""
     dH = sum(float(a[s.a] @ Mf[s.a]) for s in layout.slots)
     return dH, dH - sum(s.sign * float(e[s.e] @ Mz[s.mz]) for s in layout.slots)
 
 
-def _balance(m: Metric, layout: _Layout, a, z, e, f) -> PowerBalance:
-    """The PowerBalance of a stacked state a and its port action."""
-    dH, boundary = _power_rate(layout, a, z, e, f)
+def _balance(r: _Port) -> PowerBalance:
+    """The PowerBalance of a state's record."""
+    dH, boundary = _power_rate(r.layout, r.a, r.e, r.Mf, r.Mz)
     internal, traced = dH - boundary, 0.0
-    Ma, Mz = layout.mass @ a, layout.mass_z @ z
-    for s in layout.slots:
-        e_b = e[s.e].copy()
+    for s in r.layout.slots:
+        e_b = r.e[s.e].copy()
         e_b[s.free] = 0.0
-        d_e_b = m.complex.exterior_derivative_matrix(s.degree - 1) @ e_b
-        traced += s.sign * (float(d_e_b @ Ma[s.a]) - float(e_b @ Mz[s.mz]))
+        d_e_b = r.metric.complex.exterior_derivative_matrix(s.degree - 1) @ e_b
+        traced += s.sign * (float(d_e_b @ r.Ma[s.a]) - float(e_b @ r.Mz[s.mz]))
     # Every term is a fixed linear image of the state, so rounding scales
     # with the state even when the flows cancel to zero; floor the scale
     # with the squared state norm so residual ratios stay meaningful.
-    state_norm, flow_norm = sum(_norms(layout, a)), sum(_norms(layout, f))
+    state_norm, flow_norm = sum(r.state_norms), sum(r.flow_norms)
     return PowerBalance(
         dH_dt=dH,
         internal_term=internal,
@@ -223,25 +222,24 @@ def _balance(m: Metric, layout: _Layout, a, z, e, f) -> PowerBalance:
 
 
 def power_balance(sys: StokesDiracSystem) -> PowerBalance:
-    return _balance(sys.metric, *_act(sys))
+    return _balance(_port(sys))
 
 
-def _flow_identity(m: Metric, layout: _Layout, a, z, e, f) -> tuple[dict, list[dict]]:
+def _flow_identity(r: _Port) -> tuple[dict, list[dict]]:
     """The flows' Dirichlet-harmonic coefficients per slot, and one row
     per slot and basis element lambda: the flow pairing <<f, lambda>> (a
     coefficient) against the boundary pairing, sign times the constrained
     Green defect of the effort against lambda, <<f, lambda>> - sign
     <<effort, delta_c lambda>> since f = sign d(effort); delta_c of the
     whole basis is one block solve."""
-    state_norm, Mf = sum(_norms(layout, a)), layout.mass @ f
-    coeffs, rows = {}, []
-    for name, s, flow_norm in zip("pq", layout.slots, _norms(layout, f)):
+    m, state_norm, coeffs, rows = r.metric, sum(r.state_norms), {}, []
+    for name, s, flow_norm in zip("pq", r.layout.slots, r.flow_norms):
         basis = harmonic_basis(m, s.degree, "dirichlet")
-        coeffs[name] = pairing = basis.vectors.T @ Mf[s.a]
+        coeffs[name] = pairing = basis.vectors.T @ r.Mf[s.a]
         if not basis.dim:
             continue
         dV = _delta(m, s.degree, basis.vectors, "dirichlet")
-        boundary = pairing - s.sign * (dV.T @ (m.mass_csr(s.degree - 1) @ e[s.e]))
+        boundary = pairing - s.sign * (dV.T @ (m.mass_csr(s.degree - 1) @ r.e[s.e]))
         common = {"slot": name, "degree": s.degree, "flow_norm": flow_norm, "state_norm": state_norm}
         rows += [
             {**common, "index": i, "flow_pairing": fp, "boundary_pairing": bp, "residual": abs(fp - bp)}
@@ -259,11 +257,12 @@ class ExtendedPowerBalance(PowerBalance):
     informative projections (state degrees 1..n-1): the state
     coefficients times the boundary pairings of flow_identity_rows.  The
     exact part is the rest, a constrained Green defect against alpha -
-    proj by a fresh delta_c solve, so the bilinearity residual compares
-    separately solved codifferentials.  Flow diagnostics record how each
-    flow sits against the same harmonic spaces and how exactly it is
-    closed; flow_identity_rows are the rows `harmonic_flow_identity`
-    returns.
+    proj: a fresh delta_c solve where proj is non-zero, so the bilinearity
+    residual compares separately solved codifferentials; with an empty
+    Dirichlet basis it would be bitwise the port action's z, read instead.
+    Flow diagnostics record how each flow sits against the same harmonic
+    spaces and how exactly it is closed; flow_identity_rows are the rows
+    `harmonic_flow_identity` returns.
     """
 
     harmonic_boundary_part: float
@@ -276,26 +275,26 @@ class ExtendedPowerBalance(PowerBalance):
 
 
 def extended_power_balance(sys: StokesDiracSystem) -> ExtendedPowerBalance:
-    m, cx = sys.metric, sys.metric.complex
-    n = cx.dimension
-    layout, a, z, e, f = port = _act(sys)
-    balance = _balance(m, *port)
-    flow_coeffs, rows = _flow_identity(m, *port)
-
-    state_coeffs, closedness, exact_part, Mz = {}, {}, 0.0, layout.mass_z @ z
-    for name, s in zip("pq", layout.slots):
-        alpha, flow = Cochain(cx, s.degree, a[s.a]), Cochain(cx, s.degree, f[s.a])
-        state_coeffs[name], proj = harmonic_projection(harmonic_basis(m, s.degree, "dirichlet"), alpha)
-        closedness[name] = norm(m, exterior_derivative(m, flow)) if s.degree < n else 0.0
-        if s.degree < n:
-            effort = Cochain(cx, s.degree - 1, e[s.e])
-            exact_part += s.sign * green_defect_constrained(m, effort, alpha - proj)
-        else:
-            exact_part += inner_product(m, flow, alpha) - s.sign * float(e[s.e] @ Mz[s.mz])
-    harmonic_part = float(sum(
-        (state_coeffs[r["slot"]][r["index"]] * r["boundary_pairing"] for r in rows if r["degree"] < n),
-        0.0,
-    ))
+    r = _port(sys)
+    m, cx, balance, (flow_coeffs, rows) = r.metric, r.metric.complex, _balance(r), _flow_identity(r)
+    n, state_coeffs, closedness, exact_part = cx.dimension, {}, {}, 0.0
+    for name, s in zip("pq", r.layout.slots):
+        basis, e, f, Ma = harmonic_basis(m, s.degree, "dirichlet"), r.e[s.e], r.f[s.a], r.Ma[s.a]
+        state_coeffs[name] = coeffs = basis.vectors.T @ Ma
+        if s.degree == n:
+            closedness[name] = 0.0
+            exact_part += float(f @ Ma) - s.sign * float(e @ r.Mz[s.mz])
+            continue
+        closedness[name] = norm(m, exterior_derivative(m, Cochain(cx, s.degree, f)))
+        Mb, Mdb = Ma, r.Mz[s.mz]  # M b and M delta_c b of b = alpha - proj
+        if basis.dim:
+            b = r.a[s.a] - basis.vectors @ coeffs
+            Mb = m.mass_csr(s.degree) @ b
+            Mdb = m.mass_csr(s.degree - 1) @ _delta(m, s.degree, b, "dirichlet")
+        d_e = cx.exterior_derivative_matrix(s.degree - 1) @ e
+        exact_part += s.sign * (float(d_e @ Mb) - float(e @ Mdb))
+    harmonic_part = float(sum((state_coeffs[row["slot"]][row["index"]] * row["boundary_pairing"]
+                               for row in rows if row["degree"] < n), 0.0))
 
     return ExtendedPowerBalance(
         **vars(balance),
@@ -318,7 +317,7 @@ def harmonic_flow_identity(sys: StokesDiracSystem) -> list[dict]:
     term drops and <<f, lambda>> must equal the constrained Green defect
     of the driving effort against lambda, for any state.
     """
-    return _flow_identity(sys.metric, *_act(sys))[1]
+    return _flow_identity(_port(sys))[1]
 
 
 # -- integrability ------------------------------------------------------------

@@ -518,8 +518,10 @@ def test_each_command_factors_each_matrix_once(tmp_path, capsys, monkeypatch, sh
     # every factor a command needs is kept and shared: the spot checks of
     # sd-verify build the Dirichlet basis on the saddle factor of their
     # witness solve, which the states then read.  A saddle of degree k
-    # solves with the mass factor of degree k - 1 alone, so analyze, which
-    # builds no saddle at degree n, factors no mass block at degree n - 1
+    # solves with the mass factor of degree k - 1 alone, factored on A's
+    # first application: analyze, which builds no saddle at degree n, and
+    # decompose at degrees n - 1 and n, whose degree-n saddle serves only
+    # mixed solves, factor no mass block at degree n - 1
     genuine, labels = metric_mod._splu, []
 
     def counted(matrix, what):
@@ -532,6 +534,7 @@ def test_each_command_factors_each_matrix_once(tmp_path, capsys, monkeypatch, sh
     n, mesh = cx.dimension, str(tmp_path / "mesh.json")
     write_mesh(cx, mesh)
     commands = [["analyze", mesh]]
+    near_top = {str(tmp_path / f"c{k}.json") for k in (n - 1, n)}  # decompose's cochains
     for k in range(n + 1):
         values = np.random.default_rng(k).normal(size=cx.num_simplices(k)).tolist()
         (tmp_path / f"c{k}.json").write_text(json.dumps({"degree": k, "values": values}))
@@ -545,9 +548,9 @@ def test_each_command_factors_each_matrix_once(tmp_path, capsys, monkeypatch, sh
         assert main(argv) == 0, argv
         capsys.readouterr()
         assert len(labels) == len(set(labels)), (argv, labels)
-        if argv[0] == "analyze":
+        if argv[0] == "analyze" or argv[-1] in near_top:
             below_top = {f"mass matrix at degree {n - 1}", f"interior mass at degree {n - 1}"}
-            assert not below_top & set(labels), labels
+            assert not below_top & set(labels), (argv, labels)
 
 
 def test_simulate_writes_trace_and_snapshots(tmp_path, capsys):

@@ -163,14 +163,14 @@ def test_split_residual_detects_a_z_that_is_not_delta_c(shape):
     rng = np.random.default_rng(6)
     for p, q in valid_pairs(m.complex.dimension):
         a_p, a_q = random_cochain(m.complex, p, rng), random_cochain(m.complex, q, rng)
-        layout, a, z, e, f = stokesdirac_mod._act(StokesDiracSystem(m, p, q, a_p, a_q))
-        pb = stokesdirac_mod._balance(m, layout, a, z, e, f)
+        record = stokesdirac_mod._port(StokesDiracSystem(m, p, q, a_p, a_q))
+        pb = stokesdirac_mod._balance(record)
         assert pb.split_residual <= 1e-15 * pb.scale
-        cut = len(layout.slots[0].free)  # z holds slot p's free rows, then slot q's
+        cut = len(record.layout.slots[0].free)  # z holds slot p's free rows, then slot q's
         for i, rows in enumerate((slice(0, cut), slice(cut, None))):
-            bad = z.copy()
+            bad = record.z.copy()
             bad[rows] *= 1 + 1e-4
-            pb = stokesdirac_mod._balance(m, layout, a, bad, e, f)
+            pb = stokesdirac_mod._balance(record._replace(z=bad, Mz=record.layout.mass_z @ bad))
             assert pb.split_residual > 1e-10 * pb.scale, (p, q, i)
 
 
@@ -286,19 +286,26 @@ def test_harmonic_flow_identity_rows():
 
 
 def test_extended_balance_carries_the_flow_identity_rows():
+    # the extended balance, power_balance and harmonic_flow_identity read
+    # one record of the state, so the rows and the five balance fields are
+    # equal, not close
+    for shape, resolution in sorted(ACCEPTANCE.items()):
+        m = metric_for(shape, resolution)
+        rng = np.random.default_rng(11)
+        for p, q in valid_pairs(m.complex.dimension):
+            a_p, a_q = random_cochain(m.complex, p, rng), random_cochain(m.complex, q, rng)
+            sys = StokesDiracSystem(m, p, q, a_p, a_q)
+            ext, pb = extended_power_balance(sys), power_balance(sys)
+            assert ext.flow_identity_rows == harmonic_flow_identity(sys), (shape, p, q)
+            for key in ("dH_dt", "internal_term", "boundary_term", "split_residual", "scale"):
+                assert getattr(ext, key) == getattr(pb, key), (shape, p, q, key)
     m = metric_for("annulus", 2)
     n = m.complex.dimension
     for p, q in valid_pairs(n):
         sys = _system("annulus", p, q, seed=11)
         ext = extended_power_balance(sys)
         rows = harmonic_flow_identity(sys)
-        assert len(ext.flow_identity_rows) == len(rows) > 0
-        for got, want in zip(ext.flow_identity_rows, rows):
-            assert {k: got[k] for k in ("slot", "degree", "index")} == {
-                k: want[k] for k in ("slot", "degree", "index")
-            }
-            for key in ("flow_pairing", "boundary_pairing", "flow_norm", "state_norm"):
-                assert abs(got[key] - want[key]) <= 1e-13 * ext.scale, key
+        assert len(rows) > 0
         # the harmonic part is the state coefficients times the boundary
         # pairings of the basis elements, over the slots of degree 1..n-1
         expect = sum(
@@ -319,11 +326,19 @@ def test_extended_balance_carries_the_flow_identity_rows():
             assert abs(row["boundary_pairing"] - defect) <= 1e-13 * ext.scale
 
 
-def test_extended_balance_solves_delta_c_four_times_on_the_ball(monkeypatch):
-    # (2, 2) on the ball has no Dirichlet-harmonic field: two solves for the
-    # port action and one per slot for the exact part
-    sys = _system("ball", 2, 2, seed=5)
-    assert harmonic_basis(sys.metric, 2, "dirichlet").dim == 0
+def test_extended_balance_solves_delta_c_once_per_vector(monkeypatch):
+    # the degrees of the _delta calls of one extended balance: the port
+    # action's two, then the flow identity's per non-empty Dirichlet basis,
+    # then the exact part's per slot of degree below n whose projection is
+    # non-zero; with an empty basis the exact part reads the port action's z
+    cases = [
+        # no Dirichlet-harmonic field at degree 2: the port action's two
+        ("ball", 2, 2, 2, [2, 2]),
+        # H^3_D for the flow identity; H^1_D empty, and degree 3 is n
+        ("ball", 2, 1, 3, [1, 3, 3]),
+        # H^1_D and H^2_D for the flow identity, then alpha_p - proj afresh
+        ("annulus", 2, 1, 2, [1, 2, 1, 2, 1]),
+    ]
     calls = []
     real = metric_mod._delta
 
@@ -331,10 +346,19 @@ def test_extended_balance_solves_delta_c_four_times_on_the_ball(monkeypatch):
         calls.append(args[1])
         return real(*args)
 
-    monkeypatch.setattr(metric_mod, "_delta", counted)
-    monkeypatch.setattr(stokesdirac_mod, "_delta", counted)
-    extended_power_balance(sys)
-    assert calls == [2, 2, 2, 2]
+    for shape, resolution, p, q, expected in cases:
+        m = metric_for(shape, resolution)
+        rng = np.random.default_rng(5)
+        a_p, a_q = random_cochain(m.complex, p, rng), random_cochain(m.complex, q, rng)
+        sys = StokesDiracSystem(m, p, q, a_p, a_q)
+        for k in (p, q):
+            harmonic_basis(m, k, "dirichlet")
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(metric_mod, "_delta", counted)
+            patch.setattr(stokesdirac_mod, "_delta", counted)
+            extended_power_balance(sys)
+        assert calls == expected, (shape, p, q)
 
 
 def test_state_harmonic_coefficients_report_the_seed():

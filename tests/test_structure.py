@@ -85,7 +85,7 @@ def test_removed_duplicates_stay_removed():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node.name in {
             "interior_mass_lu", "_deltac", "_jsonable", "_defect", "_power_pieces", "_step_power",
-            "_orient_by_volume", "permutation_sign",
+            "_orient_by_volume", "permutation_sign", "_act",
         }
     ]
     classes = [
