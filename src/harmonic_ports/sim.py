@@ -14,13 +14,13 @@ A is never formed: with h = dt/2 the midpoint w = (I - h A)^-1 a is
 one solve of a sparse block system K(h) (`_midpoint_operator`) in w and
 the port action y = (z, e) at w; w is eliminated exactly, y's Schur
 complement factored once per dt and the solve refined to rounding
-against K by `metric._refine`.  K, the spectral radius and run read the
-port map and stacked layout of `stokesdirac.system_operators`; this
-module keeps K's refined system (`metric._refined_system`) per dt, a step
-back (dt < 0) included.  A step of run costs that one solve and four more
-sparse products on the stacked state (flows, dH/dt, boundary, H); one
-`stokesdirac._power_rate` sums the power terms of every row, and cochains
-are built only for snapshots.
+against K by `metric._refine`.  This module only steps the port map,
+which `stokesdirac` alone states: K's port rows, the port records of row 0
+and the flow check, and the spectral radius estimate.  It keeps K's refined
+system (`metric._refined_system`) per dt, a step back (dt < 0) included.
+A step of run costs that one solve and four more sparse products on the
+stacked state (flows, dH/dt, boundary, H); one `stokesdirac._power_rate`
+sums the power terms of every row; cochains are built only for snapshots.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .errors import FactorizationFailure, SolverFailure
+from .errors import SolverFailure
 from .hodge import harmonic_basis
-from .metric import Cochain, Metric, _delta, _delta_transpose, _refine, _refined_system, _splu
-from .stokesdirac import StokesDiracSystem, _norms, _port_action, _power_rate, system_operators
+from .metric import Cochain, Metric, _refine, _refined_system, _splu
+from .stokesdirac import StokesDiracSystem, _norms, _port, _port_rows, _power_rate, system_operators
+from .stokesdirac import _spectral_radius_estimate
 
 __all__ = [
     "SimulationConfig",
@@ -129,27 +129,11 @@ def initial_state(metric: Metric, p: int, q: int, spec: str, seed: int = 0):
 
 
 def _midpoint_operator(metric: Metric, p: int, q: int, h: float) -> sp.csr_matrix:
-    """K(h) in (w_p, w_q, z_p, z_q, e_p, e_q), by slot j of the port map
-    (`system_operators`) and its other slot k: z_j = delta_c w_j on the
-    interior (degree_j - 1)-simplices (rows R, interior mass block L) and
-    e_j the effort z_j drives, slot k's (so e_p drives slot q):
-
-        w_j - h sign_j d e_k = a_j
-        L z_j - R B_j M_j w_j = 0
-        M e_j - factor_k C_k R^T z_j = 0
-    """
-    slots = system_operators(metric, p, q)["layout"].slots
-    cx, M = metric.complex, metric.mass_csr
-    d, B = cx.exterior_derivative_matrix, cx.boundary_matrix
-    blocks = [[None] * 6 for _ in range(6)]
-    for j, (s, other) in enumerate(zip(slots, slots[::-1])):
-        blocks[j][j] = sp.identity(cx.num_simplices(s.degree))
-        blocks[j][5 - j] = -h * s.sign * d(s.degree - 1)
-        blocks[2 + j][j] = -(B(s.degree) @ M(s.degree))[s.free]
-        blocks[2 + j][2 + j] = M(s.degree - 1)[s.free][:, s.free]
-        blocks[4 + j][2 + j] = -other.factor * other.coupling[:, s.free]
-        blocks[4 + j][4 + j] = M(other.degree - 1)
-    return sp.bmat(blocks, format="csr")
+    """K(h) in (w, z, e): the step rows w - h D e = a over the port rows
+    of `stokesdirac._port_rows`, which make (z, e) the port action of w."""
+    G, L, E, M_e = _port_rows(metric, p, q)
+    D = system_operators(metric, p, q)["layout"].D
+    return sp.bmat([[sp.identity(D.shape[0]), None, -h * D], [G, L, None], [None, E, M_e]], format="csr")
 
 
 def _midpoint_factors(metric: Metric, p: int, q: int, dt: float):
@@ -211,46 +195,12 @@ def step_implicit_midpoint(sys: StokesDiracSystem, dt: float) -> StokesDiracSyst
 
 def _check_flows(metric: Metric, p: int, q: int, w: np.ndarray, f: np.ndarray, rho: float):
     """Raise SolverFailure unless the solve's flows f match those of an
-    independent port action of the midpoint w to FLOW_CHECK_TOL, relative
+    independent port record of the midpoint w to FLOW_CHECK_TOL, relative
     to rho |w| + |f| in the Whitney norm (rho the spectral radius estimate)."""
-    layout, ref = system_operators(metric, p, q)["layout"], _port_action(metric, p, q, w)[2]
-    err, size_w, size_ref = (sum(_norms(layout, v, layout.mass @ v)) for v in (f - ref, w, ref))
-    if not err <= FLOW_CHECK_TOL * (rho * size_w + size_ref):
+    r = _port(metric, p, q, w)
+    err = sum(_norms(r.layout, f - r.f, r.layout.mass @ (f - r.f)))
+    if not err <= FLOW_CHECK_TOL * (rho * sum(r.state_norms) + sum(r.flow_norms)):
         raise SolverFailure(f"midpoint flows differ from the port action by {err:.3e}")
-
-
-def _spectral_radius_estimate(metric: Metric, p: int, q: int) -> float:
-    """Largest singular value of A = [[0, F_p], [F_q, 0]]: the square
-    root of the largest eigenvalue of A^T A = diag(F_q^T F_q, F_p^T F_p),
-    each block by Lanczos (eigsh, tolerance 1e-6) from a seeded start
-    vector, so the estimate is deterministic.  Up to sign, a slot's block
-    F = d M^-1 C delta_c (its port map) takes the other slot's state to its
-    flow by the products and solves of the port action; F^T by their
-    transposes, delta_c and its transpose by the metric's Dirichlet
-    codifferential kernels (`_delta`, `_delta_transpose`)."""
-    slots, cx = system_operators(metric, p, q)["layout"].slots, metric.complex
-    top = 0.0
-    for s, other in zip(slots, slots[::-1]):
-        d, lu = cx.exterior_derivative_matrix(s.degree - 1), metric.mass_lu(s.degree - 1)
-
-        def gram(v, k=other.degree, C=s.coupling, d=d, lu=lu):
-            z = _delta(metric, k, v, "dirichlet")
-            y = C.T @ lu.solve(d.T @ (d @ lu.solve(C @ z)), trans="T")
-            return _delta_transpose(metric, k, y, "dirichlet")
-
-        size = cx.num_simplices(other.degree)
-        v0 = np.random.default_rng(0).standard_normal(size)
-        if not gram(v0).any():
-            continue  # an empty or zero block adds nothing (and stops ARPACK)
-        op = spla.LinearOperator((size, size), matvec=gram, dtype=float)
-        try:
-            lam = spla.eigsh(
-                op, k=1, which="LA", v0=v0, tol=1e-6, return_eigenvectors=False
-            )[0]
-        except RuntimeError as exc:
-            raise FactorizationFailure("spectral radius estimate failed") from exc
-        top = max(top, float(lam))
-    return float(np.sqrt(top))
 
 
 def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
@@ -274,8 +224,8 @@ def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
 
     a = np.concatenate([sys.alpha_p.values, sys.alpha_q.values])
     H_prev, coeffs = diagnostics(a)
-    z, e, f = _port_action(m, p, q, a)
-    boundary_term = _power_rate(layout, a, e, layout.mass @ f, layout.mass_z @ z)[1]
+    r = _port(m, p, q, a)
+    boundary_term = _power_rate(layout, a, r.e, r.Mf, r.Mz)[1]
     trace.rows.append([0.0, H_prev, 0.0, boundary_term] + coeffs)
     if config.stride:
         trace.snapshots.append((0, *_cochains(sys, a)))

@@ -14,11 +14,12 @@ pairing cancel identically, so the energy rate equals the constrained
 Green-defect boundary term on every mesh and vanishes on closed ones.
 
 These maps and the stacked layout of (alpha_p, alpha_q) are decided once,
-per slot (`system_operators`), and applied by sparse solves, never formed.
-Each midpoint step reads the arrays of `_port_action`; efforts, flows,
-every balance and the flow identity read one record per state, `_port`:
-that port action with its block products and slot norms.  One
-`_power_rate` sums the power terms; cochains are built for public results.
+per slot (`system_operators`); this module alone states the port map, by
+sparse solves and products, never formed: explicitly, one record per state
+(`_port`, its port action with block products and slot norms), read by the
+efforts, flows, balances, flow identity and the simulation's checks;
+implicitly, as the midpoint operator's port rows (`_port_rows`); and as a
+Gram (`_spectral_radius_estimate`).  One `_power_rate` sums the power terms.
 """
 
 from __future__ import annotations
@@ -29,14 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .errors import ComplexMismatch, DegreeMismatch, SolverFailure
+from .errors import ComplexMismatch, DegreeMismatch, FactorizationFailure, SolverFailure
 from .hodge import _mixed_potential, harmonic_basis, harmonic_projection, validate_degree_pair
 from .metric import (
     Cochain,
     Metric,
     _check_metric,
     _delta,
+    _delta_transpose,
     extend_by_zero,
     exterior_derivative,
     inner_product,
@@ -124,29 +127,76 @@ def system_operators(metric: Metric, p: int, q: int) -> dict:
     return metric.cached(("sd_ops", p, q), build)
 
 
-def _port_action(metric: Metric, p: int, q: int, a: np.ndarray):
-    """(z, e, f) of a stacked state a, in the midpoint unknowns' order:
-    z = delta_c alpha per slot on its free rows (one interior-mass solve
-    each), e = (e_p, e_q), each slot's effort from the other's z (one mass
-    solve each against its coupling), and the flows f = D e."""
+_Port = namedtuple("_Port", "metric layout a z e f Ma Mf Mz state_norms flow_norms")  # see _port
+
+
+def _port(metric: Metric, p: int, q: int, a: np.ndarray) -> _Port:
+    """The record of a stacked state a = (alpha_p, alpha_q): its port action
+    in the midpoint unknowns' order, z = delta_c alpha per slot on its free
+    rows (one interior-mass solve each), e = (e_p, e_q), each slot's effort
+    from the other's z (one mass solve each against its coupling), f = D e;
+    the block products M a, M f, M_z z and the slot norms of a and f."""
     layout = system_operators(metric, p, q)["layout"]
     z = [_delta(metric, s.degree, a[s.a], "dirichlet") for s in layout.slots]
     e = np.concatenate([s.factor * metric.mass_lu(s.degree - 1).solve(s.coupling @ z_o)
                         for s, z_o in zip(layout.slots[::-1], z)])
-    return np.concatenate([z_s[s.free] for s, z_s in zip(layout.slots, z)]), e, layout.D @ e
-
-
-_Port = namedtuple("_Port", "metric layout a z e f Ma Mf Mz state_norms flow_norms")  # see _port
-
-
-def _port(sys: StokesDiracSystem) -> _Port:
-    """The record of a state: a = (alpha_p, alpha_q), its port action (z, e,
-    f), the block products M a, M f, M_z z and the slot norms of a and f."""
-    m, layout = sys.metric, system_operators(sys.metric, sys.p, sys.q)["layout"]
-    a = np.concatenate([sys.alpha_p.values, sys.alpha_q.values])
-    z, e, f = _port_action(m, sys.p, sys.q, a)
+    z, f = np.concatenate([z_s[s.free] for s, z_s in zip(layout.slots, z)]), layout.D @ e
     Ma, Mf, Mz = layout.mass @ a, layout.mass @ f, layout.mass_z @ z
-    return _Port(m, layout, a, z, e, f, Ma, Mf, Mz, _norms(layout, a, Ma), _norms(layout, f, Mf))
+    return _Port(metric, layout, a, z, e, f, Ma, Mf, Mz, _norms(layout, a, Ma), _norms(layout, f, Mf))
+
+
+def _record(sys: StokesDiracSystem) -> _Port:
+    """The record of a system's state."""
+    return _port(sys.metric, sys.p, sys.q, np.concatenate([sys.alpha_p.values, sys.alpha_q.values]))
+
+
+def _port_rows(metric: Metric, p: int, q: int):
+    """(G, L, E, M_e), block-diagonal over the slots: (z, e) of `_port`
+    solves G a + L z = 0, E z + M_e e = 0.  By slot j, free rows R, and
+    the other slot k, whose effort e_j is (z_j drives it):
+
+        L z_j - R B_j M_j a_j = 0,   M e_j - factor_k C_k R^T z_j = 0
+    """
+    slots, M = system_operators(metric, p, q)["layout"].slots, metric.mass_csr
+    B = metric.complex.boundary_matrix
+    G = sp.block_diag([-(B(s.degree) @ M(s.degree))[s.free] for s in slots])
+    L = sp.block_diag([M(s.degree - 1)[s.free][:, s.free] for s in slots])
+    E = sp.block_diag([-o.factor * o.coupling[:, s.free] for s, o in zip(slots, slots[::-1])])
+    return G, L, E, sp.block_diag([M(o.degree - 1) for o in slots[::-1]])
+
+
+def _spectral_radius_estimate(metric: Metric, p: int, q: int) -> float:
+    """Largest singular value of A = [[0, F_p], [F_q, 0]]: the square
+    root of the largest eigenvalue of A^T A = diag(F_q^T F_q, F_p^T F_p),
+    each block by Lanczos (eigsh, tolerance 1e-6) from a seeded start
+    vector, so the estimate is deterministic.  Up to sign, a slot's block
+    F = d M^-1 C delta_c (its port map) takes the other slot's state to its
+    flow by the products and solves of the port action; F^T by their
+    transposes, delta_c and its transpose by the metric's Dirichlet
+    codifferential kernels (`_delta`, `_delta_transpose`)."""
+    slots, cx = system_operators(metric, p, q)["layout"].slots, metric.complex
+    top = 0.0
+    for s, other in zip(slots, slots[::-1]):
+        d, lu = cx.exterior_derivative_matrix(s.degree - 1), metric.mass_lu(s.degree - 1)
+
+        def gram(v, k=other.degree, C=s.coupling, d=d, lu=lu):
+            z = _delta(metric, k, v, "dirichlet")
+            y = C.T @ lu.solve(d.T @ (d @ lu.solve(C @ z)), trans="T")
+            return _delta_transpose(metric, k, y, "dirichlet")
+
+        size = cx.num_simplices(other.degree)
+        v0 = np.random.default_rng(0).standard_normal(size)
+        if not gram(v0).any():
+            continue  # an empty or zero block adds nothing (and stops ARPACK)
+        op = spla.LinearOperator((size, size), matvec=gram, dtype=float)
+        try:
+            lam = spla.eigsh(
+                op, k=1, which="LA", v0=v0, tol=1e-6, return_eigenvectors=False
+            )[0]
+        except RuntimeError as exc:
+            raise FactorizationFailure("spectral radius estimate failed") from exc
+        top = max(top, float(lam))
+    return float(np.sqrt(top))
 
 
 def _norms(layout: _Layout, v: np.ndarray, Mv: np.ndarray) -> list[float]:
@@ -160,13 +210,13 @@ def hamiltonian(sys: StokesDiracSystem) -> float:
 
 def efforts(sys: StokesDiracSystem):
     """(e_p, e_q) at degrees (q-1, p-1): the efforts of slots q and p."""
-    r = _port(sys)
+    r = _record(sys)
     return tuple(Cochain(r.metric.complex, s.degree - 1, r.e[s.e]) for s in r.layout.slots[::-1])
 
 
 def flows(sys: StokesDiracSystem):
     """(f_p, f_q) at degrees (p, q); exact cochains by construction."""
-    r = _port(sys)
+    r = _record(sys)
     return tuple(Cochain(r.metric.complex, s.degree, r.f[s.a]) for s in r.layout.slots)
 
 
@@ -222,7 +272,7 @@ def _balance(r: _Port) -> PowerBalance:
 
 
 def power_balance(sys: StokesDiracSystem) -> PowerBalance:
-    return _balance(_port(sys))
+    return _balance(_record(sys))
 
 
 def _flow_identity(r: _Port) -> tuple[dict, list[dict]]:
@@ -275,7 +325,7 @@ class ExtendedPowerBalance(PowerBalance):
 
 
 def extended_power_balance(sys: StokesDiracSystem) -> ExtendedPowerBalance:
-    r = _port(sys)
+    r = _record(sys)
     m, cx, balance, (flow_coeffs, rows) = r.metric, r.metric.complex, _balance(r), _flow_identity(r)
     n, state_coeffs, closedness, exact_part = cx.dimension, {}, {}, 0.0
     for name, s in zip("pq", r.layout.slots):
@@ -317,7 +367,7 @@ def harmonic_flow_identity(sys: StokesDiracSystem) -> list[dict]:
     term drops and <<f, lambda>> must equal the constrained Green defect
     of the driving effort against lambda, for any state.
     """
-    return _flow_identity(_port(sys))[1]
+    return _flow_identity(_record(sys))[1]
 
 
 # -- integrability ------------------------------------------------------------

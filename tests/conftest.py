@@ -156,8 +156,8 @@ def reference_run(sys, config):
     copies.  It runs no flow check, which changes no output."""
     from harmonic_ports.hodge import harmonic_basis
     from harmonic_ports.metric import Cochain, _refine, codifferential_constrained, inner_product
-    from harmonic_ports.sim import Trace, _midpoint_factors, _spectral_radius_estimate
-    from harmonic_ports.stokesdirac import system_operators
+    from harmonic_ports.sim import Trace, _midpoint_factors
+    from harmonic_ports.stokesdirac import _spectral_radius_estimate, system_operators
 
     m, p, q, dt = sys.metric, sys.p, sys.q, config.dt
     cx, n = m.complex, m.complex.num_simplices

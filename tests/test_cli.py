@@ -498,13 +498,13 @@ def test_sd_verify_computes_one_port_action_per_state(tmp_path, capsys, monkeypa
     # the flow identity rows come with the extended balance, from its
     # port action
     calls = []
-    real = stokesdirac._port_action
+    real = stokesdirac._port
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(stokesdirac, "_port_action", counted)
+    monkeypatch.setattr(stokesdirac, "_port", counted)
     code, rep = _run(capsys, ["sd-verify", _write_torus(tmp_path), "--p", "1", "--q", "2",
                               "--random-states", "3"])
     assert code == 0

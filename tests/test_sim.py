@@ -21,8 +21,8 @@ from harmonic_ports import (
 from harmonic_ports import metric as metric_mod
 from harmonic_ports.metric import Cochain
 from harmonic_ports import sim
-from harmonic_ports.sim import _cochains, _midpoint, _spectral_radius_estimate
-from harmonic_ports.stokesdirac import _port_action, system_operators
+from harmonic_ports.sim import _cochains, _midpoint
+from harmonic_ports.stokesdirac import _port, _spectral_radius_estimate, system_operators
 
 from conftest import (
     ACCEPTANCE,
@@ -369,11 +369,11 @@ def test_solve_returns_the_port_action_of_the_midpoint(shape):
         cut = len(slots[0].free)  # z holds slot p's free rows, then slot q's
         for dt in (0.01, -0.01):
             _, w, z, e, f = _midpoint(metric, p, q, a, dt)
-            z_ref, e_ref, f_ref = _port_action(metric, p, q, w)
+            ref = _port(metric, p, q, w)
             for s, rows in zip(slots, (slice(0, cut), slice(cut, None))):
-                _assert_same_column(z[rows], z_ref[rows])
-                _assert_same_column(e[s.e], e_ref[s.e])
-                _assert_same_column(f[s.a], f_ref[s.a])
+                _assert_same_column(z[rows], ref.z[rows])
+                _assert_same_column(e[s.e], ref.e[s.e])
+                _assert_same_column(f[s.a], ref.f[s.a])
 
 
 def test_spectral_radius_estimate_runs_once_per_pair(monkeypatch):

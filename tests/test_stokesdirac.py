@@ -163,7 +163,7 @@ def test_split_residual_detects_a_z_that_is_not_delta_c(shape):
     rng = np.random.default_rng(6)
     for p, q in valid_pairs(m.complex.dimension):
         a_p, a_q = random_cochain(m.complex, p, rng), random_cochain(m.complex, q, rng)
-        record = stokesdirac_mod._port(StokesDiracSystem(m, p, q, a_p, a_q))
+        record = stokesdirac_mod._port(m, p, q, np.concatenate([a_p.values, a_q.values]))
         pb = stokesdirac_mod._balance(record)
         assert pb.split_residual <= 1e-15 * pb.scale
         cut = len(record.layout.slots[0].free)  # z holds slot p's free rows, then slot q's

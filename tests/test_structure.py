@@ -2,7 +2,7 @@
 refinement bound and pass cap, one refined-solve record (|S| and its row
 maxima named in metric.py alone), one cache mechanism (Metric.cached), the
 boundary condition decided in metric.py alone, the Stokes-Dirac port
-map and its stacked layout decided in stokesdirac.py alone, the
+map and its stacked layout decided and stated in stokesdirac.py alone, the
 degenerate-element bound read in metric.py alone,
 simulate's loop on flat arrays and exit codes decided by the error
 types."""
@@ -85,7 +85,7 @@ def test_removed_duplicates_stay_removed():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node.name in {
             "interior_mass_lu", "_deltac", "_jsonable", "_defect", "_power_pieces", "_step_power",
-            "_orient_by_volume", "permutation_sign", "_act",
+            "_orient_by_volume", "permutation_sign", "_act", "_port_action",
         }
     ]
     classes = [
@@ -256,11 +256,29 @@ def test_exit_codes_are_decided_by_the_error_types():
 
 
 def test_port_records_are_built_only_at_row_0_and_the_flow_check():
-    # the array port action (two delta_c and two mass solves) runs for
-    # row 0 and the independent flow check, never in the step loop
+    # the port record (two delta_c and two mass solves) is built for row 0
+    # and the independent flow check, never in the step loop
     callers = {function for node, function in _nodes_in_functions(_modules()["sim.py"])
-               if isinstance(node, ast.Call) and _callee(node) == "_port_action"}
+               if isinstance(node, ast.Call) and _callee(node) == "_port"}
     assert callers == {"run", "_check_flows"}
     run = _function("sim.py", "run")
     loop = next(n for n in ast.walk(run) if isinstance(n, ast.For))
-    assert len(_calls(run, "_port_action")) == 1 and _calls(loop, "_port_action") == []
+    assert len(_calls(run, "_port")) == 1 and _calls(loop, "_port") == []
+
+
+def test_sim_only_steps_the_port_map():
+    # sim.py applies no codifferential kernel and reads no field of a
+    # slot's port map: K's port rows, the port record and the spectral
+    # radius estimate are stated in stokesdirac.py
+    tree = _modules()["sim.py"]
+    kernels = {"_delta", "_delta_transpose"}
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in kernels)
+        or (isinstance(node, ast.alias) and node.name in kernels)
+        or (isinstance(node, ast.Attribute)
+            and node.attr in {"sign", "factor", "coupling", "free", "degree"})
+    ]
+    assert found == []
+    assert len(_calls(_function("sim.py", "_midpoint_operator"), "_port_rows")) == 1
