@@ -225,8 +225,9 @@ def cmd_sd_verify(args) -> dict:
     passed = rep.solvable
     obstruction = harmonic_basis(metric, p, "dirichlet")
     if obstruction.dim:
+        # of unit Whitney norm; scaled to f's, its share is free of units
         rep2 = integrability_check(
-            metric, f_ok + obstruction.element(0), psi
+            metric, f_ok + norm(metric, f_ok) * obstruction.element(0), psi
         )
         spot_checks.append(
             {
@@ -324,8 +325,9 @@ def cmd_simulate(args) -> dict:
         "step_balance": 1e-8 * scale,
     }
     if metric.closed:
+        # sqrt(2 H_0) bounds every coefficient of an M-orthonormal basis
         passed = drift <= tols["closed_energy_drift"] and (
-            harm_drift <= tols["harmonic_drift"]
+            _rel(harm_drift, np.sqrt(2.0 * h0)) <= tols["harmonic_drift"]
         )
     else:
         passed = balance <= tols["step_balance"]

@@ -532,7 +532,8 @@ def decompose_vector_field_3d(
     The field is flattened to a 1-cochain by edge sampling (midpoint value
     dotted with the edge vector).  The knot part collects the coexact
     piece plus the Neumann-harmonic piece (circulations); the gradient
-    part is the remainder.
+    part the exact piece plus the rest of the harmonic piece, so that
+    the parts' sum checks the split.
 
     Args:
         vectors: (num_vertices, 3) for field_type "vertex", or
@@ -564,7 +565,7 @@ def decompose_vector_field_3d(
     nb = harmonic_basis(metric, 1, "neumann")
     _, circ = harmonic_projection(nb, dec.harmonic)
     knot = dec.delta_beta + circ
-    gradient = omega - knot
+    gradient = dec.d_alpha + (dec.harmonic - circ)
     return {
         "cochain": omega,
         "knot_part": knot,

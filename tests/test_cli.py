@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import subprocess
@@ -409,6 +410,28 @@ def test_decompose_vector_field_fails_on_parts_that_are_not_orthogonal(
     assert rep["orthogonality_residual"] > 1e-8
 
 
+def test_decompose_vector_field_checks_the_parts_it_sums(tmp_path, capsys, monkeypatch):
+    # the gradient part is built from its HMF pieces, not as the field
+    # minus the knot part, so a perturbed piece shows in the residual
+    real = hodge.hodge_morrey_friedrichs
+
+    def perturbed(metric, omega):
+        dec = real(metric, omega)
+        return dataclasses.replace(dec, d_alpha=dec.d_alpha * (1 + 1e-4))
+
+    monkeypatch.setattr(hodge, "hodge_morrey_friedrichs", perturbed)
+    mesh_path = tmp_path / "ball.json"
+    cx = gen_mesh("ball", 2)
+    write_mesh(cx, mesh_path)
+    vec = np.random.default_rng(0).normal(size=(cx.num_simplices(0), 3))
+    fpath = tmp_path / "field.json"
+    fpath.write_text(json.dumps({"field_type": "vertex", "vectors": vec.tolist()}))
+    code, rep = _run(capsys, ["decompose", str(mesh_path), str(fpath)])
+    assert code == 1
+    assert rep["passed"] is False
+    assert rep["reconstruction_residual"] > 1e-8
+
+
 def test_overflowing_vector_field_exits_3(tmp_path, capsys):
     # sampling a finite but huge field overflows; the cochain refuses it
     mesh_path = tmp_path / "ball.json"
@@ -492,6 +515,33 @@ def test_sd_verify_rejects_a_string_state_value_exit_3(tmp_path, capsys):
     code = main(["sd-verify", mesh, "--p", "1", "--q", "2", "--state", str(spath)])
     assert code == 3
     assert "cochain values must be numbers" in capsys.readouterr().err
+
+
+def _write_scaled(tmp_path, shape, resolution, scale):
+    """gen_mesh(shape, resolution) with every vertex scaled by scale."""
+    path = tmp_path / f"{shape}_{scale:g}.json"
+    write_mesh(gen_mesh(shape, resolution), path)
+    obj = json.loads(path.read_text())
+    obj["vertices"] = (scale * np.array(obj["vertices"])).tolist()
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("shape, resolution, p, q", [
+    ("torus", 5, 2, 1), ("annulus", 3, 2, 1), ("ball", 2, 3, 1),
+])
+def test_sd_verify_obstruction_spot_check_is_unit_free(tmp_path, capsys, shape, resolution, p, q):
+    # the obstruction is scaled to the exact cochain's Whitney norm, so the
+    # obstructed cochain is refused at every length unit
+    verdicts = []
+    for scale in (1.0, 1e-8, 1e8):
+        mesh = _write_scaled(tmp_path, shape, resolution, scale)
+        code, rep = _run(capsys, ["sd-verify", mesh, "--p", str(p), "--q", str(q),
+                                  "--random-states", "2"])
+        checks = [(c["case"], c["solvable"]) for c in rep["integrability_spot_checks"]]
+        verdicts.append((code, rep["passed"], checks))
+    assert verdicts[0] == (0, True, [("constructed_exact", True), ("harmonic_obstruction", False)])
+    assert verdicts[1] == verdicts[2] == verdicts[0]
 
 
 def test_sd_verify_computes_one_port_action_per_state(tmp_path, capsys, monkeypatch):
@@ -583,6 +633,20 @@ def test_simulate_harmonic_init_reports_conserved_charge(tmp_path, capsys):
     assert rep["max_abs_harmonic_drift"] <= 1e-8
     first = out.read_text().splitlines()[1].split(",")
     assert float(first[4]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_simulate_harmonic_drift_verdict_is_unit_free(tmp_path, capsys):
+    # the harmonic coefficients carry the state's units; the verdict
+    # judges their drift against sqrt(2 H_0) and reports it unchanged
+    mesh = _write_torus(tmp_path, 5)
+    alpha_p, alpha_q = initial_state(Metric(gen_mesh("torus", 5)), 1, 2, "random", 0)
+    state = tmp_path / "state.json"
+    write_state(alpha_p * 1e8, alpha_q * 1e8, state)
+    code, rep = _run(capsys, ["simulate", mesh, "--p", "1", "--q", "2", "--steps", "100",
+                              "--state", str(state), "--out", str(tmp_path / "s.csv")])
+    assert code == 0 and rep["passed"] is True
+    assert rep["max_abs_harmonic_drift"] > rep["tolerances"]["harmonic_drift"]
+    assert rep["max_abs_harmonic_drift"] <= 1e-8 * np.sqrt(2.0 * rep["H_initial"])
 
 
 @pytest.mark.parametrize("resolution, extra", [

@@ -14,7 +14,9 @@ harmonic initial states in either slot, two disjoint tori (whose H^1
 outgrows the first Lanczos request), the smallest sphere and ball (where
 that request's Krylov space is clipped to the free simplices), malformed
 and hand-written meshes, usage errors and an invalid
-HARMONIC_PORTS_TOL_SCALE.  Warnings are always shown, so a case prints the
+HARMONIC_PORTS_TOL_SCALE.  Units cases rerun a scale-1 twin on a mesh or
+state scaled by a power of ten (named -x<scale>); each must keep its twin's
+exit code and verdicts.  Warnings are always shown, so a case prints the
 same whatever the caller's warning filters.
 """
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -40,6 +43,13 @@ TOL_ENV = "HARMONIC_PORTS_TOL_SCALE"
 # Meshes whose six free simplices at sphere (1, neumann) and ball
 # (2, dirichlet) clip the first Lanczos request's Krylov space to N - 1.
 CLIP = {"sphere": 1, "ball": 1}
+# The sd-verify pairs whose Dirichlet basis at p is not empty, so that the
+# harmonic-obstruction spot check runs; each reruns on the mesh scaled by
+# MESH_SCALES.  simulate-torus reruns on its state scaled by STATE_SCALE.
+OBSTRUCTED = {"sphere": [(2, 1)], "torus": [(1, 2), (2, 1)], "disk": [(2, 1)],
+              "annulus": [(1, 2), (2, 1)], "ball": [(3, 1)], "solid_torus": [(2, 2), (3, 1)]}
+MESH_SCALES = (1e-8, 1e8)
+STATE_SCALE = 1e8
 
 # Hand-written meshes and the commands each is given: a top simplex naming
 # vertex 3 of 3, a vertex in no top simplex, a flat square whose centre sits
@@ -85,7 +95,8 @@ def _write_inputs(root: Path):
     """Hand-written meshes, two disjoint copies of gen-torus (the second
     shifted by 10 in x: H^1 of dimension 4, all of the first Lanczos
     request), one random 1-cochain per shape and a vertex and a cell vector
-    field per solid, from a fixed seed."""
+    field per solid, from a fixed seed; the scaled meshes and the scaled
+    (1, 2) state simulate-torus draws from --seed 1 (as `initial_state`)."""
     inputs = root / "inputs"
     inputs.mkdir()
     for name, (_, obj) in HAND_WRITTEN.items():
@@ -107,6 +118,16 @@ def _write_inputs(root: Path):
                 vectors = rng.normal(size=(counts[key], 3)).tolist()
                 field = {"field_type": field_type, "vectors": vectors}
                 (inputs / f"{shape}-{field_type}.json").write_text(json.dumps(field))
+    for shape in OBSTRUCTED:
+        mesh = json.loads((root / f"gen-{shape}" / "mesh.json").read_text())
+        for scale in MESH_SCALES:
+            scaled = {**mesh, "vertices": (scale * np.array(mesh["vertices"])).tolist()}
+            (inputs / f"{shape}-x{scale:g}.json").write_text(json.dumps(scaled))
+    counts = json.loads((root / "gen-torus" / "mesh.json").read_text())["counts"]
+    state_rng = np.random.default_rng(1)
+    state = {name: {"degree": k, "values": (STATE_SCALE * state_rng.standard_normal(counts[str(k)])).tolist()}
+             for name, k in (("alpha_p", 1), ("alpha_q", 2))}
+    (inputs / f"torus-state-x{STATE_SCALE:g}.json").write_text(json.dumps(state))
 
 
 def _cases():
@@ -130,6 +151,15 @@ def _cases():
             for field_type in ("vertex", "cell"):
                 cases.append((f"decompose-{shape}-{field_type}",
                               ["decompose", mesh, f"../inputs/{shape}-{field_type}.json"], None))
+    for shape, pairs in OBSTRUCTED.items():
+        for (p, q), scale in itertools.product(pairs, MESH_SCALES):
+            cases.append((f"sd-verify-{shape}-{p}{q}-x{scale:g}",
+                          ["sd-verify", f"../inputs/{shape}-x{scale:g}.json", "--p", str(p),
+                           "--q", str(q), "--random-states", "2", "--seed", "3"], None))
+    cases.append((f"simulate-torus-x{STATE_SCALE:g}",
+                  ["simulate", _mesh("torus"), "--p", "1", "--q", "2", "--steps", "4", "--stride",
+                   "2", "--state", f"../inputs/torus-state-x{STATE_SCALE:g}.json",
+                   "--out", "trace.csv"], None))
     for name, (commands, _) in HAND_WRITTEN.items():
         for command in commands:
             argv = [command, f"../inputs/{name}.json"]
