@@ -152,8 +152,8 @@ def _record(sys: StokesDiracSystem) -> _Port:
 
 def _port_rows(metric: Metric, p: int, q: int):
     """(G, L, E, M_e), block-diagonal over the slots: (z, e) of `_port`
-    solves G a + L z = 0, E z + M_e e = 0.  By slot j, free rows R, and
-    the other slot k, whose effort e_j is (z_j drives it):
+    solves G a + L z = 0, E z + M_e e = 0.  Per slot j, with free rows R
+    and other slot k, whose effort e_j is the one z_j drives:
 
         L z_j - R B_j M_j a_j = 0,   M e_j - factor_k C_k R^T z_j = 0
     """

@@ -125,7 +125,8 @@ def _write_inputs(root: Path):
             (inputs / f"{shape}-x{scale:g}.json").write_text(json.dumps(scaled))
     counts = json.loads((root / "gen-torus" / "mesh.json").read_text())["counts"]
     state_rng = np.random.default_rng(1)
-    state = {name: {"degree": k, "values": (STATE_SCALE * state_rng.standard_normal(counts[str(k)])).tolist()}
+    state = {name: {"degree": k,
+                    "values": (STATE_SCALE * state_rng.standard_normal(counts[str(k)])).tolist()}
              for name, k in (("alpha_p", 1), ("alpha_q", 2))}
     (inputs / f"torus-state-x{STATE_SCALE:g}.json").write_text(json.dumps(state))
 
