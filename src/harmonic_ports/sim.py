@@ -18,8 +18,8 @@ against K by `metric._refine`.  This module only steps the port map,
 which `stokesdirac` alone states: K's port rows, the port records of row 0
 and the flow check, and the spectral radius estimate.  It keeps K's refined
 system (`metric._refined_system`) per dt, a step back (dt < 0) included.
-A step of run costs that one solve and four more sparse products on the
-stacked state (flows, dH/dt, boundary, H); one `stokesdirac._power_rate`
+A step of run costs that one solve and three more sparse products on the
+stacked state (flows, dH/dt and boundary, H); one `stokesdirac._power_rate`
 sums the power terms of every row; cochains are built only for snapshots.
 """
 
@@ -205,7 +205,7 @@ def _check_flows(metric: Metric, p: int, q: int, w: np.ndarray, f: np.ndarray, r
 
 def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
     """Integrate from the system's current state; steps+1 trace rows.  A
-    step is one refined solve and four more sparse products on the stacked
+    step is one refined solve and three more sparse products on the stacked
     state; cochains are built only for snapshots."""
     m, p, q, dt = sys.metric, sys.p, sys.q, config.dt
     layout = system_operators(m, p, q)["layout"]
@@ -235,7 +235,8 @@ def run(sys: StokesDiracSystem, config: SimulationConfig) -> Trace:
         snap = config.stride and k % config.stride == 0
         if k == 1 or snap:
             _check_flows(m, p, q, w, f, rho)
-        dH_dt, boundary_term = _power_rate(layout, w, e, layout.mass @ f, layout.mass_z @ z)
+        Mf, Mz = np.split(layout.mass_fz @ np.concatenate([f, z]), [len(w)])
+        dH_dt, boundary_term = _power_rate(layout, w, e, Mf, Mz)
         H, coeffs = diagnostics(a)
         trace.rows.append([k * dt, H, abs((H - H_prev) / dt - dH_dt), boundary_term] + coeffs)
         if snap:

@@ -16,8 +16,9 @@ Green-defect boundary term on every mesh and vanishes on closed ones.
 These maps and the stacked layout of (alpha_p, alpha_q) are decided once,
 per slot (`system_operators`); this module alone states the port map, by
 sparse solves and products, never formed: explicitly, one record per state
-(`_port`, its port action with block products and slot norms), read by the
-efforts, flows, balances, flow identity and the simulation's checks;
+(`_port`: block products over both slots, and one solve call per mass
+factor, so two when p = q and four otherwise), read by the efforts, flows,
+balances (d(effort) is sign f), flow identity and the simulation's checks;
 implicitly, as the midpoint operator's port rows (`_port_rows`); and as a
 Gram (`_spectral_radius_estimate`).  One `_power_rate` sums the power terms.
 """
@@ -92,7 +93,7 @@ class StokesDiracSystem:
 
 
 _SlotMap = namedtuple("_SlotMap", "degree sign factor coupling free a mz e")  # see system_operators
-_Layout = namedtuple("_Layout", "slots D mass mass_z")  # see system_operators
+_Layout = namedtuple("_Layout", "slots D mass mass_fz boundary")  # see system_operators
 
 
 def system_operators(metric: Metric, p: int, q: int) -> dict:
@@ -102,7 +103,8 @@ def system_operators(metric: Metric, p: int, q: int) -> dict:
     whose effort, at degree - 1, is factor M^-1 coupling z with z = delta_c of
     the other slot's state, its flow sign d(effort); its free (interior)
     (degree - 1)-rows and its slices of a = (alpha_p, alpha_q), M z and
-    e = (e_p, e_q).  D e = (f_p, f_q); mass, mass_z: the block masses of a, z."""
+    e = (e_p, e_q).  D e = (f_p, f_q); mass, mass_fz: the block masses of a
+    and of (f, z); boundary: each slot's B_degree on its free rows."""
     validate_degree_pair(metric.complex.dimension, p, q)
 
     def build():
@@ -116,12 +118,11 @@ def system_operators(metric: Metric, p: int, q: int) -> dict:
             _SlotMap(q, 1, -sigma * tau, Wd.T, fq, slice(na, None), slice(nz, None), slice(0, ne)),
         )
         d = [s.sign * cx.exterior_derivative_matrix(s.degree - 1) for s in slots]
-        layout = _Layout(
-            slots,
-            D=sp.bmat([[None, d[0]], [d[1], None]], format="csr"),
-            mass=sp.block_diag([M(s.degree) for s in slots], format="csr"),
-            mass_z=sp.block_diag([M(s.degree - 1)[:, s.free] for s in slots], format="csr"),
-        )
+        mass = sp.block_diag([M(s.degree) for s in slots], format="csr")
+        mass_z = sp.block_diag([M(s.degree - 1)[:, s.free] for s in slots], format="csr")
+        boundary = sp.block_diag([cx.boundary_matrix(s.degree)[s.free] for s in slots], format="csr")
+        D = sp.bmat([[None, d[0]], [d[1], None]], format="csr")
+        layout = _Layout(slots, D, mass, sp.block_diag([mass, mass_z], format="csr"), boundary)
         return {"sigma": sigma, "tau": tau, "coupling": Wd, "layout": layout}
 
     return metric.cached(("sd_ops", p, q), build)
@@ -132,17 +133,30 @@ _Port = namedtuple("_Port", "metric layout a z e f Ma Mf Mz state_norms flow_nor
 
 def _port(metric: Metric, p: int, q: int, a: np.ndarray) -> _Port:
     """The record of a stacked state a = (alpha_p, alpha_q): its port action
-    in the midpoint unknowns' order, z = delta_c alpha per slot on its free
-    rows (one interior-mass solve each), e = (e_p, e_q), each slot's effort
-    from the other's z (one mass solve each against its coupling), f = D e;
-    the block products M a, M f, M_z z and the slot norms of a and f."""
+    in the midpoint unknowns' order, z = delta_c alpha per slot (free rows)
+    from B (M a), e = (e_p, e_q) from the other slot's z by the couplings,
+    f = D e; M a, [M f; M_z z] and the slot norms of a and f.  Each mass
+    factor solves once: two solve calls (2-column) when p = q, else four."""
     layout = system_operators(metric, p, q)["layout"]
-    z = [_delta(metric, s.degree, a[s.a], "dirichlet") for s in layout.slots]
-    e = np.concatenate([s.factor * metric.mass_lu(s.degree - 1).solve(s.coupling @ z_o)
-                        for s, z_o in zip(layout.slots[::-1], z)])
-    z, f = np.concatenate([z_s[s.free] for s, z_s in zip(layout.slots, z)]), layout.D @ e
-    Ma, Mf, Mz = layout.mass @ a, layout.mass @ f, layout.mass_z @ z
+    slots, Ma = layout.slots, layout.mass @ a
+    z = _solve_slots([metric.mass_lu(s.degree - 1, "dirichlet") for s in slots],
+                     np.split(layout.boundary @ Ma, [len(slots[0].free)]))
+    z_full = [np.zeros(metric.complex.num_simplices(s.degree - 1)) for s in slots]
+    for s, z_s, part in zip(slots, z_full, z):
+        z_s[s.free] = part
+    e = _solve_slots([metric.mass_lu(s.degree - 1) for s in slots[::-1]],
+                     [s.coupling @ z_o for s, z_o in zip(slots[::-1], z_full)])
+    e = np.concatenate([s.factor * e_s for s, e_s in zip(slots[::-1], e)])
+    z, f = np.concatenate(z), layout.D @ e
+    Mf, Mz = np.split(layout.mass_fz @ np.concatenate([f, z]), [len(a)])
     return _Port(metric, layout, a, z, e, f, Ma, Mf, Mz, _norms(layout, a, Ma), _norms(layout, f, Mf))
+
+
+def _solve_slots(lus, rhs) -> list:
+    """Each slot's rhs solved by its factor; one 2-column solve if shared (p = q)."""
+    if lus[0] is lus[1]:
+        return list(lus[0].solve(np.column_stack(rhs)).T)
+    return [lu.solve(b) for lu, b in zip(lus, rhs)]
 
 
 def _record(sys: StokesDiracSystem) -> _Port:
@@ -242,7 +256,7 @@ class PowerBalance:
 
 def _power_rate(layout: _Layout, a, e, Mf, Mz) -> tuple[float, float]:
     """(dH/dt, boundary term) of a stacked state a from its port action's
-    e, Mf = layout.mass @ f and Mz = layout.mass_z @ z.  The boundary term,
+    e and (Mf, Mz) = layout.mass_fz @ (f, z).  The boundary term,
     sum of <<f, alpha>> - sign <<effort, z>> over the slots, is dH/dt minus
     the internal term."""
     dH = sum(float(a[s.a] @ Mf[s.a]) for s in layout.slots)
@@ -331,18 +345,15 @@ def extended_power_balance(sys: StokesDiracSystem) -> ExtendedPowerBalance:
     for name, s in zip("pq", r.layout.slots):
         basis, e, f, Ma = harmonic_basis(m, s.degree, "dirichlet"), r.e[s.e], r.f[s.a], r.Ma[s.a]
         state_coeffs[name] = coeffs = basis.vectors.T @ Ma
-        if s.degree == n:
-            closedness[name] = 0.0
-            exact_part += float(f @ Ma) - s.sign * float(e @ r.Mz[s.mz])
-            continue
-        closedness[name] = norm(m, exterior_derivative(m, Cochain(cx, s.degree, f)))
-        Mb, Mdb = Ma, r.Mz[s.mz]  # M b and M delta_c b of b = alpha - proj
-        if basis.dim:
-            b = r.a[s.a] - basis.vectors @ coeffs
-            Mb = m.mass_csr(s.degree) @ b
-            Mdb = m.mass_csr(s.degree - 1) @ _delta(m, s.degree, b, "dirichlet")
-        d_e = cx.exterior_derivative_matrix(s.degree - 1) @ e
-        exact_part += s.sign * (float(d_e @ Mb) - float(e @ Mdb))
+        closedness[name], Mb, Mdb = 0.0, Ma, r.Mz[s.mz]  # M b, M delta_c b of b = alpha - proj
+        if s.degree < n:  # a top-degree f is closed, its proj outside the harmonic part
+            df = cx.exterior_derivative_matrix(s.degree) @ f
+            closedness[name] = math.sqrt(max(float(df @ (m.mass_csr(s.degree + 1) @ df)), 0.0))
+            if basis.dim:
+                b = r.a[s.a] - basis.vectors @ coeffs
+                Mb = m.mass_csr(s.degree) @ b
+                Mdb = m.mass_csr(s.degree - 1) @ _delta(m, s.degree, b, "dirichlet")
+        exact_part += s.sign * (float((s.sign * f) @ Mb) - float(e @ Mdb))  # d(effort) = sign f
     harmonic_part = float(sum((state_coeffs[row["slot"]][row["index"]] * row["boundary_pairing"]
                                for row in rows if row["degree"] < n), 0.0))
 

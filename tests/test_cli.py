@@ -517,14 +517,27 @@ def test_sd_verify_rejects_a_string_state_value_exit_3(tmp_path, capsys):
     assert "cochain values must be numbers" in capsys.readouterr().err
 
 
-def _write_scaled(tmp_path, shape, resolution, scale):
-    """gen_mesh(shape, resolution) with every vertex scaled by scale."""
-    path = tmp_path / f"{shape}_{scale:g}.json"
+def _write_moved(tmp_path, shape, resolution, move, tag):
+    """gen_mesh(shape, resolution) with its vertex array v replaced by move(v)."""
+    path = tmp_path / f"{shape}_{tag}.json"
     write_mesh(gen_mesh(shape, resolution), path)
     obj = json.loads(path.read_text())
-    obj["vertices"] = (scale * np.array(obj["vertices"])).tolist()
+    obj["vertices"] = move(np.array(obj["vertices"])).tolist()
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def _write_scaled(tmp_path, shape, resolution, scale):
+    """gen_mesh(shape, resolution) with every vertex scaled by scale."""
+    return _write_moved(tmp_path, shape, resolution, lambda v: scale * v, f"{scale:g}")
+
+
+def _rigid_motion(v):
+    """The rows of v rotated by a seeded rotation, then shifted by 1e3 along
+    every axis."""
+    rotation = np.linalg.qr(np.random.default_rng(0).standard_normal((v.shape[1],) * 2))[0]
+    rotation[:, 0] *= np.sign(np.linalg.det(rotation))  # det +1: no reflection
+    return v @ rotation.T + 1e3
 
 
 @pytest.mark.parametrize("shape, resolution, p, q", [
@@ -542,6 +555,20 @@ def test_sd_verify_obstruction_spot_check_is_unit_free(tmp_path, capsys, shape, 
         verdicts.append((code, rep["passed"], checks))
     assert verdicts[0] == (0, True, [("constructed_exact", True), ("harmonic_obstruction", False)])
     assert verdicts[1] == verdicts[2] == verdicts[0]
+
+
+@pytest.mark.parametrize("shape, resolution, p, q", [("torus", 5, 1, 2), ("ball", 2, 2, 2)])
+def test_sd_verify_verdict_survives_a_rigid_motion(tmp_path, capsys, shape, resolution, p, q):
+    # a rotation and a 1e3 shift keep the exit code, the verdict and the
+    # spot checks' verdicts of the mesh as generated
+    verdicts = []
+    for tag, move in (("base", lambda v: v), ("moved", _rigid_motion)):
+        mesh = _write_moved(tmp_path, shape, resolution, move, tag)
+        code, rep = _run(capsys, ["sd-verify", mesh, "--p", str(p), "--q", str(q),
+                                  "--random-states", "2"])
+        checks = [(c["case"], c["solvable"]) for c in rep["integrability_spot_checks"]]
+        verdicts.append((code, rep["passed"], checks))
+    assert verdicts[0][:2] == (0, True) and verdicts[1] == verdicts[0]
 
 
 def test_sd_verify_computes_one_port_action_per_state(tmp_path, capsys, monkeypatch):
@@ -647,6 +674,23 @@ def test_simulate_harmonic_drift_verdict_is_unit_free(tmp_path, capsys):
     assert code == 0 and rep["passed"] is True
     assert rep["max_abs_harmonic_drift"] > rep["tolerances"]["harmonic_drift"]
     assert rep["max_abs_harmonic_drift"] <= 1e-8 * np.sqrt(2.0 * rep["H_initial"])
+
+
+@pytest.mark.parametrize("tag, move, dt", [
+    ("x1e-08", lambda v: 1e-8 * v, "1e-26"),  # dt scaled by L^3 keeps dt rho(A) at L = 1's
+    ("moved", _rigid_motion, "0.01"),
+], ids=["x1e-08", "moved"])
+def test_simulate_verdict_is_unit_and_motion_free(tmp_path, capsys, tag, move, dt):
+    # torus:5 (1,2) at length unit L = 1e-8, or after a rotation and a 1e3
+    # shift, keeps the exit code and verdict of the mesh as generated
+    def verdict(mesh, step):
+        code, rep = _run(capsys, ["simulate", mesh, "--p", "1", "--q", "2", "--steps", "100",
+                                  "--dt", step, "--out", str(tmp_path / "s.csv")])
+        return code, rep["passed"]
+
+    reference = verdict(_write_torus(tmp_path, 5), "0.01")
+    assert reference == (0, True)
+    assert verdict(_write_moved(tmp_path, "torus", 5, move, tag), dt) == reference
 
 
 @pytest.mark.parametrize("resolution, extra", [

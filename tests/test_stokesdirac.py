@@ -9,6 +9,7 @@ from harmonic_ports import (
     Metric,
     SolverFailure,
     StokesDiracSystem,
+    codifferential_constrained,
     efforts,
     extend_by_zero,
     extended_power_balance,
@@ -152,25 +153,47 @@ def test_energy_rate_splits_into_boundary_power(shape):
             assert np.isclose(pb.dH_dt, direct, rtol=1e-10, atol=1e-12 * pb.scale)
 
 
-# solid_torus:5 has no interior vertex or edge, so every effort or z
-# that a perturbation could show in is zero
-@pytest.mark.parametrize("shape", sorted(set(ACCEPTANCE) - {"solid_torus"}))
+def _slot_records(m, record, alphas):
+    """(z, e, M a, M f, M_z z) per slot as the per-slot port records of
+    `conftest.reference_run` make them: z = delta_c alpha by the public
+    codifferential, then one mass solve per effort against its coupling."""
+    slots, M = record.layout.slots, m.mass_csr
+    z = [codifferential_constrained(m, alpha).values for alpha in alphas]
+    e = [s.factor * m.mass_lu(s.degree - 1).solve(s.coupling @ z_o) for s, z_o in zip(slots, z[::-1])]
+    f = [s.sign * (m.complex.exterior_derivative_matrix(s.degree - 1) @ e_s) for s, e_s in zip(slots, e)]
+    return [(z_s[s.free], e_s, M(s.degree) @ a.values, M(s.degree) @ f_s, M(s.degree - 1) @ z_s)
+            for s, a, z_s, e_s, f_s in zip(slots, alphas, z, e, f)]
+
+
+@pytest.mark.parametrize("shape", sorted(ACCEPTANCE))
 def test_split_residual_detects_a_z_that_is_not_delta_c(shape):
-    # the second boundary evaluation reads the efforts' boundary values
-    # alone, so it disagrees with dH/dt - internal once a slot's z stops
-    # pairing with the interior efforts as d does
+    # the record equals the per-slot records byte for byte, both where a
+    # mass factor solves the two slots as one 2-column block (p = q) and
+    # where each slot solves alone; d(effort) is sign f.  Then the second
+    # boundary evaluation reads the efforts' boundary values alone, so it
+    # disagrees with dH/dt - internal once a slot's z stops pairing with
+    # the interior efforts as d does
     m = metric_for(shape, ACCEPTANCE[shape])
     rng = np.random.default_rng(6)
     for p, q in valid_pairs(m.complex.dimension):
         a_p, a_q = random_cochain(m.complex, p, rng), random_cochain(m.complex, q, rng)
         record = stokesdirac_mod._port(m, p, q, np.concatenate([a_p.values, a_q.values]))
+        cut = len(record.layout.slots[0].free)  # z holds slot p's free rows, then slot q's
+        for s, z, (z_s, e, Ma, Mf, Mz) in zip(record.layout.slots, (record.z[:cut], record.z[cut:]),
+                                             _slot_records(m, record, (a_p, a_q))):
+            got = (z, record.e[s.e], record.Ma[s.a], record.Mf[s.a], record.Mz[s.mz])
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in (z_s, e, Ma, Mf, Mz)], (p, q)
+            d = m.complex.exterior_derivative_matrix(s.degree - 1)
+            assert np.array_equal(s.sign * record.f[s.a], d @ record.e[s.e]), (p, q)
+        if shape == "solid_torus":
+            continue  # no interior vertex or edge: every effort and z is zero
         pb = stokesdirac_mod._balance(record)
         assert pb.split_residual <= 1e-15 * pb.scale
-        cut = len(record.layout.slots[0].free)  # z holds slot p's free rows, then slot q's
         for i, rows in enumerate((slice(0, cut), slice(cut, None))):
             bad = record.z.copy()
             bad[rows] *= 1 + 1e-4
-            pb = stokesdirac_mod._balance(record._replace(z=bad, Mz=record.layout.mass_z @ bad))
+            Mz = np.split(record.layout.mass_fz @ np.concatenate([record.f, bad]), [len(record.a)])[1]
+            pb = stokesdirac_mod._balance(record._replace(z=bad, Mz=Mz))
             assert pb.split_residual > 1e-10 * pb.scale, (p, q, i)
 
 
@@ -327,38 +350,45 @@ def test_extended_balance_carries_the_flow_identity_rows():
 
 
 def test_extended_balance_solves_delta_c_once_per_vector(monkeypatch):
-    # the degrees of the _delta calls of one extended balance: the port
-    # action's two, then the flow identity's per non-empty Dirichlet basis,
-    # then the exact part's per slot of degree below n whose projection is
-    # non-zero; with an empty basis the exact part reads the port action's z
+    # the columns of each mass-factor solve call of one extended balance:
+    # the port record's, once per factor (a 2-column solve when the slots
+    # share it, p = q), then the flow identity's delta_c per non-empty
+    # Dirichlet basis, then the exact part's per slot of degree below n
+    # whose projection is non-zero; with an empty basis the exact part
+    # reads the record's z
     cases = [
-        # no Dirichlet-harmonic field at degree 2: the port action's two
+        # no Dirichlet-harmonic field at degree 2: two 2-column solves
         ("ball", 2, 2, 2, [2, 2]),
-        # H^3_D for the flow identity; H^1_D empty, and degree 3 is n
-        ("ball", 2, 1, 3, [1, 3, 3]),
+        # four 1-column solves; H^3_D for the flow identity; H^1_D empty
+        ("ball", 2, 1, 3, [1, 1, 1, 1, 1]),
         # H^1_D and H^2_D for the flow identity, then alpha_p - proj afresh
-        ("annulus", 2, 1, 2, [1, 2, 1, 2, 1]),
+        ("annulus", 2, 1, 2, [1, 1, 1, 1, 1, 1, 1]),
     ]
-    calls = []
-    real = metric_mod._delta
+    columns, real, counting = [], metric_mod.Metric.mass_lu, {}
 
-    def counted(*args):
-        calls.append(args[1])
-        return real(*args)
+    class Counting:  # a mass factor, counting the columns of each solve call
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b, trans="N"):
+            columns.append(1 if b.ndim == 1 else b.shape[1])
+            return self.lu.solve(b, trans)
+
+    def counted(metric, k, condition="neumann"):
+        lu = real(metric, k, condition)
+        return counting.setdefault(id(lu), Counting(lu))
 
     for shape, resolution, p, q, expected in cases:
         m = metric_for(shape, resolution)
         rng = np.random.default_rng(5)
         a_p, a_q = random_cochain(m.complex, p, rng), random_cochain(m.complex, q, rng)
         sys = StokesDiracSystem(m, p, q, a_p, a_q)
-        for k in (p, q):
-            harmonic_basis(m, k, "dirichlet")
-        calls.clear()
+        extended_power_balance(sys)  # builds the bases and factors outside the count
+        columns.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(metric_mod, "_delta", counted)
-            patch.setattr(stokesdirac_mod, "_delta", counted)
+            patch.setattr(metric_mod.Metric, "mass_lu", counted)
             extended_power_balance(sys)
-        assert calls == expected, (shape, p, q)
+        assert columns == expected, (shape, p, q)
 
 
 def test_state_harmonic_coefficients_report_the_seed():

@@ -2,7 +2,8 @@
 refinement bound and pass cap, one refined-solve record (|S| and its row
 maxima named in metric.py alone), one cache mechanism (Metric.cached), the
 boundary condition decided in metric.py alone, the Stokes-Dirac port
-map and its stacked layout decided and stated in stokesdirac.py alone, the
+map and its stacked layout decided and stated in stokesdirac.py alone, its
+record solving delta_c for both slots at once, the
 degenerate-element bound read in metric.py alone,
 simulate's loop on flat arrays and exit codes decided by the error
 types."""
@@ -264,6 +265,13 @@ def test_port_records_are_built_only_at_row_0_and_the_flow_check():
     run = _function("sim.py", "run")
     loop = next(n for n in ast.walk(run) if isinstance(n, ast.For))
     assert len(_calls(run, "_port")) == 1 and _calls(loop, "_port") == []
+
+
+def test_port_record_solves_delta_c_for_both_slots_at_once():
+    # the record takes delta_c of both slots from one boundary product and
+    # one solve per mass factor, never from the per-vector kernel
+    port = _function("stokesdirac.py", "_port")
+    assert _calls(port, "_delta") == [] and len(_calls(port, "_solve_slots")) == 2
 
 
 def test_sim_only_steps_the_port_map():
