@@ -15,10 +15,11 @@ A = K + B^T M_l^-1 B is never formed.  Its scale comes from the diagonals
 of its saddle-point form (`_Saddle`), its kernel from one Rayleigh-Ritz
 step through A on shift-invert Lanczos vectors just below zero, through a
 factor of that form (on the whole space once the request reaches ARPACK's
-limit), fixed to a basis of the span alone.  Lanczos converges only to
-LANCZOS_TOL: it supplies the search space, the step the eigenvalues.  On
-a closed mesh both conditions give one operator, so the Dirichlet bases
-and saddles are the Neumann ones.  One refined system per saddle
+limit, and at once on a space at most twice the first Krylov space), fixed
+to a basis of the span alone.  Lanczos converges only to LANCZOS_TOL: it
+supplies the search space, the step the eigenvalues.  On a closed mesh
+both conditions give one operator, so the Dirichlet bases and saddles are
+the Neumann ones.  One refined system per saddle
 (`metric._refined_system`, the harmonic part projected out) solves the
 mixed system behind every projection onto an exact or coexact range
 (_mixed_potential): the HMF split, potentials of exact cochains and the
@@ -302,10 +303,12 @@ def _ritz_pairs(sd: _Saddle, lu: spla.SuperLU | None = None):
     (A - s M)^-1 applied by lu or by a new saddle factor dropped on return,
     where j starts at FIRST_REQUEST and doubles while every Ritz value is
     kernel; or the whole free space, Q = I, once j reaches ARPACK's limit
-    j < N - 1 (at once when A = 0).  ARPACK stops at LANCZOS_TOL with
+    j < N - 1, and at once when A = 0 or the first request's Krylov space
+    would span half the space (as cheap, and exact where ARPACK may split a
+    clustered pair or fail to restart).  ARPACK stops at LANCZOS_TOL with
     min(2j + 2, N - 1) Krylov vectors; the step through A sets the values."""
     nk, A, M = len(sd.idx), sd.A, sd.M
-    j = FIRST_REQUEST if sd.scale > 0 else nk
+    j = FIRST_REQUEST if sd.scale > 0 and 2 * (2 * FIRST_REQUEST + 2) < nk else nk
     if j < nk - 1:
         lu, pad = sd.factor() if lu is None else lu, np.zeros(len(sd.low))
         OPinv = spla.LinearOperator((nk, nk), dtype=float, matvec=lambda f: lu.solve(

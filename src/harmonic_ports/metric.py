@@ -7,10 +7,10 @@ wedge pairings of lowest-order Whitney forms then come from one pairing
 kernel over all elements at once, summed straight into sparse (CSR)
 matrices: no N x N array is ever formed, so memory grows with the
 number of simplices.  On top of the masses sit the first-order
-operators: exterior derivative, one codifferential kernel and its
-transpose for both boundary conditions (the plain adjoint and the
-zero-trace constrained one), tangential traces, Green defects, and the
-exact discrete Stokes identity.
+operators: exterior derivative, one codifferential kernel for both
+boundary conditions (the plain adjoint and the zero-trace constrained
+one), tangential traces, Green defects, and the exact discrete Stokes
+identity.
 """
 
 from __future__ import annotations
@@ -484,15 +484,6 @@ def _delta(metric: Metric, k: int, x: np.ndarray, condition: str) -> np.ndarray:
     out = np.zeros_like(rhs)
     out[idx] = metric.mass_lu(k - 1, condition).solve(rhs[idx])
     return out
-
-
-def _delta_transpose(metric: Metric, k: int, y: np.ndarray, condition: str) -> np.ndarray:
-    """Transpose of `_delta` of (k, condition), applied to degree-(k-1)
-    values y."""
-    idx = metric.free_indices(k - 1, condition)
-    u = np.zeros_like(y)
-    u[idx] = metric.mass_lu(k - 1, condition).solve(y[idx], trans="T")
-    return metric.mass_csr(k) @ (metric.complex.boundary_matrix(k).T @ u)
 
 
 def inner_product(metric: Metric, a: Cochain, b: Cochain) -> float:

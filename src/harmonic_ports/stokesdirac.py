@@ -15,12 +15,12 @@ Green-defect boundary term on every mesh and vanishes on closed ones.
 
 These maps and the stacked layout of (alpha_p, alpha_q) are decided once,
 per slot (`system_operators`); this module alone states the port map, by
-sparse solves and products, never formed: explicitly, one record per state
-(`_port`: block products over both slots, and one solve call per mass
-factor, so two when p = q and four otherwise), read by the efforts, flows,
-balances (d(effort) is sign f), flow identity and the simulation's checks;
-implicitly, as the midpoint operator's port rows (`_port_rows`); and as a
-Gram (`_spectral_radius_estimate`).  One `_power_rate` sums the power terms.
+sparse solves and products, never formed: as one record per state (`_port`:
+block products over both slots, one solve call per mass factor), read by
+the efforts, flows, balances (d(effort) is sign f), flow identity and the
+simulation's checks; and as rows (`_port_rows`), from which the midpoint
+operator is assembled and the spectral radius's Gram is read.  One
+`_power_rate` sums the power terms.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .metric import (
     Metric,
     _check_metric,
     _delta,
-    _delta_transpose,
     extend_by_zero,
     exterior_derivative,
     inner_product,
@@ -166,8 +165,10 @@ def _record(sys: StokesDiracSystem) -> _Port:
 
 def _port_rows(metric: Metric, p: int, q: int):
     """(G, L, E, M_e), block-diagonal over the slots: (z, e) of `_port`
-    solves G a + L z = 0, E z + M_e e = 0.  Per slot j, with free rows R
-    and other slot k, whose effort e_j is the one z_j drives:
+    solves G a + L z = 0, E z + M_e e = 0, so f = D M_e^-1 E L^-1 G a
+    (K(h) and the spectral radius's Gram are read off these rows).  Per
+    slot j, with free rows R and other slot k, whose effort e_j is the one
+    z_j drives:
 
         L z_j - R B_j M_j a_j = 0,   M e_j - factor_k C_k R^T z_j = 0
     """
@@ -180,37 +181,32 @@ def _port_rows(metric: Metric, p: int, q: int):
 
 
 def _spectral_radius_estimate(metric: Metric, p: int, q: int) -> float:
-    """Largest singular value of A = [[0, F_p], [F_q, 0]]: the square
-    root of the largest eigenvalue of A^T A = diag(F_q^T F_q, F_p^T F_p),
-    each block by Lanczos (eigsh, tolerance 1e-6) from a seeded start
-    vector, so the estimate is deterministic.  Up to sign, a slot's block
-    F = d M^-1 C delta_c (its port map) takes the other slot's state to its
-    flow by the products and solves of the port action; F^T by their
-    transposes, delta_c and its transpose by the metric's Dirichlet
-    codifferential kernels (`_delta`, `_delta_transpose`)."""
-    slots, cx = system_operators(metric, p, q)["layout"].slots, metric.complex
-    top = 0.0
-    for s, other in zip(slots, slots[::-1]):
-        d, lu = cx.exterior_derivative_matrix(s.degree - 1), metric.mass_lu(s.degree - 1)
+    """Largest singular value of the port map A = D M_e^-1 E L^-1 G
+    (`_port_rows`): the square root of the top eigenvalue of A^T A over the
+    stacked state, by one seeded Lanczos (eigsh, tolerance 1e-6), so it is
+    deterministic.  Its solves use `_port`'s factors, A^T's too, as every
+    mass block is exactly symmetric."""
+    layout, (G, E) = system_operators(metric, p, q)["layout"], _port_rows(metric, p, q)[::2]
+    z_lus = [metric.mass_lu(s.degree - 1, "dirichlet") for s in layout.slots]
+    e_lus = [metric.mass_lu(s.degree - 1) for s in layout.slots[::-1]]
 
-        def gram(v, k=other.degree, C=s.coupling, d=d, lu=lu):
-            z = _delta(metric, k, v, "dirichlet")
-            y = C.T @ lu.solve(d.T @ (d @ lu.solve(C @ z)), trans="T")
-            return _delta_transpose(metric, k, y, "dirichlet")
+    def solve(lus, rhs):
+        return np.concatenate(_solve_slots(lus, np.split(rhs, [lus[0].shape[0]])))
 
-        size = cx.num_simplices(other.degree)
-        v0 = np.random.default_rng(0).standard_normal(size)
-        if not gram(v0).any():
-            continue  # an empty or zero block adds nothing (and stops ARPACK)
-        op = spla.LinearOperator((size, size), matvec=gram, dtype=float)
-        try:
-            lam = spla.eigsh(
-                op, k=1, which="LA", v0=v0, tol=1e-6, return_eigenvectors=False
-            )[0]
-        except RuntimeError as exc:
-            raise FactorizationFailure("spectral radius estimate failed") from exc
-        top = max(top, float(lam))
-    return float(np.sqrt(top))
+    def gram(v):
+        f = layout.D @ solve(e_lus, E @ solve(z_lus, G @ v))
+        return G.T @ solve(z_lus, E.T @ solve(e_lus, layout.D.T @ f))
+
+    size = G.shape[1]
+    v0 = np.random.default_rng(0).standard_normal(size)
+    if not gram(v0).any():
+        return 0.0  # A = 0 (solid_torus (2, 2)), from which ARPACK cannot start
+    op = spla.LinearOperator((size, size), matvec=gram, dtype=float)
+    try:
+        lam = spla.eigsh(op, k=1, which="LA", v0=v0, tol=1e-6, return_eigenvectors=False)[0]
+    except RuntimeError as exc:
+        raise FactorizationFailure("spectral radius estimate failed") from exc
+    return float(np.sqrt(lam))
 
 
 def _norms(layout: _Layout, v: np.ndarray, Mv: np.ndarray) -> list[float]:

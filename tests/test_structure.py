@@ -3,8 +3,8 @@ refinement bound and pass cap, one refined-solve record (|S| and its row
 maxima named in metric.py alone), one cache mechanism (Metric.cached), the
 boundary condition decided in metric.py alone, the Stokes-Dirac port
 map and its stacked layout decided and stated in stokesdirac.py alone, its
-record solving delta_c for both slots at once, the
-degenerate-element bound read in metric.py alone,
+record solving delta_c for both slots at once, the spectral radius read
+off its port rows, the degenerate-element bound read in metric.py alone,
 simulate's loop on flat arrays and exit codes decided by the error
 types."""
 
@@ -86,7 +86,7 @@ def test_removed_duplicates_stay_removed():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node.name in {
             "interior_mass_lu", "_deltac", "_jsonable", "_defect", "_power_pieces", "_step_power",
-            "_orient_by_volume", "permutation_sign", "_act", "_port_action",
+            "_orient_by_volume", "permutation_sign", "_act", "_port_action", "_delta_transpose",
         }
     ]
     classes = [
@@ -272,6 +272,13 @@ def test_port_record_solves_delta_c_for_both_slots_at_once():
     # one solve per mass factor, never from the per-vector kernel
     port = _function("stokesdirac.py", "_port")
     assert _calls(port, "_delta") == [] and len(_calls(port, "_solve_slots")) == 2
+
+
+def test_spectral_radius_reads_the_port_rows():
+    # the estimate's Gram is read off the port rows, never re-derived per
+    # slot from the codifferential kernel
+    estimate = _function("stokesdirac.py", "_spectral_radius_estimate")
+    assert len(_calls(estimate, "_port_rows")) == 1 and _calls(estimate, "_delta") == []
 
 
 def test_sim_only_steps_the_port_map():

@@ -11,13 +11,13 @@ Every path a command sees is relative, so reports do not depend on OUTDIR,
 and HARMONIC_PORTS_TOL_SCALE is unset unless the case sets it.
 The battery covers every subcommand on the six acceptance shapes,
 harmonic initial states in either slot, two disjoint tori (whose H^1
-outgrows the first Lanczos request), the smallest sphere and ball (where
-that request's Krylov space is clipped to the free simplices), malformed
-and hand-written meshes, usage errors and an invalid
-HARMONIC_PORTS_TOL_SCALE.  Units cases rerun a scale-1 twin on a mesh or
-state scaled by a power of ten (named -x<scale>); each must keep its twin's
-exit code and verdicts.  Warnings are always shown, so a case prints the
-same whatever the caller's warning filters.
+outgrows the first Lanczos request), the smallest sphere and ball (whose
+saddles, of 6 to 19 free simplices, take the whole space, not Lanczos;
+ball:1 also scaled), malformed and hand-written meshes, usage errors and
+an invalid HARMONIC_PORTS_TOL_SCALE.  Units cases rerun a scale-1 twin on
+a mesh or state scaled by a power of ten (named -x<scale>); each must keep
+its twin's exit code and verdicts.  Warnings are always shown, so a case
+prints the same whatever the caller's warning filters.
 """
 
 from __future__ import annotations
@@ -40,9 +40,11 @@ SHAPES = {"sphere": 2, "torus": 5, "disk": 3, "annulus": 3, "ball": 2, "solid_to
 PAIRS = {2: [(1, 2), (2, 1)], 3: [(1, 3), (2, 2), (3, 1)]}
 SOLID = {"ball", "solid_torus"}
 TOL_ENV = "HARMONIC_PORTS_TOL_SCALE"
-# Meshes whose six free simplices at sphere (1, neumann) and ball
-# (2, dirichlet) clip the first Lanczos request's Krylov space to N - 1.
+# Meshes whose saddles are too small for the first Lanczos request (six
+# free simplices at sphere (1, neumann) and ball (2, dirichlet)), and the
+# scale at which ball:1's 18- and 19-simplex saddles once failed ARPACK.
 CLIP = {"sphere": 1, "ball": 1}
+CLIP_SCALE = 1e-6
 # The sd-verify pairs whose Dirichlet basis at p is not empty, so that the
 # harmonic-obstruction spot check runs; each reruns on the mesh scaled by
 # MESH_SCALES.  simulate-torus reruns on its state scaled by STATE_SCALE.
@@ -95,8 +97,9 @@ def _write_inputs(root: Path):
     """Hand-written meshes, two disjoint copies of gen-torus (the second
     shifted by 10 in x: H^1 of dimension 4, all of the first Lanczos
     request), one random 1-cochain per shape and a vertex and a cell vector
-    field per solid, from a fixed seed; the scaled meshes and the scaled
-    (1, 2) state simulate-torus draws from --seed 1 (as `initial_state`)."""
+    field per solid, from a fixed seed; the scaled meshes (ball-1 at
+    CLIP_SCALE) and the scaled (1, 2) state simulate-torus draws from
+    --seed 1 (as `initial_state`)."""
     inputs = root / "inputs"
     inputs.mkdir()
     for name, (_, obj) in HAND_WRITTEN.items():
@@ -118,11 +121,11 @@ def _write_inputs(root: Path):
                 vectors = rng.normal(size=(counts[key], 3)).tolist()
                 field = {"field_type": field_type, "vectors": vectors}
                 (inputs / f"{shape}-{field_type}.json").write_text(json.dumps(field))
-    for shape in OBSTRUCTED:
+    scales = [(shape, scale) for shape in OBSTRUCTED for scale in MESH_SCALES]
+    for shape, scale in scales + [("ball-1", CLIP_SCALE)]:
         mesh = json.loads((root / f"gen-{shape}" / "mesh.json").read_text())
-        for scale in MESH_SCALES:
-            scaled = {**mesh, "vertices": (scale * np.array(mesh["vertices"])).tolist()}
-            (inputs / f"{shape}-x{scale:g}.json").write_text(json.dumps(scaled))
+        mesh["vertices"] = (scale * np.array(mesh["vertices"])).tolist()
+        (inputs / f"{shape}-x{scale:g}.json").write_text(json.dumps(mesh))
     counts = json.loads((root / "gen-torus" / "mesh.json").read_text())["counts"]
     state_rng = np.random.default_rng(1)
     state = {name: {"degree": k,
@@ -169,6 +172,8 @@ def _cases():
             cases.append((f"{command}-{name}", argv, None))
     for shape, res in CLIP.items():
         cases.append((f"analyze-{shape}-{res}", ["analyze", _mesh(f"{shape}-{res}")], None))
+    cases.append((f"analyze-ball-1-x{CLIP_SCALE:g}",
+                  ["analyze", f"../inputs/ball-1-x{CLIP_SCALE:g}.json"], None))
     cases.append(("sd-verify-ball-1-22", ["sd-verify", _mesh("ball-1"), "--p", "2", "--q", "2",
                                           "--random-states", "2", "--seed", "3"], None))
     torus = _mesh("torus")
