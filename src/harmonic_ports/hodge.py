@@ -52,6 +52,7 @@ from .errors import (
 from .metric import (
     Cochain,
     Metric,
+    _abs,
     _check_metric,
     _refine,
     _refined_system,
@@ -409,9 +410,9 @@ def _mixed_potential(
     b = np.zeros(sd.S.shape[0])
     b[:nk] = (metric.mass_csr(k) @ f)[sd.idx] / sd.c
     b_abs, b = np.abs(b), system.project(b)
-    if omega is not None:  # the free rows of |M_k| and |d_(k-1)| size f = d omega
+    if omega is not None:  # free rows of |M_k| and |d_(k-1)| (`_abs`) size f = d omega
         abs_M, abs_d = metric.cached(("mixed_data", sd.k, sd.condition), lambda: (
-            abs(metric.mass_csr(k)[sd.idx]), abs(metric.complex.exterior_derivative_matrix(k - 1))))
+            _abs(metric.mass_csr(k)[sd.idx]), _abs(metric.complex.exterior_derivative_matrix(k - 1))))
         b_abs[:nk] = np.maximum(b_abs[:nk], (abs_M @ (abs_d @ np.abs(omega))) / sd.c)
     x = _refine(system, np.zeros_like(b), b, b_abs, f"mixed solve at degree {k}")
     sigma[sd.low] = x[nk:] * math.sqrt(sd.c / sd.c_l)
@@ -453,8 +454,8 @@ def hodge_morrey_friedrichs(metric: Metric, omega: Cochain) -> HMFDecomposition:
     Raises:
         SolverFailure: A mixed solve misses its backward-error bound, or
             two pieces have an M-inner product above
-            HMF_ORTHOGONALITY_TOL * |omega|_M^2, as when a harmonic basis
-            holds a non-harmonic vector.
+            HMF_ORTHOGONALITY_TOL * |omega|_M^2, named with the degree and
+            the solve or basis each piece of the largest came from.
     """
     _check_metric(metric, omega)
     cx = metric.complex
@@ -472,17 +473,20 @@ def hodge_morrey_friedrichs(metric: Metric, omega: Cochain) -> HMFDecomposition:
     _, lambda_T = harmonic_projection(basis, h)
     delta_gamma = h - lambda_T
     M = metric.mass_csr(k)
-    pieces = np.column_stack(
-        [x.values for x in (d_alpha, delta_beta, lambda_T, delta_gamma)]
-    )
+    pieces = np.column_stack([x.values for x in (d_alpha, delta_beta, lambda_T, delta_gamma)])
     gram = pieces.T @ (M @ pieces)
-    overlap = np.abs(np.triu(gram, 1)).max()
+    upper = np.abs(np.triu(gram, 1))
+    i, j = np.unravel_index(upper.argmax(), upper.shape)
     scale = omega.values @ (M @ omega.values)
-    if overlap > HMF_ORTHOGONALITY_TOL * scale:
-        raise SolverFailure(
-            f"HMF pieces overlap by {overlap / scale:.3e} of |omega|^2"
-            " (a harmonic basis of the wrong dimension?)"
-        )
+    if upper[i, j] > HMF_ORTHOGONALITY_TOL * scale:
+        spectral = not math.isnan(basis.first_nonkernel_eigenvalue)  # else closed form
+        source = (f"d_alpha (Dirichlet mixed solve at degree {k})",
+                  f"delta_beta (Neumann mixed solve at degree {k + 1})",
+                  f"lambda_T ({'spectral' if spectral else 'closed-form'} Dirichlet basis)",
+                  "delta_gamma (the remainder)")
+        hint = " (a harmonic basis of the wrong dimension?)" if spectral and 2 in (i, j) else ""
+        raise SolverFailure(f"HMF pieces overlap by {upper[i, j] / scale:.3e} of |omega|^2 at"
+                            f" degree {k}: {source[i]} and {source[j]}{hint}")
     return HMFDecomposition(omega, d_alpha, delta_beta, lambda_T, delta_gamma, gram)
 
 

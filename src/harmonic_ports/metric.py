@@ -10,7 +10,8 @@ number of simplices.  On top of the masses sit the first-order
 operators: exterior derivative, one codifferential kernel for both
 boundary conditions (the plain adjoint and the zero-trace constrained
 one), tangential traces, Green defects, and the exact discrete Stokes
-identity.
+identity.  Every sparse factor is one `_splu`, which frees its input
+first; |S| in a refined system lives over S's index arrays (`_abs`).
 """
 
 from __future__ import annotations
@@ -377,19 +378,16 @@ def _splu(matrix, what: str) -> spla.SuperLU:
     ordering factors those stably, Vanderbei 1995) or has mass diagonal
     blocks (the reduced midpoint operator).  A zero diagonal block would
     get a silently wrong factor.  Solves that must reach rounding refine
-    on the factor through `_refine`, the one refinement policy.
+    on the factor through `_refine`, the one refinement policy.  A caller's
+    temporary input is freed before SuperLU allocates the factor.
 
     Raises:
         FactorizationFailure: The factor is singular.
     """
+    matrix = sp.csc_matrix(matrix)
     try:
-        return spla.splu(
-            sp.csc_matrix(matrix),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            relax=1,
-            options={"SymmetricMode": True},
-        )
+        return spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1,
+                         options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise FactorizationFailure(f"{what} is singular") from exc
 
@@ -400,9 +398,17 @@ _Refined = namedtuple("_Refined", "S lu solve project abs_S row_max")
 def _refined_system(S, lu, solve, project=lambda r: r) -> _Refined:
     """The record of a system S x = b that `_refine` solves to rounding: S,
     its SuperLU factor lu, solve(r) the exact solve through lu, project a
-    map applied to every residual, and |S| with its row maxima."""
-    abs_S = abs(S)
+    map applied to every residual, and |S| over S's index arrays, S made
+    canonical (`_abs`), with its row maxima."""
+    abs_S = _abs(S)
     return _Refined(S, lu, solve, project, abs_S, abs_S.max(1).toarray().ravel())
+
+
+def _abs(A) -> sp.csr_matrix:
+    """abs(A) of a CSR matrix over A's own index arrays, A made canonical in
+    place first (as abs(A) does), so that neither is ever sorted in place."""
+    A.sum_duplicates()
+    return sp.csr_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape)
 
 
 def _refine(system: _Refined, x, b, b_abs, what: str) -> np.ndarray:

@@ -446,6 +446,25 @@ def test_overflowing_vector_field_exits_3(tmp_path, capsys):
     assert "cochain values must be finite" in capsys.readouterr().err
 
 
+def test_stretched_ball_decompose_names_the_neumann_solve_not_a_basis(tmp_path, capsys):
+    # ball:2 stretched 1000x in x: the coexact piece of a degree-0 cochain
+    # overlaps the remainder; degree 0's Dirichlet basis is closed form
+    cx = gen_mesh("ball", 2)
+    vertices = cx.vertices.copy()
+    vertices[:, 0] *= 1000.0
+    mesh_path = tmp_path / "ball-x1000.json"
+    write_mesh(build_complex(cx._simplex_rows[3], vertices), mesh_path)
+    values = np.random.default_rng(0).standard_normal(cx.num_simplices(0))
+    cpath = tmp_path / "c.json"
+    cpath.write_text(json.dumps({"degree": 0, "values": values.tolist()}))
+    code = main(["decompose", str(mesh_path), str(cpath)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: HMF pieces overlap by ")
+    assert "at degree 0: delta_beta (Neumann mixed solve at degree 1) and delta_gamma" in err
+    assert "dimension" not in err
+
+
 def test_sd_verify_random_states(tmp_path, capsys):
     mesh = _write_torus(tmp_path)
     code, rep = _run(capsys, ["sd-verify", mesh, "--p", "1", "--q", "2",

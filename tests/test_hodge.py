@@ -29,6 +29,7 @@ from harmonic_ports import (
     validate_degree_pair,
 )
 from harmonic_ports import hodge as hodge_mod
+from harmonic_ports import metric as metric_mod
 from harmonic_ports.hodge import _split_kernel
 
 from conftest import ACCEPTANCE, CLOSED, SMALL, complex_for, factored_keys, metric_for
@@ -457,6 +458,8 @@ def test_a_repeated_hmf_forms_no_sparse_abs(monkeypatch):
     owner = next(c for c in sp.csr_matrix.__mro__ if "__abs__" in vars(c))
     formed, genuine = [], owner.__abs__
     monkeypatch.setattr(owner, "__abs__", lambda self: formed.append(self.shape) or genuine(self))
+    for module in (hodge_mod, metric_mod):  # nor through `_abs`
+        monkeypatch.setattr(module, "_abs", lambda A, g=module._abs: formed.append(A.shape) or g(A))
     hodge_morrey_friedrichs(m, random_cochain(m.complex, 1, rng))
     assert formed == []
 
@@ -484,3 +487,50 @@ def test_one_saddle_factor_per_degree_and_condition(shape):
     for k in range(n + 1):
         same = hodge_mod._saddle(m, k, "dirichlet") is hodge_mod._saddle(m, k, "neumann")
         assert same == (shape in CLOSED)
+
+
+def test_mixed_data_matrices_share_the_index_arrays_of_their_sources(monkeypatch):
+    # the free rows of |M_k| live over the row slice's indices, |d_(k-1)|
+    # over the complex's own coboundary
+    m = Metric(complex_for("ball", SMALL["ball"]))
+    built, genuine = [], hodge_mod._abs
+    monkeypatch.setattr(hodge_mod, "_abs", lambda A: built.append((A, genuine(A))) or built[-1][1])
+    hodge_morrey_friedrichs(m, random_cochain(m.complex, 1, np.random.default_rng(2)))
+    abs_M, abs_d = m._memo[("mixed_data", 2, "neumann")]
+    assert len(built) == 2 and built[0][1] is abs_M and built[1][1] is abs_d
+    assert built[1][0] is m.complex.exterior_derivative_matrix(1)
+    for source, absolute in built:
+        assert source.has_canonical_format
+        assert np.shares_memory(absolute.indices, source.indices)
+        assert np.shares_memory(absolute.indptr, source.indptr)
+        assert np.array_equal(absolute.data, np.abs(source.data))
+
+
+def test_hmf_overlap_error_names_the_pieces_and_where_each_came_from(monkeypatch):
+    # a 1% wrong mixed solve: d_alpha against the remainder, no basis hint
+    m = Metric(complex_for("annulus", SMALL["annulus"]))
+    w = random_cochain(m.complex, 1, np.random.default_rng(5))
+    genuine = hodge_mod._mixed_potential
+    with monkeypatch.context() as patch:
+        patch.setattr(hodge_mod, "_mixed_potential", lambda *args: 1.01 * genuine(*args))
+        with pytest.raises(SolverFailure) as info:
+            hodge_morrey_friedrichs(m, w)
+    message = str(info.value)
+    assert message.startswith("HMF pieces overlap by ")
+    assert message.endswith(" of |omega|^2 at degree 1: d_alpha (Dirichlet mixed solve at degree 1)"
+                            " and delta_gamma (the remainder)")
+    # a spectral Dirichlet basis with one vector too many keeps the hint
+    m = Metric(complex_for("annulus", 3))
+    genuine_basis = hodge_mod.harmonic_basis
+
+    def padded(metric, k, condition="neumann"):
+        basis = genuine_basis(metric, k, condition)
+        extra = np.random.default_rng(k).standard_normal(metric.complex.num_simplices(k))
+        extra -= basis.vectors @ (basis.vectors.T @ (metric.mass_csr(k) @ extra))
+        extra /= np.sqrt(extra @ (metric.mass_csr(k) @ extra))
+        return replace(basis, vectors=np.column_stack([basis.vectors, extra]))
+
+    monkeypatch.setattr(hodge_mod, "harmonic_basis", padded)
+    with pytest.raises(SolverFailure, match=r"lambda_T \(spectral Dirichlet basis\)"
+                       r" \(a harmonic basis of the wrong dimension\?\)$"):
+        hodge_morrey_friedrichs(m, random_cochain(m.complex, 1, np.random.default_rng(5)))

@@ -1,8 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from harmonic_ports import (
     Cochain,
@@ -25,7 +27,8 @@ from harmonic_ports import (
     stokes_check,
     tangential_trace,
 )
-from harmonic_ports.metric import _refine, _refined_system
+from harmonic_ports import hodge, sim
+from harmonic_ports.metric import _refine, _refined_system, _splu
 
 from conftest import (
     ACCEPTANCE,
@@ -447,3 +450,36 @@ def test_refine_measures_rows_of_rounding_noise_normwise(row, residual, accepted
     else:
         with pytest.raises(SolverFailure, match="toy solve: backward error"):
             _refine(*args)
+
+
+@pytest.mark.parametrize("record", ["midpoint", "mixed"])
+def test_refined_record_holds_abs_S_over_the_index_arrays_of_S(record):
+    # |S| is np.abs(S.data) over S's own indices and indptr; S is canonical,
+    # so neither matrix is ever sorted in place under the other
+    if record == "midpoint":
+        m = metric_for("torus", SMALL["torus"])
+        system, _ = sim._midpoint_factors(m, 1, 2, 0.01)
+    else:
+        m = metric_for("ball", SMALL["ball"])
+        hodge.hodge_morrey_friedrichs(m, random_cochain(m.complex, 1, np.random.default_rng(1)))
+        system = m._memo[("mixed", 2, "neumann")]
+    S, abs_S = system.S, system.abs_S
+    assert S.has_canonical_format
+    assert np.shares_memory(abs_S.indices, S.indices)
+    assert np.shares_memory(abs_S.indptr, S.indptr)
+    assert not np.shares_memory(abs_S.data, S.data)
+    assert np.array_equal(abs_S.data, np.abs(S.data))
+    assert np.array_equal(system.row_max, abs(S).max(1).toarray().ravel())
+
+
+def test_splu_frees_its_input_before_superlu_runs(monkeypatch):
+    # the caller's matrix (here a CSR temporary only _splu holds) is dead
+    # by the time SuperLU allocates the factor
+    alive, genuine = [], spla.splu
+    monkeypatch.setattr(spla, "splu",
+                        lambda A, **kw: alive.append(ref() is not None) or genuine(A, **kw))
+    inputs = [sp.csr_matrix(np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]]))]
+    ref = weakref.ref(inputs[0])
+    lu = _splu(inputs.pop(), "toy matrix")
+    assert alive == [False]
+    assert np.allclose(lu.solve(np.array([5.0, 6.0, 5.0])), 1.0)

@@ -13,10 +13,11 @@ The battery covers every subcommand on the six acceptance shapes,
 harmonic initial states in either slot, two disjoint tori (whose H^1
 outgrows the first Lanczos request), the smallest sphere and ball (whose
 saddles, of 6 to 19 free simplices, take the whole space, not Lanczos;
-ball:1 also scaled), malformed and hand-written meshes, usage errors and
-an invalid HARMONIC_PORTS_TOL_SCALE.  Units cases rerun a scale-1 twin on
-a mesh or state scaled by a power of ten (named -x<scale>); each must keep
-its twin's exit code and verdicts.  Warnings are always shown, so a case
+ball:1 also scaled), a degree-0 decompose on the ball stretched in x
+(whose HMF pieces overlap, exit 2), malformed and hand-written meshes,
+usage errors and an invalid HARMONIC_PORTS_TOL_SCALE.  Units cases rerun
+a scale-1 twin on a mesh or state scaled by a power of ten (named
+-x<scale>); each must keep its twin's exit code and verdicts.  Warnings are always shown, so a case
 prints the same whatever the caller's warning filters.
 """
 
@@ -52,6 +53,9 @@ OBSTRUCTED = {"sphere": [(2, 1)], "torus": [(1, 2), (2, 1)], "disk": [(2, 1)],
               "annulus": [(1, 2), (2, 1)], "ball": [(3, 1)], "solid_torus": [(2, 2), (3, 1)]}
 MESH_SCALES = (1e-8, 1e8)
 STATE_SCALE = 1e8
+# The ball's x axis is stretched by STRETCH for one degree-0 decompose: its
+# coexact piece overlaps the remainder by 4e-6 of |omega|^2, so it exits 2.
+STRETCH = 1000.0
 
 # Hand-written meshes and the commands each is given: a top simplex naming
 # vertex 3 of 3, a vertex in no top simplex, a flat square whose centre sits
@@ -99,7 +103,8 @@ def _write_inputs(root: Path):
     request), one random 1-cochain per shape and a vertex and a cell vector
     field per solid, from a fixed seed; the scaled meshes (ball-1 at
     CLIP_SCALE) and the scaled (1, 2) state simulate-torus draws from
-    --seed 1 (as `initial_state`)."""
+    --seed 1 (as `initial_state`), and the stretched ball with a degree-0
+    cochain from seed 0."""
     inputs = root / "inputs"
     inputs.mkdir()
     for name, (_, obj) in HAND_WRITTEN.items():
@@ -132,6 +137,11 @@ def _write_inputs(root: Path):
                     "values": (STATE_SCALE * state_rng.standard_normal(counts[str(k)])).tolist()}
              for name, k in (("alpha_p", 1), ("alpha_q", 2))}
     (inputs / f"torus-state-x{STATE_SCALE:g}.json").write_text(json.dumps(state))
+    mesh = json.loads((root / "gen-ball" / "mesh.json").read_text())
+    mesh["vertices"] = [[STRETCH * x, *rest] for x, *rest in mesh["vertices"]]
+    (inputs / f"ball-stretched{STRETCH:g}.json").write_text(json.dumps(mesh))
+    values = np.random.default_rng(0).standard_normal(mesh["counts"]["0"]).tolist()
+    (inputs / "ball-0-cochain.json").write_text(json.dumps({"degree": 0, "values": values}))
 
 
 def _cases():
@@ -174,6 +184,9 @@ def _cases():
         cases.append((f"analyze-{shape}-{res}", ["analyze", _mesh(f"{shape}-{res}")], None))
     cases.append((f"analyze-ball-1-x{CLIP_SCALE:g}",
                   ["analyze", f"../inputs/ball-1-x{CLIP_SCALE:g}.json"], None))
+    cases.append((f"decompose-ball-stretched{STRETCH:g}-0-cochain",
+                  ["decompose", f"../inputs/ball-stretched{STRETCH:g}.json",
+                   "../inputs/ball-0-cochain.json"], None))
     cases.append(("sd-verify-ball-1-22", ["sd-verify", _mesh("ball-1"), "--p", "2", "--q", "2",
                                           "--random-states", "2", "--seed", "3"], None))
     torus = _mesh("torus")
