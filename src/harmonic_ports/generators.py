@@ -65,39 +65,53 @@ def torus(resolution: int) -> SimplicialComplex:
     m = resolution
     if m < 3:
         raise UnsupportedResolution("torus needs resolution >= 3")
-    big, small = 2.0, 1.0
-    verts = np.zeros((m * m, 3))
+    verts, circles = _sweep(m, 1.0, m)
+    tris = [tri for i in range(m) for tri in _band(circles[i], circles[(i + 1) % m])]
+    return build_complex(tris, verts)
+
+
+def _sweep(m, small, k):
+    """k points on a circle of radius small, swept to m positions around
+    the core circle of radius 2; vertex i * k + j is point j at position i.
+    Returns the (m * k, 3) vertices and the m circles' vertex lists."""
+    verts = np.zeros((m * k, 3))
     for i in range(m):
         th = 2.0 * np.pi * i / m
-        for j in range(m):
-            ph = 2.0 * np.pi * j / m
-            rho = big + small * np.cos(ph)
-            verts[i * m + j] = (rho * np.cos(th), rho * np.sin(th), small * np.sin(ph))
-    idx = lambda i, j: (i % m) * m + (j % m)
-    tris = []
-    for i in range(m):
-        for j in range(m):
-            a, b, c, d = idx(i, j), idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1)
-            tris += [(a, b, c), (a, c, d)]
-    return build_complex(tris, verts)
+        for j in range(k):
+            ph = 2.0 * np.pi * j / k
+            rho = 2.0 + small * np.cos(ph)
+            verts[i * k + j] = (rho * np.cos(th), rho * np.sin(th), small * np.sin(ph))
+    return verts, np.arange(m * k).reshape(m, k).tolist()
 
 
 def disk(resolution: int) -> SimplicialComplex:
     """Unit disk: center fan plus concentric ring bands."""
     if resolution < 1:
         raise UnsupportedResolution("disk resolution must be >= 1")
-    nt = 6 * resolution
-    verts = [(0.0, 0.0)]
+    radii = [j / resolution for j in range(1, resolution + 1)]
+    return _rings(radii, 6 * resolution, centre=True)
+
+
+def annulus(resolution: int) -> SimplicialComplex:
+    """Ring 1 <= r <= 2 with resolution+1 concentric vertex circles."""
+    if resolution < 1:
+        raise UnsupportedResolution("annulus resolution must be >= 1")
+    radii = [1.0 + j / resolution for j in range(resolution + 1)]
+    return _rings(radii, max(8, 4 * resolution), centre=False)
+
+
+def _rings(radii, nt, centre):
+    """Planar circles of nt vertices at the given radii, numbered circle by
+    circle and joined by bands; centre puts the origin first, fanned to the
+    first circle."""
+    verts = [(0.0, 0.0)] if centre else []
     rings = []
-    for j in range(1, resolution + 1):
-        rad = j / resolution
-        ring = []
+    for rad in radii:
+        rings.append(range(len(verts), len(verts) + nt))
         for t in range(nt):
-            ang = 2.0 * np.pi * t / nt
-            ring.append(len(verts))
-            verts.append((rad * np.cos(ang), rad * np.sin(ang)))
-        rings.append(ring)
-    tris = [(0, rings[0][t], rings[0][(t + 1) % nt]) for t in range(nt)]
+            a = 2.0 * np.pi * t / nt
+            verts.append((rad * np.cos(a), rad * np.sin(a)))
+    tris = [(0, rings[0][t], rings[0][(t + 1) % nt]) for t in range(nt)] if centre else []
     for inner, outer in zip(rings, rings[1:]):
         tris += _band(inner, outer)
     return build_complex(tris, np.array(verts))
@@ -115,27 +129,6 @@ def _band(inner, outer):
     return tris
 
 
-def annulus(resolution: int) -> SimplicialComplex:
-    """Ring 1 <= r <= 2 with resolution+1 concentric vertex circles."""
-    if resolution < 1:
-        raise UnsupportedResolution("annulus resolution must be >= 1")
-    nt = max(8, 4 * resolution)
-    verts = []
-    rings = []
-    for j in range(resolution + 1):
-        rad = 1.0 + j / resolution
-        ring = []
-        for t in range(nt):
-            ang = 2.0 * np.pi * t / nt
-            ring.append(len(verts))
-            verts.append((rad * np.cos(ang), rad * np.sin(ang)))
-        rings.append(ring)
-    tris = []
-    for inner, outer in zip(rings, rings[1:]):
-        tris += _band(inner, outer)
-    return build_complex(tris, np.array(verts))
-
-
 def ball(resolution: int) -> SimplicialComplex:
     """Unit cube volume, six tetrahedra per grid cell (shared main diagonal)."""
     if resolution < 1:
@@ -148,18 +141,13 @@ def ball(resolution: int) -> SimplicialComplex:
         )
         / resolution
     )
-    idx = lambda c: (c[0] * g + c[1]) * g + c[2]
-    tets = []
-    for cell in itertools.product(range(resolution), repeat=3):
-        base = np.array(cell)
-        for perm in itertools.permutations(range(3)):
-            corners = [base.copy()]
-            cur = base.copy()
-            for axis in perm:
-                cur = cur.copy()
-                cur[axis] += 1
-                corners.append(cur)
-            tets.append(tuple(idx(c) for c in corners))
+    # one Kuhn path per axis order: from the cell's first corner, one grid
+    # step along each axis in turn (vertex strides g^2, g, 1)
+    tets = [
+        list(itertools.accumulate(steps, initial=(i * g + j) * g + k))
+        for i, j, k in itertools.product(range(resolution), repeat=3)
+        for steps in itertools.permutations((g * g, g, 1))
+    ]
     return build_complex(tets, verts)
 
 
@@ -168,19 +156,8 @@ def solid_torus(resolution: int) -> SimplicialComplex:
     if resolution < 1:
         raise UnsupportedResolution("solid torus resolution must be >= 1")
     m = resolution + 3
-    big, small = 2.0, 0.8
-    verts = np.zeros((3 * m, 3))
-    for s in range(m):
-        th = 2.0 * np.pi * s / m
-        for t in range(3):
-            ph = 2.0 * np.pi * t / 3.0
-            rho = big + small * np.cos(ph)
-            verts[3 * s + t] = (rho * np.cos(th), rho * np.sin(th), small * np.sin(ph))
-    tets = []
-    for s in range(m):
-        near = [3 * s + t for t in range(3)]
-        far = [3 * ((s + 1) % m) + t for t in range(3)]
-        tets += _split_prism(near, far)
+    verts, circles = _sweep(m, 0.8, 3)
+    tets = [tet for i in range(m) for tet in _split_prism(circles[i], circles[(i + 1) % m])]
     return build_complex(tets, verts)
 
 

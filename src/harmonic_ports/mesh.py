@@ -196,8 +196,7 @@ def _faces(tops: np.ndarray, k: int):
     """
     local = _subsets(tops.shape[1], k + 1)
     rows = tops[:, local].reshape(len(tops) * len(local), k + 1)
-    # k = -1 (the facets of 0-simplices): every row is the empty face
-    order = np.lexsort(rows.T[::-1]) if k >= 0 else np.arange(len(rows))
+    order = np.lexsort(rows.T[::-1])
     ranked = rows[order]
     new = np.ones(len(order), dtype=bool)
     new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)

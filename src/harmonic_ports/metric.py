@@ -142,12 +142,13 @@ class Metric:
     elements, from one stacked QR) are built eagerly.  Mass and wedge
     matrices share one pairing kernel that evaluates every local entry of
     every element at once and sums them, at the face positions the
-    complex's face table holds for every element, into one CSR matrix:
-    mass_csr(k) and wedge_csr(a, b) are the one stored form of each, and
-    every product with them goes through it.  mass(k) and wedge(a, b)
-    are uncached dense copies for small meshes, kept for callers that
-    read dense arrays (the benchmark's traced byte counts); the library
-    itself never calls them.  The boundary condition is decided here
+    complex's face table holds for every element, into one CSR matrix.
+    mass_csr(k) is the one stored form of each mass, and every product
+    with a mass goes through it; wedge_csr(a, b) is built on request, and
+    its one reader, system_operators, keeps the coupling W d built from
+    it.  mass(k) and wedge(a, b) are uncached dense copies for small
+    meshes, kept for callers that read dense arrays (the benchmark's
+    traced byte counts); the library itself never calls them.  The boundary condition is decided here
     alone: `closed` once, the free simplices of each (k, condition)
     (free_indices), one `_splu` factor of their mass block (mass_lu),
     shared by every solve against it, and the components at degrees 0
@@ -233,20 +234,17 @@ class Metric:
         if a + b != n or a < 0 or b < 0:
             raise DegreeMismatch(f"wedge degrees ({a}, {b}) must sum to {n}")
 
-        def build():
-            # K(S, T) = dlambda_S ^ dlambda_T / frame volume form = det of
-            # the stacked gradient rows S + T
-            sa, sb = _subsets(n + 1, a), _subsets(n + 1, b)
-            rows = np.array([s + t for s in sa.tolist() for t in sb.tolist()])
-            K = np.linalg.det(self._gradients[:, rows.reshape(len(sa), len(sb), n)])
-            o = self.complex.orientation
-            vols = o * self._vols_signed
-            scale = math.factorial(a) * math.factorial(b) / ((n + 1) * (n + 2)) * vols
-            if n in (a, b):
-                scale = scale * o  # oriented top-degree basis
-            return self._pair(a, b, K, scale)
-
-        return self.cached(("wedge_csr", a, b), build)
+        # K(S, T) = dlambda_S ^ dlambda_T / frame volume form = det of the
+        # stacked gradient rows S + T
+        sa, sb = _subsets(n + 1, a), _subsets(n + 1, b)
+        rows = np.array([s + t for s in sa.tolist() for t in sb.tolist()])
+        K = np.linalg.det(self._gradients[:, rows.reshape(len(sa), len(sb), n)])
+        o = self.complex.orientation
+        vols = o * self._vols_signed
+        scale = math.factorial(a) * math.factorial(b) / ((n + 1) * (n + 2)) * vols
+        if n in (a, b):
+            scale = scale * o  # oriented top-degree basis
+        return self._pair(a, b, K, scale)
 
     def wedge(self, a: int, b: int) -> np.ndarray:
         """Dense copy of wedge_csr(a, b), built afresh on every call."""

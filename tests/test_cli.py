@@ -446,6 +446,21 @@ def test_overflowing_vector_field_exits_3(tmp_path, capsys):
     assert "cochain values must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, message", [
+    ({"field_type": "edge", "vectors": [[0.0] * 3]}, "field_type must be 'vertex' or 'cell'"),
+    ({"field_type": "vertex", "vectors": [[0.0] * 2]}, "vectors must be a list of 3-component rows"),
+    # without vectors the file is no field, and is read as a cochain
+    ({"field_type": "vertex"}, "cochain object needs 'degree' and 'values'"),
+])
+def test_malformed_vector_field_exits_3(tmp_path, capsys, field, message):
+    mesh_path = tmp_path / "ball.json"
+    write_mesh(gen_mesh("ball", 1), mesh_path)
+    fpath = tmp_path / "field.json"
+    fpath.write_text(json.dumps(field))
+    assert main(["decompose", str(mesh_path), str(fpath)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_stretched_ball_decompose_names_the_neumann_solve_not_a_basis(tmp_path, capsys):
     # ball:2 stretched 1000x in x: the coexact piece of a degree-0 cochain
     # overlaps the remainder; degree 0's Dirichlet basis is closed form
@@ -506,6 +521,15 @@ def test_sd_verify_state_file(tmp_path, capsys):
     rep2 = json.loads(capsys.readouterr().out)
     assert code2 == 0
     assert rep2["states"] == rep["states"]
+
+
+def test_sd_verify_rejects_a_state_without_alpha_q_exit_3(tmp_path, capsys):
+    mesh = _write_torus(tmp_path)
+    values = [0.0] * gen_mesh("torus", 4).num_simplices(1)
+    spath = tmp_path / "half.json"
+    spath.write_text(json.dumps({"alpha_p": {"degree": 1, "values": values}}))
+    assert main(["sd-verify", mesh, "--p", "1", "--q", "2", "--state", str(spath)]) == 3
+    assert capsys.readouterr().err == "error: state file needs 'alpha_p' and 'alpha_q' cochains\n"
 
 
 def test_sd_verify_rejects_mismatched_state_degrees(tmp_path, capsys):

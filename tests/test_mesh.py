@@ -540,8 +540,9 @@ def test_gen_mesh_counts_and_errors():
         gen_mesh("klein_bottle", 3)
     with pytest.raises(UnsupportedResolution):
         gen_mesh("torus", 2)
-    with pytest.raises(UnsupportedResolution):
-        gen_mesh("disk", 0)
+    for shape in ("sphere", "disk", "annulus", "ball", "solid_torus"):
+        with pytest.raises(UnsupportedResolution):
+            gen_mesh(shape, 0)
 
 
 def test_gen_mesh_resolution_scales_counts():
@@ -549,6 +550,46 @@ def test_gen_mesh_resolution_scales_counts():
     big = gen_mesh("annulus", 4)
     assert big.num_simplices(2) > small.num_simplices(2)
     assert betti_numbers(big) == BETTI["annulus"]
+
+
+@pytest.mark.parametrize("shape, resolution", [("disk", 1), ("disk", 3), ("disk", 7),
+                                               ("annulus", 1), ("annulus", 2), ("annulus", 5)])
+def test_ring_vertices_are_numbered_circle_by_circle(shape, resolution):
+    # the disk's centre comes first; then circle c, point t sits at radius
+    # radii[c] and angle 2 pi t / nt
+    v = gen_mesh(shape, resolution).vertices
+    if shape == "disk":
+        assert (v[0] == 0.0).all()
+        v, radii, nt = v[1:], np.arange(1, resolution + 1) / resolution, 6 * resolution
+    else:
+        radii, nt = 1.0 + np.arange(resolution + 1) / resolution, max(8, 4 * resolution)
+    assert len(v) == len(radii) * nt
+    r = np.hypot(v[:, 0], v[:, 1]).reshape(len(radii), nt)
+    assert np.abs(r - radii[:, None]).max() <= 4 * np.spacing(radii.max())
+    assert _off_angle(np.arctan2(v[:, 1], v[:, 0]).reshape(len(radii), nt), nt) <= 1e-12
+
+
+@pytest.mark.parametrize("shape, resolution, small, k", [
+    ("torus", 3, 1.0, 3), ("torus", 5, 1.0, 5), ("torus", 20, 1.0, 20),
+    ("solid_torus", 1, 0.8, 3), ("solid_torus", 5, 0.8, 3),
+])
+def test_swept_vertices_lie_at_their_distance_from_the_core_circle(shape, resolution, small, k):
+    # vertex i * k + j sits at distance small from the core circle of
+    # radius 2, on the meridian at angle 2 pi i / m, at angle 2 pi j / k
+    # around the core
+    v = gen_mesh(shape, resolution).vertices
+    m = len(v) // k
+    assert m == (resolution if shape == "torus" else resolution + 3)
+    core = np.hypot(v[:, 0], v[:, 1]) - 2.0
+    assert np.abs(np.hypot(core, v[:, 2]) - small).max() <= 1e-15
+    assert _off_angle(np.arctan2(v[:, 1], v[:, 0]).reshape(m, k).T, m) <= 1e-12
+    assert _off_angle(np.arctan2(v[:, 2], core).reshape(m, k), k) <= 1e-12
+
+
+def _off_angle(angles, steps):
+    """Largest distance, around the circle, of angles[..., i] from 2 pi i / steps."""
+    turn = (angles - 2 * np.pi * np.arange(steps) / steps + np.pi) % (2 * np.pi) - np.pi
+    return np.abs(turn).max()
 
 
 def _fifo_orientation(facets):

@@ -104,6 +104,15 @@ def test_flows_are_derivatives_of_efforts():
     )
 
 
+def test_system_operators_keep_the_coupling_not_the_wedge():
+    # W d is the one stored form of the coupling; the wedge it comes from
+    # is built once and not memoized
+    m = Metric(complex_for("ball", 1))
+    ops = system_operators(m, 2, 2)
+    assert m._memo[("sd_ops", 2, 2)] is ops
+    assert [key for key in m._memo if key[0] == "wedge_csr"] == []
+
+
 @pytest.mark.parametrize("shape", sorted(SMALL))
 def test_flows_are_exact_cochains(shape):
     m = metric_for(shape, SMALL[shape])

@@ -4,13 +4,17 @@ and write, so that two checkouts can be compared byte for byte.
     PYTHONPATH=<checkout>/src python tools/cli_battery.py OUTDIR
     diff -r OUTDIR_A OUTDIR_B
 
-Every case runs in-process through ``harmonic_ports.cli.main`` (taken from
-PYTHONPATH) with OUTDIR/<case>/ as its working directory, and leaves there
+Every case runs in-process through ``harmonic_ports.cli.main`` (or the
+``sd-verify`` entry point, ``sd_verify_main``; both taken from PYTHONPATH)
+with OUTDIR/<case>/ as its working directory, and leaves there
 ``stdout``, ``stderr``, ``exit_code`` and the files the command wrote.
 Every path a command sees is relative, so reports do not depend on OUTDIR,
 and HARMONIC_PORTS_TOL_SCALE is unset unless the case sets it.
 The battery covers every subcommand on the six acceptance shapes,
-harmonic initial states in either slot, two disjoint tori (whose H^1
+harmonic initial states in either slot, a Gaussian one, sd-verify of a
+state file and through the ``sd-verify`` entry point, the solid torus's
+(2, 2) simulate (whose port map is zero, so its spectral-radius estimate
+reads 0.0), two disjoint tori (whose H^1
 outgrows the first Lanczos request), the smallest sphere and ball (whose
 saddles, of 6 to 19 free simplices, take the whole space, not Lanczos;
 ball:1 also scaled), a degree-0 decompose on the ball stretched in x
@@ -35,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from harmonic_ports.cli import main
+from harmonic_ports.cli import main, sd_verify_main
 
 SHAPES = {"sphere": 2, "torus": 5, "disk": 3, "annulus": 3, "ball": 2, "solid_torus": 5}
 PAIRS = {2: [(1, 2), (2, 1)], 3: [(1, 3), (2, 2), (3, 1)]}
@@ -103,8 +107,8 @@ def _write_inputs(root: Path):
     request), one random 1-cochain per shape and a vertex and a cell vector
     field per solid, from a fixed seed; the scaled meshes (ball-1 at
     CLIP_SCALE) and the scaled (1, 2) state simulate-torus draws from
-    --seed 1 (as `initial_state`), and the stretched ball with a degree-0
-    cochain from seed 0."""
+    --seed 1 (as `initial_state`), unscaled and scaled, and the stretched
+    ball with a degree-0 cochain from seed 0."""
     inputs = root / "inputs"
     inputs.mkdir()
     for name, (_, obj) in HAND_WRITTEN.items():
@@ -133,10 +137,12 @@ def _write_inputs(root: Path):
         (inputs / f"{shape}-x{scale:g}.json").write_text(json.dumps(mesh))
     counts = json.loads((root / "gen-torus" / "mesh.json").read_text())["counts"]
     state_rng = np.random.default_rng(1)
-    state = {name: {"degree": k,
-                    "values": (STATE_SCALE * state_rng.standard_normal(counts[str(k)])).tolist()}
+    draws = {name: (k, state_rng.standard_normal(counts[str(k)]))
              for name, k in (("alpha_p", 1), ("alpha_q", 2))}
-    (inputs / f"torus-state-x{STATE_SCALE:g}.json").write_text(json.dumps(state))
+    for scale in (1.0, STATE_SCALE):
+        state = {name: {"degree": k, "values": (scale * x).tolist()}
+                 for name, (k, x) in draws.items()}
+        (inputs / f"torus-state-x{scale:g}.json").write_text(json.dumps(state))
     mesh = json.loads((root / "gen-ball" / "mesh.json").read_text())
     mesh["vertices"] = [[STRETCH * x, *rest] for x, *rest in mesh["vertices"]]
     (inputs / f"ball-stretched{STRETCH:g}.json").write_text(json.dumps(mesh))
@@ -145,7 +151,8 @@ def _write_inputs(root: Path):
 
 
 def _cases():
-    """(name, argv, HARMONIC_PORTS_TOL_SCALE or None) after the gen cases."""
+    """(name, argv, HARMONIC_PORTS_TOL_SCALE or None[, entry point]) after
+    the gen cases; the entry point is `main` unless a case names another."""
     cases = []
     for shape in SHAPES:
         n = 3 if shape in SOLID else 2
@@ -191,6 +198,14 @@ def _cases():
                                           "--random-states", "2", "--seed", "3"], None))
     torus = _mesh("torus")
     cases += [
+        ("sd-verify-torus-12-state", ["sd-verify", torus, "--p", "1", "--q", "2",
+                                      "--state", "../inputs/torus-state-x1.json"], None),
+        ("sd-verify-alias-torus-12", [torus, "--p", "1", "--q", "2", "--random-states", "2",
+                                      "--seed", "3"], None, sd_verify_main),
+        ("simulate-torus-gaussian", ["simulate", torus, "--p", "1", "--q", "2", "--steps", "4",
+                                     "--init", "gaussian:3:0.5", "--out", "trace.csv"], None),
+        ("simulate-solid_torus-22", ["simulate", _mesh("solid_torus"), "--p", "2", "--q", "2",
+                                     "--steps", "4", "--seed", "1", "--out", "trace.csv"], None),
         ("usage-gen-resolution", ["gen", "--shape", "torus", "--resolution", "2",
                                   "--out", "mesh.json"], None),
         ("usage-missing-mesh", ["analyze", "missing.json"], None),
@@ -217,7 +232,7 @@ def _cases():
     return cases
 
 
-def _run_case(root: Path, name: str, argv: list, tol_scale):
+def _run_case(root: Path, name: str, argv: list, tol_scale, entry=main):
     case = root / name
     case.mkdir()
     out, err = io.StringIO(), io.StringIO()
@@ -230,7 +245,7 @@ def _run_case(root: Path, name: str, argv: list, tol_scale):
                 warnings.catch_warnings():
             warnings.simplefilter("always")
             try:
-                code = main(argv)
+                code = entry(argv)
             except SystemExit as exc:
                 code = exc.code
     finally:
@@ -259,7 +274,7 @@ def run_battery(outdir) -> list:
     for case in _cases():
         _run_case(root, *case)
         cases.append(case)
-    return [name for name, _, _ in cases]
+    return [case[0] for case in cases]
 
 
 if __name__ == "__main__":
