@@ -206,8 +206,8 @@ def cmd_sd_verify(args) -> dict:
     p, q = args.p, args.q
     states, rng = _sd_states(args, metric, p, q)
 
-    # the spot checks run first: the integrability witness builds the
-    # Dirichlet basis the states read on the saddle factor it keeps, and
+    # the spot checks run first: the first builds the Dirichlet basis the
+    # states read on the saddle factor its witness solve then reuses, and
     # _sd_states has drawn every state from rng already
     spot_checks = []
     e0 = random_cochain(cx, p - 1, rng)

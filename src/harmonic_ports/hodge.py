@@ -19,13 +19,13 @@ limit, and at once on a space at most twice the first Krylov space), fixed
 to a basis of the span alone.  Lanczos converges only to LANCZOS_TOL: it
 supplies the search space, the step the eigenvalues.  On a closed mesh
 both conditions give one operator, so the Dirichlet bases and saddles are
-the Neumann ones.  One refined system per saddle
-(`metric._refined_system`, the harmonic part projected out) solves the
-mixed system behind every projection onto an exact or coexact range
-(_mixed_potential): the HMF split, potentials of exact cochains and the
-integrability witness.  A basis borrows its factor when built with it,
-else drops its own.  The metric decides what a condition means: its free
-simplices (`Metric.free_indices`) and the one mass factor of each
+the Neumann ones.  Each mixed solve behind a projection onto an exact or
+coexact range (_mixed_potential: the HMF split, potentials of exact
+cochains, the integrability witness) refines (`metric._refined_system`,
+the harmonic part projected out) on a saddle factor that lives for the
+call alone; a basis built then borrows it, else drops its own or hands it
+on (_basis_with_factor).  The metric decides what a condition means: its
+free simplices (`Metric.free_indices`) and the one mass factor of each
 (k, condition) (`Metric.mass_lu`) are read here, never re-derived.
 """
 
@@ -158,12 +158,20 @@ def harmonic_basis(metric: Metric, k: int, condition: str = "neumann") -> Harmon
     n = metric.complex.dimension
     if not 0 <= k <= n:
         raise DegreeOutOfRange(f"degree {k} outside 0..{n}")
-    return metric.cached(
-        ("harmonic", k, condition), lambda: _build_harmonic_basis(metric, k, condition)
-    )
+    return metric.cached(("harmonic", k, condition),
+                         lambda: _build_harmonic_basis(metric, k, condition))
 
 
-def _build_harmonic_basis(metric: Metric, k: int, condition: str, lu=None) -> HarmonicBasis:
+def _basis_with_factor(metric: Metric, k: int, condition: str):
+    """harmonic_basis(metric, k, condition) and, if built here (keyed as in
+    _mixed_system), the saddle factor its Lanczos search ran on, else None."""
+    sd, lent = _saddle(metric, k, condition), []
+    metric.cached(("harmonic", k, sd.condition), lambda: _build_harmonic_basis(
+        metric, k, sd.condition, lambda: lent.append(sd.factor()) or lent[0]))
+    return harmonic_basis(metric, k, condition), lent[0] if lent else None
+
+
+def _build_harmonic_basis(metric: Metric, k: int, condition: str, factor=None) -> HarmonicBasis:
     if condition == "dirichlet" and metric.closed:
         # closed mesh: both conditions give the same operator
         return replace(harmonic_basis(metric, k, "neumann"), condition="dirichlet")
@@ -174,7 +182,7 @@ def _build_harmonic_basis(metric: Metric, k: int, condition: str, lu=None) -> Ha
     if len(sd.idx) == 0:
         return HarmonicBasis(metric, k, condition, np.zeros((N, 0)), 0.0, math.inf)
     try:
-        evals, V = _ritz_pairs(sd, lu)
+        evals, V = _ritz_pairs(sd, factor)
         m = _split_kernel(evals, sd.scale)
         V = V[:, :m]
         R = np.random.default_rng(0).standard_normal(V.shape)  # span(V) alone picks the basis
@@ -297,11 +305,11 @@ def _saddle(metric: Metric, k: int, condition: str) -> _Saddle:
     return metric.cached(("saddle", k, condition), build)
 
 
-def _ritz_pairs(sd: _Saddle, lu: spla.SuperLU | None = None):
+def _ritz_pairs(sd: _Saddle, factor=None):
     """Ascending Ritz values and M-orthonormal Ritz vectors of A u = mu M u
     from one Rayleigh-Ritz step, eigh(Q^T A Q, Q^T M Q), on a search space
     Q: the j shift-invert Lanczos vectors at s = -KERNEL_CUTOFF * scale,
-    (A - s M)^-1 applied by lu or by a new saddle factor dropped on return,
+    (A - s M)^-1 applied by factor(), by default a new factor dropped on return,
     where j starts at FIRST_REQUEST and doubles while every Ritz value is
     kernel; or the whole free space, Q = I, once j reaches ARPACK's limit
     j < N - 1, and at once when A = 0 or the first request's Krylov space
@@ -311,7 +319,7 @@ def _ritz_pairs(sd: _Saddle, lu: spla.SuperLU | None = None):
     nk, A, M = len(sd.idx), sd.A, sd.M
     j = FIRST_REQUEST if sd.scale > 0 and 2 * (2 * FIRST_REQUEST + 2) < nk else nk
     if j < nk - 1:
-        lu, pad = sd.factor() if lu is None else lu, np.zeros(len(sd.low))
+        lu, pad = (factor or sd.factor)(), np.zeros(len(sd.low))
         OPinv = spla.LinearOperator((nk, nk), dtype=float, matvec=lambda f: lu.solve(
             np.concatenate([np.ravel(f), pad]))[:nk])
         v0 = np.random.default_rng(0).standard_normal(nk)
@@ -374,9 +382,8 @@ class HMFDecomposition:
         return self.lambda_T + self.delta_gamma
 
 
-def _mixed_potential(
-    metric: Metric, k: int, condition: str, f: np.ndarray, omega: np.ndarray | None = None
-) -> np.ndarray:
+def _mixed_potential(metric: Metric, k: int, condition: str, f: np.ndarray,
+                     omega: np.ndarray | None = None, lu: spla.SuperLU | None = None) -> np.ndarray:
     """sigma of the mixed Hodge-Laplacian system of (k, condition) (_saddle)
 
         S (u, sigma) = (M f_0, 0),   f_0 = f - V V^T M f,
@@ -395,7 +402,8 @@ def _mixed_potential(
     data too, max(|M f|, |M| |d| |omega|): still an Oettli-Prager backward
     error (Higham, Accuracy and Stability of Numerical Algorithms, 7.1),
     which does not stall when f is rounding noise, as d omega is for an
-    exact omega.  sigma = 0 when f_0 = 0, low is empty or A = 0.
+    exact omega.  sigma = 0 when f_0 = 0, low is empty or A = 0.  Its
+    record (_mixed_system, on lu if given) lives for the call alone.
 
     Raises:
         SolverFailure: The bound is not reached, as when the basis holds
@@ -405,27 +413,27 @@ def _mixed_potential(
     sigma = np.zeros(metric.complex.num_simplices(k - 1))
     if len(sd.low) == 0 or not sd.scale > 0:
         return sigma
-    system = metric.cached(("mixed", sd.k, sd.condition), lambda: _mixed_system(metric, sd))
+    system = _mixed_system(metric, sd, lu)
     nk = len(sd.idx)
     b = np.zeros(sd.S.shape[0])
     b[:nk] = (metric.mass_csr(k) @ f)[sd.idx] / sd.c
     b_abs, b = np.abs(b), system.project(b)
     if omega is not None:  # free rows of |M_k| and |d_(k-1)| (`_abs`) size f = d omega
-        abs_M, abs_d = metric.cached(("mixed_data", sd.k, sd.condition), lambda: (
-            _abs(metric.mass_csr(k)[sd.idx]), _abs(metric.complex.exterior_derivative_matrix(k - 1))))
+        abs_M = _abs(metric.mass_csr(k)[sd.idx])
+        abs_d = _abs(metric.complex.exterior_derivative_matrix(k - 1))
         b_abs[:nk] = np.maximum(b_abs[:nk], (abs_M @ (abs_d @ np.abs(omega))) / sd.c)
     x = _refine(system, np.zeros_like(b), b, b_abs, f"mixed solve at degree {k}")
     sigma[sd.low] = x[nk:] * math.sqrt(sd.c / sd.c_l)
     return sigma
 
 
-def _mixed_system(metric: Metric, sd: _Saddle):
-    """The memo entry ("mixed", k, condition) of a saddle: its refined
-    system on a new saddle factor (lent to the basis if built here), the
-    harmonic part V V^T M projected out of every residual and correction."""
-    lu = sd.factor()
+def _mixed_system(metric: Metric, sd: _Saddle, lu: spla.SuperLU | None = None):
+    """The refined system of one mixed solve, kept by no memo: on lu if
+    given, else on a new saddle factor (lent to the basis if built here),
+    the harmonic part V V^T M projected out of every residual and correction."""
+    lu = sd.factor() if lu is None else lu
     basis = metric.cached(("harmonic", sd.k, sd.condition),
-                          lambda: _build_harmonic_basis(metric, sd.k, sd.condition, lu))
+                          lambda: _build_harmonic_basis(metric, sd.k, sd.condition, lambda: lu))
     nk = len(sd.idx)
     V = basis.vectors[sd.idx] * math.sqrt(sd.c)
     MV = sd.M @ V

@@ -181,12 +181,12 @@ def write_state(alpha_p: Cochain, alpha_q: Cochain, path: str):
 
 
 def is_field_obj(obj) -> bool:
-    return isinstance(obj, dict) and "field_type" in obj and "vectors" in obj
+    return isinstance(obj, dict) and ("field_type" in obj or "vectors" in obj)
 
 
 def field_from_obj(obj):
     """(field_type, vectors) from a vector field object; types 'vertex'/'cell'."""
-    if not is_field_obj(obj):
+    if not (isinstance(obj, dict) and "field_type" in obj and "vectors" in obj):
         raise ValueError("field file needs 'field_type' and 'vectors'")
     field_type = obj["field_type"]
     if field_type not in ("vertex", "cell"):

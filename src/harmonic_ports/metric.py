@@ -154,10 +154,10 @@ class Metric:
     shared by every solve against it, and the components at degrees 0
     and n with their boundary flags (components).  Everything else, here
     and in the layers above (index arrays, harmonic bases, saddles, the
-    refined systems of mixed solves and midpoint steps, the Stokes-Dirac
-    coupling and stacked port layout, the spectral radius estimate), is
-    built on first request through `cached` and kept in one memo keyed by
-    a tuple naming it, e.g. ("mass_csr", k).
+    refined systems of midpoint steps, the Stokes-Dirac coupling and
+    stacked port layout, the spectral radius estimate), is built on first
+    request through `cached` and kept in one memo keyed by a tuple naming
+    it, e.g. ("mass_csr", k); a mixed solve's refined system is not kept.
 
     Args:
         complex: The oriented complex to equip.

@@ -34,7 +34,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ComplexMismatch, DegreeMismatch, FactorizationFailure, SolverFailure
-from .hodge import _mixed_potential, harmonic_basis, harmonic_projection, validate_degree_pair
+from .hodge import (_basis_with_factor, _mixed_potential, harmonic_basis, harmonic_projection,
+                    validate_degree_pair)
 from .metric import (
     Cochain,
     Metric,
@@ -444,10 +445,10 @@ def integrability_check(
     else:
         trace_res = 0.0
 
-    # the witness solve runs first, so the Dirichlet basis it needs is
-    # built on the saddle factor its record keeps
-    sigma = _mixed_potential(metric, k, "dirichlet", f.values - d_ext.values)
-    obstruction = harmonic_projection(harmonic_basis(metric, k, "dirichlet"), f - d_ext)[0]
+    # the witness solve runs only on solvable input, on the saddle factor
+    # that a Dirichlet basis built here was built on
+    basis, lu = _basis_with_factor(metric, k, "dirichlet")
+    obstruction = harmonic_projection(basis, f - d_ext)[0]
     harm_res = float(np.abs(obstruction).max(initial=0.0)) / scale
 
     solvable = max(closed_res, trace_res, harm_res) <= CONDITION_TOL
@@ -461,6 +462,7 @@ def integrability_check(
     if not solvable:
         return report
 
+    sigma = _mixed_potential(metric, k, "dirichlet", f.values - d_ext.values, None, lu)
     witness = ext + Cochain(metric.complex, k - 1, sigma)
     resid = norm(metric, exterior_derivative(metric, witness) - f) / scale
     if resid > WITNESS_TOL:

@@ -449,8 +449,8 @@ def test_overflowing_vector_field_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("field, message", [
     ({"field_type": "edge", "vectors": [[0.0] * 3]}, "field_type must be 'vertex' or 'cell'"),
     ({"field_type": "vertex", "vectors": [[0.0] * 2]}, "vectors must be a list of 3-component rows"),
-    # without vectors the file is no field, and is read as a cochain
-    ({"field_type": "vertex"}, "cochain object needs 'degree' and 'values'"),
+    ({"field_type": "vertex"}, "field file needs 'field_type' and 'vectors'"),
+    ({"vectors": [[0.0] * 3]}, "field file needs 'field_type' and 'vectors'"),
 ])
 def test_malformed_vector_field_exits_3(tmp_path, capsys, field, message):
     mesh_path = tmp_path / "ball.json"

@@ -23,9 +23,11 @@ from harmonic_ports import (
     harmonic_projection,
     hodge_morrey_friedrichs,
     inner_product,
+    integrability_check,
     norm,
     potential_for_exact,
     random_cochain,
+    tangential_trace,
     validate_degree_pair,
 )
 from harmonic_ports import hodge as hodge_mod
@@ -450,18 +452,24 @@ def test_coexact_solve_of_an_exact_cochain_does_not_stall(monkeypatch):
 
 
 def test_a_repeated_hmf_forms_no_sparse_abs(monkeypatch):
-    # |S|, the free rows of |M_k| and |d| are built with each mixed solve's
-    # memo entry, once
+    # each call forms |S| once per mixed solve it makes (`_abs`), and the
+    # free rows of |M_k| and |d| once for its coexact solve; nothing is
+    # kept, so a repeated call forms the same set again, and no more
     m = Metric(complex_for("annulus", ACCEPTANCE["annulus"]))
     rng = np.random.default_rng(4)
     hodge_morrey_friedrichs(m, random_cochain(m.complex, 1, rng))
     owner = next(c for c in sp.csr_matrix.__mro__ if "__abs__" in vars(c))
     formed, genuine = [], owner.__abs__
     monkeypatch.setattr(owner, "__abs__", lambda self: formed.append(self.shape) or genuine(self))
-    for module in (hodge_mod, metric_mod):  # nor through `_abs`
+    for module in (hodge_mod, metric_mod):
         monkeypatch.setattr(module, "_abs", lambda A, g=module._abs: formed.append(A.shape) or g(A))
-    hodge_morrey_friedrichs(m, random_cochain(m.complex, 1, rng))
-    assert formed == []
+    exact, coexact = hodge_mod._saddle(m, 1, "dirichlet"), hodge_mod._saddle(m, 2, "neumann")
+    n1, n2 = m.complex.num_simplices(1), m.complex.num_simplices(2)
+    expected = [exact.S.shape, coexact.S.shape, (len(coexact.idx), n2), (n2, n1)]
+    for _ in range(2):
+        formed.clear()
+        hodge_morrey_friedrichs(m, random_cochain(m.complex, 1, rng))
+        assert formed == expected
 
 
 @pytest.mark.parametrize("shape", ["annulus", "torus"])
@@ -477,16 +485,32 @@ def test_one_saddle_factor_per_degree_and_condition(shape):
     assert {key[0] for key in factored_keys(m)} == {"mass_lu"}
     for k in range(n + 1):
         hodge_morrey_friedrichs(m, random_cochain(m.complex, k, rng))
-    # one kept factor per distinct operator a mixed solve used: (k,
-    # dirichlet) from degree 1 up and (k + 1, neumann) below the top; on
-    # the closed torus the Dirichlet saddle is the Neumann object
-    conditions = ("neumann",) if shape in CLOSED else ("neumann", "dirichlet")
-    kept = {key[1:] for key in factored_keys(m) if key[0] != "mass_lu"}
-    assert {key[0] for key in factored_keys(m)} == {"mass_lu", "mixed"}
-    assert kept == {(k, c) for k in range(1, n + 1) for c in conditions}
+    # and so does every mixed solve, when it returns; on the closed torus
+    # the Dirichlet saddle is the Neumann object
+    assert {key[0] for key in factored_keys(m)} == {"mass_lu"}
     for k in range(n + 1):
         same = hodge_mod._saddle(m, k, "dirichlet") is hodge_mod._saddle(m, k, "neumann")
         assert same == (shape in CLOSED)
+
+
+@pytest.mark.parametrize("shape", ["annulus", "ball"])
+def test_mixed_solves_keep_no_record_or_factor(shape):
+    # HMF, the integrability witness and potential_for_exact each drop the
+    # refined record, data sizes and saddle factor of every mixed solve
+    m = Metric(complex_for(shape, SMALL[shape]))
+    n = m.complex.dimension
+    rng = np.random.default_rng(12)
+    for k in range(n + 1):
+        dec = hodge_morrey_friedrichs(m, random_cochain(m.complex, k, rng))
+        if k:
+            potential_for_exact(m, dec.d_alpha)
+    for k in range(1, n + 1):
+        e = random_cochain(m.complex, k - 1, rng)
+        f = exterior_derivative(m, e)
+        assert integrability_check(m, f, tangential_trace(m, e)).solvable
+        potential_for_exact(m, f, zero_trace=False)
+    assert not {key[0] for key in m._memo} & {"mixed", "mixed_data"}
+    assert {key[0] for key in factored_keys(m)} == {"mass_lu"}
 
 
 def test_mixed_data_matrices_share_the_index_arrays_of_their_sources(monkeypatch):
@@ -496,9 +520,9 @@ def test_mixed_data_matrices_share_the_index_arrays_of_their_sources(monkeypatch
     built, genuine = [], hodge_mod._abs
     monkeypatch.setattr(hodge_mod, "_abs", lambda A: built.append((A, genuine(A))) or built[-1][1])
     hodge_morrey_friedrichs(m, random_cochain(m.complex, 1, np.random.default_rng(2)))
-    abs_M, abs_d = m._memo[("mixed_data", 2, "neumann")]
-    assert len(built) == 2 and built[0][1] is abs_M and built[1][1] is abs_d
-    assert built[1][0] is m.complex.exterior_derivative_matrix(1)
+    (_, abs_M), (d, abs_d) = built
+    assert abs_M.shape == (len(hodge_mod._saddle(m, 2, "neumann").idx), m.complex.num_simplices(2))
+    assert d is m.complex.exterior_derivative_matrix(1)
     for source, absolute in built:
         assert source.has_canonical_format
         assert np.shares_memory(absolute.indices, source.indices)

@@ -133,6 +133,11 @@ def test_state_round_trip_checks_degrees(tmp_path):
 
 def test_field_objects_are_recognized():
     assert is_field_obj({"field_type": "vertex", "vectors": [[0, 0, 0]]})
+    # either key makes a field file, which field_from_obj then refuses
+    for half in ({"field_type": "vertex"}, {"vectors": [[0, 0, 0]]}):
+        assert is_field_obj(half)
+        with pytest.raises(ValueError, match="field file needs 'field_type' and 'vectors'"):
+            field_from_obj(half)
     assert not is_field_obj({"degree": 1, "values": [], "ordering": "canonical"})
 
 

@@ -461,8 +461,7 @@ def test_refined_record_holds_abs_S_over_the_index_arrays_of_S(record):
         system, _ = sim._midpoint_factors(m, 1, 2, 0.01)
     else:
         m = metric_for("ball", SMALL["ball"])
-        hodge.hodge_morrey_friedrichs(m, random_cochain(m.complex, 1, np.random.default_rng(1)))
-        system = m._memo[("mixed", 2, "neumann")]
+        system = hodge._mixed_system(m, hodge._saddle(m, 2, "neumann"))
     S, abs_S = system.S, system.abs_S
     assert S.has_canonical_format
     assert np.shares_memory(abs_S.indices, S.indices)

@@ -28,6 +28,7 @@ from harmonic_ports import (
     system_operators,
     tangential_trace,
 )
+from harmonic_ports import hodge as hodge_mod
 from harmonic_ports import metric as metric_mod
 from harmonic_ports import stokesdirac as stokesdirac_mod
 
@@ -37,6 +38,7 @@ from conftest import (
     SMALL,
     complex_for,
     dense_port_operators,
+    factored_keys,
     memo_arrays,
     metric_for,
     valid_pairs,
@@ -464,6 +466,59 @@ def test_integrability_forms_no_mass_or_derivative_moduli(monkeypatch):
                   (m.complex.num_simplices(k), m.complex.num_simplices(k - 1))}
         assert formed and not moduli & set(formed), (k, formed)
         formed.clear()
+
+
+def _counted_factors(monkeypatch):
+    """The labels of every `_splu` call the hodge and metric layers make."""
+    genuine, labels = metric_mod._splu, []
+
+    def counted(matrix, what):
+        labels.append(what)
+        return genuine(matrix, what)
+
+    for module in (metric_mod, hodge_mod):
+        monkeypatch.setattr(module, "_splu", counted)
+    return labels
+
+
+@pytest.mark.parametrize("shape, k", [("torus", 1), ("annulus", 1), ("ball", 3)])
+def test_an_obstructed_check_on_a_built_basis_factors_and_solves_nothing(monkeypatch, shape, k):
+    # the three residuals decide first, and an unsolvable input gets no
+    # witness solve: with the Dirichlet basis built, the check factors
+    # nothing, and its report is the one a fresh metric gives
+    cx = complex_for(shape, ACCEPTANCE[shape])
+    m = Metric(cx)
+    rng = np.random.default_rng(7)
+    e = random_cochain(cx, k - 1, rng)
+    f, psi = exterior_derivative(m, e), None if m.closed else tangential_trace(m, e)
+    f = f + norm(m, f) * harmonic_basis(m, k, "dirichlet").element(0)
+    fresh = integrability_check(Metric(cx), f, psi)
+    labels, solves = _counted_factors(monkeypatch), []
+    genuine = hodge_mod._mixed_system
+    monkeypatch.setattr(hodge_mod, "_mixed_system", lambda *args: solves.append(args) or genuine(*args))
+    rep = integrability_check(m, f, psi)
+    assert labels == [] and solves == []
+    assert rep.solvable is False and rep.witness is None
+    assert rep.harmonic_residual > stokesdirac_mod.CONDITION_TOL
+    assert rep == fresh
+
+
+@pytest.mark.parametrize("shape, k", [("torus", 1), ("annulus", 1), ("ball", 2)])
+def test_a_solvable_check_factors_its_saddle_once_and_keeps_no_factor(monkeypatch, shape, k):
+    # on a fresh metric the Dirichlet basis is built on the saddle factor
+    # the witness solve then reuses; on the closed torus that saddle is the
+    # Neumann one.  Neither the factor nor the record outlives the check
+    cx = complex_for(shape, ACCEPTANCE[shape])
+    m = Metric(cx)
+    e = random_cochain(cx, k - 1, np.random.default_rng(8))
+    labels = _counted_factors(monkeypatch)
+    rep = integrability_check(m, exterior_derivative(m, e), None if m.closed else tangential_trace(m, e))
+    assert rep.solvable and rep.witness_residual <= stokesdirac_mod.WITNESS_TOL
+    condition = "neumann" if m.closed else "dirichlet"
+    assert labels.count(f"{condition} shift-invert saddle at degree {k}") == 1, labels
+    assert len(labels) == len(set(labels)), labels
+    assert ("harmonic", k, condition) in m._memo
+    assert {key[0] for key in factored_keys(m)} <= {"mass_lu"}
 
 
 def test_integrability_rejects_harmonic_obstruction():
